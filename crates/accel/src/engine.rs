@@ -11,7 +11,7 @@ use uvf_faults::ecc::{self, EccStats};
 use uvf_faults::{FaultModel, ResolvedCondition};
 use uvf_fpga::eccmode::{self, ECC_DATA_WORDS, ECC_WORDS_PER_BRAM};
 use uvf_fpga::{Board, BoardError, BRAM_ROWS};
-use uvf_nn::{decode_word, Matrix, Mlp, QNetwork};
+use uvf_nn::{decode_word, Dataset, Matrix, Mlp, QNetwork};
 use uvf_trace::Tracer;
 
 /// Which layers see faults during read-back — the per-layer vulnerability
@@ -353,6 +353,50 @@ impl<'a> MappedNetwork<'a> {
     }
 }
 
+/// Scores the read-back networks of a voltage ladder, one rung after the
+/// other. A rung whose read-back is bit-identical to the previous rung's
+/// — common above `Vmin`, and wherever a step adds no observable flip —
+/// reuses that rung's error instead of classifying the test split again:
+/// classification is a pure function of the network's bits, so the reused
+/// error is exactly the one a fresh `error_on` would return.
+pub(crate) struct RungScorer<'d> {
+    data: &'d Dataset,
+    previous: Option<(Mlp, f64)>,
+}
+
+impl<'d> RungScorer<'d> {
+    pub(crate) fn new(data: &'d Dataset) -> RungScorer<'d> {
+        RungScorer {
+            data,
+            previous: None,
+        }
+    }
+
+    /// Classification error of `net` on the scorer's dataset.
+    pub(crate) fn error(&mut self, net: Mlp) -> f64 {
+        if let Some((prev, error)) = &self.previous {
+            if same_bits(prev, &net) {
+                return *error;
+            }
+        }
+        let error = net.error_on(self.data);
+        self.previous = Some((net, error));
+        error
+    }
+}
+
+/// Are two networks the same bits — every weight and bias compared with
+/// `to_bits`, not `PartialEq`, which would equate `0.0` with `-0.0`?
+fn same_bits(a: &Mlp, b: &Mlp) -> bool {
+    let bits = |v: &[f32], w: &[f32]| {
+        v.len() == w.len() && v.iter().zip(w).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    a.layers().len() == b.layers().len()
+        && a.layers().iter().zip(b.layers()).all(|(x, y)| {
+            x.w.rows() == y.w.rows() && bits(x.w.data(), y.w.data()) && bits(&x.b, &y.b)
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,6 +515,47 @@ mod tests {
             .read_back(&board, &model, Some(&cond), LayerFaults::All)
             .unwrap();
         assert_eq!(via_generic, read);
+    }
+
+    #[test]
+    fn bitwise_comparison_tells_one_flipped_weight_bit_apart() {
+        let net = Mlp::new(&[6, 5, 3], 1);
+        assert!(same_bits(&net, &net.clone()));
+        for (layer, r, c) in [(0, 0, 0), (0, 4, 5), (1, 2, 3)] {
+            for bit in [0, 15, 31] {
+                let mut flipped = net.clone();
+                let w = &mut flipped.layers_mut()[layer].w;
+                w.set(r, c, f32::from_bits(w.get(r, c).to_bits() ^ (1 << bit)));
+                assert!(
+                    !same_bits(&net, &flipped),
+                    "layer {layer} ({r},{c}) bit {bit}"
+                );
+            }
+        }
+        // The sign bit of a zero weight: equal under `PartialEq`, not in
+        // storage.
+        let mut zero = net.clone();
+        zero.layers_mut()[1].w.set(0, 0, 0.0);
+        let mut neg_zero = zero.clone();
+        neg_zero.layers_mut()[1].w.set(0, 0, -0.0);
+        assert_eq!(zero, neg_zero);
+        assert!(!same_bits(&zero, &neg_zero));
+    }
+
+    #[test]
+    fn rung_scorer_reuses_only_identical_read_backs() {
+        let data = uvf_nn::DatasetKind::ForestLike.generate(5).test;
+        let net = Mlp::new(&[54, 9, 7], 5);
+        let mut changed = net.clone();
+        let w = &mut changed.layers_mut()[1].w;
+        w.set(0, 0, w.get(0, 0) * 64.0);
+        let mut scorer = RungScorer::new(&data);
+        for n in [&net, &net, &changed, &changed, &net] {
+            assert_eq!(
+                scorer.error(n.clone()).to_bits(),
+                n.error_on(&data).to_bits()
+            );
+        }
     }
 
     #[test]

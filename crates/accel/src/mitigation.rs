@@ -26,7 +26,7 @@
 //! crate: reruns are `PartialEq`-identical, and `repro mitigation
 //! --check` gates on exactly that.
 
-use crate::engine::{LayerFaults, MappedNetwork};
+use crate::engine::{LayerFaults, MappedNetwork, RungScorer};
 use crate::placement::Placement;
 use std::fmt;
 use std::str::FromStr;
@@ -359,7 +359,9 @@ pub fn mitigation_shootout(
 ///
 /// ICBP variants rank sites with a `Vcrash` fault-variation map — the
 /// characterization you would run once per chip — and pin
-/// `cfg.protected_layer` onto the cleanest window.
+/// `cfg.protected_layer` onto the cleanest window. Every rung is read back
+/// (so the ECC tallies are always measured), but a rung whose read-back
+/// is bit-identical to the previous one reuses its error.
 ///
 /// # Errors
 /// Propagates any [`BoardError`] from the weight loads or bulk reads.
@@ -405,8 +407,9 @@ pub fn mitigation_shootout_traced(
             MappedNetwork::load_traced(&mut board, qnet, placement, tracer)?
         };
 
+        let mut scorer = RungScorer::new(&data.test);
         let nominal = mapped.read_back_traced(&board, &model, None, LayerFaults::All, tracer)?;
-        let nominal_error = nominal.error_on(&data.test);
+        let nominal_error = scorer.error(nominal);
 
         let mut points = Vec::with_capacity(rungs.len());
         for &v in &rungs {
@@ -436,7 +439,7 @@ pub fn mitigation_shootout_traced(
             };
             points.push(MitigationPoint {
                 v_mv: v.0,
-                error: net.error_on(&data.test),
+                error: scorer.error(net),
                 ecc: stats,
             });
         }

@@ -14,7 +14,7 @@
 //! bit-deterministic: the sweep, the frontier, and the knee are identical
 //! across reruns.
 
-use crate::engine::{LayerFaults, MappedNetwork};
+use crate::engine::{LayerFaults, MappedNetwork, RungScorer};
 use crate::placement::Placement;
 use uvf_faults::{FaultModel, ReadCondition};
 use uvf_fpga::{Board, BoardError, Millivolts, Platform, PlatformKind, Rail};
@@ -91,7 +91,9 @@ impl ParetoSweep {
 /// descend from `Vmin + start_above_vmin_mv` to `Vcrash` in `step_mv`
 /// decrements, re-resolving the fault condition per level. The board and
 /// the stored weight image are untouched throughout — `read_back` is pure
-/// — so levels are independent and the sweep order cannot leak state.
+/// — so levels are independent and the sweep order cannot leak state. A
+/// level whose read-back is bit-identical to the previous level's reuses
+/// its error rather than classifying again.
 ///
 /// # Errors
 /// Propagates any [`BoardError`] from the weight load or the bulk reads.
@@ -118,6 +120,7 @@ pub fn voltage_accuracy_power_sweep(
         };
     }
 
+    let mut scorer = RungScorer::new(&data.test);
     let mut points = Vec::with_capacity(levels.len());
     for (v, undervolted) in levels {
         let cond = undervolted.then(|| {
@@ -131,7 +134,7 @@ pub fn voltage_accuracy_power_sweep(
         points.push(ParetoPoint {
             v_mv: v.0,
             rail_uw: power.sample(Rail::Vccbram, v, cfg.temperature_c).total_uw(),
-            error: net.error_on(&data.test),
+            error: scorer.error(net),
         });
     }
 

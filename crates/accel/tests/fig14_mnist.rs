@@ -1,15 +1,27 @@
-//! End-to-end reproduction of the paper's Fig. 14 story on the VC707:
-//! the MNIST accelerator at nominal voltage hits the ~2.56 % error
-//! landmark; undervolting toward `Vcrash` degrades it; ICBP — re-placing
-//! the most vulnerable layer onto the chip's least-faulty BRAM window —
-//! recovers to within half a point of nominal with zero extra BRAMs.
+//! End-to-end reproduction of the paper's §V story on the VC707, on one
+//! trained MNIST accelerator:
 //!
-//! Training the 1.5M-weight network takes a few seconds, so the trained
-//! fixture is built once behind a `OnceLock` and shared by every test.
+//! * Fig. 14 — the network at nominal voltage hits the ~2.56 % error
+//!   landmark; undervolting toward `Vcrash` degrades it; ICBP — re-placing
+//!   the most vulnerable layer onto the chip's least-faulty BRAM window —
+//!   recovers to within half a point of nominal with zero extra BRAMs.
+//! * Fig. 12 — the voltage–accuracy–power Pareto sweep has a frontier with
+//!   a computed knee, and both are bit-identical across reruns. The knee
+//!   voltage is pinned so a silent change to the fault model, the power
+//!   model, or the frontier math fails loudly here. (The small `--quick`
+//!   network is too fault-tolerant to degrade below `Vmin` on this chip,
+//!   which would collapse the frontier to a single point.)
+//!
+//! Training the 1.5M-weight network is the expensive part, so the trained
+//! fixture is built once behind a `OnceLock` and shared by every test in
+//! this binary.
 
 use std::sync::OnceLock;
 
-use uvf_accel::{layer_vulnerability, LayerFaults, MappedNetwork, Placement};
+use uvf_accel::{
+    layer_vulnerability, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork, ParetoConfig,
+    ParetoSweep, Placement,
+};
 use uvf_faults::{FaultModel, FaultVariationMap, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, Millivolts, Platform, PlatformKind, Rail};
 use uvf_nn::{train, DatasetKind, Mlp, QNetwork, SyntheticData, TrainConfig, MNIST_LAYOUT};
@@ -40,33 +52,41 @@ const EVAL_RUN_SEED: u64 = 1;
 
 struct Fixture {
     data: SyntheticData,
+    /// The trained float network, before quantization.
+    net: Mlp,
     qnet: QNetwork,
     weights: Vec<usize>,
 }
 
+/// Generate the MNIST-like data for `net_seed`, train the full-size
+/// network on it and quantize it: the one fixture builder, shared by the
+/// pinned fixture and the re-calibration scan.
+fn build_fixture(net_seed: u64) -> Fixture {
+    let data = DatasetKind::MnistLike.generate(net_seed);
+    let mut net = Mlp::new(&MNIST_LAYOUT, net_seed);
+    train(
+        &mut net,
+        &data.train,
+        &TrainConfig {
+            epochs: 20,
+            learning_rate: 0.02,
+            momentum: 0.5,
+            lr_decay: 0.8,
+            shuffle_seed: net_seed,
+        },
+    );
+    let weights: Vec<usize> = net.layers().iter().map(|l| l.w.data().len()).collect();
+    Fixture {
+        qnet: QNetwork::from_mlp(&net),
+        data,
+        net,
+        weights,
+    }
+}
+
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let data = DatasetKind::MnistLike.generate(NET_SEED);
-        let mut net = Mlp::new(&MNIST_LAYOUT, NET_SEED);
-        train(
-            &mut net,
-            &data.train,
-            &TrainConfig {
-                epochs: 20,
-                learning_rate: 0.02,
-                momentum: 0.5,
-                lr_decay: 0.8,
-                shuffle_seed: NET_SEED,
-            },
-        );
-        let weights: Vec<usize> = net.layers().iter().map(|l| l.w.data().len()).collect();
-        Fixture {
-            data,
-            qnet: QNetwork::from_mlp(&net),
-            weights,
-        }
-    })
+    FIXTURE.get_or_init(|| build_fixture(NET_SEED))
 }
 
 fn eval_condition(model: &FaultModel) -> ResolvedCondition {
@@ -138,26 +158,17 @@ fn run_pass(fx: &Fixture) -> PassResult {
 fn calibrate_seed_chip_run() {
     let platform = Platform::new(PlatformKind::Vc707);
     for net_seed in 1u64..=16 {
-        let data = DatasetKind::MnistLike.generate(net_seed);
-        let mut net = Mlp::new(&MNIST_LAYOUT, net_seed);
-        train(
-            &mut net,
-            &data.train,
-            &TrainConfig {
-                epochs: 20,
-                learning_rate: 0.02,
-                momentum: 0.5,
-                lr_decay: 0.8,
-                shuffle_seed: net_seed,
-            },
-        );
+        let Fixture {
+            data,
+            net,
+            qnet,
+            weights,
+        } = build_fixture(net_seed);
         let nominal = net.error_on(&data.test);
         println!("seed={net_seed}: nominal={nominal:.4}");
         if nominal > 0.0256 + 0.006 {
             continue;
         }
-        let qnet = QNetwork::from_mlp(&net);
-        let weights: Vec<usize> = net.layers().iter().map(|l| l.w.data().len()).collect();
         let vcrash = platform.rail(Rail::Vccbram).vcrash;
         for chip in 1u64..=50 {
             let mut board = Board::with_chip_seed(platform, chip);
@@ -289,4 +300,75 @@ fn fig14_is_bit_identical_across_runs() {
     assert_eq!(a.icbp.to_bits(), b.icbp.to_bits());
     assert_eq!(a.per_layer, b.per_layer);
     assert_eq!(a.dominant, b.dominant);
+}
+
+// --- Fig. 12: the voltage–accuracy–power Pareto sweep ---
+
+fn sweep(fx: &Fixture) -> ParetoSweep {
+    let cfg = ParetoConfig::vc707_default(CHIP_SEED, EVAL_RUN_SEED, EVAL_TEMPERATURE_C);
+    voltage_accuracy_power_sweep(&cfg, &fx.qnet, &fx.weights, &fx.data).unwrap()
+}
+
+/// The sweep is deterministic (asserted below), so the read-only tests
+/// share one instance instead of each paying 14 full-network read-backs.
+fn shared_sweep() -> &'static ParetoSweep {
+    static SWEEP: OnceLock<ParetoSweep> = OnceLock::new();
+    SWEEP.get_or_init(|| sweep(fixture()))
+}
+
+#[test]
+fn sweep_covers_nominal_through_vcrash() {
+    let s = shared_sweep();
+    // Nominal first, then Vmin + 50 = 660 mV down to Vcrash = 540 mV in
+    // 10 mV steps: 1 + 13 points.
+    assert_eq!(s.points.len(), 14);
+    assert_eq!(s.points[0].v_mv, 1000);
+    assert_eq!(s.points[1].v_mv, 660);
+    assert_eq!(s.points.last().unwrap().v_mv, 540);
+    // Power strictly shrinks down the ladder; the nominal read is clean.
+    for w in s.points[1..].windows(2) {
+        assert!(w[1].rail_uw < w[0].rail_uw);
+    }
+    assert!(s.points[0].rail_uw > 10 * s.points.last().unwrap().rail_uw);
+}
+
+#[test]
+fn frontier_has_a_pinned_knee() {
+    let s = shared_sweep();
+    assert!(!s.frontier.is_empty());
+    // Frontier is ordered by increasing power with strictly improving
+    // error — the definition of a minimize-both frontier.
+    for w in s.frontier.windows(2) {
+        assert!(s.points[w[0]].rail_uw <= s.points[w[1]].rail_uw);
+        assert!(s.points[w[0]].error > s.points[w[1]].error);
+    }
+    let knee = s.knee_point();
+    // The computed operating point: 550 mV — 60 mV below Vmin — trades
+    // 0.16 pp of error for a further ~7 % power cut past the last
+    // error-free level (560 mV). Pinned exactly so any silent change to
+    // the fault model, power model, or frontier math trips this gate.
+    assert_eq!(knee.v_mv, 550, "knee moved: {knee:?}");
+    assert!(
+        knee.error <= s.points[0].error + 0.01,
+        "knee error {} vs nominal {}",
+        knee.error,
+        s.points[0].error
+    );
+    assert!(
+        knee.rail_uw * 10 < s.points[0].rail_uw,
+        "knee should sit >10x below nominal rail power"
+    );
+}
+
+#[test]
+fn sweep_is_bit_identical_across_reruns() {
+    let a = shared_sweep();
+    let b = sweep(fixture());
+    assert_eq!(a.frontier, b.frontier);
+    assert_eq!(a.knee, b.knee);
+    for (pa, pb) in a.points.iter().zip(&b.points) {
+        assert_eq!(pa.v_mv, pb.v_mv);
+        assert_eq!(pa.rail_uw, pb.rail_uw);
+        assert_eq!(pa.error.to_bits(), pb.error.to_bits());
+    }
 }

@@ -14,6 +14,10 @@
 //! * `campaign/*` — the 4-board Table-I campaign, sequential vs the
 //!   work-stealing pool (`campaign_speedup` is wall-clock, so it only
 //!   exceeds 1 on multi-core hosts).
+//! * `nn/*` — a quantized MLP read back through the VC707 fault masks,
+//!   then classified one sample at a time and over the whole MNIST-like
+//!   test split (`nn/classify_test_split`, the batched `error_on` every
+//!   ladder rung runs).
 //! * `ecc_decode/*` — the raw corrupted read-back vs the SECDED
 //!   corrupt-and-decode path over the same fault masks, paired per sample
 //!   (`ecc_decode_overhead_x` is the acceptance number: the mitigation
@@ -43,7 +47,7 @@ use uvf_characterize::prelude::{
 };
 use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
-use uvf_nn::{Mlp, QNetwork};
+use uvf_nn::{DatasetKind, Mlp, QNetwork};
 use uvf_trace::{Manifest, MemorySink, Tracer};
 
 struct Args {
@@ -58,15 +62,17 @@ struct Args {
 /// Regression budget for `--baseline` (percent over the baseline median).
 const MAX_REGRESSION_PCT: f64 = 20.0;
 /// Bench-name prefixes `--baseline` watches: the mask-build and sweep
-/// phases the ladder kernel accelerates, plus the SECDED decode path the
-/// mitigation shoot-out leans on.
-const BASELINE_WATCH: [&str; 6] = [
+/// phases the ladder kernel accelerates, the SECDED decode path the
+/// mitigation shoot-out leans on, and the inference kernel that scores
+/// every ladder rung.
+const BASELINE_WATCH: [&str; 7] = [
     "mask_build",
     "ladder_mask_build",
     "sweep_level_counts",
     "platform_scan",
     "campaign",
     "ecc_decode",
+    "nn/classify",
 ];
 
 fn parse_args() -> Result<Args, String> {
@@ -486,6 +492,14 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
     // reusing the corrupted snapshot — the amortization ICBP relies on.
     suite.derive("nn_fps_reread_weights", 1e9 / (readback_ns + classify_ns));
     suite.derive("nn_fps_snapshot_weights", 1e9 / classify_ns);
+
+    // One ladder rung's scoring: the whole MNIST-like test split through
+    // the batched `error_on` (ns/op is per image).
+    let test = DatasetKind::MnistLike.generate(1).test;
+    let split = bench("nn/classify_test_split", test.len() as u64, opts, || {
+        corrupted.error_on(&test)
+    });
+    print_measurement(suite.record(split));
 }
 
 /// The SECDED read-back (mask build + corrupt + two-pass decode, exactly

@@ -41,6 +41,28 @@ pub struct Dataset {
 }
 
 impl Dataset {
+    /// Wrap flattened row-major inputs (`input_dim` values per sample) and
+    /// their labels: hand-built test sets for the kernel oracle tests.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        input_dim: usize,
+        classes: usize,
+        inputs: Vec<f32>,
+        labels: Vec<u8>,
+    ) -> Dataset {
+        assert_eq!(
+            inputs.len(),
+            labels.len() * input_dim,
+            "inputs/labels mismatch"
+        );
+        Dataset {
+            input_dim,
+            classes,
+            inputs,
+            labels,
+        }
+    }
+
     #[must_use]
     pub fn len(&self) -> usize {
         self.labels.len()

@@ -13,6 +13,9 @@ use uvf_fpga::seedmix::{mix, unit_f64};
 
 const TAG_INIT: u64 = 0x0011_e7a1;
 
+/// Samples [`Mlp::error_on`] pushes through the net as one panel.
+const BATCH: usize = 8;
+
 /// The paper's MNIST accelerator topology.
 pub const MNIST_LAYOUT: [usize; 6] = [784, 1024, 512, 256, 128, 10];
 
@@ -172,16 +175,90 @@ impl Mlp {
     }
 
     /// Classification error rate on a dataset, in `[0, 1]`.
+    ///
+    /// Samples run through the net eight at a time as one k-major
+    /// panel ([`Matrix::panel_into`]), which yields bit-for-bit the logits
+    /// of [`Mlp::forward`] on each sample alone; the last block may be
+    /// partial.
     #[must_use]
     pub fn error_on(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let wrong = (0..data.len())
-            .filter(|&i| self.predict(data.input(i)) != data.label(i) as usize)
-            .count();
+        let mut bufs = self.panel_buffers();
+        let mut wrong = 0usize;
+        for start in (0..data.len()).step_by(BATCH) {
+            let lanes = (data.len() - start).min(BATCH);
+            let logits = self.forward_block(data, start, &mut bufs);
+            wrong += (0..lanes)
+                .filter(|&j| argmax_lane(logits, j) != data.label(start + j) as usize)
+                .count();
+        }
         wrong as f64 / data.len() as f64
     }
+
+    /// Two scratch panels wide enough for any layer's activations.
+    fn panel_buffers(&self) -> [Vec<f32>; 2] {
+        let widest = self
+            .layers
+            .iter()
+            .map(Dense::out_dim)
+            .chain([self.in_dim()])
+            .max()
+            .unwrap_or(0);
+        [vec![0.0; widest * BATCH], vec![0.0; widest * BATCH]]
+    }
+
+    /// Forward samples `start..start + BATCH` (clipped to the dataset) as
+    /// one panel and return the k-major logit panel: `logits[r * BATCH +
+    /// j]` is logit `r` of sample `start + j`. Lanes past the dataset's
+    /// end hold zero inputs and are to be ignored.
+    fn forward_block<'b>(
+        &self,
+        data: &Dataset,
+        start: usize,
+        bufs: &'b mut [Vec<f32>; 2],
+    ) -> &'b [f32] {
+        let lanes = (data.len() - start).min(BATCH);
+        let [cur, next] = bufs;
+        let in_dim = self.in_dim();
+        let panel = &mut cur[..in_dim * BATCH];
+        panel.fill(0.0);
+        for j in 0..lanes {
+            for (k, &v) in data.input(start + j).iter().enumerate() {
+                panel[k * BATCH + j] = v;
+            }
+        }
+        let mut width = in_dim;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let out_dim = layer.out_dim();
+            let out = &mut next[..out_dim * BATCH];
+            layer.w.panel_into::<BATCH>(&cur[..width * BATCH], out);
+            let hidden = l + 1 < self.layers.len();
+            for (o, &b) in out.chunks_exact_mut(BATCH).zip(&layer.b) {
+                for v in o {
+                    *v += b;
+                    if hidden {
+                        *v = v.max(0.0);
+                    }
+                }
+            }
+            std::mem::swap(cur, next);
+            width = out_dim;
+        }
+        &cur[..width * BATCH]
+    }
+}
+
+/// [`argmax`] of lane `j` of a k-major panel.
+fn argmax_lane(panel: &[f32], j: usize) -> usize {
+    let mut best = 0;
+    for (i, &x) in panel.iter().skip(j).step_by(BATCH).enumerate().skip(1) {
+        if x > panel[best * BATCH + j] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Index of the largest value, first occurrence wins.
@@ -199,6 +276,133 @@ pub fn argmax(v: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::DatasetKind;
+    use crate::tensor::reference_matvec;
+
+    /// The per-sample scalar forward pass the batched `error_on` replaced:
+    /// one plain dot product per output, bias, ReLU. The bit-identity
+    /// oracle.
+    fn reference_logits(net: &Mlp, x: &[f32]) -> Vec<f32> {
+        let mut cur = x.to_vec();
+        for (l, layer) in net.layers().iter().enumerate() {
+            let mut next = reference_matvec(&layer.w, &cur);
+            for (o, &b) in next.iter_mut().zip(&layer.b) {
+                *o += b;
+            }
+            if l + 1 < net.layers().len() {
+                for v in &mut next {
+                    *v = v.max(0.0);
+                }
+            }
+            cur = next;
+        }
+        cur
+    }
+
+    fn reference_error_on(net: &Mlp, data: &Dataset) -> f64 {
+        if data.is_empty() {
+            return 0.0;
+        }
+        let wrong = (0..data.len())
+            .filter(|&i| argmax(&reference_logits(net, data.input(i))) != data.label(i) as usize)
+            .count();
+        wrong as f64 / data.len() as f64
+    }
+
+    /// The first `n` samples of `data`.
+    fn head(data: &Dataset, n: usize) -> Dataset {
+        let inputs = (0..n).flat_map(|i| data.input(i).iter().copied()).collect();
+        let labels = (0..n).map(|i| data.label(i)).collect();
+        Dataset::from_parts(data.input_dim(), data.classes(), inputs, labels)
+    }
+
+    /// Batched logits of every sample, lane by lane, against the oracle.
+    fn assert_logits_match(net: &Mlp, data: &Dataset) {
+        let mut bufs = net.panel_buffers();
+        for start in (0..data.len()).step_by(BATCH) {
+            let logits = net.forward_block(data, start, &mut bufs).to_vec();
+            for j in 0..(data.len() - start).min(BATCH) {
+                let want = reference_logits(net, data.input(start + j));
+                let got: Vec<f32> = logits.iter().skip(j).step_by(BATCH).copied().collect();
+                assert_eq!(got.len(), want.len());
+                for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "sample {} logit {r}: {g} vs {w}",
+                        start + j
+                    );
+                }
+                assert_eq!(
+                    net.forward(data.input(start + j))
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "single-sample forward, sample {}",
+                    start + j
+                );
+            }
+        }
+        assert_eq!(
+            net.error_on(data).to_bits(),
+            reference_error_on(net, data).to_bits()
+        );
+    }
+
+    #[test]
+    fn batched_error_on_matches_the_scalar_oracle_on_ragged_blocks() {
+        let data = DatasetKind::ForestLike.generate(4).test;
+        let net = Mlp::new(&[54, 13, 7], 4);
+        for n in [1, 7, 8, 9, 17, data.len()] {
+            assert_logits_match(&net, &head(&data, n));
+        }
+        // Odd hidden and output widths exercise the non-tile row tail.
+        let narrow = Mlp::new(&[54, 5, 6, 7], 9);
+        assert_logits_match(&narrow, &head(&data, 23));
+    }
+
+    #[test]
+    fn batched_error_on_handles_a_single_layer_net() {
+        let data = DatasetKind::ForestLike.generate(2).test;
+        let net = Mlp::new(&[54, 7], 2);
+        assert_logits_match(&net, &head(&data, 15));
+    }
+
+    #[test]
+    fn empty_dataset_scores_zero() {
+        let net = Mlp::new(&[3, 2], 0);
+        let empty = Dataset::from_parts(3, 2, Vec::new(), Vec::new());
+        assert_eq!(net.error_on(&empty), 0.0);
+    }
+
+    #[test]
+    fn signed_zeros_and_huge_inputs_stay_bit_identical() {
+        // Weights large enough to overflow to ±inf and cancel into NaN,
+        // inputs of ±0.0: the argmax tie and NaN rules must agree too.
+        let mut net = Mlp::new(&[6, 5, 3], 3);
+        for layer in net.layers_mut() {
+            let (rows, cols) = (layer.w.rows(), layer.w.cols());
+            for r in 0..rows {
+                for c in 0..cols {
+                    let v = layer.w.get(r, c);
+                    layer
+                        .w
+                        .set(r, c, if (r + c) % 3 == 0 { v * 1.0e37 } else { v });
+                }
+            }
+        }
+        let samples: [[f32; 6]; 5] = [
+            [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+            [3.0e38, -3.0e38, 1.0, -0.0, 2.0, 0.5],
+            [-0.0; 6],
+            [1.0e-38, -1.0e-38, 1.0e30, -1.0e30, 0.0, 7.0],
+            [f32::MAX, f32::MAX, -f32::MAX, 0.0, -0.0, 1.0],
+        ];
+        let inputs = samples.iter().flatten().copied().collect();
+        let data = Dataset::from_parts(6, 3, inputs, vec![0, 1, 2, 0, 1]);
+        assert_logits_match(&net, &data);
+    }
 
     #[test]
     fn init_is_deterministic_and_scaled() {

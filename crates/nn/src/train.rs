@@ -219,6 +219,46 @@ mod tests {
         assert!(after < 0.06, "error after training {after}");
     }
 
+    /// FNV-1a over every weight's and bias's bit pattern.
+    fn weight_digest(net: &Mlp) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for l in net.layers() {
+            for &v in l.w.data().iter().chain(&l.b) {
+                for byte in v.to_bits().to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The `repro --quick` accelerator fixture. Training runs its forward
+    /// passes through the tiled kernel and scoring through the batched
+    /// `error_on`; both must leave the trained bits and the nominal
+    /// landmark exactly where the scalar loops put them.
+    #[test]
+    fn quick_mnist_fixture_trains_to_pinned_bits() {
+        let data = DatasetKind::MnistLike.generate(12);
+        let mut net = Mlp::new(&[784, 128, 10], 12);
+        train(
+            &mut net,
+            &data.train,
+            &TrainConfig {
+                epochs: 8,
+                learning_rate: 0.02,
+                momentum: 0.5,
+                lr_decay: 0.8,
+                shuffle_seed: 12,
+            },
+        );
+        assert_eq!(weight_digest(&net), 0xd4bc_9404_8554_12a9);
+        assert_eq!(net.error_on(&data.test), 0.0288);
+        let q = crate::quantized::QNetwork::from_mlp(&net).to_mlp();
+        assert_eq!(weight_digest(&q), 0xc05a_3acf_eddd_b82d);
+        assert_eq!(q.error_on(&data.test), 0.0288);
+    }
+
     #[test]
     fn training_is_bit_reproducible() {
         let data = DatasetKind::ForestLike.generate(3);
