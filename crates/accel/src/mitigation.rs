@@ -31,7 +31,7 @@ use crate::placement::Placement;
 use std::fmt;
 use std::str::FromStr;
 use uvf_faults::ecc::{self, EccStats};
-use uvf_faults::{FaultModel, ReadCondition};
+use uvf_faults::{FaultModel, FvmCache, ReadCondition};
 use uvf_fpga::eccmode::{ECC_CODEWORDS_PER_BRAM, ECC_WORDS_PER_BRAM};
 use uvf_fpga::BRAM_ROWS;
 use uvf_fpga::{eccmode, Board, BoardError, BramId, Millivolts, Platform, PlatformKind, Rail};
@@ -375,7 +375,15 @@ pub fn mitigation_shootout_traced(
     let platform = Platform::new(cfg.platform);
     let model = FaultModel::with_chip_seed(platform, cfg.chip_seed);
     let rail = platform.rail(Rail::Vccbram);
-    let fvm = model.variation_map(rail.vcrash);
+    // The cached census at the calibration temperature: bit-identical to
+    // `model.variation_map(rail.vcrash)` by the `variation_map_at`
+    // invariant, and counted in the cache's hit/miss totals.
+    let fvm = FvmCache::global().variation_map(
+        platform,
+        cfg.chip_seed,
+        model.params().t_ref_c,
+        rail.vcrash,
+    );
 
     let floor_mv = rail.vcrash.0.saturating_sub(cfg.descend_below_vcrash_mv);
     let mut rungs = Vec::new();

@@ -3,14 +3,16 @@
 //! read-back is bit-identical to the previous rung's. Here every rung is
 //! recomputed the slow way — a fresh `read_back` and a fresh `error_on` —
 //! and must match the reports exactly, errors and ECC tallies alike, for
-//! all four mitigation modes.
+//! all four mitigation modes. Both ladders must also report the same
+//! whether the shared die cache starts cold or warm.
 
+use std::sync::{Mutex, MutexGuard};
 use uvf_accel::{
     mitigation_shootout, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork, Mitigation,
     ParetoConfig, Placement, ShootoutConfig,
 };
 use uvf_faults::ecc::EccStats;
-use uvf_faults::{FaultModel, ReadCondition};
+use uvf_faults::{FaultModel, FvmCache, ReadCondition};
 use uvf_fpga::eccmode::ECC_WORDS_PER_BRAM;
 use uvf_fpga::{Board, Millivolts, Platform, Rail, BRAM_ROWS};
 use uvf_nn::{train, DatasetKind, Mlp, QNetwork, SyntheticData, TrainConfig};
@@ -20,6 +22,13 @@ const NET_SEED: u64 = 12;
 const CHIP_SEED: u64 = 21;
 const TEMPERATURE_C: f64 = 0.0;
 const RUN_SEED: u64 = 1;
+
+/// Every test here reads chip `CHIP_SEED` through the process-wide die
+/// cache and one clears it; serialize them so the cold run stays cold.
+fn die_cache() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A small, briefly trained net: 14 BRAMs of weights, cheap to classify,
 /// and fragile enough that its error moves before `Vcrash` on this chip.
@@ -52,6 +61,7 @@ fn ladder(from_mv: u32, floor_mv: u32, step_mv: u32) -> Vec<Millivolts> {
 
 #[test]
 fn shootout_rungs_match_a_fresh_read_back_and_classification() {
+    let _g = die_cache();
     let (data, qnet, weights) = small_net();
     let cfg = ShootoutConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C, weights.len() - 1);
     let report = mitigation_shootout(&cfg, &qnet, &weights, &data).unwrap();
@@ -141,6 +151,7 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
 
 #[test]
 fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
+    let _g = die_cache();
     let (data, qnet, weights) = small_net();
     let cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
     let sweep = voltage_accuracy_power_sweep(&cfg, &qnet, &weights, &data).unwrap();
@@ -184,4 +195,29 @@ fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
             point.v_mv
         );
     }
+}
+
+#[test]
+fn ladders_report_the_same_from_a_cold_or_warm_die_cache() {
+    let _g = die_cache();
+    let (data, qnet, weights) = small_net();
+    let shootout_cfg =
+        ShootoutConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C, weights.len() - 1);
+    let pareto_cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
+    let run = || {
+        (
+            mitigation_shootout(&shootout_cfg, &qnet, &weights, &data).unwrap(),
+            voltage_accuracy_power_sweep(&pareto_cfg, &qnet, &weights, &data).unwrap(),
+        )
+    };
+    FvmCache::global().clear();
+    let misses = FvmCache::global().misses();
+    let cold = run();
+    assert!(
+        FvmCache::global().misses() > misses,
+        "the cold run must build its die"
+    );
+    let warm = run();
+    assert_eq!(cold.0, warm.0, "shoot-out");
+    assert_eq!(cold.1, warm.1, "voltage-accuracy-power sweep");
 }

@@ -9,6 +9,9 @@
 //!   the bulk pipeline (resolve the condition once, then the row-indexed
 //!   scan) — the path every bulk consumer actually takes.
 //! * `mask_build` — cost of snapshotting a whole die into masks.
+//! * `faults/die_build_vc707` — one cold build of the largest die through
+//!   a fresh `FvmCache`: the cost `FaultModel::with_chip_seed` hides
+//!   behind the shared cache after the first call.
 //! * `platform_scan/*` — one full-pool probe scan, sequential vs fanned
 //!   over all cores.
 //! * `campaign/*` — the 4-board Table-I campaign, sequential vs the
@@ -61,11 +64,12 @@ struct Args {
 
 /// Regression budget for `--baseline` (percent over the baseline median).
 const MAX_REGRESSION_PCT: f64 = 20.0;
-/// Bench-name prefixes `--baseline` watches: the mask-build and sweep
-/// phases the ladder kernel accelerates, the SECDED decode path the
-/// mitigation shoot-out leans on, and the inference kernel that scores
-/// every ladder rung.
-const BASELINE_WATCH: [&str; 7] = [
+/// Bench-name prefixes `--baseline` watches: the cold die build the
+/// shared cache hides, the mask-build and sweep phases the ladder kernel
+/// accelerates, the SECDED decode path the mitigation shoot-out leans on,
+/// and the inference kernel that scores every ladder rung.
+const BASELINE_WATCH: [&str; 8] = [
+    "faults/die_build",
     "mask_build",
     "ladder_mask_build",
     "sweep_level_counts",
@@ -207,6 +211,28 @@ fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
     let masked_ns = suite.measurements[3].median_ns.max(1) as f64;
     suite.derive("bulk_word_corruption_speedup", linear_ns / resolved_ns);
     suite.derive("mask_vs_linear_speedup", linear_ns / masked_ns);
+}
+
+/// A cold VC707 die build. Every sample asks a fresh one-entry cache, so
+/// every sample generates the whole die — the global cache would turn all
+/// but the first into hits.
+fn bench_die_build(suite: &mut Suite, opts: &BenchOptions) {
+    let platform = PlatformKind::Vc707.descriptor();
+    println!(
+        "die build: VC707 ({} BRAMs), fresh cache per sample",
+        platform.bram_count
+    );
+    let build = bench(
+        "faults/die_build_vc707",
+        platform.bram_count as u64,
+        opts,
+        || {
+            FvmCache::new(1, 1)
+                .model(platform, platform.default_chip_seed)
+                .total_weak_cells()
+        },
+    );
+    print_measurement(suite.record(build));
 }
 
 /// The tentpole: the mask-build phase of a full Listing-1 sweep, per-level
@@ -811,6 +837,11 @@ fn main() -> ExitCode {
     }
     println!();
     {
+        let _p = phase_tracer.span("die_build");
+        bench_die_build(&mut suite, &opts);
+    }
+    println!();
+    {
         let _p = phase_tracer.span("ladder");
         bench_ladder(&mut suite, &opts);
     }
@@ -820,10 +851,20 @@ fn main() -> ExitCode {
         bench_platform_scan(&mut suite, &opts, threads);
     }
     println!();
+    // Every die lookup in the process goes through the shared FVM cache;
+    // count the campaign phase's traffic alone, so BENCH_sweep.json
+    // documents the memoization the campaign benches see.
+    let cache = FvmCache::global();
+    let campaign_start = (cache.hits(), cache.misses(), cache.evictions());
     {
         let _p = phase_tracer.span("campaign");
         bench_campaign(&mut suite, &opts, threads);
     }
+    let campaign_cache = (
+        cache.hits() - campaign_start.0,
+        cache.misses() - campaign_start.1,
+        cache.evictions() - campaign_start.2,
+    );
     println!();
     {
         let _p = phase_tracer.span("nn_inference");
@@ -846,16 +887,11 @@ fn main() -> ExitCode {
     }
     suite.phases = Manifest::phases_from_events(&phase_sink.events());
 
-    // The campaign benches above ran through the shared FVM cache; record
-    // its traffic so BENCH_sweep.json documents the memoization at work.
-    let cache = FvmCache::global();
-    suite.derive("fvm_cache_hits", cache.hits() as f64);
-    suite.derive("fvm_cache_misses", cache.misses() as f64);
+    suite.derive("fvm_cache_hits", campaign_cache.0 as f64);
+    suite.derive("fvm_cache_misses", campaign_cache.1 as f64);
     println!(
-        "\nfvm cache: {} hits / {} misses / {} evictions",
-        cache.hits(),
-        cache.misses(),
-        cache.evictions()
+        "\nfvm cache (campaign phase): {} hits / {} misses / {} evictions",
+        campaign_cache.0, campaign_cache.1, campaign_cache.2
     );
 
     println!("\nphases:");

@@ -19,7 +19,6 @@
 //! process restarts, which is what keeps resumed timelines identical too.
 
 use crate::backoff::Backoff;
-use crate::cache::FvmCache;
 use crate::parallel;
 use crate::record::{
     Checkpoint, CrashEvent, LevelRecord, RecordError, RunRecord, SweepOutcome, SweepRecord,
@@ -29,7 +28,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use uvf_faults::{run_seed, FaultModel, ReadCondition, ResolvedCondition};
+use uvf_faults::{run_seed, FaultModel, FvmCache, ReadCondition, ResolvedCondition};
 use uvf_fpga::seedmix::mix;
 use uvf_fpga::{Board, BoardError, BramId, Millivolts};
 use uvf_power::ChipPowerModel;

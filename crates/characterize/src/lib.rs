@@ -28,7 +28,6 @@
 #![deny(deprecated)]
 
 pub mod backoff;
-pub mod cache;
 pub mod campaign;
 pub mod guardband;
 pub mod harness;
@@ -45,7 +44,6 @@ pub mod sweep;
 pub use uvf_trace::json;
 
 pub use backoff::Backoff;
-pub use cache::FvmCache;
 pub use campaign::{Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry};
 pub use guardband::{discover, discover_all, GuardbandReport};
 pub use harness::{
@@ -64,6 +62,9 @@ pub use stats::{
 };
 pub use store::{CheckpointStore, JobQueue, LeaseState};
 pub use sweep::{Probe, SweepConfig, SweepConfigBuilder};
+/// The die cache lives in [`uvf_faults`], where `FaultModel::with_chip_seed`
+/// shares it; re-exported for the sweep-side callers that import it here.
+pub use uvf_faults::FvmCache;
 pub use uvf_trace::{Tracer, TracerBuilder};
 
 /// The one-stop import for downstream crates (`uvf-accel`, `uvf-bench`,
@@ -79,7 +80,6 @@ pub use uvf_trace::{Tracer, TracerBuilder};
 /// ```
 pub mod prelude {
     pub use crate::backoff::Backoff;
-    pub use crate::cache::FvmCache;
     pub use crate::campaign::{
         Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry,
     };
@@ -95,5 +95,6 @@ pub mod prelude {
     };
     pub use crate::store::{CheckpointStore, JobQueue, LeaseState};
     pub use crate::sweep::{Probe, SweepConfig, SweepConfigBuilder};
+    pub use uvf_faults::FvmCache;
     pub use uvf_trace::{Tracer, TracerBuilder};
 }

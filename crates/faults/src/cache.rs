@@ -1,29 +1,31 @@
 //! Fleet-scale memoization of fault models and variation maps.
 //!
-//! Every consumer of the die model — a [`Harness`] sweep, a `VminSearch`
-//! probe, a campaign worker churning through jobs, the `uvf-serve` server
-//! answering FVM queries for millions of chip seeds — used to regenerate
-//! the same pure functions from scratch: `FaultModel::with_chip_seed`
-//! walks every bitcell of the die, and `variation_map` re-censuses it.
-//! Both are pure functions of their keys, so memoizing them is invisible
-//! to every record, fingerprint and checkpoint byte.
+//! Every consumer of the die model — a characterization sweep, a `Vmin`
+//! search probe, a campaign worker churning through jobs, the §V
+//! accelerator ladders, the `uvf-serve` server answering FVM queries for
+//! millions of chip seeds — models the same dies again and again.
+//! Generating a die walks every bitcell of it, and `variation_map`
+//! re-censuses it. Both are pure functions of their keys, so memoizing
+//! them is invisible to every record, fingerprint and checkpoint byte.
 //!
 //! [`FvmCache`] is a bounded LRU over both:
 //!
 //! * models keyed by `(platform, chip_seed)`,
 //! * variation maps keyed by `(platform, chip_seed, temp_c, v_ref)`.
 //!
-//! Entries are `Arc`s, so a hit costs a clone of a pointer. Hit/miss/
+//! Entries are `Arc`s, so a hit costs a clone of a pointer. The model
+//! table is the die's one construction path: [`FaultModel::with_chip_seed`]
+//! clones its handle out of [`FvmCache::global`], so one die per key is
+//! resident process-wide however many callers model it. Hit/miss/
 //! eviction totals are kept as atomics and surfaced through `uvf-trace`
 //! counters ([`FvmCache::publish`]); publication is driver-side (bench,
 //! `repro`, the campaign server) so the deterministic core's event streams
 //! stay byte-comparable across warm and cold caches.
-//!
-//! [`Harness`]: crate::harness::Harness
 
+use crate::fvm::FaultVariationMap;
+use crate::model::FaultModel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use uvf_faults::{FaultModel, FaultVariationMap};
 use uvf_fpga::{Millivolts, Platform, PlatformKind};
 use uvf_trace::Tracer;
 
@@ -57,13 +59,15 @@ impl<K: PartialEq, V: Clone> Lru<K, V> {
             })
     }
 
-    /// Insert `value`; returns `true` when an older entry was evicted.
-    fn insert(&mut self, key: K, value: V) -> bool {
+    /// Insert `value` unless `key` is already cached, and return the value
+    /// the cache now holds for `key` plus whether an older entry was
+    /// evicted. A racing loser adopts the winner's entry, so two builds of
+    /// the same key never leave two live copies behind.
+    fn insert(&mut self, key: K, value: V) -> (V, bool) {
         self.tick += 1;
         if let Some(slot) = self.entries.iter_mut().find(|(k, _, _)| *k == key) {
-            slot.1 = value;
             slot.2 = self.tick;
-            return false;
+            return (slot.1.clone(), false);
         }
         let mut evicted = false;
         if self.entries.len() >= self.cap {
@@ -78,12 +82,16 @@ impl<K: PartialEq, V: Clone> Lru<K, V> {
                 evicted = true;
             }
         }
-        self.entries.push((key, value, self.tick));
-        evicted
+        self.entries.push((key, value.clone(), self.tick));
+        (value, evicted)
     }
 
     fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
     }
 }
 
@@ -110,7 +118,8 @@ pub struct FvmCache {
 
 impl FvmCache {
     /// Default bound on cached models; a model carries the whole weak-cell
-    /// population of a die (megabyte scale), so the bound is modest.
+    /// population of a die (a few MiB for a ZC702, ~27 MiB for a VC707),
+    /// so the bound is modest.
     pub const DEFAULT_MODEL_CAPACITY: usize = 16;
     /// Default bound on cached variation maps (one `u32` per BRAM each).
     pub const DEFAULT_MAP_CAPACITY: usize = 256;
@@ -129,9 +138,10 @@ impl FvmCache {
         }
     }
 
-    /// The process-wide shared cache: in-process campaigns, `Vmin`
-    /// searches, serve workers and the campaign server all consult this
-    /// one instance, so a die generated anywhere is reusable everywhere.
+    /// The process-wide shared cache: every [`FaultModel::with_chip_seed`]
+    /// (and so in-process campaigns, `Vmin` searches, the accelerator
+    /// ladders, serve workers and the campaign server) consults this one
+    /// instance, so a die generated anywhere is reusable everywhere.
     #[must_use]
     pub fn global() -> &'static FvmCache {
         static GLOBAL: OnceLock<FvmCache> = OnceLock::new();
@@ -143,8 +153,10 @@ impl FvmCache {
         })
     }
 
-    /// The memoized die model for `(platform, chip_seed)` — bit-identical
-    /// to a fresh `FaultModel::with_chip_seed` by purity.
+    /// The memoized die model for `(platform, chip_seed)`, generated on a
+    /// miss — the only place a die is ever generated. A fresh cache (e.g.
+    /// `FvmCache::new(1, 1)`) therefore always builds, which is how a cold
+    /// build is measured or checked against the shared one.
     #[must_use]
     pub fn model(&self, platform: Platform, chip_seed: u64) -> Arc<FaultModel> {
         let key = (platform.kind, chip_seed);
@@ -155,14 +167,15 @@ impl FvmCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Built outside the lock: die generation is the expensive part and
         // concurrent workers must not serialize on it. A racing duplicate
-        // build costs time, never correctness.
-        let model = Arc::new(FaultModel::with_chip_seed(platform, chip_seed));
-        if self
+        // build costs time, never correctness: the loser adopts the cached
+        // winner and drops its own copy.
+        let model = Arc::new(FaultModel::build(platform, chip_seed));
+        let (model, evicted) = self
             .models
             .lock()
             .expect("fvm cache poisoned")
-            .insert(key, Arc::clone(&model))
-        {
+            .insert(key, model);
+        if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         model
@@ -186,15 +199,23 @@ impl FvmCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let model = self.model(platform, chip_seed);
         let map = Arc::new(model.variation_map_at(v_ref, temp_c));
-        if self
+        let (map, evicted) = self
             .maps
             .lock()
             .expect("fvm cache poisoned")
-            .insert(key, Arc::clone(&map))
-        {
+            .insert(key, map);
+        if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         map
+    }
+
+    /// Drop every cached die and map, so the next lookup of each key builds
+    /// it afresh (a cold-cache check). Handles already given out keep
+    /// their die alive; the counters are left as they are.
+    pub fn clear(&self) {
+        self.models.lock().expect("fvm cache poisoned").clear();
+        self.maps.lock().expect("fvm cache poisoned").clear();
     }
 
     /// Fixed-point temperature key (milli-°C): `f64` stays out of `Eq`.
@@ -272,7 +293,7 @@ mod tests {
         let b = cache.model(p, 42);
         assert!(Arc::ptr_eq(&a, &b), "hit must reuse the cached die");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        let fresh = FaultModel::with_chip_seed(p, 42);
+        let fresh = FaultModel::build(p, 42);
         assert_eq!(a.total_weak_cells(), fresh.total_weak_cells());
         assert_eq!(a.sentinel(), fresh.sentinel());
     }
@@ -288,9 +309,38 @@ mod tests {
         let hot = cache.variation_map(p, 7, 80.0, v);
         assert!(!Arc::ptr_eq(&cold, &hot), "temperature is part of the key");
         assert!(hot.total() < cold.total(), "ITD shrinks the hot census");
-        let model = FaultModel::with_chip_seed(p, 7);
+        let model = FaultModel::build(p, 7);
         assert_eq!(*cold, model.variation_map(v));
         assert_eq!(*hot, model.variation_map_at(v, 80.0));
+    }
+
+    #[test]
+    fn inserting_a_cached_key_keeps_and_returns_the_first_value() {
+        let mut lru = Lru::new(2);
+        assert_eq!(lru.insert(1, Arc::new("first")), (Arc::new("first"), false));
+        let first = lru.get(&1).unwrap();
+        let (kept, evicted) = lru.insert(1, Arc::new("second"));
+        assert!(!evicted);
+        assert!(
+            Arc::ptr_eq(&kept, &first),
+            "the loser adopts the cached entry"
+        );
+        assert!(Arc::ptr_eq(&lru.get(&1).unwrap(), &first));
+        assert_eq!(lru.len(), 1);
+    }
+
+    #[test]
+    fn clear_empties_both_tables_and_forces_a_rebuild() {
+        let cache = FvmCache::new(4, 4);
+        let p = PlatformKind::Zc702.descriptor();
+        let before = cache.model(p, 9);
+        let _ = cache.variation_map(p, 9, 25.0, p.vccbram.vcrash);
+        cache.clear();
+        assert_eq!(cache.sizes(), (0, 0));
+        let misses = cache.misses();
+        let rebuilt = cache.model(p, 9);
+        assert_eq!(cache.misses(), misses + 1);
+        assert!(!Arc::ptr_eq(&before, &rebuilt), "cleared dies are rebuilt");
     }
 
     #[test]

@@ -153,7 +153,8 @@ mod tests {
         let platform = PlatformKind::Zc702.descriptor();
         let v = platform.vccbram.vcrash;
         let a = FaultModel::with_chip_seed(platform, 0xD1E5).variation_map(v);
-        let b = FaultModel::with_chip_seed(platform, 0xD1E5).variation_map(v);
+        // An independent generation, not a second handle onto `a`'s die.
+        let b = FaultModel::build(platform, 0xD1E5).variation_map(v);
         assert_eq!(a, b);
         let c = FaultModel::with_chip_seed(platform, 0xD1E6).variation_map(v);
         assert_ne!(a.counts(), c.counts(), "different die, different map");

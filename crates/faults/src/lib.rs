@@ -15,6 +15,7 @@
 
 #![deny(deprecated)]
 
+pub mod cache;
 pub mod ecc;
 pub mod fvm;
 pub mod ladder;
@@ -26,6 +27,7 @@ pub mod thermal;
 pub mod variation;
 pub mod weakcells;
 
+pub use cache::FvmCache;
 pub use ecc::{Codeword, Decode, EccStats};
 pub use fvm::FaultVariationMap;
 pub use ladder::{LadderKernel, LadderStep, MaskPlan};

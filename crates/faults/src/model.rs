@@ -6,12 +6,14 @@
 //! run_seed)` — the determinism invariant the paper's observation ❶ rests
 //! on and that the property tests pin across crash/recovery cycles.
 
+use crate::cache::FvmCache;
 use crate::mask::{FaultMask, ResolvedCondition};
 use crate::params::FaultParams;
 use crate::rng::standard_normal;
 use crate::thermal::itd_shift_mv;
 use crate::variation::die_multipliers;
 use crate::weakcells::{generate_bram, WeakCell, SENTINEL_SIGMA_OFFSET};
+use std::sync::Arc;
 use uvf_fpga::seedmix::mix;
 use uvf_fpga::{BramId, Floorplan, Millivolts, Platform, Rail, BRAM_ROWS, BRAM_WORD_BITS};
 
@@ -58,7 +60,7 @@ pub fn run_seed(chip_seed: u64, rail: Rail, v: Millivolts, run: u32) -> u64 {
 /// The weak tail is tiny (a few hundred cells per BRAM at worst), so the
 /// duplicated storage costs megabytes while the index turns the word path
 /// from a full scan into a couple of cache lines.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BramCells {
     /// Sorted by descending `vfail_mv` (the `generate_bram` order).
     by_threshold: Vec<WeakCell>,
@@ -98,7 +100,22 @@ impl BramCells {
     }
 }
 
+/// The immutable part of a die: its weak-cell population and sentinel.
+/// Built once per `(platform, chip_seed)` and shared behind an `Arc` by
+/// every [`FaultModel`] handle of that die.
+#[derive(Debug)]
+struct Die {
+    weak: Vec<BramCells>,
+    /// Cached at construction: the weak population never changes.
+    total_weak: usize,
+    sentinel: (BramId, u16, u8),
+}
+
 /// Calibrated, deterministic fault model of one die.
+///
+/// A handle: the die itself sits behind one `Arc`, so `Clone` is O(1) and
+/// every handle of the same `(platform, chip_seed)` reads the same cells.
+/// Only the environment-noise knob is per handle.
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     platform: Platform,
@@ -107,10 +124,7 @@ pub struct FaultModel {
     /// Supply-noise knob of DESIGN §6b: raises effective thresholds, i.e.
     /// exposes faults *above* the bench-measured `Vmin`.
     env_noise_mv: f64,
-    weak: Vec<BramCells>,
-    /// Cached at construction: the weak population never changes.
-    total_weak: usize,
-    sentinel: (BramId, u16, u8),
+    die: Arc<Die>,
 }
 
 impl FaultModel {
@@ -123,8 +137,18 @@ impl FaultModel {
 
     /// Model a specific die. Same `(platform, chip_seed)` ⇒ bit-identical
     /// weak-cell population, thresholds and jitter — always.
+    ///
+    /// The die comes from [`FvmCache::global`]: it is generated on the
+    /// first call for its key and shared by every later handle, so a die
+    /// is resident once however many callers model it.
     #[must_use]
     pub fn with_chip_seed(platform: Platform, chip_seed: u64) -> FaultModel {
+        FaultModel::clone(&FvmCache::global().model(platform, chip_seed))
+    }
+
+    /// Generate the die from scratch: every bitcell of the pool is hashed.
+    /// Only [`FvmCache`] calls this, on a miss.
+    pub(crate) fn build(platform: Platform, chip_seed: u64) -> FaultModel {
         let params = FaultParams::for_platform(platform.kind);
         let floorplan = Floorplan::new(platform.bram_count);
         let multipliers = die_multipliers(chip_seed, &floorplan, &params);
@@ -153,9 +177,11 @@ impl FaultModel {
             chip_seed,
             params,
             env_noise_mv: 0.0,
-            weak,
-            total_weak,
-            sentinel: (sentinel_bram, sentinel_row, sentinel_bit),
+            die: Arc::new(Die {
+                weak,
+                total_weak,
+                sentinel: (sentinel_bram, sentinel_row, sentinel_bit),
+            }),
         }
     }
 
@@ -177,11 +203,12 @@ impl FaultModel {
     /// The die's weakest cell — the one whose flip defines `Vmin`.
     #[must_use]
     pub fn sentinel(&self) -> (BramId, u16, u8) {
-        self.sentinel
+        self.die.sentinel
     }
 
     /// Harsh-environment knob (DESIGN §6b): `mv` of supply droop raises
     /// every effective threshold, exposing faults above the bench `Vmin`.
+    /// Per handle: the shared die and every other handle are untouched.
     pub fn set_environment_noise_mv(&mut self, mv: f64) {
         self.env_noise_mv = mv;
     }
@@ -194,7 +221,8 @@ impl FaultModel {
     /// Weak cells of one BRAM, sorted by descending threshold.
     #[must_use]
     pub fn weak_cells(&self, bram: BramId) -> &[WeakCell] {
-        self.weak
+        self.die
+            .weak
             .get(bram.0 as usize)
             .map(|b| b.by_threshold.as_slice())
             .unwrap_or(&[])
@@ -203,7 +231,8 @@ impl FaultModel {
     /// Weak cells of one row of `bram`, sorted by bit.
     #[must_use]
     pub fn row_cells(&self, bram: BramId, row: u16) -> &[WeakCell] {
-        self.weak
+        self.die
+            .weak
             .get(bram.0 as usize)
             .map(|b| b.row(row))
             .unwrap_or(&[])
@@ -211,7 +240,7 @@ impl FaultModel {
 
     #[must_use]
     pub fn total_weak_cells(&self) -> usize {
-        self.total_weak
+        self.die.total_weak
     }
 
     /// Common-mode component of the run-to-run spread: one Gaussian draw
@@ -468,7 +497,8 @@ mod tests {
     fn same_seed_same_faults_different_seed_different_faults() {
         let p = PlatformKind::Zc702.descriptor();
         let a = FaultModel::with_chip_seed(p, 111);
-        let b = FaultModel::with_chip_seed(p, 111);
+        // An independent generation, not a second handle onto `a`'s die.
+        let b = FaultModel::build(p, 111);
         let c = FaultModel::with_chip_seed(p, 222);
         let vcrash = p.vccbram.vcrash;
         assert_eq!(count_at(&a, vcrash, 5), count_at(&b, vcrash, 5));

@@ -472,10 +472,13 @@ fn ladder_engine_and_fvm_cache_preserve_merged_manifest_bytes() {
     let handle = CampaignServer::start(config).unwrap();
 
     // Query the server-side cache while the campaign is live: twice per
-    // die, so the second answer is a guaranteed cache hit — and both
-    // answers must equal an independent from-scratch census.
+    // die, so the second answer is a guaranteed map-cache hit — and both
+    // answers must equal an independent from-scratch census. The baseline
+    // above already holds every campaign die in the global cache, so no
+    // thread in this binary can miss between the two rounds: the repeat
+    // query must add a hit and no miss, which a map LRU that never hits
+    // (a map miss answered from the cached die) would fail.
     let mut conn = handle.endpoint().connect().unwrap();
-    let hits_before = FvmCache::global().hits();
     for job in &jobs[..2] {
         let p = job.kind.descriptor();
         let chip_seed = job.chip_seed.unwrap_or(p.default_chip_seed);
@@ -486,12 +489,16 @@ fn ladder_engine_and_fvm_cache_preserve_merged_manifest_bytes() {
             v_ref_mv: p.vccbram.vcrash.0,
         };
         let fresh = uvf_characterize::record::FvmRecord::capture(
-            &uvf_faults::FaultModel::with_chip_seed(p, chip_seed),
+            &FvmCache::new(1, 1).model(p, chip_seed),
             p.vccbram.vcrash,
         )
         .to_json()
         .to_string();
+        let mut counts = (0, 0);
         for round in 0..2 {
+            if round == 1 {
+                counts = (FvmCache::global().hits(), FvmCache::global().misses());
+            }
             query.write_to(&mut conn.writer).unwrap();
             match Message::read_from(&mut conn.reader).unwrap() {
                 Some(Message::Fvm { record }) => {
@@ -500,12 +507,19 @@ fn ladder_engine_and_fvm_cache_preserve_merged_manifest_bytes() {
                 other => panic!("expected Fvm reply, got {other:?}"),
             }
         }
+        assert!(
+            FvmCache::global().hits() > counts.0,
+            "{:?}: a repeat census query must hit the server cache",
+            job.kind
+        );
+        assert_eq!(
+            FvmCache::global().misses(),
+            counts.1,
+            "{:?}: a repeat census query must not miss",
+            job.kind
+        );
     }
     drop(conn);
-    assert!(
-        FvmCache::global().hits() > hits_before,
-        "repeat census queries must hit the server cache"
-    );
 
     let mut fleet = Supervisor::new(
         WORKER_BIN,
