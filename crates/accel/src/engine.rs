@@ -5,14 +5,18 @@
 //! read passes through the fault model, so `1→0` bit flips land on the
 //! stored sign-magnitude words exactly as Fig. 10 describes. Biases never
 //! touch BRAM (they live in flip-flops), so only weights corrupt.
+//!
+//! Every §V ladder is built by one crate-private `ladder` and scored by
+//! one rung loop (`MappedNetwork::score_levels`): the Pareto sweep runs it
+//! on the raw contiguous placement, the mitigation shoot-out once per mode.
 
 use crate::placement::Placement;
 use uvf_faults::ecc::{self, EccStats};
-use uvf_faults::{FaultModel, ResolvedCondition};
+use uvf_faults::{FaultModel, ReadCondition, ResolvedCondition};
 use uvf_fpga::eccmode::{self, ECC_DATA_WORDS, ECC_WORDS_PER_BRAM};
-use uvf_fpga::{Board, BoardError, BRAM_ROWS};
+use uvf_fpga::{Board, BoardError, Millivolts, RailLandmarks, BRAM_ROWS};
 use uvf_nn::{decode_word, Dataset, Matrix, Mlp, QNetwork};
-use uvf_trace::Tracer;
+use uvf_trace::{Tracer, Value};
 
 /// Which layers see faults during read-back — the per-layer vulnerability
 /// study's knob (Fig. 13 isolates one layer at a time).
@@ -46,31 +50,16 @@ pub struct MappedNetwork<'a> {
     qnet: &'a QNetwork,
     placement: Placement,
     /// Stored in the SECDED ECC layout (64+8 stripes) instead of one
-    /// raw word per row. Set by [`MappedNetwork::load_ecc`].
+    /// raw word per row. Set by [`MappedNetwork::load_ecc_traced`].
     ecc: bool,
 }
 
 impl<'a> MappedNetwork<'a> {
     /// Write every layer's sign-magnitude words into its assigned BRAMs
-    /// (one weight per row; tail rows of a layer's last BRAM stay zero).
-    /// Do this at nominal voltage — writes to a crashed board fail.
-    ///
-    /// # Errors
-    /// Propagates any [`BoardError`] from the row writes.
-    ///
-    /// # Panics
-    /// If the placement layer count differs from the network's.
-    pub fn load(
-        board: &mut Board,
-        qnet: &'a QNetwork,
-        placement: Placement,
-    ) -> Result<MappedNetwork<'a>, BoardError> {
-        MappedNetwork::load_traced(board, qnet, placement, &Tracer::disabled())
-    }
-
-    /// [`MappedNetwork::load`] wrapped in a `weights_load` span, with the
-    /// written word count reported as a counter. The stored image is
-    /// identical with any tracer.
+    /// (one weight per row; tail rows of a layer's last BRAM stay zero)
+    /// inside a `weights_load` span, with the written word count reported
+    /// as a counter. Do this at nominal voltage — writes to a crashed
+    /// board fail. The stored image is identical with any tracer.
     ///
     /// # Errors
     /// Propagates any [`BoardError`] from the row writes.
@@ -83,30 +72,10 @@ impl<'a> MappedNetwork<'a> {
         placement: Placement,
         tracer: &Tracer,
     ) -> Result<MappedNetwork<'a>, BoardError> {
-        assert_eq!(placement.layers(), qnet.layers().len(), "layer count");
-        let mut span =
-            tracer.span_with("weights_load", vec![("layers", placement.layers().into())]);
-        let mut written = 0u64;
-        for (l, layer) in qnet.layers().iter().enumerate() {
-            let words = layer.weights.encoded_words();
-            for (i, chunk) in words.chunks(BRAM_ROWS).enumerate() {
-                let bram = placement.layer(l)[i];
-                for (row, &w) in chunk.iter().enumerate() {
-                    board.write_row(bram, row as u32, w)?;
-                }
-            }
-            written += words.len() as u64;
-        }
-        tracer.counter("weights_written", written);
-        span.field("words", written.into());
-        Ok(MappedNetwork {
-            qnet,
-            placement,
-            ecc: false,
-        })
+        MappedNetwork::store(board, qnet, placement, false, tracer)
     }
 
-    /// Like [`MappedNetwork::load`], but store every layer in the
+    /// Like [`MappedNetwork::load_traced`], but store every layer in the
     /// SECDED ECC layout: weights packed four to a 72-bit codeword with
     /// the parity byte written into the same BRAM's parity region (see
     /// [`uvf_fpga::eccmode`]). The placement must have been built with
@@ -119,50 +88,39 @@ impl<'a> MappedNetwork<'a> {
     ///
     /// # Panics
     /// If the placement layer count differs from the network's.
-    pub fn load_ecc(
-        board: &mut Board,
-        qnet: &'a QNetwork,
-        placement: Placement,
-    ) -> Result<MappedNetwork<'a>, BoardError> {
-        MappedNetwork::load_ecc_traced(board, qnet, placement, &Tracer::disabled())
-    }
-
-    /// [`MappedNetwork::load_ecc`] wrapped in a `weights_load` span.
-    ///
-    /// # Errors
-    /// Propagates any [`BoardError`] from the row writes.
-    ///
-    /// # Panics
-    /// If the placement layer count differs from the network's.
     pub fn load_ecc_traced(
         board: &mut Board,
         qnet: &'a QNetwork,
         placement: Placement,
         tracer: &Tracer,
     ) -> Result<MappedNetwork<'a>, BoardError> {
+        MappedNetwork::store(board, qnet, placement, true, tracer)
+    }
+
+    /// The one store loop behind both layouts: raw writes a layer's words
+    /// one per row, SECDED writes each BRAM's whole striped image.
+    pub(crate) fn store(
+        board: &mut Board,
+        qnet: &'a QNetwork,
+        placement: Placement,
+        ecc: bool,
+        tracer: &Tracer,
+    ) -> Result<MappedNetwork<'a>, BoardError> {
         assert_eq!(placement.layers(), qnet.layers().len(), "layer count");
-        let mut span = tracer.span_with(
-            "weights_load",
-            vec![
-                ("layers", placement.layers().into()),
-                ("mode", "secded".into()),
-            ],
-        );
+        let mut span = tracer.span_with("weights_load", mode_fields(placement.layers(), ecc));
+        let capacity = words_per_bram(ecc);
         let mut written = 0u64;
         for (l, layer) in qnet.layers().iter().enumerate() {
             let words = layer.weights.encoded_words();
-            for (i, chunk) in words.chunks(ECC_WORDS_PER_BRAM).enumerate() {
-                let bram = placement.layer(l)[i];
-                let mut image = [0u16; BRAM_ROWS];
-                for (cw, group) in chunk.chunks(ECC_DATA_WORDS).enumerate() {
-                    let mut data = 0u64;
-                    for (k, &w) in group.iter().enumerate() {
-                        data |= u64::from(w) << (16 * k);
-                    }
-                    let coded = ecc::encode(data);
-                    eccmode::store_codeword(&mut image, cw, coded.data, coded.parity);
-                }
-                for (row, &w) in image.iter().enumerate() {
+            for (chunk, &bram) in words.chunks(capacity).zip(placement.layer(l)) {
+                let image;
+                let rows = if ecc {
+                    image = secded_image(chunk);
+                    &image[..]
+                } else {
+                    chunk
+                };
+                for (row, &w) in rows.iter().enumerate() {
                     board.write_row(bram, row as u32, w)?;
                 }
             }
@@ -173,7 +131,7 @@ impl<'a> MappedNetwork<'a> {
         Ok(MappedNetwork {
             qnet,
             placement,
-            ecc: true,
+            ecc,
         })
     }
 
@@ -193,27 +151,16 @@ impl<'a> MappedNetwork<'a> {
         self.qnet
     }
 
-    /// Read the whole network back out of BRAM and rebuild a float MLP.
+    /// Read the whole network back out of BRAM and rebuild a float MLP,
+    /// inside a `weights_read_back` span with per-BRAM mask applications
+    /// reported as `mask_apply` kernel timings.
     ///
     /// `condition` is the undervolted read condition (pass `None` for a
     /// clean nominal read); `faults` selects which layers it corrupts.
-    /// The read is pure: the board and stored words are untouched.
-    ///
-    /// # Errors
-    /// Propagates [`BoardError`] from the bulk reads (e.g. crashed board).
-    pub fn read_back(
-        &self,
-        board: &Board,
-        model: &FaultModel,
-        condition: Option<&ResolvedCondition>,
-        faults: LayerFaults,
-    ) -> Result<Mlp, BoardError> {
-        self.read_back_traced(board, model, condition, faults, &Tracer::disabled())
-    }
-
-    /// [`MappedNetwork::read_back`] wrapped in a `weights_read_back` span,
-    /// with per-BRAM mask applications reported as kernel timings. The
-    /// rebuilt MLP is identical with any tracer.
+    /// The read is pure: the board and stored words are untouched, and the
+    /// rebuilt MLP is identical with any tracer. An ECC-stored network
+    /// decodes through SECDED (see [`MappedNetwork::read_back_ecc_traced`])
+    /// and drops the tallies.
     ///
     /// # Errors
     /// Propagates [`BoardError`] from the bulk reads (e.g. crashed board).
@@ -225,43 +172,8 @@ impl<'a> MappedNetwork<'a> {
         faults: LayerFaults,
         tracer: &Tracer,
     ) -> Result<Mlp, BoardError> {
-        if self.ecc {
-            return self
-                .read_back_ecc_traced(board, model, condition, faults, tracer)
-                .map(|(mlp, _)| mlp);
-        }
-        let _span = tracer.span_with(
-            "weights_read_back",
-            vec![("layers", self.qnet.layers().len().into())],
-        );
-        let mut matrices = Vec::with_capacity(self.qnet.layers().len());
-        for (l, layer) in self.qnet.layers().iter().enumerate() {
-            let n = layer.weights.len();
-            let scale = layer.weights.scale();
-            let mut data = Vec::with_capacity(n);
-            for (i, &bram) in self.placement.layer(l).iter().enumerate() {
-                let mut words = *board.read_bram(bram)?;
-                if faults.includes(l) {
-                    if let Some(res) = condition {
-                        model
-                            .fault_mask(bram, res)
-                            .apply_all_traced(&mut words, tracer);
-                    }
-                }
-                let take = (n - i * BRAM_ROWS).min(BRAM_ROWS);
-                data.extend(
-                    words[..take]
-                        .iter()
-                        .map(|&w| f32::from(decode_word(w)) * scale),
-                );
-            }
-            matrices.push(Matrix::from_vec(
-                layer.weights.rows(),
-                layer.weights.cols(),
-                data,
-            ));
-        }
-        Ok(self.qnet.rebuild_with_weights(matrices))
+        self.read(board, model, condition, faults, tracer)
+            .map(|(mlp, _)| mlp)
     }
 
     /// ECC-mode read-back: decode every SECDED stripe through the fault
@@ -278,25 +190,7 @@ impl<'a> MappedNetwork<'a> {
     /// Propagates [`BoardError`] from the bulk reads (e.g. crashed board).
     ///
     /// # Panics
-    /// If the network was not loaded with [`MappedNetwork::load_ecc`].
-    pub fn read_back_ecc(
-        &self,
-        board: &Board,
-        model: &FaultModel,
-        condition: Option<&ResolvedCondition>,
-        faults: LayerFaults,
-    ) -> Result<(Mlp, EccStats), BoardError> {
-        self.read_back_ecc_traced(board, model, condition, faults, &Tracer::disabled())
-    }
-
-    /// [`MappedNetwork::read_back_ecc`] wrapped in a `weights_read_back`
-    /// span, with the decode tallies emitted as trace counters.
-    ///
-    /// # Errors
-    /// Propagates [`BoardError`] from the bulk reads (e.g. crashed board).
-    ///
-    /// # Panics
-    /// If the network was not loaded with [`MappedNetwork::load_ecc`].
+    /// If the network was not loaded with [`MappedNetwork::load_ecc_traced`].
     pub fn read_back_ecc_traced(
         &self,
         board: &Board,
@@ -306,16 +200,29 @@ impl<'a> MappedNetwork<'a> {
         tracer: &Tracer,
     ) -> Result<(Mlp, EccStats), BoardError> {
         assert!(self.ecc, "network was not loaded in ECC mode");
+        let (mlp, stats) = self.read(board, model, condition, faults, tracer)?;
+        Ok((mlp, stats.expect("ECC read-backs tally")))
+    }
+
+    /// The one read loop behind both layouts: per BRAM, corrupt the
+    /// stored image through the fault mask, then decode it raw or
+    /// through SECDED. The tallies are `Some` exactly for an ECC net.
+    fn read(
+        &self,
+        board: &Board,
+        model: &FaultModel,
+        condition: Option<&ResolvedCondition>,
+        faults: LayerFaults,
+        tracer: &Tracer,
+    ) -> Result<(Mlp, Option<EccStats>), BoardError> {
         let _span = tracer.span_with(
             "weights_read_back",
-            vec![
-                ("layers", self.qnet.layers().len().into()),
-                ("mode", "secded".into()),
-            ],
+            mode_fields(self.qnet.layers().len(), self.ecc),
         );
+        let capacity = words_per_bram(self.ecc);
         let mut stats = EccStats::default();
         let mut matrices = Vec::with_capacity(self.qnet.layers().len());
-        let mut decoded = Vec::with_capacity(ECC_WORDS_PER_BRAM);
+        let mut decoded = Vec::new();
         for (l, layer) in self.qnet.layers().iter().enumerate() {
             let n = layer.weights.len();
             let scale = layer.weights.scale();
@@ -325,21 +232,22 @@ impl<'a> MappedNetwork<'a> {
                 let mut words = *clean;
                 if faults.includes(l) {
                     if let Some(res) = condition {
-                        model
-                            .fault_mask(bram, res)
-                            .apply_all_traced(&mut words, tracer);
+                        let mask = model.fault_mask(bram, res);
+                        tracer.time("mask_apply", words.len() as u64, || {
+                            mask.apply_all(&mut words);
+                        });
                     }
                 }
-                let take = (n - i * ECC_WORDS_PER_BRAM).min(ECC_WORDS_PER_BRAM);
-                decoded.clear();
-                let batch =
-                    ecc::decode_image(&words, clean, take.div_ceil(ECC_DATA_WORDS), &mut decoded);
-                stats.merge(&batch);
-                data.extend(
-                    decoded[..take]
-                        .iter()
-                        .map(|&w| f32::from(decode_word(w)) * scale),
-                );
+                let take = (n - i * capacity).min(capacity);
+                let stored = if self.ecc {
+                    decoded.clear();
+                    let codewords = take.div_ceil(ECC_DATA_WORDS);
+                    stats.merge(&ecc::decode_image(&words, clean, codewords, &mut decoded));
+                    &decoded[..take]
+                } else {
+                    &words[..take]
+                };
+                data.extend(stored.iter().map(|&w| f32::from(decode_word(w)) * scale));
             }
             matrices.push(Matrix::from_vec(
                 layer.weights.rows(),
@@ -347,10 +255,106 @@ impl<'a> MappedNetwork<'a> {
                 data,
             ));
         }
-        tracer.counter("ecc_corrected", stats.corrected);
-        tracer.counter("ecc_escaped", stats.escaped());
+        let stats = self.ecc.then(|| {
+            tracer.counter("ecc_corrected", stats.corrected);
+            tracer.counter("ecc_escaped", stats.escaped());
+            stats
+        });
         Ok((self.qnet.rebuild_with_weights(matrices), stats))
     }
+
+    /// Score every level of a ladder on this network: read it back with
+    /// every layer faulty (`None` is a clean nominal read) and classify
+    /// `data`. Returns each level's error and, for an ECC-stored net, its
+    /// decode tallies. Every level is read back, so the tallies are always
+    /// measured, but a level whose read-back is bit-identical to the
+    /// previous one reuses its error (see [`RungScorer`]).
+    pub(crate) fn score_levels(
+        &self,
+        board: &Board,
+        model: &FaultModel,
+        levels: &[Option<ReadCondition>],
+        data: &Dataset,
+        tracer: &Tracer,
+    ) -> Result<Vec<(f64, Option<EccStats>)>, BoardError> {
+        let mut scorer = RungScorer::new(data);
+        levels
+            .iter()
+            .map(|level| {
+                let res = level.map(|c| model.resolve(&c));
+                let (net, stats) =
+                    self.read(board, model, res.as_ref(), LayerFaults::All, tracer)?;
+                Ok((scorer.error(net), stats))
+            })
+            .collect()
+    }
+}
+
+/// Weights one BRAM holds: one per row raw, [`ECC_WORDS_PER_BRAM`] in
+/// the SECDED layout.
+pub(crate) fn words_per_bram(ecc: bool) -> usize {
+    if ecc {
+        ECC_WORDS_PER_BRAM
+    } else {
+        BRAM_ROWS
+    }
+}
+
+/// Span fields of a load or read-back: the layer count, plus
+/// `"mode": "secded"` for the ECC layout.
+fn mode_fields(layers: usize, ecc: bool) -> Vec<(&'static str, Value)> {
+    let mut fields = vec![("layers", layers.into())];
+    if ecc {
+        fields.push(("mode", "secded".into()));
+    }
+    fields
+}
+
+/// One BRAM's SECDED image of up to [`ECC_WORDS_PER_BRAM`] weights: four
+/// words to a 72-bit codeword, parity in the same array.
+fn secded_image(words: &[u16]) -> [u16; BRAM_ROWS] {
+    let mut image = [0u16; BRAM_ROWS];
+    for (cw, group) in words.chunks(ECC_DATA_WORDS).enumerate() {
+        let mut data = 0u64;
+        for (k, &w) in group.iter().enumerate() {
+            data |= u64::from(w) << (16 * k);
+        }
+        let coded = ecc::encode(data);
+        eccmode::store_codeword(&mut image, cw, coded.data, coded.parity);
+    }
+    image
+}
+
+/// The levels of a ladder walk: a clean nominal read, then one read per rung.
+pub(crate) fn nominal_then(
+    rungs: &[Millivolts],
+    temperature_c: f64,
+    run_seed: u64,
+) -> Vec<Option<ReadCondition>> {
+    std::iter::once(None)
+        .chain(rungs.iter().map(|&v| {
+            Some(ReadCondition {
+                v,
+                temperature_c,
+                run_seed,
+            })
+        }))
+        .collect()
+}
+
+/// The undervolting ladder: from `Vmin + start_above_vmin_mv` down to
+/// `floor_mv` in `step_mv` decrements (a zero step walks 1 mV).
+pub(crate) fn ladder(
+    rail: RailLandmarks,
+    start_above_vmin_mv: u32,
+    step_mv: u32,
+    floor_mv: u32,
+) -> Vec<Millivolts> {
+    (floor_mv..=rail.vmin.0 + start_above_vmin_mv)
+        .rev()
+        .step_by(step_mv.max(1) as usize)
+        .map(Millivolts)
+        .collect()
 }
 
 /// Scores the read-back networks of a voltage ladder, one rung after the
@@ -359,13 +363,13 @@ impl<'a> MappedNetwork<'a> {
 /// reuses that rung's error instead of classifying the test split again:
 /// classification is a pure function of the network's bits, so the reused
 /// error is exactly the one a fresh `error_on` would return.
-pub(crate) struct RungScorer<'d> {
+struct RungScorer<'d> {
     data: &'d Dataset,
     previous: Option<(Mlp, f64)>,
 }
 
 impl<'d> RungScorer<'d> {
-    pub(crate) fn new(data: &'d Dataset) -> RungScorer<'d> {
+    fn new(data: &'d Dataset) -> RungScorer<'d> {
         RungScorer {
             data,
             previous: None,
@@ -373,7 +377,7 @@ impl<'d> RungScorer<'d> {
     }
 
     /// Classification error of `net` on the scorer's dataset.
-    pub(crate) fn error(&mut self, net: Mlp) -> f64 {
+    fn error(&mut self, net: Mlp) -> f64 {
         if let Some((prev, error)) = &self.previous {
             if same_bits(prev, &net) {
                 return *error;
@@ -415,15 +419,18 @@ mod tests {
 
     #[test]
     fn clean_readback_is_exact() {
+        let off = Tracer::disabled();
         let (mut board, qnet, weights) = small_setup();
         let mapped =
-            MappedNetwork::load(&mut board, &qnet, Placement::contiguous(&weights)).unwrap();
+            MappedNetwork::load_traced(&mut board, &qnet, Placement::contiguous(&weights), &off)
+                .unwrap();
         let read = mapped
-            .read_back(
+            .read_back_traced(
                 &board,
                 &FaultModel::new(*board.platform()),
                 None,
                 LayerFaults::All,
+                &off,
             )
             .unwrap();
         assert_eq!(read, qnet.to_mlp());
@@ -431,10 +438,12 @@ mod tests {
 
     #[test]
     fn undervolted_readback_flips_only_selected_layers() {
+        let off = Tracer::disabled();
         let (mut board, qnet, weights) = small_setup();
         let model = FaultModel::with_chip_seed(*board.platform(), board.chip_seed());
         let mapped =
-            MappedNetwork::load(&mut board, &qnet, Placement::contiguous(&weights)).unwrap();
+            MappedNetwork::load_traced(&mut board, &qnet, Placement::contiguous(&weights), &off)
+                .unwrap();
         // Deep undervolt so *some* weight is guaranteed to flip.
         let cond = model.resolve(&ReadCondition {
             v: Millivolts(board.platform().rail(Rail::Vccbram).vcrash.0),
@@ -442,22 +451,22 @@ mod tests {
             run_seed: 3,
         });
         let clean = mapped
-            .read_back(&board, &model, None, LayerFaults::All)
+            .read_back_traced(&board, &model, None, LayerFaults::All, &off)
             .unwrap();
         let all = mapped
-            .read_back(&board, &model, Some(&cond), LayerFaults::All)
+            .read_back_traced(&board, &model, Some(&cond), LayerFaults::All, &off)
             .unwrap();
         assert_ne!(all, clean, "a vcrash-level read must corrupt something");
         let none = mapped
-            .read_back(&board, &model, Some(&cond), LayerFaults::None)
+            .read_back_traced(&board, &model, Some(&cond), LayerFaults::None, &off)
             .unwrap();
         assert_eq!(none, clean, "LayerFaults::None masks everything");
         // Only(l) and Except(l) partition the corruption.
         let only0 = mapped
-            .read_back(&board, &model, Some(&cond), LayerFaults::Only(0))
+            .read_back_traced(&board, &model, Some(&cond), LayerFaults::Only(0), &off)
             .unwrap();
         let except0 = mapped
-            .read_back(&board, &model, Some(&cond), LayerFaults::Except(0))
+            .read_back_traced(&board, &model, Some(&cond), LayerFaults::Except(0), &off)
             .unwrap();
         assert_eq!(only0.layers()[1], clean.layers()[1]);
         assert_eq!(except0.layers()[0], clean.layers()[0]);
@@ -467,13 +476,14 @@ mod tests {
 
     #[test]
     fn ecc_clean_readback_is_exact_and_tallies_zero() {
+        let off = Tracer::disabled();
         let (mut board, qnet, weights) = small_setup();
         let placement = Placement::contiguous_with_capacity(&weights, uvf_fpga::ECC_WORDS_PER_BRAM);
-        let mapped = MappedNetwork::load_ecc(&mut board, &qnet, placement).unwrap();
+        let mapped = MappedNetwork::load_ecc_traced(&mut board, &qnet, placement, &off).unwrap();
         assert!(mapped.is_ecc());
         let model = FaultModel::new(*board.platform());
         let (read, stats) = mapped
-            .read_back_ecc(&board, &model, None, LayerFaults::All)
+            .read_back_ecc_traced(&board, &model, None, LayerFaults::All, &off)
             .unwrap();
         assert_eq!(read, qnet.to_mlp());
         assert!(stats.words > 0);
@@ -485,20 +495,21 @@ mod tests {
 
     #[test]
     fn ecc_corrects_single_flips_under_undervolt() {
+        let off = Tracer::disabled();
         let (mut board, qnet, weights) = small_setup();
         let model = FaultModel::with_chip_seed(*board.platform(), board.chip_seed());
         let placement = Placement::contiguous_with_capacity(&weights, uvf_fpga::ECC_WORDS_PER_BRAM);
-        let mapped = MappedNetwork::load_ecc(&mut board, &qnet, placement).unwrap();
+        let mapped = MappedNetwork::load_ecc_traced(&mut board, &qnet, placement, &off).unwrap();
         let cond = model.resolve(&ReadCondition {
             v: Millivolts(board.platform().rail(Rail::Vccbram).vcrash.0),
             temperature_c: DEFAULT_TEMPERATURE_C,
             run_seed: 3,
         });
         let (clean, _) = mapped
-            .read_back_ecc(&board, &model, None, LayerFaults::All)
+            .read_back_ecc_traced(&board, &model, None, LayerFaults::All, &off)
             .unwrap();
         let (read, stats) = mapped
-            .read_back_ecc(&board, &model, Some(&cond), LayerFaults::All)
+            .read_back_ecc_traced(&board, &model, Some(&cond), LayerFaults::All, &off)
             .unwrap();
         assert!(stats.raw_flips > 0, "vcrash read must flip raw bits");
         assert!(stats.corrected > 0, "singles must be corrected");
@@ -512,7 +523,7 @@ mod tests {
         // The generic read-back path on an ECC net routes through the
         // decoder, dropping only the tallies.
         let via_generic = mapped
-            .read_back(&board, &model, Some(&cond), LayerFaults::All)
+            .read_back_traced(&board, &model, Some(&cond), LayerFaults::All, &off)
             .unwrap();
         assert_eq!(via_generic, read);
     }
@@ -559,21 +570,45 @@ mod tests {
     }
 
     #[test]
+    fn ladder_walks_from_above_vmin_down_to_the_floor() {
+        let rail = Platform::new(PlatformKind::Vc707).rail(Rail::Vccbram);
+        let mv = |v: &[u32]| v.iter().copied().map(Millivolts).collect::<Vec<_>>();
+        let top = rail.vmin.0 + 50;
+        assert_eq!(
+            ladder(rail, 50, 20, top - 45),
+            mv(&[top, top - 20, top - 40])
+        );
+        // The floor itself is a rung when the step lands on it.
+        assert_eq!(
+            ladder(rail, 50, 25, top - 50),
+            mv(&[top, top - 25, top - 50])
+        );
+        // A zero step walks 1 mV; a floor above the start is empty.
+        assert_eq!(
+            ladder(rail, 2, 0, top - 50),
+            mv(&[rail.vmin.0 + 2, rail.vmin.0 + 1, rail.vmin.0])
+        );
+        assert!(ladder(rail, 0, 10, rail.vmin.0 + 1).is_empty());
+    }
+
+    #[test]
     fn readback_is_deterministic() {
+        let off = Tracer::disabled();
         let (mut board, qnet, weights) = small_setup();
         let model = FaultModel::with_chip_seed(*board.platform(), board.chip_seed());
         let mapped =
-            MappedNetwork::load(&mut board, &qnet, Placement::contiguous(&weights)).unwrap();
+            MappedNetwork::load_traced(&mut board, &qnet, Placement::contiguous(&weights), &off)
+                .unwrap();
         let cond = model.resolve(&ReadCondition {
             v: Millivolts(board.platform().rail(Rail::Vccbram).vcrash.0 + 5),
             temperature_c: DEFAULT_TEMPERATURE_C,
             run_seed: 9,
         });
         let a = mapped
-            .read_back(&board, &model, Some(&cond), LayerFaults::All)
+            .read_back_traced(&board, &model, Some(&cond), LayerFaults::All, &off)
             .unwrap();
         let b = mapped
-            .read_back(&board, &model, Some(&cond), LayerFaults::All)
+            .read_back_traced(&board, &model, Some(&cond), LayerFaults::All, &off)
             .unwrap();
         assert_eq!(a, b);
     }

@@ -26,15 +26,15 @@
 //! crate: reruns are `PartialEq`-identical, and `repro mitigation
 //! --check` gates on exactly that.
 
-use crate::engine::{LayerFaults, MappedNetwork, RungScorer};
+use crate::engine::{ladder, nominal_then, words_per_bram, MappedNetwork};
 use crate::placement::Placement;
 use std::fmt;
 use std::str::FromStr;
 use uvf_faults::ecc::{self, EccStats};
-use uvf_faults::{FaultModel, FvmCache, ReadCondition};
+use uvf_faults::{FaultModel, FaultVariationMap, FvmCache, ReadCondition};
 use uvf_fpga::eccmode::{ECC_CODEWORDS_PER_BRAM, ECC_WORDS_PER_BRAM};
 use uvf_fpga::BRAM_ROWS;
-use uvf_fpga::{eccmode, Board, BoardError, BramId, Millivolts, Platform, PlatformKind, Rail};
+use uvf_fpga::{eccmode, Board, BoardError, BramId, Platform, PlatformKind, Rail};
 use uvf_nn::{QNetwork, SyntheticData};
 use uvf_trace::Tracer;
 
@@ -70,6 +70,34 @@ impl Mitigation {
     #[must_use]
     pub fn uses_icbp(self) -> bool {
         matches!(self, Mitigation::Icbp | Mitigation::EccIcbp)
+    }
+
+    /// Place and store `qnet` on `board` the way this mode does: raw
+    /// (one word per row) or SECDED storage (896 words per BRAM), with
+    /// contiguous placement or ICBP pinning `protected_layer` onto the
+    /// cleanest window of `fvm`.
+    ///
+    /// # Errors
+    /// Propagates any [`BoardError`] from the row writes.
+    ///
+    /// # Panics
+    /// If `weights` does not match the network's layers.
+    pub fn load<'a>(
+        self,
+        board: &mut Board,
+        qnet: &'a QNetwork,
+        weights: &[usize],
+        fvm: &FaultVariationMap,
+        protected_layer: usize,
+        tracer: &Tracer,
+    ) -> Result<MappedNetwork<'a>, BoardError> {
+        let capacity = words_per_bram(self.uses_ecc());
+        let placement = if self.uses_icbp() {
+            Placement::icbp_with_capacity(weights, fvm, protected_layer, capacity)
+        } else {
+            Placement::contiguous_with_capacity(weights, capacity)
+        };
+        MappedNetwork::store(board, qnet, placement, self.uses_ecc(), tracer)
     }
 
     /// Short machine name, accepted back by [`FromStr`].
@@ -182,15 +210,7 @@ pub fn ecc_ladder_census(
     let mbits = stripe_bits / (1u64 << 20) as f64;
 
     let rail = p.rail(Rail::Vccbram);
-    let mut levels = Vec::new();
-    let mut v = rail.vmin.0 + start_above_vmin_mv;
-    while v >= rail.vcrash.0 {
-        levels.push(Millivolts(v));
-        v = match v.checked_sub(step_mv.max(1)) {
-            Some(next) => next,
-            None => break,
-        };
-    }
+    let levels = ladder(rail, start_above_vmin_mv, step_mv, rail.vcrash.0);
 
     let mut scratch = [0u16; BRAM_ROWS];
     let mut sink = Vec::with_capacity(ECC_WORDS_PER_BRAM);
@@ -386,77 +406,30 @@ pub fn mitigation_shootout_traced(
     );
 
     let floor_mv = rail.vcrash.0.saturating_sub(cfg.descend_below_vcrash_mv);
-    let mut rungs = Vec::new();
-    let mut v = rail.vmin.0 + cfg.start_above_vmin_mv;
-    while v >= floor_mv {
-        rungs.push(Millivolts(v));
-        v = match v.checked_sub(cfg.step_mv.max(1)) {
-            Some(next) => next,
-            None => break,
-        };
-    }
+    let rungs = ladder(rail, cfg.start_above_vmin_mv, cfg.step_mv, floor_mv);
+    let levels = nominal_then(&rungs, cfg.temperature_c, cfg.run_seed);
 
-    let mut curves = Vec::with_capacity(Mitigation::ALL.len());
-    for m in Mitigation::ALL {
-        let capacity = if m.uses_ecc() {
-            ECC_WORDS_PER_BRAM
-        } else {
-            BRAM_ROWS
-        };
-        let placement = if m.uses_icbp() {
-            Placement::icbp_with_capacity(weights, &fvm, cfg.protected_layer, capacity)
-        } else {
-            Placement::contiguous_with_capacity(weights, capacity)
-        };
-        let mut board = Board::with_chip_seed(platform, cfg.chip_seed);
-        let mapped = if m.uses_ecc() {
-            MappedNetwork::load_ecc_traced(&mut board, qnet, placement, tracer)?
-        } else {
-            MappedNetwork::load_traced(&mut board, qnet, placement, tracer)?
-        };
-
-        let mut scorer = RungScorer::new(&data.test);
-        let nominal = mapped.read_back_traced(&board, &model, None, LayerFaults::All, tracer)?;
-        let nominal_error = scorer.error(nominal);
-
-        let mut points = Vec::with_capacity(rungs.len());
-        for &v in &rungs {
-            let cond = model.resolve(&ReadCondition {
-                v,
-                temperature_c: cfg.temperature_c,
-                run_seed: cfg.run_seed,
-            });
-            let (net, stats) = if m.uses_ecc() {
-                let (net, stats) = mapped.read_back_ecc_traced(
-                    &board,
-                    &model,
-                    Some(&cond),
-                    LayerFaults::All,
-                    tracer,
-                )?;
-                (net, Some(stats))
-            } else {
-                let net = mapped.read_back_traced(
-                    &board,
-                    &model,
-                    Some(&cond),
-                    LayerFaults::All,
-                    tracer,
-                )?;
-                (net, None)
-            };
-            points.push(MitigationPoint {
-                v_mv: v.0,
-                error: scorer.error(net),
-                ecc: stats,
-            });
-        }
-        curves.push(MitigationCurve {
-            mitigation: m,
-            nominal_error,
-            points,
-        });
-    }
+    let curves = Mitigation::ALL
+        .into_iter()
+        .map(|m| {
+            let mut board = Board::with_chip_seed(platform, cfg.chip_seed);
+            let mapped = m.load(&mut board, qnet, weights, &fvm, cfg.protected_layer, tracer)?;
+            let scored = mapped.score_levels(&board, &model, &levels, &data.test, tracer)?;
+            Ok(MitigationCurve {
+                mitigation: m,
+                nominal_error: scored[0].0,
+                points: rungs
+                    .iter()
+                    .zip(&scored[1..])
+                    .map(|(v, &(error, ecc))| MitigationPoint {
+                        v_mv: v.0,
+                        error,
+                        ecc,
+                    })
+                    .collect(),
+            })
+        })
+        .collect::<Result<Vec<_>, BoardError>>()?;
     Ok(MitigationShootout {
         config: *cfg,
         curves,

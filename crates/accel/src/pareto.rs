@@ -14,12 +14,13 @@
 //! bit-deterministic: the sweep, the frontier, and the knee are identical
 //! across reruns.
 
-use crate::engine::{LayerFaults, MappedNetwork, RungScorer};
+use crate::engine::{ladder, nominal_then, MappedNetwork};
 use crate::placement::Placement;
-use uvf_faults::{FaultModel, ReadCondition};
+use uvf_faults::FaultModel;
 use uvf_fpga::{Board, BoardError, Millivolts, Platform, PlatformKind, Rail};
 use uvf_nn::{QNetwork, SyntheticData};
 use uvf_power::{knee_of_frontier, pareto_frontier, ChipPowerModel};
+use uvf_trace::Tracer;
 
 /// Sweep parameters. Everything that feeds the fault model or the power
 /// model is explicit here, so two sweeps with equal configs are
@@ -89,11 +90,10 @@ impl ParetoSweep {
 ///
 /// The first point is a clean nominal read (no fault injection); the rest
 /// descend from `Vmin + start_above_vmin_mv` to `Vcrash` in `step_mv`
-/// decrements, re-resolving the fault condition per level. The board and
-/// the stored weight image are untouched throughout — `read_back` is pure
-/// — so levels are independent and the sweep order cannot leak state. A
-/// level whose read-back is bit-identical to the previous level's reuses
-/// its error rather than classifying again.
+/// decrements. The levels are scored by the same rung loop as the
+/// mitigation shoot-out, on the raw contiguous placement, so the errors
+/// are exactly the shoot-out's `none` curve down to `Vcrash`; the rail
+/// power is a derived column.
 ///
 /// # Errors
 /// Propagates any [`BoardError`] from the weight load or the bulk reads.
@@ -107,36 +107,26 @@ pub fn voltage_accuracy_power_sweep(
     let mut board = Board::with_chip_seed(platform, cfg.chip_seed);
     let model = FaultModel::with_chip_seed(platform, cfg.chip_seed);
     let power = ChipPowerModel::for_platform(cfg.platform);
-    let mapped = MappedNetwork::load(&mut board, qnet, Placement::contiguous(weights))?;
+    let off = Tracer::disabled();
+    let mapped =
+        MappedNetwork::load_traced(&mut board, qnet, Placement::contiguous(weights), &off)?;
 
     let rail = platform.rail(Rail::Vccbram);
-    let mut levels = vec![(Millivolts::NOMINAL, false)];
-    let mut v = rail.vmin.0 + cfg.start_above_vmin_mv;
-    while v >= rail.vcrash.0 {
-        levels.push((Millivolts(v), true));
-        v = match v.checked_sub(cfg.step_mv.max(1)) {
-            Some(next) => next,
-            None => break,
-        };
-    }
-
-    let mut scorer = RungScorer::new(&data.test);
-    let mut points = Vec::with_capacity(levels.len());
-    for (v, undervolted) in levels {
-        let cond = undervolted.then(|| {
-            model.resolve(&ReadCondition {
-                v,
-                temperature_c: cfg.temperature_c,
-                run_seed: cfg.run_seed,
-            })
-        });
-        let net = mapped.read_back(&board, &model, cond.as_ref(), LayerFaults::All)?;
-        points.push(ParetoPoint {
-            v_mv: v.0,
-            rail_uw: power.sample(Rail::Vccbram, v, cfg.temperature_c).total_uw(),
-            error: scorer.error(net),
-        });
-    }
+    let rungs = ladder(rail, cfg.start_above_vmin_mv, cfg.step_mv, rail.vcrash.0);
+    let levels = nominal_then(&rungs, cfg.temperature_c, cfg.run_seed);
+    let scored = mapped.score_levels(&board, &model, &levels, &data.test, &off)?;
+    let points: Vec<ParetoPoint> = levels
+        .iter()
+        .zip(scored)
+        .map(|(level, (error, _))| {
+            let v = level.map_or(Millivolts::NOMINAL, |c| c.v);
+            ParetoPoint {
+                v_mv: v.0,
+                rail_uw: power.sample(Rail::Vccbram, v, cfg.temperature_c).total_uw(),
+                error,
+            }
+        })
+        .collect();
 
     let objectives: Vec<(f64, f64)> = points.iter().map(|p| (p.rail_uw as f64, p.error)).collect();
     let frontier = pareto_frontier(&objectives);

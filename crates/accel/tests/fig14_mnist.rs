@@ -19,12 +19,13 @@
 use std::sync::OnceLock;
 
 use uvf_accel::{
-    layer_vulnerability, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork, ParetoConfig,
-    ParetoSweep, Placement,
+    layer_vulnerability_traced, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork,
+    ParetoConfig, ParetoSweep, Placement,
 };
 use uvf_faults::{FaultModel, FaultVariationMap, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, Millivolts, Platform, PlatformKind, Rail};
 use uvf_nn::{train, DatasetKind, Mlp, QNetwork, SyntheticData, TrainConfig, MNIST_LAYOUT};
+use uvf_trace::Tracer;
 
 /// Seed for dataset, init and shuffling — chosen (see `calibrate_seed_chip_run`
 /// below) so the trained net lands on the 2.56 % landmark.
@@ -116,9 +117,22 @@ fn run_pass(fx: &Fixture) -> PassResult {
     let model = FaultModel::with_chip_seed(platform, CHIP_SEED);
     let cond = eval_condition(&model);
 
-    let mapped =
-        MappedNetwork::load(&mut board, &fx.qnet, Placement::contiguous(&fx.weights)).unwrap();
-    let report = layer_vulnerability(&mapped, &board, &model, &cond, &fx.data.test).unwrap();
+    let mapped = MappedNetwork::load_traced(
+        &mut board,
+        &fx.qnet,
+        Placement::contiguous(&fx.weights),
+        &Tracer::disabled(),
+    )
+    .unwrap();
+    let report = layer_vulnerability_traced(
+        &mapped,
+        &board,
+        &model,
+        &cond,
+        &fx.data.test,
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let dominant = report.dominant_layer();
 
     // ICBP: measure the chip once (the FVM census), re-place the dominant
@@ -128,9 +142,17 @@ fn run_pass(fx: &Fixture) -> PassResult {
     let icbp_brams = icbp_placement.total_brams();
     let contiguous_brams = mapped.placement().total_brams();
     let mut board2 = Board::with_chip_seed(Platform::new(PlatformKind::Vc707), CHIP_SEED);
-    let remapped = MappedNetwork::load(&mut board2, &fx.qnet, icbp_placement).unwrap();
+    let remapped =
+        MappedNetwork::load_traced(&mut board2, &fx.qnet, icbp_placement, &Tracer::disabled())
+            .unwrap();
     let icbp = remapped
-        .read_back(&board2, &model, Some(&cond), LayerFaults::All)
+        .read_back_traced(
+            &board2,
+            &model,
+            Some(&cond),
+            LayerFaults::All,
+            &Tracer::disabled(),
+        )
         .unwrap()
         .error_on(&fx.data.test);
 
@@ -173,8 +195,13 @@ fn calibrate_seed_chip_run() {
         for chip in 1u64..=50 {
             let mut board = Board::with_chip_seed(platform, chip);
             let model = FaultModel::with_chip_seed(platform, chip);
-            let mapped =
-                MappedNetwork::load(&mut board, &qnet, Placement::contiguous(&weights)).unwrap();
+            let mapped = MappedNetwork::load_traced(
+                &mut board,
+                &qnet,
+                Placement::contiguous(&weights),
+                &Tracer::disabled(),
+            )
+            .unwrap();
             for run in 0u64..4 {
                 let cond = model.resolve(&ReadCondition {
                     v: vcrash,
@@ -182,7 +209,13 @@ fn calibrate_seed_chip_run() {
                     run_seed: run,
                 });
                 let degraded = mapped
-                    .read_back(&board, &model, Some(&cond), LayerFaults::All)
+                    .read_back_traced(
+                        &board,
+                        &model,
+                        Some(&cond),
+                        LayerFaults::All,
+                        &Tracer::disabled(),
+                    )
                     .unwrap()
                     .error_on(&data.test);
                 if degraded < nominal + 0.0048 {
@@ -191,7 +224,13 @@ fn calibrate_seed_chip_run() {
                 let per_layer: Vec<f64> = (0..weights.len())
                     .map(|l| {
                         mapped
-                            .read_back(&board, &model, Some(&cond), LayerFaults::Only(l))
+                            .read_back_traced(
+                                &board,
+                                &model,
+                                Some(&cond),
+                                LayerFaults::Only(l),
+                                &Tracer::disabled(),
+                            )
                             .unwrap()
                             .error_on(&data.test)
                     })
@@ -205,9 +244,21 @@ fn calibrate_seed_chip_run() {
                 let fvm = model.variation_map(cond.condition().v);
                 let icbp_placement = Placement::icbp(&weights, &fvm, dominant);
                 let mut board2 = Board::with_chip_seed(platform, chip);
-                let remapped = MappedNetwork::load(&mut board2, &qnet, icbp_placement).unwrap();
+                let remapped = MappedNetwork::load_traced(
+                    &mut board2,
+                    &qnet,
+                    icbp_placement,
+                    &Tracer::disabled(),
+                )
+                .unwrap();
                 let icbp = remapped
-                    .read_back(&board2, &model, Some(&cond), LayerFaults::All)
+                    .read_back_traced(
+                        &board2,
+                        &model,
+                        Some(&cond),
+                        LayerFaults::All,
+                        &Tracer::disabled(),
+                    )
                     .unwrap()
                     .error_on(&data.test);
                 println!(

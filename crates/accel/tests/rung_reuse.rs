@@ -1,4 +1,4 @@
-//! Exactness of the ladders' rung reuse: `mitigation_shootout` and
+//! Exactness of the ladders' rung reuse: `mitigation_shootout_traced` and
 //! `voltage_accuracy_power_sweep` skip classification on a rung whose
 //! read-back is bit-identical to the previous rung's. Here every rung is
 //! recomputed the slow way — a fresh `read_back` and a fresh `error_on` —
@@ -8,14 +8,14 @@
 
 use std::sync::{Mutex, MutexGuard};
 use uvf_accel::{
-    mitigation_shootout, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork, Mitigation,
-    ParetoConfig, Placement, ShootoutConfig,
+    mitigation_shootout_traced, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork,
+    Mitigation, ParetoConfig, Placement, ShootoutConfig,
 };
 use uvf_faults::ecc::EccStats;
 use uvf_faults::{FaultModel, FvmCache, ReadCondition};
-use uvf_fpga::eccmode::ECC_WORDS_PER_BRAM;
-use uvf_fpga::{Board, Millivolts, Platform, Rail, BRAM_ROWS};
+use uvf_fpga::{Board, Millivolts, Platform, Rail};
 use uvf_nn::{train, DatasetKind, Mlp, QNetwork, SyntheticData, TrainConfig};
+use uvf_trace::Tracer;
 
 const NET_SEED: u64 = 12;
 /// The Fig. 13/14 chip, cold: faults arrive well inside the ladder.
@@ -64,7 +64,8 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
     let _g = die_cache();
     let (data, qnet, weights) = small_net();
     let cfg = ShootoutConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C, weights.len() - 1);
-    let report = mitigation_shootout(&cfg, &qnet, &weights, &data).unwrap();
+    let off = Tracer::disabled();
+    let report = mitigation_shootout_traced(&cfg, &qnet, &weights, &data, &off).unwrap();
 
     let platform = Platform::new(cfg.platform);
     let model = FaultModel::with_chip_seed(platform, cfg.chip_seed);
@@ -79,23 +80,10 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
     for m in Mitigation::ALL {
         let curve = report.curve(m);
         assert_eq!(curve.points.len(), rungs.len(), "{m}");
-        let capacity = if m.uses_ecc() {
-            ECC_WORDS_PER_BRAM
-        } else {
-            BRAM_ROWS
-        };
-        let placement = if m.uses_icbp() {
-            Placement::icbp_with_capacity(&weights, &fvm, cfg.protected_layer, capacity)
-        } else {
-            Placement::contiguous_with_capacity(&weights, capacity)
-        };
         let mut board = Board::with_chip_seed(platform, cfg.chip_seed);
-        let mapped = if m.uses_ecc() {
-            MappedNetwork::load_ecc(&mut board, &qnet, placement)
-        } else {
-            MappedNetwork::load(&mut board, &qnet, placement)
-        }
-        .unwrap();
+        let mapped = m
+            .load(&mut board, &qnet, &weights, &fvm, cfg.protected_layer, &off)
+            .unwrap();
         let read = |v: Option<Millivolts>| -> (Mlp, Option<EccStats>) {
             let cond = v.map(|v| {
                 model.resolve(&ReadCondition {
@@ -106,12 +94,12 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
             });
             if m.uses_ecc() {
                 let (net, stats) = mapped
-                    .read_back_ecc(&board, &model, cond.as_ref(), LayerFaults::All)
+                    .read_back_ecc_traced(&board, &model, cond.as_ref(), LayerFaults::All, &off)
                     .unwrap();
                 (net, Some(stats))
             } else {
                 let net = mapped
-                    .read_back(&board, &model, cond.as_ref(), LayerFaults::All)
+                    .read_back_traced(&board, &model, cond.as_ref(), LayerFaults::All, &off)
                     .unwrap();
                 (net, None)
             }
@@ -156,11 +144,14 @@ fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
     let cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
     let sweep = voltage_accuracy_power_sweep(&cfg, &qnet, &weights, &data).unwrap();
 
+    let off = Tracer::disabled();
     let platform = Platform::new(cfg.platform);
     let model = FaultModel::with_chip_seed(platform, cfg.chip_seed);
     let rail = platform.rail(Rail::Vccbram);
     let mut board = Board::with_chip_seed(platform, cfg.chip_seed);
-    let mapped = MappedNetwork::load(&mut board, &qnet, Placement::contiguous(&weights)).unwrap();
+    let mapped =
+        MappedNetwork::load_traced(&mut board, &qnet, Placement::contiguous(&weights), &off)
+            .unwrap();
     let mut levels = vec![None];
     levels.extend(
         ladder(
@@ -185,7 +176,7 @@ fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
             })
         });
         let net = mapped
-            .read_back(&board, &model, cond.as_ref(), LayerFaults::All)
+            .read_back_traced(&board, &model, cond.as_ref(), LayerFaults::All, &off)
             .unwrap();
         assert_eq!(point.v_mv, v.unwrap_or(Millivolts::NOMINAL).0);
         assert_eq!(
@@ -197,6 +188,43 @@ fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
     }
 }
 
+/// The Pareto sweep and the shoot-out walk the same rung loop, so the
+/// sweep's errors are the `none` curve's: the nominal point, then every
+/// rung from `Vmin + 50` down to `Vcrash` (the shoot-out goes deeper).
+#[test]
+fn pareto_sweep_is_the_shootouts_none_curve_down_to_vcrash() {
+    let _g = die_cache();
+    let (data, qnet, weights) = small_net();
+    let pareto_cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
+    let sweep = voltage_accuracy_power_sweep(&pareto_cfg, &qnet, &weights, &data).unwrap();
+    let cfg = ShootoutConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C, weights.len() - 1);
+    let report =
+        mitigation_shootout_traced(&cfg, &qnet, &weights, &data, &Tracer::disabled()).unwrap();
+    let none = report.curve(Mitigation::None);
+
+    let vcrash = Platform::new(cfg.platform).rail(Rail::Vccbram).vcrash.0;
+    let swept: Vec<(u32, u64)> = sweep
+        .points
+        .iter()
+        .map(|p| (p.v_mv, p.error.to_bits()))
+        .collect();
+    let curve: Vec<(u32, u64)> = std::iter::once((Millivolts::NOMINAL.0, none.nominal_error))
+        .chain(
+            none.points
+                .iter()
+                .filter(|p| p.v_mv >= vcrash)
+                .map(|p| (p.v_mv, p.error)),
+        )
+        .map(|(v, error)| (v, error.to_bits()))
+        .collect();
+    assert_eq!(swept, curve);
+    assert_eq!(swept.last().map(|p| p.0), Some(vcrash));
+    assert!(
+        none.points.len() > curve.len() - 1,
+        "the shoot-out descends below Vcrash"
+    );
+}
+
 #[test]
 fn ladders_report_the_same_from_a_cold_or_warm_die_cache() {
     let _g = die_cache();
@@ -206,7 +234,8 @@ fn ladders_report_the_same_from_a_cold_or_warm_die_cache() {
     let pareto_cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
     let run = || {
         (
-            mitigation_shootout(&shootout_cfg, &qnet, &weights, &data).unwrap(),
+            mitigation_shootout_traced(&shootout_cfg, &qnet, &weights, &data, &Tracer::disabled())
+                .unwrap(),
             voltage_accuracy_power_sweep(&pareto_cfg, &qnet, &weights, &data).unwrap(),
         )
     };

@@ -36,14 +36,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uvf_accel::{
-    ecc_ladder_census, layer_vulnerability_traced, mitigation_shootout, mitigation_shootout_traced,
+    ecc_ladder_census, layer_vulnerability_traced, mitigation_shootout_traced,
     voltage_accuracy_power_sweep, LayerFaults, MappedNetwork, Mitigation, ParetoConfig, Placement,
-    ShootoutConfig,
+    ShootoutConfig, VulnerabilityReport,
 };
 use uvf_characterize::prelude::{
-    available_threads, cluster_brams, cluster_brams_traced, Campaign, CampaignEntry, CampaignJob,
-    CampaignManifest, LocationStats, Probe, RecoveryPolicy, SweepConfig, ThermalCampaign,
-    LOCATION_ALPHA,
+    available_threads, cluster_brams, Campaign, CampaignEntry, CampaignJob, CampaignManifest,
+    LocationStats, Probe, RecoveryPolicy, SweepConfig, ThermalCampaign, LOCATION_ALPHA,
 };
 use uvf_characterize::record::FvmRecord;
 use uvf_characterize::FvmCache;
@@ -745,8 +744,17 @@ fn run_fig5(_ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
             vec![("platform", kind.to_string().into())],
         );
         let map = model.variation_map(vcrash);
-        let clusters = cluster_brams_traced(&map, MAX_K, CLUSTER_SEED, tracer)
+        let clusters = cluster_brams(&map, MAX_K, CLUSTER_SEED)
             .ok_or_else(|| format!("{kind}: census too small to cluster"))?;
+        tracer.instant(
+            "kmeans_done",
+            vec![
+                ("platform", clusters.platform.to_string().into()),
+                ("k", clusters.k.into()),
+                ("silhouette", clusters.silhouette.into()),
+                ("least_faulty_share", clusters.least_faulty_share().into()),
+            ],
+        );
         let rerun = cluster_brams(&map, MAX_K, CLUSTER_SEED)
             .ok_or_else(|| format!("{kind}: census too small to cluster"))?;
         if rerun != clusters {
@@ -1155,10 +1163,14 @@ fn check_fig12(ctx: &Ctx, s: &CmdSummary) -> Result<(), String> {
     Ok(())
 }
 
-/// Fig. 13: per-layer vulnerability of the mapped network at `Vcrash`.
-fn run_fig13(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
-    let quick = ctx.quick;
-    let fx = ctx.fixture(tracer);
+/// The Fig. 13 measurement Fig. 14 builds on: the network stored with
+/// contiguous placement on the VC707 chip, scored layer by layer at the
+/// evaluation `Vcrash` read. Returns the chip's fault model and that read
+/// with the report.
+fn contiguous_vulnerability(
+    fx: &NetFixture,
+    tracer: &Tracer,
+) -> Result<(FaultModel, ResolvedCondition, VulnerabilityReport), String> {
     let platform = Platform::new(PlatformKind::Vc707);
     let mut board = Board::with_chip_seed(platform, CHIP_SEED);
     let model = FaultModel::with_chip_seed(platform, CHIP_SEED);
@@ -1172,6 +1184,13 @@ fn run_fig13(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
     .map_err(|e| format!("load: {e:?}"))?;
     let report = layer_vulnerability_traced(&mapped, &board, &model, &cond, &fx.data.test, tracer)
         .map_err(|e| format!("vulnerability: {e:?}"))?;
+    Ok((model, cond, report))
+}
+
+/// Fig. 13: per-layer vulnerability of the mapped network at `Vcrash`.
+fn run_fig13(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
+    let quick = ctx.quick;
+    let (_, _, report) = contiguous_vulnerability(ctx.fixture(tracer), tracer)?;
     println!("Fig. 13 — per-layer vulnerability (VC707 chip {CHIP_SEED} @ Vcrash, cold die)");
     println!(
         "  baseline {:.4}  all-layers {:.4}",
@@ -1195,32 +1214,21 @@ fn run_fig13(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
     ))
 }
 
-/// Fig. 14: contiguous vs ICBP placement at `Vcrash`.
+/// Fig. 14: contiguous vs ICBP placement at `Vcrash` — Fig. 13's run,
+/// then the dominant layer moved by ICBP and read back once more.
 fn run_fig14(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
     let quick = ctx.quick;
     let fx = ctx.fixture(tracer);
-    let platform = Platform::new(PlatformKind::Vc707);
-    let mut board = Board::with_chip_seed(platform, CHIP_SEED);
-    let model = FaultModel::with_chip_seed(platform, CHIP_SEED);
-    let cond = eval_condition(&model);
-    let mapped = MappedNetwork::load_traced(
-        &mut board,
-        &fx.qnet,
-        Placement::contiguous(&fx.weights),
-        tracer,
-    )
-    .map_err(|e| format!("load: {e:?}"))?;
-    let report = layer_vulnerability_traced(&mapped, &board, &model, &cond, &fx.data.test, tracer)
-        .map_err(|e| format!("vulnerability: {e:?}"))?;
+    let (model, cond, report) = contiguous_vulnerability(fx, tracer)?;
     let dominant = report.dominant_layer();
 
     let fvm = model.variation_map(cond.condition().v);
     let icbp_placement = Placement::icbp(&fx.weights, &fvm, dominant);
-    let mut board2 = Board::with_chip_seed(platform, CHIP_SEED);
-    let remapped = MappedNetwork::load_traced(&mut board2, &fx.qnet, icbp_placement, tracer)
+    let mut board = Board::with_chip_seed(*model.platform(), CHIP_SEED);
+    let remapped = MappedNetwork::load_traced(&mut board, &fx.qnet, icbp_placement, tracer)
         .map_err(|e| format!("icbp load: {e:?}"))?;
     let icbp = remapped
-        .read_back_traced(&board2, &model, Some(&cond), LayerFaults::All, tracer)
+        .read_back_traced(&board, &model, Some(&cond), LayerFaults::All, tracer)
         .map_err(|e| format!("icbp read: {e:?}"))?
         .error_on(&fx.data.test);
     tracer.instant(
@@ -1310,8 +1318,9 @@ fn run_mitigation(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> 
     let mut span = tracer.span_with("mitigation_shootout", vec![("chip_seed", CHIP_SEED.into())]);
     let report = mitigation_shootout_traced(&cfg, &fx.qnet, &fx.weights, &fx.data, tracer)
         .map_err(|e| format!("shootout: {e:?}"))?;
-    let rerun = mitigation_shootout(&cfg, &fx.qnet, &fx.weights, &fx.data)
-        .map_err(|e| format!("shootout rerun: {e:?}"))?;
+    let rerun =
+        mitigation_shootout_traced(&cfg, &fx.qnet, &fx.weights, &fx.data, &Tracer::disabled())
+            .map_err(|e| format!("shootout rerun: {e:?}"))?;
     let identical = report == rerun;
     span.field("rerun_identical", identical.into());
 

@@ -193,7 +193,7 @@ fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
     print_measurement(suite.record(masked));
 
     // Per-BRAM iterator: the same masks in the same order, without
-    // materializing the whole-die Vec the old `fault_masks` allocated.
+    // materializing a whole-die Vec.
     let build = bench(
         "mask_build/full_die",
         model.platform().bram_count as u64,
@@ -291,7 +291,8 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
         || {
             let mut acc = 0u64;
             for rc in &probe_conds {
-                for mask in model.fault_masks(rc.condition()) {
+                let resolved = model.resolve(rc.condition());
+                for mask in model.fault_masks_iter(&resolved).collect::<Vec<_>>() {
                     acc += u64::from(mask.flip_cells());
                 }
             }
@@ -480,8 +481,10 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
     let weights: Vec<usize> = net.layers().iter().map(|l| l.w.data().len()).collect();
     let model = FaultModel::new(PlatformKind::Vc707.descriptor());
     let mut board = Board::new(PlatformKind::Vc707.descriptor());
-    let mapped = MappedNetwork::load(&mut board, &qnet, Placement::contiguous(&weights))
-        .expect("load network");
+    let off = Tracer::disabled();
+    let mapped =
+        MappedNetwork::load_traced(&mut board, &qnet, Placement::contiguous(&weights), &off)
+            .expect("load network");
     let resolved = model.resolve(&vcrash_condition(&model));
     println!(
         "nn inference: VC707, {layout:?} net ({} weights, {} BRAMs) at Vcrash",
@@ -495,7 +498,7 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
         opts,
         || {
             mapped
-                .read_back(&board, &model, Some(&resolved), LayerFaults::All)
+                .read_back_traced(&board, &model, Some(&resolved), LayerFaults::All, &off)
                 .expect("read back")
                 .weight_count()
         },
@@ -503,7 +506,7 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
     print_measurement(suite.record(readback));
 
     let corrupted = mapped
-        .read_back(&board, &model, Some(&resolved), LayerFaults::All)
+        .read_back_traced(&board, &model, Some(&resolved), LayerFaults::All, &off)
         .expect("read back");
     let input = vec![0.5f32; layout[0]];
     let classify = bench("nn/classify_per_sample", 1, opts, || {

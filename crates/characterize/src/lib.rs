@@ -57,8 +57,8 @@ pub use record::{
 };
 pub use search::{VminProbe, VminSearch, VminSearchReport};
 pub use stats::{
-    bram_rates_per_mbit, cluster_brams, cluster_brams_traced, BramClusters, LocationStats,
-    ThermalCampaign, ThermalPoint, ThermalReport, LOCATION_ALPHA,
+    bram_rates_per_mbit, cluster_brams, BramClusters, LocationStats, ThermalCampaign, ThermalPoint,
+    ThermalReport, LOCATION_ALPHA,
 };
 pub use store::{CheckpointStore, JobQueue, LeaseState};
 pub use sweep::{Probe, SweepConfig, SweepConfigBuilder};
@@ -90,8 +90,8 @@ pub mod prelude {
     pub use crate::record::{Checkpoint, FvmRecord, LevelRecord, SweepOutcome, SweepRecord};
     pub use crate::search::{VminProbe, VminSearch, VminSearchReport};
     pub use crate::stats::{
-        bram_rates_per_mbit, cluster_brams, cluster_brams_traced, BramClusters, LocationStats,
-        ThermalCampaign, ThermalPoint, ThermalReport, LOCATION_ALPHA,
+        bram_rates_per_mbit, cluster_brams, BramClusters, LocationStats, ThermalCampaign,
+        ThermalPoint, ThermalReport, LOCATION_ALPHA,
     };
     pub use crate::store::{CheckpointStore, JobQueue, LeaseState};
     pub use crate::sweep::{Probe, SweepConfig, SweepConfigBuilder};

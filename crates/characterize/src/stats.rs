@@ -15,9 +15,10 @@
 //!   `∝ exp(−k·T)`, a near-perfect log-linear fit).
 //!
 //! Every result is a pure function of `(platform, chip_seed, inputs)` —
-//! reruns are bit-identical — and each wired analysis has a `*_traced`
-//! path emitting `chi2_done` / `kmeans_done` / `thermal_point` /
-//! `thermal_fit` events.
+//! reruns are bit-identical. [`LocationStats::emit_events`] reports
+//! `chi2_done` events and [`ThermalCampaign::run`] reports `thermal_point`
+//! / `thermal_fit`; clustering is a pure computation whose callers report
+//! it (`repro fig5` emits `kmeans_done`).
 
 use crate::harness::HarnessError;
 use crate::sweep::{Probe, SweepConfig};
@@ -242,27 +243,6 @@ pub fn cluster_brams(map: &FaultVariationMap, max_k: usize, seed: u64) -> Option
         silhouette: sel.silhouette,
         scores: sel.scores,
     })
-}
-
-/// [`cluster_brams`] with a `kmeans_done` event on completion.
-#[must_use]
-pub fn cluster_brams_traced(
-    map: &FaultVariationMap,
-    max_k: usize,
-    seed: u64,
-    tracer: &Tracer,
-) -> Option<BramClusters> {
-    let clusters = cluster_brams(map, max_k, seed)?;
-    tracer.instant(
-        "kmeans_done",
-        vec![
-            ("platform", clusters.platform.to_string().into()),
-            ("k", clusters.k.into()),
-            ("silhouette", clusters.silhouette.into()),
-            ("least_faulty_share", clusters.least_faulty_share().into()),
-        ],
-    );
-    Some(clusters)
 }
 
 /// Fig. 8: fault rate vs. die temperature at one fixed level.

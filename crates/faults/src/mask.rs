@@ -343,14 +343,6 @@ impl FaultMask {
         }
     }
 
-    /// [`FaultMask::apply_all`] with a kernel-timing sample reported to
-    /// `tracer` (one `Timing` event over `words.len()` ops). A disabled
-    /// tracer pays nothing — not even the clock read — and the corrupted
-    /// words are identical either way.
-    pub fn apply_all_traced(&self, words: &mut [u16], tracer: &uvf_trace::Tracer) {
-        tracer.time("mask_apply", words.len() as u64, || self.apply_all(words));
-    }
-
     /// Observable flips against a stored image (the probe's statistic).
     #[must_use]
     pub fn count_observable(&self, words: &[u16]) -> u64 {

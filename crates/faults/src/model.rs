@@ -285,51 +285,15 @@ impl FaultModel {
         FaultMask::build(self, bram, resolved)
     }
 
-    /// Fault masks of every BRAM on the die, in `BramId` order.
-    ///
-    /// Allocates the whole-die `Vec`; callers that walk BRAMs one at a
-    /// time should use [`FaultModel::fault_masks_iter`] instead.
-    #[must_use]
-    pub fn fault_masks(&self, cond: &ReadCondition) -> Vec<FaultMask> {
-        self.fault_masks_traced(cond, &uvf_trace::Tracer::disabled())
-    }
-
-    /// Lazy per-BRAM variant of [`FaultModel::fault_masks`]: yields each
-    /// mask in `BramId` order without materializing the whole-die `Vec`,
-    /// so one-BRAM-at-a-time consumers allocate nothing beyond the mask
-    /// they are looking at.
+    /// Fault masks of every BRAM on the die, yielded lazily in `BramId`
+    /// order: one-BRAM-at-a-time consumers allocate nothing beyond the
+    /// mask they are looking at, and a whole-die `Vec` is a `collect`.
     pub fn fault_masks_iter<'a>(
         &'a self,
         resolved: &'a ResolvedCondition,
     ) -> impl Iterator<Item = FaultMask> + 'a {
         (0..self.platform.bram_count as u32)
             .map(move |b| FaultMask::build(self, BramId(b), resolved))
-    }
-
-    /// [`FaultModel::fault_masks`] with the whole build timed as a span
-    /// and per-BRAM flip totals reported as counters. Telemetry is
-    /// passive: the returned masks are identical with any tracer.
-    #[must_use]
-    pub fn fault_masks_traced(
-        &self,
-        cond: &ReadCondition,
-        tracer: &uvf_trace::Tracer,
-    ) -> Vec<FaultMask> {
-        let mut span = tracer.span_with(
-            "fault_masks_build",
-            vec![
-                ("brams", (self.platform.bram_count as u32).into()),
-                ("v_mv", cond.v.0.into()),
-            ],
-        );
-        let resolved = self.resolve(cond);
-        let masks: Vec<FaultMask> = self.fault_masks_iter(&resolved).collect();
-        if tracer.enabled() {
-            let flips: u64 = masks.iter().map(|m| u64::from(m.flip_cells())).sum();
-            tracer.counter("mask_flip_cells", flips);
-            span.field("flip_cells", flips.into());
-        }
-        masks
     }
 
     /// Visit every cell of `bram` that flips under `cond`, in descending

@@ -604,6 +604,15 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frame_is_invalid_data_not_a_stack_overflow() {
+        let payload = "[".repeat(1 << 20);
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload.as_bytes());
+        let err = Message::read_from(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
     fn endpoints_parse_and_display() {
         assert_eq!(
             Endpoint::parse("unix:/tmp/x.sock").unwrap(),

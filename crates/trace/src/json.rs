@@ -157,6 +157,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -194,9 +195,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a hostile document
+/// (a frame of 100 000 `[`) overflow the stack; the deepest document the
+/// workspace writes (a sweep checkpoint) nests 6 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -241,11 +250,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => self.nested(open),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, open: u8) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = if open == b'[' {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -444,6 +468,16 @@ mod tests {
         let control = Json::Str("\u{1}".to_string()).to_string();
         assert_eq!(control, "\"\\u0001\"");
         assert_eq!(Json::parse(&control).unwrap().as_str(), Some("\u{1}"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deep = |n: usize| open.repeat(n) + "0" + &close.repeat(n);
+            assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+            assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+            assert!(Json::parse(&open.repeat(100_000)).is_err());
+        }
     }
 
     #[test]
