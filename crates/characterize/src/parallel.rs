@@ -4,9 +4,9 @@
 //! a pure function of `(chip_seed, bram, resolved condition)`, so workers
 //! share nothing but the read-only model. The hard invariant — pinned by
 //! `tests/parallel_identity.rs` — is that the parallel result is
-//! **bit-identical** to the sequential baseline: every per-BRAM count lands
-//! in a slot indexed by `BramId` and the reduction walks those slots in
-//! `BramId` order, so thread scheduling can never reorder the merge.
+//! **bit-identical** to the sequential baseline: each worker sums one
+//! contiguous `BramId` chunk and the chunk totals merge in `BramId` order,
+//! so thread scheduling can never reorder the merge.
 //!
 //! std-only: `std::thread::scope` with a static partition of the `BramId`
 //! space (BRAM scan costs are near-uniform, so work-stealing buys nothing
@@ -25,28 +25,10 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Observable flips of one BRAM against `pattern` under `resolved`.
-#[must_use]
-pub fn bram_fault_count(
-    model: &FaultModel,
-    pattern: DataPattern,
-    resolved: &ResolvedCondition,
-    bram: BramId,
-) -> u64 {
-    let mut count = 0u64;
-    model.for_each_failing_resolved(bram, resolved, |cell| {
-        let stored = pattern.word(bram, u32::from(cell.row));
-        let stored_bit = stored & (1u16 << cell.bit) != 0;
-        if cell.observable(stored_bit) {
-            count += 1;
-        }
-    });
-    count
-}
-
-/// Observable flips across the whole BRAM pool, fanned over `threads`
-/// workers. `threads <= 1` runs the sequential baseline; any other value
-/// produces the same counts merged in the same (`BramId`) order.
+/// Observable flips across the whole BRAM pool under one condition: the
+/// one-condition family of [`platform_level_counts`], so the certain
+/// prefix is counted without draws and only the jitter window is judged.
+/// Any thread count produces the same count.
 #[must_use]
 pub fn platform_fault_count(
     model: &FaultModel,
@@ -54,44 +36,19 @@ pub fn platform_fault_count(
     resolved: &ResolvedCondition,
     threads: usize,
 ) -> u64 {
-    let n_brams = model.platform().bram_count;
-    let workers = threads.min(n_brams).max(1);
-    if workers == 1 {
-        return (0..n_brams as u32)
-            .map(|b| bram_fault_count(model, pattern, resolved, BramId(b)))
-            .sum();
-    }
-    let mut counts = vec![0u64; n_brams];
-    let chunk = n_brams.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (i, slots) in counts.chunks_mut(chunk).enumerate() {
-            let first = (i * chunk) as u32;
-            scope.spawn(move || {
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    *slot =
-                        bram_fault_count(model, pattern, resolved, BramId(first + offset as u32));
-                }
-            });
-        }
-    });
-    // Per-BRAM counts are merged in BramId order: bit-identity with the
-    // sequential path by construction, not by luck.
-    counts.iter().sum()
+    platform_level_counts(model, pattern, std::slice::from_ref(resolved), threads)[0]
 }
 
-/// Whether a flip of `cell` is observable against `pattern` — the exact
-/// predicate [`bram_fault_count`] applies, factored out so the batched
-/// ladder path below counts the same thing.
+/// Whether a flip of `cell` is observable against `pattern`.
 fn observable_against(pattern: DataPattern, bram: BramId, cell: &WeakCell) -> bool {
     let stored = pattern.word(bram, u32::from(cell.row));
     cell.observable(stored & (1u16 << cell.bit) != 0)
 }
 
 /// Observable flips across the whole BRAM pool for *every* condition of a
-/// ladder-level family at once — the [`MaskPlan`] fast path. `out[i]` is
-/// bit-identical to `platform_fault_count(model, pattern, &conditions[i],
-/// _)` for any thread count: per-BRAM counts are `u64` sums, accumulated
-/// chunk-by-chunk in `BramId` order.
+/// ladder-level family at once — the [`MaskPlan`] path. `out[i]` is the
+/// count of `conditions[i]` for any thread count: per-BRAM counts are
+/// `u64` sums, accumulated chunk by chunk and merged in `BramId` order.
 #[must_use]
 pub fn platform_level_counts(
     model: &FaultModel,
@@ -102,36 +59,38 @@ pub fn platform_level_counts(
     let runs = conditions.len();
     let n_brams = model.platform().bram_count;
     let plan = MaskPlan::new(model, conditions.to_vec());
-    let obs = |bram: BramId, cell: &WeakCell| observable_against(pattern, bram, cell);
-    let workers = threads.min(n_brams).max(1);
-    if workers <= 1 || runs == 0 {
+    let count_brams = |brams: std::ops::Range<usize>| {
         let mut totals = vec![0u64; runs];
         let mut per_bram = vec![0u64; runs];
-        for b in 0..n_brams as u32 {
-            plan.bram_counts(BramId(b), obs, &mut per_bram);
+        for b in brams {
+            plan.bram_counts(
+                BramId(b as u32),
+                |bram, cell| observable_against(pattern, bram, cell),
+                &mut per_bram,
+            );
             for (t, c) in totals.iter_mut().zip(&per_bram) {
                 *t += c;
             }
         }
-        return totals;
+        totals
+    };
+    let workers = threads.min(n_brams).max(1);
+    if workers == 1 || runs == 0 {
+        return count_brams(0..n_brams);
     }
     let chunk = n_brams.div_ceil(workers);
-    let mut partials: Vec<Vec<u64>> = vec![vec![0u64; runs]; workers];
-    std::thread::scope(|scope| {
-        for (i, acc) in partials.iter_mut().enumerate() {
-            let first = (i * chunk) as u32;
-            let last = ((i + 1) * chunk).min(n_brams) as u32;
-            let plan = &plan;
-            scope.spawn(move || {
-                let mut per_bram = vec![0u64; runs];
-                for b in first..last {
-                    plan.bram_counts(BramId(b), obs, &mut per_bram);
-                    for (t, c) in acc.iter_mut().zip(&per_bram) {
-                        *t += c;
-                    }
-                }
-            });
-        }
+    let partials: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_brams)
+            .step_by(chunk)
+            .map(|first| {
+                let count_brams = &count_brams;
+                scope.spawn(move || count_brams(first..(first + chunk).min(n_brams)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scan worker panicked"))
+            .collect()
     });
     // Chunk accumulators merge in chunk (= BramId) order; u64 addition is
     // exact, so the totals match the sequential reduction bit-for-bit.
@@ -148,7 +107,7 @@ pub fn platform_level_counts(
 mod tests {
     use super::*;
     use uvf_faults::{run_seed, ReadCondition};
-    use uvf_fpga::{PlatformKind, Rail};
+    use uvf_fpga::{Millivolts, PlatformKind, Rail};
 
     #[test]
     fn parallel_count_equals_sequential_for_any_thread_count() {
@@ -169,6 +128,50 @@ mod tests {
                 sequential,
                 "{threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn fault_count_equals_the_per_cell_oracle_on_every_platform() {
+        for kind in PlatformKind::ALL {
+            let platform = kind.descriptor();
+            let model = FaultModel::new(platform);
+            let lm = platform.vccbram;
+            let levels = [
+                lm.vmin.0 + 10,
+                lm.vmin.0,
+                (lm.vmin.0 + lm.vcrash.0) / 2,
+                lm.vcrash.0,
+            ];
+            for v in levels.map(Millivolts) {
+                let resolved = model.resolve(&ReadCondition {
+                    v,
+                    temperature_c: 25.0,
+                    run_seed: run_seed(model.chip_seed(), Rail::Vccbram, v, 0),
+                });
+                for pattern in DataPattern::ALL {
+                    let mut expect = 0u64;
+                    for b in 0..platform.bram_count as u32 {
+                        let bram = BramId(b);
+                        model.for_each_failing_resolved(bram, &resolved, |cell| {
+                            if observable_against(pattern, bram, cell) {
+                                expect += 1;
+                            }
+                        });
+                    }
+                    if v == lm.vcrash && pattern == DataPattern::AllOnes {
+                        assert!(expect > 0, "{kind:?}: no faults at Vcrash");
+                    }
+                    for threads in [1, 2] {
+                        assert_eq!(
+                            platform_fault_count(&model, pattern, &resolved, threads),
+                            expect,
+                            "{kind:?} {pattern:?} at {} mV, {threads} threads",
+                            v.0
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -15,8 +15,9 @@
 //!   from O(levels × cells) to O(cells log cells + total faulting cells).
 //! * [`MaskPlan`] batches every run of one level through a single
 //!   [`ResolvedCondition`] family sharing one sorted-cell scan: the
-//!   observable-prefix sums are computed once per BRAM and each run then
-//!   costs two binary searches plus its own jitter window.
+//!   certain prefix common to every run is counted once per BRAM and each
+//!   run then costs two binary searches, its few extra certain cells and
+//!   its own jitter window. A single-condition plan is the per-run scan.
 //!
 //! Bit-identity with the per-level path is non-negotiable and holds by
 //! construction: the binary-search predicates are the exact comparisons of
@@ -243,15 +244,30 @@ impl<'m> LadderKernel<'m> {
 /// The conditions of one level share `(v, T)` but differ in `run_seed`, so
 /// their common-mode spread (and with it the certain/cutoff boundaries)
 /// jitters by a few mV per run. The plan scans each BRAM once down to the
-/// *loosest* cutoff of the family, builds observable-prefix sums over that
-/// prefix, and then prices each run at two binary searches plus its own
-/// jitter window — instead of one full descending scan per run.
+/// *loosest* cutoff of the family, counts the certain prefix every run
+/// shares, and then prices each run at two binary searches, its own extra
+/// certain cells and its jitter window — instead of one full descending
+/// scan per run. Window cells go through [`ResolvedCondition::window_judge`].
 #[derive(Debug, Clone)]
 pub struct MaskPlan<'m> {
     model: &'m FaultModel,
     resolved: Vec<ResolvedCondition>,
     /// Minimum `cutoff_mv` across the family: the shared scan boundary.
     scan_cutoff_mv: f64,
+    /// Maximum `certain_mv` across the family: cells at or above it fail
+    /// under every condition.
+    shared_certain_mv: f64,
+}
+
+/// Cells of `cells` that satisfy `pred`.
+fn count(cells: &[WeakCell], pred: impl Fn(&WeakCell) -> bool) -> u64 {
+    let mut n = 0u64;
+    for cell in cells {
+        if pred(cell) {
+            n += 1;
+        }
+    }
+    n
 }
 
 impl<'m> MaskPlan<'m> {
@@ -263,10 +279,15 @@ impl<'m> MaskPlan<'m> {
             .iter()
             .map(ResolvedCondition::cutoff_mv)
             .fold(f64::INFINITY, f64::min);
+        let shared_certain_mv = resolved
+            .iter()
+            .map(ResolvedCondition::certain_mv)
+            .fold(f64::NEG_INFINITY, f64::max);
         MaskPlan {
             model,
             resolved,
             scan_cutoff_mv,
+            shared_certain_mv,
         }
     }
 
@@ -289,7 +310,8 @@ impl<'m> MaskPlan<'m> {
     /// family; `out[i]` receives condition `i`'s count. `observable`
     /// decides whether a flipping cell is visible against the stored data
     /// (see [`WeakCell::observable`]). Each count is bit-identical to an
-    /// independent descending scan of the same condition.
+    /// independent descending scan of the same condition. Allocates
+    /// nothing.
     ///
     /// # Panics
     /// When `out` is shorter than the condition family.
@@ -301,32 +323,26 @@ impl<'m> MaskPlan<'m> {
     ) {
         assert!(out.len() >= self.resolved.len(), "output slice too short");
         let cells = self.model.weak_cells(bram);
-        let scan_len = cells.partition_point(|c| c.vfail_mv >= self.scan_cutoff_mv);
-        let prefix = &cells[..scan_len];
+        let prefix = &cells[..cells.partition_point(|c| c.vfail_mv >= self.scan_cutoff_mv)];
         if prefix.is_empty() {
+            // Most BRAMs on most rungs: nothing can fail, nothing to judge.
             out[..self.resolved.len()].fill(0);
             return;
         }
-        // Shared scan: observable flags become prefix sums, so any
-        // condition's certain contribution is one subtraction away.
-        let mut obs_prefix = Vec::with_capacity(prefix.len() + 1);
-        let mut acc = 0u64;
-        obs_prefix.push(0u64);
-        for cell in prefix {
-            if observable(bram, cell) {
-                acc += 1;
-            }
-            obs_prefix.push(acc);
-        }
+        // Every condition's certain prefix contains the family's shortest
+        // one: count that shared part once, then each condition's own few
+        // extra certain cells and its jitter window.
+        let shared = prefix.partition_point(|c| c.vfail_mv >= self.shared_certain_mv);
+        let shared_count = count(&prefix[..shared], |c| observable(bram, c));
         for (slot, rc) in out.iter_mut().zip(&self.resolved) {
             let certain_idx = prefix.partition_point(|c| c.vfail_mv >= rc.certain_mv());
             let cutoff_idx = prefix.partition_point(|c| c.vfail_mv >= rc.cutoff_mv());
-            let judge = rc.window_judge(bram);
-            let mut n = obs_prefix[certain_idx];
-            for cell in &prefix[certain_idx..cutoff_idx] {
-                if observable(bram, cell) && judge.fails(cell) {
-                    n += 1;
-                }
+            let mut n = shared_count + count(&prefix[shared..certain_idx], |c| observable(bram, c));
+            if certain_idx < cutoff_idx {
+                let judge = rc.window_judge(bram);
+                n += count(&prefix[certain_idx..cutoff_idx], |c| {
+                    observable(bram, c) && judge.fails(c)
+                });
             }
             *slot = n;
         }

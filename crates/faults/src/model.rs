@@ -62,9 +62,9 @@ pub fn run_seed(chip_seed: u64, rail: Rail, v: Millivolts, run: u32) -> u64 {
 /// from a full scan into a couple of cache lines.
 #[derive(Debug)]
 struct BramCells {
-    /// Sorted by descending `vfail_mv` (the `generate_bram` order).
+    /// Sorted by descending `vfail_mv`, ties by `(row, bit)`.
     by_threshold: Vec<WeakCell>,
-    /// The same cells sorted by `(row, bit)`.
+    /// The same cells in `(row, bit)` order (the `generate_bram` order).
     by_row: Vec<WeakCell>,
     /// `by_row[row_offsets[r] .. row_offsets[r+1]]` are the cells of row
     /// `r`; length `BRAM_ROWS + 1`.
@@ -72,9 +72,16 @@ struct BramCells {
 }
 
 impl BramCells {
-    fn new(by_threshold: Vec<WeakCell>) -> BramCells {
-        let mut by_row = by_threshold.clone();
-        by_row.sort_by(|a, b| a.row.cmp(&b.row).then(a.bit.cmp(&b.bit)));
+    fn new(by_row: Vec<WeakCell>) -> BramCells {
+        let mut by_threshold = by_row.clone();
+        // `(row, bit)` is unique per BRAM, so the key is a total order and
+        // an unstable sort is deterministic.
+        by_threshold.sort_unstable_by(|a, b| {
+            b.vfail_mv
+                .total_cmp(&a.vfail_mv)
+                .then(a.row.cmp(&b.row))
+                .then(a.bit.cmp(&b.bit))
+        });
         let mut row_offsets = Vec::with_capacity(BRAM_ROWS + 1);
         let mut cursor = 0usize;
         row_offsets.push(0);

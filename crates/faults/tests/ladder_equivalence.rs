@@ -12,7 +12,7 @@ use uvf_faults::{
     run_seed, FaultMask, FaultModel, LadderKernel, MaskPlan, ReadCondition, ResolvedCondition,
     WeakCell,
 };
-use uvf_fpga::{BramId, Millivolts, PlatformKind, Rail};
+use uvf_fpga::{BramId, DataPattern, Millivolts, PlatformKind, Rail};
 
 /// Tiny deterministic PRNG (xorshift64*); no external crates.
 struct Rng(u64);
@@ -102,10 +102,15 @@ fn kernel_deltas_match_per_level_builds_over_random_trials() {
 #[test]
 fn plan_counts_match_per_run_scans_over_random_trials() {
     let mut rng = Rng(0x0001_adde_0002);
+    let mut zero_to_one_flips = 0u64;
     for trial in 0..8u32 {
         let kind = PlatformKind::ALL[(trial as usize) % PlatformKind::ALL.len()];
         let platform = kind.descriptor();
-        let model = FaultModel::with_chip_seed(platform, 0xBEEF ^ (u64::from(trial) * 104729));
+        let mut model = FaultModel::with_chip_seed(platform, 0xBEEF ^ (u64::from(trial) * 104729));
+        // Every other trial reads under supply droop (DESIGN §6b).
+        if trial % 2 == 1 {
+            model.set_environment_noise_mv(1.0 + rng.below(15) as f64);
+        }
         let temp = rng.below(86) as f64;
         let lm = platform.vccbram;
         // One level per trial, anywhere from above Vmin down past Vcrash.
@@ -114,29 +119,41 @@ fn plan_counts_match_per_run_scans_over_random_trials() {
         let family: Vec<ResolvedCondition> =
             (0..runs).map(|r| resolved_at(&model, v, temp, r)).collect();
         let plan = MaskPlan::new(&model, family.clone());
-        let stored_ones = |_: BramId, c: &WeakCell| c.observable(true);
         let mut got = vec![0u64; family.len()];
         let mut brams = vec![model.sentinel().0];
         for _ in 0..4 {
             brams.push(BramId(rng.below(platform.bram_count as u64) as u32));
         }
-        for bram in brams {
-            plan.bram_counts(bram, stored_ones, &mut got);
-            for (i, rc) in family.iter().enumerate() {
-                let mut expect = 0u64;
-                model.for_each_failing_resolved(bram, rc, |c| {
-                    if c.observable(true) {
-                        expect += 1;
-                    }
-                });
-                assert_eq!(
-                    got[i], expect,
-                    "trial {trial} {kind:?} BRAM {} run {i} at {} mV",
-                    bram.0, v.0
-                );
+        // Every stored pattern, so 0→1 cells (stored zeros) count too.
+        for pattern in DataPattern::ALL {
+            let observable = |bram: BramId, c: &WeakCell| {
+                c.observable(pattern.word(bram, u32::from(c.row)) & (1 << c.bit) != 0)
+            };
+            for &bram in &brams {
+                plan.bram_counts(bram, observable, &mut got);
+                if pattern == DataPattern::AllZeros {
+                    zero_to_one_flips += got.iter().sum::<u64>();
+                }
+                for (i, rc) in family.iter().enumerate() {
+                    let mut expect = 0u64;
+                    model.for_each_failing_resolved(bram, rc, |c| {
+                        if observable(bram, c) {
+                            expect += 1;
+                        }
+                    });
+                    assert_eq!(
+                        got[i],
+                        expect,
+                        "trial {trial} {kind:?} {pattern:?} BRAM {} run {i} at {} mV, noise {}",
+                        bram.0,
+                        v.0,
+                        model.environment_noise_mv()
+                    );
+                }
             }
         }
     }
+    assert!(zero_to_one_flips > 0, "no 0→1 flip was ever counted");
 }
 
 #[test]

@@ -11,7 +11,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 use uvf_trace::{Aggregator, Event, FlightRecorder};
 
 /// The server's metrics brain: one [`Aggregator`] holding both the
@@ -98,10 +99,13 @@ struct SubscriberBuf {
 /// its state lock) pushes whole blocks; the subscriber's writer thread
 /// drains batches at its own pace. Overflow evicts the *oldest* events —
 /// the stream keeps up with the present and the gap is accounted — so a
-/// throttled observer can never apply backpressure to the campaign.
+/// throttled observer can never apply backpressure to the campaign. The
+/// writer sleeps on `wake` until a push, a close or a [`Subscriber::wake`]
+/// (campaign finished or stopped).
 pub(crate) struct Subscriber {
     cap: usize,
     state: Mutex<SubscriberBuf>,
+    wake: Condvar,
     closed: AtomicBool,
 }
 
@@ -113,6 +117,7 @@ impl Subscriber {
                 buf: VecDeque::new(),
                 dropped: 0,
             }),
+            wake: Condvar::new(),
             closed: AtomicBool::new(false),
         }
     }
@@ -129,6 +134,7 @@ impl Subscriber {
             newly_dropped += 1;
         }
         state.dropped += newly_dropped;
+        self.wake.notify_all();
         newly_dropped
     }
 
@@ -139,8 +145,28 @@ impl Subscriber {
         (state.buf.drain(..take).collect(), state.dropped)
     }
 
+    /// Block until events are queued, the subscription is closed or
+    /// `done()` holds. Whoever makes `done()` true must then call
+    /// [`Subscriber::wake`].
+    pub(crate) fn wait(&self, done: impl Fn() -> bool) {
+        let state = self.state.lock().expect("subscriber poisoned");
+        let _state = self
+            .wake
+            .wait_while(state, |s| s.buf.is_empty() && !self.is_closed() && !done())
+            .expect("subscriber poisoned");
+    }
+
+    /// Wake the writer to re-check its exit conditions. Taking the queue
+    /// lock orders this after any predicate check already in progress,
+    /// so the wakeup cannot be lost.
+    pub(crate) fn wake(&self) {
+        let _state = self.state.lock().expect("subscriber poisoned");
+        self.wake.notify_all();
+    }
+
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
+        self.wake();
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -154,6 +180,10 @@ impl Subscriber {
 pub(crate) struct Flags {
     pub(crate) stop: AtomicBool,
     pub(crate) finished: AtomicBool,
+    /// The server's main loop naps on `settled` between supervision polls;
+    /// [`Flags::finish`] cuts the nap short.
+    nap: Mutex<()>,
+    settled: Condvar,
 }
 
 impl Flags {
@@ -161,7 +191,27 @@ impl Flags {
         Arc::new(Flags {
             stop: AtomicBool::new(false),
             finished: AtomicBool::new(false),
+            nap: Mutex::new(()),
+            settled: Condvar::new(),
         })
+    }
+
+    /// Flip `finished` and wake the main loop.
+    pub(crate) fn finish(&self) {
+        self.finished.store(true, Ordering::SeqCst);
+        let _nap = self.nap.lock().expect("flags poisoned");
+        self.settled.notify_all();
+    }
+
+    /// Sleep up to `timeout`, or until the campaign finishes or stops.
+    pub(crate) fn nap(&self, timeout: Duration) {
+        let nap = self.nap.lock().expect("flags poisoned");
+        let _nap = self
+            .settled
+            .wait_timeout_while(nap, timeout, |()| {
+                !self.finished.load(Ordering::SeqCst) && !self.stop.load(Ordering::SeqCst)
+            })
+            .expect("flags poisoned");
     }
 }
 

@@ -203,6 +203,7 @@ struct State {
     /// Accumulated renumbering offset over the published segments.
     publish_offset: u64,
     subscribers: Vec<Arc<Subscriber>>,
+    flags: Arc<Flags>,
     /// When each job last became claimable (campaign start, or its last
     /// release/expiry) — the queue-wait histogram's zero point.
     ready_ms: Vec<u64>,
@@ -300,6 +301,20 @@ impl State {
             }
             self.published.extend(block);
         }
+        self.finish_if_done();
+    }
+
+    /// Once every job is terminal, flip `finished` and wake the subscriber
+    /// writers. Runs in the critical section that made the last job
+    /// terminal, after its publication, so a writer that reads `finished`
+    /// and then pops an empty queue has delivered the complete log.
+    fn finish_if_done(&self) {
+        if self.finished() {
+            self.flags.finish();
+            for sub in &self.subscribers {
+                sub.wake();
+            }
+        }
     }
 }
 
@@ -377,6 +392,7 @@ impl CampaignServer {
             published_jobs: 0,
             publish_offset: 0,
             subscribers: Vec::new(),
+            flags: Arc::clone(&flags),
             ready_ms: vec![0; n],
             claim_ms: vec![0; n],
         }));
@@ -471,6 +487,10 @@ impl ServerHandle {
     /// [`ServerHandle::join`] still collects whatever finished.
     pub fn stop(&self) {
         self.flags.stop.store(true, Ordering::SeqCst);
+        let state = self.state.lock().expect("server state poisoned");
+        for sub in &state.subscribers {
+            sub.wake();
+        }
     }
 
     /// Wait for the campaign to finish and merge the results.
@@ -549,16 +569,13 @@ fn serve_loop(
             let mut state = state.lock().expect("server state poisoned");
             state.expire_leases(now_ms(started));
             if state.finished() {
-                // Every publish preceded this observation (they happen in
-                // the same critical sections that make jobs terminal), so
-                // subscriber writers may now treat an empty queue as a
-                // complete log.
-                drop(state);
-                flags.finished.store(true, Ordering::SeqCst);
+                // Already flagged by the last terminal transition; this
+                // call covers a campaign with no jobs at all.
+                state.finish_if_done();
                 return Ok(());
             }
         }
-        std::thread::sleep(Duration::from_millis(2));
+        flags.nap(Duration::from_millis(2));
     }
 }
 
@@ -688,7 +705,7 @@ fn run_subscriber_writer(mut writer: Box<dyn Write + Send>, sub: &Arc<Subscriber
                 sub.close();
                 return;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            sub.wait(|| flags.finished.load(Ordering::SeqCst) || flags.stop.load(Ordering::SeqCst));
             continue;
         }
         let batch = Message::EventBatch {
