@@ -23,7 +23,7 @@
 //! parses/round-trips, extra artifacts exist, and the experiment's own
 //! landmark gate passes on the metrics the run reported.
 //!
-//! Usage: `repro [--quick] [--check] [--threads N] [--out DIR] <cmd>...`
+//! Usage: `repro [--quick] [--check] [--out DIR] <cmd>...`
 //! where `<cmd>` is an experiment name from `repro list`, `all`, or
 //! `serve`.
 
@@ -41,8 +41,8 @@ use uvf_accel::{
     ShootoutConfig, VulnerabilityReport,
 };
 use uvf_characterize::prelude::{
-    available_threads, cluster_brams, Campaign, CampaignEntry, CampaignJob, CampaignManifest,
-    LocationStats, Probe, RecoveryPolicy, SweepConfig, ThermalCampaign, LOCATION_ALPHA,
+    cluster_brams, Campaign, CampaignEntry, CampaignJob, CampaignManifest, LocationStats, Probe,
+    RecoveryPolicy, SweepConfig, ThermalCampaign, LOCATION_ALPHA,
 };
 use uvf_characterize::record::FvmRecord;
 use uvf_characterize::FvmCache;
@@ -213,7 +213,6 @@ fn experiment(name: &str) -> Option<&'static Experiment> {
 struct Args {
     quick: bool,
     check: bool,
-    threads: usize,
     workers: usize,
     kill: bool,
     out: PathBuf,
@@ -228,7 +227,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         quick: false,
         check: false,
-        threads: available_threads(),
         workers: 2,
         kill: false,
         out: PathBuf::from("repro-out"),
@@ -244,10 +242,6 @@ fn parse_args() -> Result<Args, String> {
             "--quick" => args.quick = true,
             "--check" => args.check = true,
             "--kill" => args.kill = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|_| format!("bad thread count {v}"))?;
-            }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
                 args.workers = v.parse().map_err(|_| format!("bad worker count {v}"))?;
@@ -287,7 +281,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     format!(
-        "usage: repro [--quick] [--check] [--threads N] [--out DIR] <cmd>...\n\
+        "usage: repro [--quick] [--check] [--out DIR] <cmd>...\n\
          commands: {} | list | all\n\
          `repro list` describes every experiment; `all` runs each except serve.\n\
          serve options: [--workers N] [--kill] [--endpoint E] [--metrics-addr A]\n\
@@ -295,7 +289,8 @@ fn usage() -> String {
          worker processes; --await-subscribers delays campaign start until N\n\
          watchers attached, --linger-ms keeps the process and its /metrics\n\
          endpoint alive after the last command)\n\
-         worker mode: repro work --endpoint <unix:PATH|tcp:HOST:PORT>\n\
+         worker mode: repro work --endpoint <unix:PATH|tcp:HOST:PORT> [--worker-id N]\n\
+         [--throttle-ms N] [--chunk-runs N] [--hang]  (uvf-serve-worker's options)\n\
          watch mode:  repro watch --endpoint E [--from SEQ] [--once]\n\
          promcheck:   repro promcheck <exposition.prom>...",
         REGISTRY
@@ -523,7 +518,6 @@ struct NetFixture {
 struct Ctx {
     quick: bool,
     check: bool,
-    threads: usize,
     workers: usize,
     kill: bool,
     out: PathBuf,
@@ -630,7 +624,7 @@ fn run_campaign(
         campaign.push(CampaignJob::new(kind, builder.build()));
     }
     campaign
-        .run(ctx.threads.clamp(1, kinds.len()))
+        .run_sequential()
         .map_err(|e| format!("campaign failed: {e:?}"))
 }
 
@@ -704,7 +698,7 @@ fn run_fig4(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
         let mut counts = Vec::with_capacity(runs as usize);
         for run in 0..runs {
             let faults = Probe::Bram
-                .sample_with_threads(&board, &model, &cfg, vcrash, run, ctx.threads)
+                .sample(&board, &model, &cfg, vcrash, run)
                 .map_err(|e| format!("sample: {e:?}"))?;
             tracer.counter("runs", 1);
             counts.push(faults);
@@ -819,7 +813,6 @@ fn run_fig8(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
     for &kind in kinds {
         let mut campaign = ThermalCampaign::new(kind);
         campaign.runs_per_point = runs;
-        campaign.threads = ctx.threads;
         let report = campaign
             .run(tracer)
             .map_err(|e| format!("{kind}: thermal campaign failed: {e:?}"))?;
@@ -877,7 +870,7 @@ fn run_table2(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
         let mut rates = Vec::with_capacity(runs as usize);
         for run in 0..runs {
             let faults = Probe::Bram
-                .sample_with_threads(&board, &model, &cfg, p.vccbram.vcrash, run, ctx.threads)
+                .sample(&board, &model, &cfg, p.vccbram.vcrash, run)
                 .map_err(|e| format!("sample: {e:?}"))?;
             tracer.counter("runs", 1);
             rates.push(faults as f64 / mbit);
@@ -1750,33 +1743,20 @@ fn run_command(cmd: &str, ctx: &mut Ctx) -> Result<(), String> {
     Ok(())
 }
 
-/// `repro work --endpoint E`: run this process as a campaign worker.
+/// `repro work --endpoint E [..]`: run this process as a campaign worker,
+/// with `uvf-serve-worker`'s command line.
 /// This is the command line [`run_serve`]'s supervisor spawns, so a
 /// distributed campaign needs no binary besides `repro` itself.
 fn run_work_mode() -> ExitCode {
-    let mut endpoint = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--endpoint" => endpoint = it.next(),
-            other => {
-                eprintln!("repro work: unknown argument {other}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(text) = endpoint else {
-        eprintln!("repro work: --endpoint is required\n{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let endpoint = match Endpoint::parse(&text) {
-        Ok(ep) => ep,
+    let args: Vec<String> = std::env::args().skip(2).collect();
+    let opts = match WorkerOptions::from_args(&args) {
+        Ok(opts) => opts,
         Err(msg) => {
-            eprintln!("repro work: {msg}");
+            eprintln!("repro work: {msg}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    match run_worker(&WorkerOptions::new(endpoint)) {
+    match run_worker(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("repro work: {e}");
@@ -2099,7 +2079,6 @@ fn main() -> ExitCode {
     let mut ctx = Ctx {
         quick: args.quick,
         check: args.check,
-        threads: args.threads.max(1),
         workers: args.workers,
         kill: args.kill,
         out: args.out,

@@ -154,6 +154,7 @@ pub struct Derived {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suite {
     pub quick: bool,
+    /// The host's available parallelism, recorded as a host fact.
     pub threads: usize,
     pub measurements: Vec<Measurement>,
     pub derived: Vec<Derived>,

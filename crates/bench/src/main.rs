@@ -12,11 +12,8 @@
 //! * `faults/die_build_vc707` — one cold build of the largest die through
 //!   a fresh `FvmCache`: the cost `FaultModel::with_chip_seed` hides
 //!   behind the shared cache after the first call.
-//! * `platform_scan/*` — one full-pool probe scan, sequential vs fanned
-//!   over all cores.
-//! * `campaign/*` — the 4-board Table-I campaign, sequential vs the
-//!   work-stealing pool (`campaign_speedup` is wall-clock, so it only
-//!   exceeds 1 on multi-core hosts).
+//! * `platform_scan/sequential` — one full-pool probe scan.
+//! * `campaign/sequential_4_boards` — the 4-board Table-I campaign.
 //! * `nn/*` — a quantized MLP read back through the VC707 fault masks,
 //!   then classified one sample at a time and over the whole MNIST-like
 //!   test split (`nn/classify_test_split`, the batched `error_on` every
@@ -36,18 +33,17 @@
 //! The suite run itself is traced: each bench group runs under a root span
 //! and the per-phase wall-time breakdown lands in `BENCH_sweep.json`.
 //!
-//! Usage: `uvf-bench [--quick] [--threads N] [--out PATH]`
+//! Usage: `uvf-bench [--quick] [--out PATH] [--baseline PATH]`
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use uvf_accel::{LayerFaults, MappedNetwork, Placement};
 use uvf_bench::{bench, compare_to_baseline, median_ns, BenchOptions, Measurement, Suite};
-use uvf_characterize::parallel::platform_fault_count;
-use uvf_characterize::platform_level_counts;
 use uvf_characterize::prelude::{
-    available_threads, Campaign, CampaignJob, FvmCache, Json, Probe, RecoveryPolicy, SweepConfig,
+    Campaign, CampaignJob, FvmCache, Json, Probe, RecoveryPolicy, SweepConfig,
 };
+use uvf_characterize::scan::{platform_fault_count, platform_level_counts};
 use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
 use uvf_nn::{DatasetKind, Mlp, QNetwork};
@@ -55,7 +51,6 @@ use uvf_trace::{Manifest, MemorySink, Tracer};
 
 struct Args {
     quick: bool,
-    threads: usize,
     out: PathBuf,
     /// Committed `BENCH_sweep.json` to compare against: exit non-zero on
     /// a > 20% median regression of any watched (mask-build/sweep) bench.
@@ -82,7 +77,6 @@ const BASELINE_WATCH: [&str; 8] = [
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         quick: false,
-        threads: available_threads(),
         out: PathBuf::from("BENCH_sweep.json"),
         baseline: None,
     };
@@ -90,10 +84,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|_| format!("bad thread count {v}"))?;
-            }
             "--out" => {
                 args.out = PathBuf::from(it.next().ok_or("--out needs a path")?);
             }
@@ -101,10 +91,7 @@ fn parse_args() -> Result<Args, String> {
                 args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: uvf-bench [--quick] [--threads N] [--out PATH] [--baseline PATH]"
-                        .into(),
-                );
+                return Err("usage: uvf-bench [--quick] [--out PATH] [--baseline PATH]".into());
             }
             other => return Err(format!("unknown argument {other}")),
         }
@@ -339,7 +326,7 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
     suite.derive("ladder_iter_vs_kernel_speedup", iter_op / kernel_op);
 
     // The sweep's counting phase over the same Listing-1 stream: per-run
-    // platform scans (the `ScanEngine::PerRun` oracle) vs each level's run
+    // platform scans (the `Probe::sample` oracle) vs each level's run
     // family batched through one `MaskPlan` scan. Per-run is stateless per
     // condition, so it too is priced on a strided subsample.
     let count_conds: Vec<&ResolvedCondition> = stream.iter().step_by(113).collect();
@@ -352,7 +339,7 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
         || {
             count_conds
                 .iter()
-                .map(|rc| platform_fault_count(&model, cfg.pattern, rc, 1))
+                .map(|rc| platform_fault_count(&model, cfg.pattern, rc))
                 .sum::<u64>()
         },
     );
@@ -367,7 +354,7 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
             families
                 .iter()
                 .map(|family| {
-                    platform_level_counts(&model, cfg.pattern, family, 1)
+                    platform_level_counts(&model, cfg.pattern, family)
                         .iter()
                         .sum::<u64>()
                 })
@@ -384,8 +371,8 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
     suite.derive("ladder_level_counts_speedup", per_run_op / batched_op);
 }
 
-/// One full-pool probe scan, sequential vs parallel.
-fn bench_platform_scan(suite: &mut Suite, opts: &BenchOptions, threads: usize) {
+/// One full-pool probe scan.
+fn bench_platform_scan(suite: &mut Suite, opts: &BenchOptions) {
     let kind = if opts.quick {
         PlatformKind::Zc702
     } else {
@@ -416,23 +403,10 @@ fn bench_platform_scan(suite: &mut Suite, opts: &BenchOptions, threads: usize) {
         },
     );
     print_measurement(suite.record(sequential));
-
-    let name = format!("platform_scan/parallel_{threads}_threads");
-    let parallel = bench(&name, platform.bram_count as u64, opts, || {
-        Probe::Bram
-            .sample_with_threads(&board, &model, &cfg, vcrash, 0, threads)
-            .expect("sample")
-    });
-    print_measurement(suite.record(parallel));
-
-    let n = suite.measurements.len();
-    let seq_ns = suite.measurements[n - 2].median_ns as f64;
-    let par_ns = suite.measurements[n - 1].median_ns.max(1) as f64;
-    suite.derive("parallel_scan_speedup", seq_ns / par_ns);
 }
 
-/// The 4-board Table-I campaign, sequential vs the work-stealing pool.
-fn bench_campaign(suite: &mut Suite, opts: &BenchOptions, threads: usize) {
+/// The 4-board Table-I campaign.
+fn bench_campaign(suite: &mut Suite, opts: &BenchOptions) {
     let runs_per_level = if opts.quick { 2 } else { 5 };
     let mut campaign = Campaign::new(RecoveryPolicy::default());
     for kind in PlatformKind::ALL {
@@ -453,17 +427,6 @@ fn bench_campaign(suite: &mut Suite, opts: &BenchOptions, threads: usize) {
         campaign.run_sequential().expect("campaign").len()
     });
     print_measurement(suite.record(sequential));
-
-    let name = format!("campaign/parallel_{threads}_board_threads");
-    let parallel = bench(&name, 4, &campaign_opts, || {
-        campaign.run(threads).expect("campaign").len()
-    });
-    print_measurement(suite.record(parallel));
-
-    let n = suite.measurements.len();
-    let seq_ns = suite.measurements[n - 2].median_ns as f64;
-    let par_ns = suite.measurements[n - 1].median_ns.max(1) as f64;
-    suite.derive("campaign_speedup", seq_ns / par_ns);
 }
 
 /// NN inference through the BRAM fault path: map a quantized MLP onto the
@@ -820,7 +783,9 @@ fn main() -> ExitCode {
     } else {
         BenchOptions::full()
     };
-    let threads = args.threads.max(1);
+    // Recorded as a host fact next to the timings; no bench takes a
+    // thread count.
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
         "uvf-bench: {} mode, {} host threads, {} samples/bench\n",
         if args.quick { "quick" } else { "full" },
@@ -851,7 +816,7 @@ fn main() -> ExitCode {
     println!();
     {
         let _p = phase_tracer.span("platform_scan");
-        bench_platform_scan(&mut suite, &opts, threads);
+        bench_platform_scan(&mut suite, &opts);
     }
     println!();
     // Every die lookup in the process goes through the shared FVM cache;
@@ -861,7 +826,7 @@ fn main() -> ExitCode {
     let campaign_start = (cache.hits(), cache.misses(), cache.evictions());
     {
         let _p = phase_tracer.span("campaign");
-        bench_campaign(&mut suite, &opts, threads);
+        bench_campaign(&mut suite, &opts);
     }
     let campaign_cache = (
         cache.hits() - campaign_start.0,
@@ -905,9 +870,6 @@ fn main() -> ExitCode {
     for d in &suite.derived {
         let unit = if d.name.ends_with("_pct") { '%' } else { 'x' };
         println!("  {:<32} {:>8.2}{unit}", d.name, d.value);
-    }
-    if threads < 4 {
-        println!("  (campaign/scan speedups need >= 4 cores to show; this host has {threads})");
     }
 
     // The acceptance bar on live observation: one draining subscriber may

@@ -1,7 +1,8 @@
-//! The docs must not name `repro` subcommands that do not exist. Every
-//! `repro <name>` written as code in README.md, DESIGN.md and
+//! The docs must not name `repro` subcommands or flags that do not exist.
+//! Every `repro <name>` written as code in README.md, DESIGN.md and
 //! EXPERIMENTS.md — inline code spans and fenced blocks — must be a row of
-//! the registry `repro list` prints, or one of the built-in modes.
+//! the registry `repro list` prints, or one of the built-in modes, and
+//! every `--flag` passed to `repro` there must appear in its usage text.
 
 use std::path::Path;
 use std::process::Command;
@@ -13,8 +14,7 @@ const MODES: [&str; 5] = ["list", "all", "work", "watch", "promcheck"];
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
 /// `repro` flags that consume the next token as their value.
-const VALUE_FLAGS: [&str; 8] = [
-    "--threads",
+const VALUE_FLAGS: [&str; 7] = [
     "--workers",
     "--out",
     "--endpoint",
@@ -44,6 +44,20 @@ fn registry() -> Vec<String> {
                 .flatten()
                 .map(str::to_string)
         })
+        .collect()
+}
+
+/// Every `--flag` in `repro`'s usage text (printed by `repro --help`).
+fn usage_flags() -> Vec<String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--help")
+        .output()
+        .expect("run repro --help");
+    String::from_utf8(out.stderr)
+        .expect("utf-8 usage")
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|t| is_flag(t))
+        .map(str::to_string)
         .collect()
 }
 
@@ -84,10 +98,15 @@ fn is_name(token: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "-+_".contains(c))
 }
 
-/// The subcommand names one code fragment passes to `repro`: the words
-/// after a `repro` token, skipping flags and flag values, up to a
-/// comment or shell operator.
-fn repro_names(code: &str) -> Vec<String> {
+/// A `--flag`; a bare `--` only ends cargo's own arguments.
+fn is_flag(token: &str) -> bool {
+    token.starts_with("--") && token.len() > 2
+}
+
+/// The subcommand names and `--flags` one code fragment passes to
+/// `repro`: the words after a `repro` token, skipping flag values and a
+/// bare `--`, up to a comment or shell operator.
+fn repro_words(code: &str) -> Vec<String> {
     let tokens: Vec<&str> = code.split_whitespace().collect();
     let mut names = Vec::new();
     for (i, _) in tokens
@@ -102,7 +121,8 @@ fn repro_names(code: &str) -> Vec<String> {
             }
             if VALUE_FLAGS.contains(&token) {
                 args.next();
-            } else if is_name(token) {
+            }
+            if is_name(token) || is_flag(token) {
                 names.push(token.to_string());
             }
         }
@@ -117,22 +137,28 @@ fn every_documented_repro_command_exists() {
         registry.iter().any(|n| n == "fig1") && registry.iter().any(|n| n == "serve"),
         "registry parse: {registry:?}"
     );
+    let flags = usage_flags();
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut unknown = Vec::new();
     let mut checked = 0;
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).expect("read doc");
-        for name in code_fragments(&text).iter().flat_map(|c| repro_names(c)) {
+        for word in code_fragments(&text).iter().flat_map(|c| repro_words(c)) {
             checked += 1;
-            if !registry.contains(&name) && !MODES.contains(&name.as_str()) {
-                unknown.push(format!("{doc}: repro {name}"));
+            let known = if is_flag(&word) {
+                flags.contains(&word)
+            } else {
+                registry.contains(&word) || MODES.contains(&word.as_str())
+            };
+            if !known {
+                unknown.push(format!("{doc}: repro {word}"));
             }
         }
     }
     assert!(checked > 10, "only {checked} references found");
     assert!(
         unknown.is_empty(),
-        "docs name missing commands: {unknown:#?}"
+        "docs name missing commands or flags: {unknown:#?}"
     );
 }
 
@@ -144,9 +170,21 @@ fn references_are_found_in_spans_and_fenced_commands() {
                ./target/release/repro watch --endpoint unix:/x | tee log\n\
                ```\n\
                the repro binary, `repro-out/`\n";
-    let names: Vec<String> = code_fragments(doc)
+    let words: Vec<String> = code_fragments(doc)
         .iter()
-        .flat_map(|c| repro_names(c))
+        .flat_map(|c| repro_words(c))
         .collect();
-    assert_eq!(names, ["fig14", "watch", "fig12", "fig3"]);
+    assert_eq!(
+        words,
+        [
+            "--check",
+            "fig14",
+            "watch",
+            "--endpoint",
+            "fig12",
+            "--quick",
+            "--out",
+            "fig3"
+        ]
+    );
 }

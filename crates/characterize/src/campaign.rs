@@ -1,13 +1,9 @@
-//! Multi-board campaign runner: one crash-resilient [`Harness`] per die on
-//! a work-stealing task queue.
+//! Multi-board campaign runner: one crash-resilient [`Harness`] per die.
 //!
 //! The paper characterizes four independent boards (Table I); a campaign
-//! runs each board's sweep as one job. Jobs are pulled from a shared
-//! atomic cursor by a pool of scoped worker threads — dynamic scheduling,
-//! because sweep costs differ wildly across platforms (the VC707's BRAM
-//! pool is 7× the ZC702's) — and results land in slots indexed by job
-//! position, so the merged output is **bit-identical** to running the same
-//! jobs sequentially, regardless of scheduling.
+//! runs each board's sweep as one job, in job order, on the calling
+//! thread. Scale-out is the cross-process `uvf-serve` fleet, which is
+//! required to reproduce this runner's manifest byte-for-byte.
 //!
 //! With a shared checkpoint directory every job checkpoints exactly like a
 //! standalone harness (same fingerprint guard, same atomic writes): a
@@ -15,14 +11,12 @@
 //! and still produces the sequential baseline's bytes.
 
 use crate::guardband::GuardbandReport;
-use crate::harness::{Harness, HarnessError, RecoveryPolicy, ScanEngine};
+use crate::harness::{Harness, HarnessError, RecoveryPolicy};
 use crate::json::Json;
 use crate::record::{req_str, req_u64, schema, RecordError, SweepOutcome, SweepRecord};
 use crate::store::CheckpointStore;
 use crate::sweep::SweepConfig;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use uvf_fpga::{Board, PlatformKind};
 use uvf_trace::Tracer;
 
@@ -233,18 +227,13 @@ fn outcome_from_json(v: &Json) -> Result<SweepOutcome, RecordError> {
     })
 }
 
-/// A set of independent board sweeps executed by a worker pool.
+/// A set of independent board sweeps, run one after another.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     jobs: Vec<CampaignJob>,
     policy: RecoveryPolicy,
     checkpoint_dir: Option<PathBuf>,
-    scan_threads: usize,
-    engine: ScanEngine,
-    /// Passive observability shared by the pool and inherited by every
-    /// job's harness. With multiple board threads the interleaving of
-    /// *campaign-level* events follows the (nondeterministic) scheduler;
-    /// each job's own event sub-stream stays deterministic.
+    /// Passive observability inherited by every job's harness.
     tracer: Tracer,
 }
 
@@ -255,19 +244,8 @@ impl Campaign {
             jobs: Vec::new(),
             policy,
             checkpoint_dir: None,
-            scan_threads: 1,
-            engine: ScanEngine::default(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Scan engine every job's harness uses. Pure performance knob —
-    /// `tests/ladder_identity.rs` and the serve chaos suite pin the
-    /// engines to identical bytes.
-    #[must_use]
-    pub fn with_engine(mut self, engine: ScanEngine) -> Campaign {
-        self.engine = engine;
-        self
     }
 
     /// Attach a tracer; every job's harness inherits it. Results are
@@ -306,22 +284,10 @@ impl Campaign {
         self
     }
 
-    /// Per-harness probe-scan fan-out (composes with the board-level pool:
-    /// total workers ≈ `board_threads × scan_threads`).
-    #[must_use]
-    pub fn with_scan_threads(mut self, threads: usize) -> Campaign {
-        self.scan_threads = threads.max(1);
-        self
-    }
-
     /// One job's full lifecycle: claim → sweep → done, with progress/ETA
-    /// after completion. `done` counts finished jobs across the pool.
-    fn run_job(
-        &self,
-        idx: usize,
-        job: &CampaignJob,
-        done: &AtomicUsize,
-    ) -> Result<CampaignEntry, HarnessError> {
+    /// after completion. Jobs run in order, so `idx + 1` jobs are done
+    /// once this one is.
+    fn run_job(&self, idx: usize, job: &CampaignJob) -> Result<CampaignEntry, HarnessError> {
         self.tracer.instant(
             "job_claimed",
             vec![
@@ -330,10 +296,8 @@ impl Campaign {
                 ("jobs_total", self.jobs.len().into()),
             ],
         );
-        let mut harness = Harness::new(job.board(), job.cfg, self.policy)?
-            .with_scan_threads(self.scan_threads)
-            .with_engine(self.engine)
-            .with_tracer(self.tracer.clone());
+        let mut harness =
+            Harness::new(job.board(), job.cfg, self.policy)?.with_tracer(self.tracer.clone());
         if let Some(dir) = &self.checkpoint_dir {
             let path = dir.join(job.checkpoint_name());
             // A torn or corrupt checkpoint (host crash mid-write) is
@@ -351,9 +315,7 @@ impl Campaign {
             }
             harness = harness.with_checkpoint_path(path)?;
         }
-        let result = harness.run();
-        let jobs_done = done.fetch_add(1, Ordering::Relaxed) + 1;
-        match result {
+        match harness.run() {
             Ok(outcome) => {
                 self.tracer.counter("jobs_done", 1);
                 self.tracer.instant(
@@ -362,7 +324,7 @@ impl Campaign {
                         ("job", idx.into()),
                         ("platform", job.kind.to_string().into()),
                         ("sim_ms", harness.clock_ms().into()),
-                        ("jobs_done", jobs_done.into()),
+                        ("jobs_done", (idx + 1).into()),
                         ("jobs_total", self.jobs.len().into()),
                     ],
                 );
@@ -402,65 +364,26 @@ impl Campaign {
         Ok(())
     }
 
-    /// Run every job on this thread, in job order: the baseline the
-    /// parallel path is required to reproduce byte-for-byte.
+    /// Run every job on this thread, in job order.
     pub fn run_sequential(&self) -> Result<Vec<CampaignEntry>, HarnessError> {
         self.ensure_checkpoint_dir()?;
         let _span = self.tracer.span_with(
             "campaign",
+            // Jobs run on one thread; the field stays so every event
+            // log is byte-stable.
             vec![("jobs", self.jobs.len().into()), ("workers", 1usize.into())],
         );
-        let done = AtomicUsize::new(0);
         self.jobs
             .iter()
             .enumerate()
-            .map(|(idx, job)| self.run_job(idx, job, &done))
+            .map(|(idx, job)| self.run_job(idx, job))
             .collect()
     }
 
-    /// Run the jobs on `board_threads` workers stealing from a shared
-    /// queue. Results are merged in job order; each entry is bit-identical
-    /// to what [`Campaign::run_sequential`] produces for that job.
-    pub fn run(&self, board_threads: usize) -> Result<Vec<CampaignEntry>, HarnessError> {
-        let workers = board_threads.min(self.jobs.len()).max(1);
-        if workers == 1 {
-            return self.run_sequential();
-        }
-        self.ensure_checkpoint_dir()?;
-        let _span = self.tracer.span_with(
-            "campaign",
-            vec![
-                ("jobs", self.jobs.len().into()),
-                ("workers", workers.into()),
-            ],
-        );
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<CampaignEntry, HarnessError>>>> =
-            self.jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Work stealing: each idle worker grabs the next
-                    // unclaimed job, so a slow VC707 sweep never blocks the
-                    // three cheaper boards behind it.
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = self.jobs.get(idx) else {
-                        return;
-                    };
-                    let result = self.run_job(idx, job, &done);
-                    *slots[idx].lock().expect("campaign slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("campaign slot poisoned")
-                    .expect("worker pool exited with an unfilled slot")
-            })
-            .collect()
+    /// Forwards to [`Campaign::run_sequential`]; `_board_threads` is
+    /// ignored. Kept only because the `perfbench/` workloads still call it.
+    pub fn run(&self, _board_threads: usize) -> Result<Vec<CampaignEntry>, HarnessError> {
+        self.run_sequential()
     }
 
     #[must_use]
@@ -488,7 +411,7 @@ mod tests {
 
     #[test]
     fn campaign_discovers_all_landmarks() {
-        let entries = short_campaign().run(4).unwrap();
+        let entries = short_campaign().run_sequential().unwrap();
         assert_eq!(entries.len(), 4);
         for entry in &entries {
             let platform = entry.job.kind.descriptor();
@@ -497,6 +420,7 @@ mod tests {
         }
     }
 
+    /// `run(n)` ignores its board count: any `n` gives `run_sequential`'s bytes.
     #[test]
     fn parallel_campaign_matches_sequential_bytes() {
         let campaign = short_campaign();
@@ -520,9 +444,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("uvf-campaign-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let campaign = short_campaign().with_checkpoint_dir(&dir);
-        let first = campaign.run(4).unwrap();
+        let first = campaign.run_sequential().unwrap();
         // Rerun: every job resumes from its finished checkpoint.
-        let second = campaign.run(4).unwrap();
+        let second = campaign.run_sequential().unwrap();
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.record.to_json_string(), b.record.to_json_string());
         }
@@ -554,16 +478,12 @@ mod tests {
     #[test]
     fn manifest_is_deterministic_and_roundtrips() {
         let campaign = short_campaign();
-        let sequential = CampaignManifest::from_entries(&campaign.run_sequential().unwrap());
-        let parallel = CampaignManifest::from_entries(&campaign.run(4).unwrap());
-        assert_eq!(
-            sequential.to_json_string(),
-            parallel.to_json_string(),
-            "manifest is schedule-independent"
-        );
-        let text = sequential.to_json_string();
+        let manifest = CampaignManifest::from_entries(&campaign.run_sequential().unwrap());
+        let rerun = CampaignManifest::from_entries(&campaign.run_sequential().unwrap());
+        assert_eq!(manifest, rerun, "manifest is deterministic");
+        let text = manifest.to_json_string();
         let back = CampaignManifest::parse(&text).unwrap();
-        assert_eq!(back, sequential);
+        assert_eq!(back, manifest);
         assert_eq!(back.to_json_string(), text, "byte-stable");
         assert_eq!(back.entries.len(), 4);
         assert!(back

@@ -19,10 +19,10 @@
 //! process restarts, which is what keeps resumed timelines identical too.
 
 use crate::backoff::Backoff;
-use crate::parallel;
 use crate::record::{
     Checkpoint, CrashEvent, LevelRecord, RecordError, RunRecord, SweepOutcome, SweepRecord,
 };
+use crate::scan::platform_level_counts;
 use crate::sweep::{Probe, SweepConfig};
 use std::error::Error;
 use std::fmt;
@@ -187,21 +187,6 @@ pub enum HarnessStatus {
     Paused { runs_done: u64 },
 }
 
-/// How the harness prices a BRAM probe scan. Pure performance knob:
-/// records, fingerprints and checkpoint bytes are bit-identical for every
-/// engine — `tests/ladder_identity.rs` pins that across all platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanEngine {
-    /// One full descending-threshold scan per `(level, run)` condition —
-    /// the seed-era baseline, kept as the equivalence oracle.
-    PerRun,
-    /// Batch every run of a level through one [`uvf_faults::MaskPlan`]:
-    /// the sorted cells are scanned once per level and each run costs two
-    /// binary searches plus its own jitter window.
-    #[default]
-    Ladder,
-}
-
 /// The crash-resilient sweep driver.
 pub struct Harness {
     board: Board,
@@ -219,13 +204,9 @@ pub struct Harness {
     clock: SimClock,
     armed: bool,
     runs_since_checkpoint: u32,
-    /// Workers for the per-BRAM probe scan (1 = sequential). Pure
-    /// performance knob: records are bit-identical for every value.
-    scan_threads: usize,
-    engine: ScanEngine,
-    /// The [`ScanEngine::Ladder`] level plan: per-run counts of the level
-    /// currently being swept, batched through one sorted-cell scan. Purely
-    /// derived state — never checkpointed, rebuilt identically on resume.
+    /// The BRAM probe's level plan: per-run counts of the level currently
+    /// being swept, batched through one sorted-cell scan. Purely derived
+    /// state — never checkpointed, rebuilt identically on resume.
     level_counts: Option<(Millivolts, Vec<u64>)>,
     /// Passive observability: events mirror what the harness does and
     /// never influence it, so records are bit-identical with tracing on.
@@ -266,25 +247,10 @@ impl Harness {
             clock: SimClock::new(),
             armed: false,
             runs_since_checkpoint: 0,
-            scan_threads: 1,
-            engine: ScanEngine::default(),
             level_counts: None,
             tracer: Tracer::disabled(),
             power,
         })
-    }
-
-    /// Select the probe-scan engine. Records are bit-identical for every
-    /// engine; [`ScanEngine::PerRun`] exists as the equivalence oracle.
-    #[must_use]
-    pub fn with_engine(mut self, engine: ScanEngine) -> Harness {
-        self.engine = engine;
-        self
-    }
-
-    #[must_use]
-    pub fn engine(&self) -> ScanEngine {
-        self.engine
     }
 
     /// Attach a tracer. Telemetry is strictly passive: the sweep record is
@@ -298,25 +264,6 @@ impl Harness {
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Fan the per-BRAM probe scan over `threads` workers (`<= 1` stays
-    /// sequential). The record is bit-identical either way; this only
-    /// changes wall-clock time.
-    #[must_use]
-    pub fn with_scan_threads(mut self, threads: usize) -> Harness {
-        self.set_scan_threads(threads);
-        self
-    }
-
-    /// See [`Harness::with_scan_threads`].
-    pub fn set_scan_threads(&mut self, threads: usize) {
-        self.scan_threads = threads.max(1);
-    }
-
-    #[must_use]
-    pub fn scan_threads(&self) -> usize {
-        self.scan_threads
     }
 
     /// Attach a checkpoint file. If it already exists it must belong to
@@ -671,7 +618,9 @@ impl Harness {
                 vec![
                     ("v_mv", v.0.into()),
                     ("run", run.into()),
-                    ("threads", self.scan_threads.into()),
+                    // The scan runs on one thread; the field stays so every
+                    // event log is byte-stable.
+                    ("threads", 1usize.into()),
                 ],
             );
             self.scan_faults(v, run)
@@ -686,13 +635,13 @@ impl Harness {
         }
     }
 
-    /// One probe scan under the configured [`ScanEngine`]. The ladder
-    /// engine's counts come from the level plan (identical `u64`s, built
-    /// from the same seeds); the liveness read is preserved so a hung
-    /// board still fails here instead of silently returning model data.
+    /// One probe scan. BRAM counts come from the level plan (the same
+    /// `u64`s [`Probe::sample`] returns, built from the same seeds); the
+    /// liveness read is preserved so a hung board still fails here instead
+    /// of silently returning model data.
     fn scan_faults(&mut self, v: Millivolts, run: u32) -> Result<u64, BoardError> {
-        if self.engine == ScanEngine::Ladder && self.probe == Probe::Bram {
-            // Same liveness check as the per-run probe path.
+        if self.probe == Probe::Bram {
+            // Same liveness check as `Probe::sample`.
             self.board.read_row(BramId(0), 0)?;
             if self.level_counts.as_ref().map(|(lv, _)| *lv) != Some(v) {
                 let counts = self.build_level_counts(v);
@@ -701,14 +650,8 @@ impl Harness {
             let (_, counts) = self.level_counts.as_ref().expect("level plan just built");
             Ok(counts[run as usize])
         } else {
-            self.probe.sample_with_threads(
-                &self.board,
-                &self.model,
-                &self.cfg,
-                v,
-                run,
-                self.scan_threads,
-            )
+            self.probe
+                .sample(&self.board, &self.model, &self.cfg, v, run)
         }
     }
 
@@ -726,12 +669,7 @@ impl Harness {
                 })
             })
             .collect();
-        parallel::platform_level_counts(
-            &self.model,
-            self.cfg.pattern,
-            &conditions,
-            self.scan_threads,
-        )
+        platform_level_counts(&self.model, self.cfg.pattern, &conditions)
     }
 
     /// Arm the probe and set the rail if either was disturbed (sweep start,

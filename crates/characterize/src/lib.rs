@@ -7,12 +7,12 @@
 //!   owned by `uvf-trace`, re-exported here for compatibility),
 //! * [`record`] — sweep records, crash telemetry and atomic checkpoints,
 //! * [`sweep`] — Listing-1 configuration and the BRAM/logic probes,
-//! * [`parallel`] — deterministic scoped-thread fan-out of the per-BRAM
-//!   probe scan (bit-identical to the sequential baseline),
+//! * [`scan`] — the per-BRAM probe scan: one condition or a whole
+//!   ladder-level family, summed in `BramId` order,
 //! * [`harness`] — watchdog + retry/backoff + power-cycle recovery +
 //!   checkpointed resume (the crash-resilience core),
-//! * [`campaign`] — multi-board runner: one harness per die on a
-//!   work-stealing queue with a shared checkpoint directory,
+//! * [`campaign`] — multi-board runner: one harness per die, in job
+//!   order, with a shared checkpoint directory,
 //! * [`guardband`] — `Vmin`/`Vcrash` discovery reports over the harness,
 //! * [`stats`] — the Fig. 5–8 statistical analyses (location χ², k-means
 //!   vulnerability clusters, thermal regression) over `uvf-stats`,
@@ -31,8 +31,8 @@ pub mod backoff;
 pub mod campaign;
 pub mod guardband;
 pub mod harness;
-pub mod parallel;
 pub mod record;
+pub mod scan;
 pub mod search;
 pub mod stats;
 pub mod store;
@@ -46,15 +46,13 @@ pub use uvf_trace::json;
 pub use backoff::Backoff;
 pub use campaign::{Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry};
 pub use guardband::{discover, discover_all, GuardbandReport};
-pub use harness::{
-    Harness, HarnessError, HarnessStatus, RecoveryPolicy, ScanEngine, SimClock, MS_PER_RUN,
-};
+pub use harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy, SimClock, MS_PER_RUN};
 pub use json::{Json, JsonError};
-pub use parallel::{available_threads, platform_level_counts};
 pub use record::{
     Checkpoint, CrashEvent, FvmRecord, LevelRecord, RecordError, RunRecord, SweepOutcome,
     SweepRecord, RECORD_VERSION,
 };
+pub use scan::platform_level_counts;
 pub use search::{VminProbe, VminSearch, VminSearchReport};
 pub use stats::{
     bram_rates_per_mbit, cluster_brams, BramClusters, LocationStats, ThermalCampaign, ThermalPoint,
@@ -84,9 +82,8 @@ pub mod prelude {
         Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry,
     };
     pub use crate::guardband::{discover, discover_all, GuardbandReport};
-    pub use crate::harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy, ScanEngine};
+    pub use crate::harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy};
     pub use crate::json::Json;
-    pub use crate::parallel::available_threads;
     pub use crate::record::{Checkpoint, FvmRecord, LevelRecord, SweepOutcome, SweepRecord};
     pub use crate::search::{VminProbe, VminSearch, VminSearchReport};
     pub use crate::stats::{

@@ -255,8 +255,6 @@ pub struct ThermalCampaign {
     /// Temperature ladder, ascending by convention.
     pub temperatures_c: Vec<f64>,
     pub runs_per_point: u32,
-    /// Workers for the per-BRAM probe scan (pure performance knob).
-    pub threads: usize,
     /// Chip seed override; the platform default when `None`.
     pub chip_seed: Option<u64>,
 }
@@ -294,7 +292,6 @@ impl ThermalCampaign {
             v: kind.descriptor().vccbram.vcrash,
             temperatures_c: vec![0.0, 25.0, 50.0, 65.0, 80.0],
             runs_per_point: 10,
-            threads: 1,
             chip_seed: None,
         }
     }
@@ -338,14 +335,7 @@ impl ThermalCampaign {
             board.set_rail_mv(Rail::Vccbram, self.v)?;
             let mut counts = Vec::with_capacity(self.runs_per_point as usize);
             for run in 0..self.runs_per_point {
-                let faults = Probe::Bram.sample_with_threads(
-                    &board,
-                    &model,
-                    &cfg,
-                    self.v,
-                    run,
-                    self.threads,
-                )?;
+                let faults = Probe::Bram.sample(&board, &model, &cfg, self.v, run)?;
                 tracer.counter("runs", 1);
                 counts.push(faults as f64);
             }

@@ -7,8 +7,8 @@
 //! self-test. Either way the probe goes *through the board*, so a hung
 //! board surfaces as `BoardError::Crashed` for the harness watchdog.
 
-use crate::parallel;
 use crate::record::SweepRecord;
+use crate::scan;
 use uvf_faults::{run_seed, FaultModel, ReadCondition};
 use uvf_fpga::{Board, BoardError, BramId, DataPattern, Millivolts, Rail, DEFAULT_TEMPERATURE_C};
 
@@ -298,21 +298,6 @@ impl Probe {
         v: Millivolts,
         run: u32,
     ) -> Result<u64, BoardError> {
-        self.sample_with_threads(board, model, cfg, v, run, 1)
-    }
-
-    /// [`Probe::sample`] with the per-BRAM scan fanned over `threads`
-    /// workers (`<= 1`: sequential). Bit-identical to the sequential path
-    /// for every thread count — see [`crate::parallel`].
-    pub fn sample_with_threads(
-        self,
-        board: &Board,
-        model: &FaultModel,
-        cfg: &SweepConfig,
-        v: Millivolts,
-        run: u32,
-        threads: usize,
-    ) -> Result<u64, BoardError> {
         match self {
             Probe::Bram => {
                 // Liveness check through the real read path: a hung board
@@ -326,15 +311,24 @@ impl Probe {
                 // Resolve once per condition: the thermal shift and jitter
                 // window are hoisted out of the per-BRAM, per-cell path.
                 let resolved = model.resolve(&cond);
-                Ok(parallel::platform_fault_count(
-                    model,
-                    cfg.pattern,
-                    &resolved,
-                    threads,
-                ))
+                Ok(scan::platform_fault_count(model, cfg.pattern, &resolved))
             }
             Probe::Logic => board.logic_selftest().map(u64::from),
         }
+    }
+
+    /// Forwards to [`Probe::sample`]; `_threads` is ignored. Kept only
+    /// because the `perfbench/` workloads still call it by this name.
+    pub fn sample_with_threads(
+        self,
+        board: &Board,
+        model: &FaultModel,
+        cfg: &SweepConfig,
+        v: Millivolts,
+        run: u32,
+        _threads: usize,
+    ) -> Result<u64, BoardError> {
+        self.sample(board, model, cfg, v, run)
     }
 }
 

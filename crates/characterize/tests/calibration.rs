@@ -1,15 +1,12 @@
 //! Calibration against the paper's published numbers (DESIGN §5).
 //!
 //! Pins the voltage landmarks, the fault-rate order of magnitude at
-//! `Vcrash`, and — since the indexed kernels and the parallel campaign
-//! runner made it affordable — the paper's full 100-run statistical
-//! campaign on every board, with a tight ±10 % tolerance on the median
-//! fault rate. Later PRs extend this with pattern dependence and thermal
-//! (ITD) shifts.
+//! `Vcrash`, and — since the indexed kernels made it affordable — the
+//! paper's full 100-run statistical campaign on every board, with a tight
+//! ±10 % tolerance on the median fault rate. Later PRs extend this with
+//! pattern dependence and thermal (ITD) shifts.
 
-use uvf_characterize::{
-    available_threads, cluster_brams, Campaign, Harness, Probe, RecoveryPolicy, SweepConfig,
-};
+use uvf_characterize::{cluster_brams, Campaign, Harness, Probe, RecoveryPolicy, SweepConfig};
 use uvf_faults::FaultModel;
 use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
 
@@ -96,7 +93,7 @@ fn fault_rate_at_vcrash_tracks_design_targets() {
 
 /// The statistically tight calibration: the paper's full Listing-1
 /// campaign (100 runs per level, nominal down to crash) on all four
-/// boards, fanned across the host's cores by the campaign runner. The
+/// boards, run by the campaign runner. The
 /// indexed fault kernels brought this from "run explicitly with
 /// `--ignored`" to well under a second of wall-clock, so it now gates
 /// every test run — landmarks exactly, median rate within ±10 %, and the
@@ -108,7 +105,7 @@ fn fault_rate_at_vcrash_tracks_design_targets() {
 fn full_hundred_run_campaign_matches_design_targets() {
     let cfg = SweepConfig::listing1(Rail::Vccbram);
     let entries = Campaign::all_platforms(cfg, RecoveryPolicy::default())
-        .run(available_threads())
+        .run_sequential()
         .unwrap();
     assert_eq!(entries.len(), DESIGN_TABLE.len());
     for (entry, (kind, _, vmin, vcrash, target_per_mbit, target_sigma)) in

@@ -1,33 +1,75 @@
-//! Property tests for the parallel sweep engine: fanning work over
-//! threads must never change a single byte of output.
+//! Same seeds, same bytes, on any host: no campaign or probe-scan entry
+//! point takes a worker count that can reach its output.
 //!
-//! Three layers, each checked on all four Table-I platforms:
-//!
-//! * probe level — [`Probe::sample_with_threads`] equals [`Probe::sample`]
-//!   for every thread count, voltage and run index tried,
-//! * harness level — a sweep with a fanned probe scan serializes to the
-//!   same `SweepRecord` JSON bytes as the sequential baseline,
-//! * campaign level — the work-stealing multi-board runner reproduces
-//!   `run_sequential`'s bytes, including the on-disk checkpoint files and
-//!   their resume fingerprints.
+//! * campaign — a traced `Campaign::run(4)` over the four Table-I jobs
+//!   writes `run_sequential()`'s JSONL event log, records and on-disk
+//!   checkpoint files, and either checkpoint directory resumes the other,
+//! * probe — [`Probe::sample_with_threads`] equals [`Probe::sample`].
 
-use uvf_characterize::{Campaign, CampaignJob, Harness, Probe, RecoveryPolicy, SweepConfig};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use uvf_characterize::{
+    Campaign, CampaignEntry, CampaignJob, HarnessError, Probe, RecoveryPolicy, SweepConfig,
+};
 use uvf_faults::FaultModel;
 use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
+use uvf_trace::{JsonlSink, Tracer};
 
-/// A short ladder ending in the crash, like the campaign tests use: cheap
-/// but still covers safe, critical and crash levels.
-fn short_cfg(kind: PlatformKind, runs_per_level: u32) -> SweepConfig {
-    SweepConfig::builder(Rail::Vccbram)
-        .runs(runs_per_level)
-        .start(Millivolts(kind.descriptor().vccbram.vmin.0 + 20))
-        .build()
+type RunFn = fn(&Campaign) -> Result<Vec<CampaignEntry>, HarnessError>;
+
+/// The four Table-I boards, each on a short ladder ending in the crash,
+/// checkpointing into `dir`.
+fn table1_campaign(dir: &Path) -> Campaign {
+    let mut campaign = Campaign::new(RecoveryPolicy::default()).with_checkpoint_dir(dir);
+    for kind in PlatformKind::ALL {
+        let cfg = SweepConfig::builder(Rail::Vccbram)
+            .runs(2)
+            .start(Millivolts(kind.descriptor().vccbram.vmin.0 + 20))
+            .build();
+        campaign.push(CampaignJob::new(kind, cfg));
+    }
+    campaign
 }
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
+/// Run the campaign traced into a fresh `tag` directory; return its
+/// entries, its event log and the directory.
+fn traced_run(tag: &str, run: RunFn) -> (Vec<CampaignEntry>, String, PathBuf) {
     let dir = std::env::temp_dir().join(format!("uvf-par-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    dir
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("events.jsonl");
+    let tracer = Tracer::builder()
+        .sink(Arc::new(JsonlSink::create(&log).unwrap()))
+        .build();
+    let entries = run(&table1_campaign(&dir).with_tracer(tracer.clone())).unwrap();
+    tracer.flush();
+    (entries, std::fs::read_to_string(&log).unwrap(), dir)
+}
+
+#[test]
+fn parallel_campaign_matches_sequential_bytes_and_checkpoints() {
+    let (sequential, seq_log, seq_dir) = traced_run("seq", Campaign::run_sequential);
+    let (four, four_log, four_dir) = traced_run("four", |c| c.run(4));
+    assert!(seq_log.contains("\"job_done\""), "jobs land in the log");
+    assert!(seq_log.contains("\"workers\":1"), "one campaign worker");
+    assert_eq!(seq_log, four_log, "run(4) changed the event log");
+
+    assert_eq!(sequential, four);
+    for s in &sequential {
+        // The on-disk checkpoints — fingerprint line included — must be the
+        // same bytes, so either directory can resume the other's campaign.
+        let name = s.job.checkpoint_name();
+        assert_eq!(
+            std::fs::read(seq_dir.join(&name)).unwrap(),
+            std::fs::read(four_dir.join(&name)).unwrap(),
+            "{name}: checkpoint bytes differ"
+        );
+    }
+    let resumed = table1_campaign(&seq_dir).run(4).unwrap();
+    assert_eq!(sequential, resumed, "cross-resume drifted");
+
+    std::fs::remove_dir_all(&seq_dir).ok();
+    std::fs::remove_dir_all(&four_dir).ok();
 }
 
 #[test]
@@ -38,104 +80,13 @@ fn parallel_probe_sample_equals_sequential_on_all_platforms() {
         let cfg = SweepConfig::quick(Rail::Vccbram, 3);
         let mut board = Board::new(platform);
         Probe::Bram.arm(&mut board, cfg.pattern).unwrap();
-        let vmin = platform.vccbram.vmin;
-        let vcrash = platform.vccbram.vcrash;
-        let voltages = [
-            Millivolts::NOMINAL,
-            Millivolts(vmin.0 + 10),
-            vmin,
-            Millivolts(vcrash.0 + 10),
-            vcrash,
-        ];
-        for v in voltages {
+        let lm = platform.vccbram;
+        for v in [Millivolts::NOMINAL, lm.vmin, lm.vcrash] {
             for run in 0..3 {
-                let sequential = Probe::Bram.sample(&board, &model, &cfg, v, run).unwrap();
-                for threads in [2, 3, 5, 8, 64] {
-                    let parallel = Probe::Bram
-                        .sample_with_threads(&board, &model, &cfg, v, run, threads)
-                        .unwrap();
-                    assert_eq!(
-                        parallel, sequential,
-                        "{kind:?} at {v} run {run} with {threads} threads"
-                    );
-                }
+                let sample = Probe::Bram.sample(&board, &model, &cfg, v, run);
+                let with_threads = Probe::Bram.sample_with_threads(&board, &model, &cfg, v, run, 8);
+                assert_eq!(sample, with_threads, "{kind:?} at {v} run {run}");
             }
         }
     }
-}
-
-#[test]
-fn fanned_harness_record_is_byte_identical_on_all_platforms() {
-    for kind in PlatformKind::ALL {
-        let platform = kind.descriptor();
-        let cfg = short_cfg(kind, 2);
-
-        let mut sequential =
-            Harness::new(Board::new(platform), cfg, RecoveryPolicy::default()).unwrap();
-        sequential.run().unwrap();
-
-        let mut fanned = Harness::new(Board::new(platform), cfg, RecoveryPolicy::default())
-            .unwrap()
-            .with_scan_threads(4);
-        fanned.run().unwrap();
-
-        assert_eq!(
-            sequential.record().to_json_string(),
-            fanned.record().to_json_string(),
-            "{kind:?}: fanned probe scan changed the record bytes"
-        );
-        assert_eq!(
-            sequential.record().fingerprint(),
-            fanned.record().fingerprint(),
-            "{kind:?}: resume fingerprint drifted"
-        );
-    }
-}
-
-#[test]
-fn parallel_campaign_matches_sequential_bytes_and_checkpoints() {
-    let build = |dir: &std::path::Path| {
-        let mut campaign = Campaign::new(RecoveryPolicy::default()).with_checkpoint_dir(dir);
-        for kind in PlatformKind::ALL {
-            campaign.push(CampaignJob::new(kind, short_cfg(kind, 2)));
-        }
-        campaign
-    };
-    let seq_dir = scratch_dir("seq");
-    let par_dir = scratch_dir("par");
-
-    let sequential = build(&seq_dir).run_sequential().unwrap();
-    let campaign = build(&par_dir);
-    let parallel = campaign.run(4).unwrap();
-
-    assert_eq!(sequential.len(), parallel.len());
-    for (s, p) in sequential.iter().zip(&parallel) {
-        assert_eq!(s.job.kind, p.job.kind);
-        assert_eq!(
-            s.record.to_json_string(),
-            p.record.to_json_string(),
-            "{:?}: parallel campaign record drifted",
-            s.job.kind
-        );
-        assert_eq!(s.record.fingerprint(), p.record.fingerprint());
-        assert_eq!(s.outcome, p.outcome);
-        assert_eq!(s.sim_ms, p.sim_ms);
-
-        // The on-disk checkpoints — fingerprint line included — must be the
-        // same bytes, so either directory can resume the other's campaign.
-        let name = s.job.checkpoint_name();
-        let seq_cp = std::fs::read_to_string(seq_dir.join(&name)).unwrap();
-        let par_cp = std::fs::read_to_string(par_dir.join(&name)).unwrap();
-        assert_eq!(seq_cp, par_cp, "{name}: checkpoint bytes differ");
-    }
-
-    // Cross-resume: rerun the parallel campaign on the *sequential* run's
-    // checkpoint directory; every job must resume to identical bytes.
-    let resumed = build(&seq_dir).run(4).unwrap();
-    for (s, r) in sequential.iter().zip(&resumed) {
-        assert_eq!(s.record.to_json_string(), r.record.to_json_string());
-    }
-
-    std::fs::remove_dir_all(&seq_dir).ok();
-    std::fs::remove_dir_all(&par_dir).ok();
 }

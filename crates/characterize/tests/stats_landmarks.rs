@@ -98,7 +98,6 @@ fn fig8_thermal_slope_is_negative_on_every_platform() {
     for kind in PlatformKind::ALL {
         let mut campaign = ThermalCampaign::new(kind);
         campaign.runs_per_point = 3;
-        campaign.threads = available_threads();
         let report = campaign.run(&Tracer::disabled()).expect("campaign runs");
         let log_slope = report.log_fit.map(|f| f.slope);
         println!(
@@ -137,16 +136,11 @@ fn binary_search_vmin_matches_the_exhaustive_sweep_on_every_platform() {
             .start(Millivolts(platform.vccbram.vmin.0 + 40))
             .build();
         let board = uvf_fpga::Board::new(platform);
-        let mut harness = Harness::new(board, cfg, RecoveryPolicy::default())
-            .unwrap()
-            .with_scan_threads(available_threads());
+        let mut harness = Harness::new(board, cfg, RecoveryPolicy::default()).unwrap();
         harness.run().unwrap();
         let sweep_vmin = harness.record().vmin();
 
-        let report = VminSearch::new(kind, cfg)
-            .with_scan_threads(available_threads())
-            .run()
-            .unwrap();
+        let report = VminSearch::new(kind, cfg).run().unwrap();
         println!(
             "{kind}: sweep vmin={:?} search vmin={:?} probes={}/{} levels",
             sweep_vmin,

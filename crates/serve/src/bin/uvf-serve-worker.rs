@@ -8,65 +8,18 @@
 //! ```
 //!
 //! `--throttle-ms` / `--hang` are chaos knobs for the kill-tolerance
-//! tests; see [`uvf_serve::WorkerOptions`].
+//! tests; see [`uvf_serve::WorkerOptions`]. `repro work` takes the same
+//! arguments through the same [`WorkerOptions::from_args`].
 
 use std::process::ExitCode;
-use uvf_serve::protocol::Endpoint;
 use uvf_serve::worker::{run_worker, WorkerOptions};
 
 const USAGE: &str = "usage: uvf-serve-worker --endpoint <unix:PATH|tcp:HOST:PORT> \
 [--worker-id N] [--throttle-ms N] [--chunk-runs N] [--hang]";
 
-fn parse_args(args: &[String]) -> Result<WorkerOptions, String> {
-    let mut endpoint: Option<Endpoint> = None;
-    let mut worker_id: Option<u64> = None;
-    let mut throttle_ms: u64 = 0;
-    let mut chunk_runs: u64 = 8;
-    let mut hang = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--endpoint" => endpoint = Some(Endpoint::parse(&value("--endpoint")?)?),
-            "--worker-id" => {
-                worker_id = Some(
-                    value("--worker-id")?
-                        .parse()
-                        .map_err(|e| format!("--worker-id: {e}"))?,
-                );
-            }
-            "--throttle-ms" => {
-                throttle_ms = value("--throttle-ms")?
-                    .parse()
-                    .map_err(|e| format!("--throttle-ms: {e}"))?;
-            }
-            "--chunk-runs" => {
-                chunk_runs = value("--chunk-runs")?
-                    .parse()
-                    .map_err(|e| format!("--chunk-runs: {e}"))?;
-            }
-            "--hang" => hang = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    let endpoint = endpoint.ok_or("--endpoint is required")?;
-    let mut opts = WorkerOptions::new(endpoint);
-    if let Some(id) = worker_id {
-        opts.worker_id = id;
-    }
-    opts.throttle_ms = throttle_ms;
-    opts.chunk_runs = chunk_runs;
-    opts.hang = hang;
-    Ok(opts)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
+    let opts = match WorkerOptions::from_args(&args) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("uvf-serve-worker: {msg}\n{USAGE}");

@@ -62,6 +62,42 @@ impl WorkerOptions {
             connect_attempts: 10,
         }
     }
+
+    /// Parse a worker command line (program name already stripped):
+    /// `--endpoint <unix:PATH|tcp:HOST:PORT> [--worker-id N]
+    /// [--throttle-ms N] [--chunk-runs N] [--hang]`. The one parser behind
+    /// both the `uvf-serve-worker` binary and `repro work`.
+    pub fn from_args(args: &[String]) -> Result<WorkerOptions, String> {
+        let mut endpoint = None;
+        let mut worker_id = None;
+        let mut throttle_ms = None;
+        let mut chunk_runs = None;
+        let mut hang = false;
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = |name: &str| {
+                it.next()
+                    .ok_or_else(|| format!("{name} needs a value"))
+                    .map(String::as_str)
+            };
+            let number =
+                |name: &str, text: &str| text.parse::<u64>().map_err(|e| format!("{name}: {e}"));
+            match arg.as_str() {
+                name @ "--endpoint" => endpoint = Some(Endpoint::parse(value(name)?)?),
+                name @ "--worker-id" => worker_id = Some(number(name, value(name)?)?),
+                name @ "--throttle-ms" => throttle_ms = Some(number(name, value(name)?)?),
+                name @ "--chunk-runs" => chunk_runs = Some(number(name, value(name)?)?),
+                "--hang" => hang = true,
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        let mut opts = WorkerOptions::new(endpoint.ok_or("--endpoint is required")?);
+        opts.worker_id = worker_id.unwrap_or(opts.worker_id);
+        opts.throttle_ms = throttle_ms.unwrap_or(opts.throttle_ms);
+        opts.chunk_runs = chunk_runs.unwrap_or(opts.chunk_runs);
+        opts.hang = hang;
+        Ok(opts)
+    }
 }
 
 /// The socket's write half, shared between the worker's control loop and
@@ -227,4 +263,47 @@ fn connect_with_backoff(opts: &WorkerOptions) -> io::Result<Conn> {
         }
     }
     Err(last.unwrap_or_else(|| io::Error::other("no connection attempts made")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<WorkerOptions, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        WorkerOptions::from_args(&args)
+    }
+
+    #[test]
+    fn from_args_reads_every_option_and_keeps_defaults() {
+        let opts = parse(
+            "--endpoint unix:/tmp/w.sock --worker-id 7 --throttle-ms 5 --chunk-runs 3 --hang",
+        )
+        .unwrap();
+        assert_eq!(opts.endpoint.to_string(), "unix:/tmp/w.sock");
+        let read = (opts.worker_id, opts.throttle_ms, opts.chunk_runs, opts.hang);
+        assert_eq!(read, (7, 5, 3, true));
+        let opts = parse("--endpoint tcp:127.0.0.1:9").unwrap();
+        assert_eq!(
+            (opts.throttle_ms, opts.chunk_runs, opts.hang),
+            (0, 8, false)
+        );
+    }
+
+    #[test]
+    fn from_args_rejects_bad_command_lines() {
+        for (line, want) in [
+            ("", "--endpoint is required"),
+            ("--endpoint", "--endpoint needs a value"),
+            ("--endpoint unix:/s --worker-id x", "--worker-id:"),
+            (
+                "--endpoint unix:/s --chunk-runs",
+                "--chunk-runs needs a value",
+            ),
+            ("--endpoint unix:/s --bogus 2", "unknown argument"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(want), "{line:?}: {err}");
+        }
+    }
 }

@@ -18,6 +18,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use uvf_characterize::prelude::*;
 use uvf_characterize::record::Checkpoint;
+use uvf_faults::FaultModel;
 use uvf_fpga::seedmix::mix;
 use uvf_fpga::{Millivolts, PlatformKind, Rail};
 use uvf_serve::{
@@ -442,23 +443,34 @@ fn sigkilled_and_hung_workers_recover_to_identical_bytes() {
     std::fs::remove_dir_all(&dist_dir).ok();
 }
 
-/// The ladder kernel and the FVM cache are pure perf machinery: a
-/// distributed campaign (workers sweep with the default ladder engine,
-/// models served from the process-wide cache) must merge to the same
-/// manifest bytes as an in-process baseline forced onto the legacy
-/// per-run engine — and census queries answered mid-campaign must match
-/// a from-scratch capture byte-for-byte.
+/// The ladder level plan and the FVM cache are pure perf machinery: every
+/// run of an in-process baseline equals a per-run [`Probe::sample`] scan,
+/// a distributed campaign (models served from the process-wide cache)
+/// merges to the baseline's manifest bytes, and census queries answered
+/// mid-campaign match a from-scratch capture byte-for-byte.
 #[test]
 fn ladder_engine_and_fvm_cache_preserve_merged_manifest_bytes() {
     let jobs = campaign_jobs();
     let base_dir = scratch_dir("base-ladder");
-    let mut campaign = Campaign::new(RecoveryPolicy::default())
-        .with_checkpoint_dir(&base_dir)
-        .with_engine(ScanEngine::PerRun);
+    let mut campaign = Campaign::new(RecoveryPolicy::default()).with_checkpoint_dir(&base_dir);
     for job in &jobs {
         campaign.push(*job);
     }
     let expected = campaign.run_sequential().unwrap();
+    for CampaignEntry { job, record, .. } in &expected {
+        let model = FaultModel::with_chip_seed(job.kind.descriptor(), job.seed());
+        let mut board = job.board();
+        Probe::Bram.arm(&mut board, job.cfg.pattern).unwrap();
+        for (level, r) in record
+            .levels
+            .iter()
+            .flat_map(|l| l.runs.iter().map(move |r| (l, r)))
+        {
+            let v = Millivolts(level.v_mv);
+            let oracle = Probe::Bram.sample(&board, &model, &job.cfg, v, r.run);
+            assert_eq!(Ok(r.faults), oracle, "{job:?} at {v} run {}", r.run);
+        }
+    }
     let manifest_expected = CampaignManifest::from_entries(&expected).to_json_string();
 
     let dir = scratch_dir("dist-ladder");

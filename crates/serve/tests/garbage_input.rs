@@ -1,0 +1,202 @@
+//! Parsers answer garbage with typed errors, never a panic.
+//!
+//! Each parser gets a valid input built from real artifacts — a crashed
+//! sweep's checkpoint, a die's FVM census, a wire stream holding every
+//! protocol message — and then thousands of deterministic mutations of
+//! it, drawn from [`SplitMix64`]: byte flips, truncations and JSON
+//! punctuation splices. A panic fails the test and names the mutation.
+
+use std::io::Cursor;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use uvf_characterize::prelude::*;
+use uvf_characterize::record::Checkpoint;
+use uvf_faults::FaultModel;
+use uvf_fpga::seedmix::SplitMix64;
+use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
+use uvf_serve::protocol::Message;
+
+const MUTATIONS: u64 = 1500;
+
+/// Fragments that steer a JSON parser into its less-travelled paths.
+const SPLICES: [&[u8]; 16] = [
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b":",
+    b",",
+    b"\"",
+    b"\\",
+    b"-",
+    b"1e999",
+    b"null",
+    b"\\u",
+    b"\\ud800",
+    b"18446744073709551616",
+    b"[[[[[[[[",
+    b"\xff",
+];
+
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
+}
+
+/// One mutation of `valid`, and the name of its kind.
+fn mutate(rng: &mut SplitMix64, valid: &[u8]) -> (&'static str, Vec<u8>) {
+    let mut bytes = valid.to_vec();
+    match rng.next_u64() % 3 {
+        0 => {
+            for _ in 0..=below(rng, 4) {
+                let at = below(rng, bytes.len());
+                bytes[at] ^= 1 << below(rng, 8);
+            }
+            ("flip", bytes)
+        }
+        1 => {
+            bytes.truncate(below(rng, bytes.len()));
+            ("truncate", bytes)
+        }
+        _ => {
+            for _ in 0..=below(rng, 3) {
+                let at = below(rng, bytes.len() + 1);
+                let splice = SPLICES[below(rng, SPLICES.len())];
+                // Replace up to a few bytes, or insert when `cut` is 0.
+                let cut = below(rng, 4).min(bytes.len() - at);
+                bytes.splice(at..at + cut, splice.iter().copied());
+            }
+            ("splice", bytes)
+        }
+    }
+}
+
+/// Feed `MUTATIONS` mutants of `valid` to `parse`; return how many it
+/// rejected. `parse` must never panic.
+fn fuzz(label: &str, seed: u64, valid: &[u8], parse: impl Fn(&[u8]) -> bool) -> u64 {
+    assert!(parse(valid), "{label}: the unmutated input must parse");
+    let mut rng = SplitMix64::new(seed);
+    let mut rejected = 0;
+    for i in 0..MUTATIONS {
+        let (kind, input) = mutate(&mut rng, valid);
+        match catch_unwind(AssertUnwindSafe(|| parse(&input))) {
+            Ok(true) => {}
+            Ok(false) => rejected += 1,
+            Err(_) => panic!(
+                "{label}: mutation {i} ({kind}) panicked on {:.300}",
+                String::from_utf8_lossy(&input)
+            ),
+        }
+    }
+    rejected
+}
+
+/// A finished ZC702 sweep that crashed, recovered and hit the boundary.
+fn crashed_record() -> (SweepRecord, u64) {
+    let kind = PlatformKind::Zc702;
+    let cfg = SweepConfig::builder(Rail::Vccbram)
+        .runs(2)
+        .start(Millivolts(kind.descriptor().vccbram.vmin.0 + 20))
+        .build();
+    let mut h = Harness::new(
+        Board::new(kind.descriptor()),
+        cfg,
+        RecoveryPolicy::default(),
+    )
+    .unwrap();
+    h.run().unwrap();
+    assert!(!h.record().crash_events.is_empty());
+    (h.record().clone(), h.clock_ms())
+}
+
+fn fvm_text() -> String {
+    let p = PlatformKind::Zc702.descriptor();
+    FvmRecord::capture(&FaultModel::new(p), p.vccbram.vmin).to_json_string()
+}
+
+#[test]
+fn checkpoint_parse_never_panics() {
+    let (record, clock_ms) = crashed_record();
+    let text = Checkpoint {
+        record,
+        attempt: 1,
+        clock_ms,
+    }
+    .to_json_string();
+    let rejected = fuzz("checkpoint", 1, text.as_bytes(), |b| {
+        Checkpoint::parse(&String::from_utf8_lossy(b)).is_ok()
+    });
+    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
+}
+
+#[test]
+fn fvm_record_parse_never_panics() {
+    let rejected = fuzz("fvm record", 2, fvm_text().as_bytes(), |b| {
+        FvmRecord::parse(&String::from_utf8_lossy(b)).is_ok()
+    });
+    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
+}
+
+#[test]
+fn message_frames_never_panic() {
+    let (record, clock_ms) = crashed_record();
+    let spec = CampaignJob::new(PlatformKind::Kc705A, SweepConfig::quick(Rail::Vccbram, 3));
+    let messages = [
+        Message::Hello { worker: 42 },
+        Message::JobRequest { worker: 42 },
+        Message::JobAssign {
+            job: 2,
+            spec,
+            policy: RecoveryPolicy::default(),
+            checkpoint_dir: Some("/tmp/ckpt".into()),
+        },
+        Message::NoJob { done: false },
+        Message::Event {
+            job: 2,
+            line: r#"{"seq":0,"kind":"instant","name":"crash"}"#.into(),
+        },
+        Message::JobDone {
+            job: 2,
+            record: record.to_json_string(),
+            sim_ms: clock_ms,
+        },
+        Message::JobFailed {
+            job: 2,
+            error: "board on fire".into(),
+        },
+        Message::GetFvm {
+            platform: PlatformKind::Zc702.to_string(),
+            chip_seed: 0xFEED,
+            temp_mc: -1_500,
+            v_ref_mv: 540,
+        },
+        Message::Fvm { record: fvm_text() },
+        Message::Subscribe {
+            from_seq: 17,
+            queue_cap: 0,
+        },
+        Message::EventBatch {
+            first_seq: 17,
+            lines: vec![r#"{"seq":17,"kind":"instant","name":"job_done"}"#.into()],
+            dropped: 3,
+            done: true,
+        },
+        Message::Unsubscribe,
+    ];
+    let mut wire = Vec::new();
+    for msg in &messages {
+        msg.write_to(&mut wire).unwrap();
+    }
+    // Read frames the way a connection does: until a clean close or the
+    // first error, which drops the connection.
+    let rejected = fuzz("frames", 3, &wire, |b| {
+        let mut reader = Cursor::new(b);
+        let mut read = 0;
+        loop {
+            match Message::read_from(&mut reader) {
+                Ok(Some(_)) => read += 1,
+                Ok(None) => return read == messages.len(),
+                Err(_) => return false,
+            }
+        }
+    });
+    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
+}
