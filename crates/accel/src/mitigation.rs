@@ -380,8 +380,10 @@ pub fn mitigation_shootout(
 /// ICBP variants rank sites with a `Vcrash` fault-variation map — the
 /// characterization you would run once per chip — and pin
 /// `cfg.protected_layer` onto the cleanest window. Every rung is read back
-/// (so the ECC tallies are always measured), but a rung whose read-back
-/// is bit-identical to the previous one reuses its error.
+/// (so the ECC tallies are always measured), but each rung's
+/// classification recomputes only the weight rows that changed since the
+/// previous rung (`uvf_nn::Scorer`), and a bit-identical read-back reuses
+/// the previous error.
 ///
 /// # Errors
 /// Propagates any [`BoardError`] from the weight loads or bulk reads.

@@ -16,8 +16,10 @@
 //! * `campaign/sequential_4_boards` — the 4-board Table-I campaign.
 //! * `nn/*` — a quantized MLP read back through the VC707 fault masks,
 //!   then classified one sample at a time and over the whole MNIST-like
-//!   test split (`nn/classify_test_split`, the batched `error_on` every
-//!   ladder rung runs).
+//!   test split (`nn/classify_test_split`, the batched `error_on` a cold
+//!   rung runs), and rescored after a flip in one weight row
+//!   (`nn/rescore_one_row`, what a `Scorer` runs on a ladder rung that
+//!   picked up one new flip; `nn_rescore_one_row_speedup` is the ratio).
 //! * `ecc_decode/*` — the raw corrupted read-back vs the SECDED
 //!   corrupt-and-decode path over the same fault masks, paired per sample
 //!   (`ecc_decode_overhead_x` is the acceptance number: the mitigation
@@ -46,7 +48,7 @@ use uvf_characterize::prelude::{
 use uvf_characterize::scan::{platform_fault_count, platform_level_counts};
 use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
-use uvf_nn::{DatasetKind, Mlp, QNetwork};
+use uvf_nn::{DatasetKind, Mlp, QNetwork, Scorer};
 use uvf_trace::{Manifest, MemorySink, Tracer};
 
 struct Args {
@@ -62,8 +64,9 @@ const MAX_REGRESSION_PCT: f64 = 20.0;
 /// Bench-name prefixes `--baseline` watches: the cold die build the
 /// shared cache hides, the mask-build and sweep phases the ladder kernel
 /// accelerates, the SECDED decode path the mitigation shoot-out leans on,
-/// and the inference kernel that scores every ladder rung.
-const BASELINE_WATCH: [&str; 8] = [
+/// and the inference kernel that scores every ladder rung, cold and
+/// row-delta.
+const BASELINE_WATCH: [&str; 9] = [
     "faults/die_build",
     "mask_build",
     "ladder_mask_build",
@@ -72,6 +75,7 @@ const BASELINE_WATCH: [&str; 8] = [
     "campaign",
     "ecc_decode",
     "nn/classify",
+    "nn/rescore",
 ];
 
 fn parse_args() -> Result<Args, String> {
@@ -492,6 +496,31 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
         corrupted.error_on(&test)
     });
     print_measurement(suite.record(split));
+
+    // The rung a ladder scores most: the same split after one more flip in
+    // one row of the first layer, through a `Scorer` that last scored the
+    // net without it (ns/op is per image). The nets alternate, so every
+    // call is a one-row delta; they are cloned up front, as a read-back
+    // hands the scorer a fresh net.
+    let mut flipped = corrupted.clone();
+    let w = &mut flipped.layers_mut()[0].w;
+    w.set(0, 0, f32::from_bits(w.get(0, 0).to_bits() ^ (1 << 30)));
+    let mut scorer = Scorer::new(&test);
+    scorer.error(corrupted.clone());
+    let calls = opts.warmup_iters + opts.samples.max(1);
+    let mut nets = (0..calls)
+        .map(|i| if i % 2 == 0 { &flipped } else { &corrupted }.clone())
+        .collect::<Vec<Mlp>>()
+        .into_iter();
+    let rescore = bench("nn/rescore_one_row", test.len() as u64, opts, || {
+        scorer.error(nets.next().expect("one net per call"))
+    });
+    print_measurement(suite.record(rescore));
+
+    let n = suite.measurements.len();
+    let split_ns = suite.measurements[n - 2].median_ns as f64;
+    let rescore_ns = suite.measurements[n - 1].median_ns.max(1) as f64;
+    suite.derive("nn_rescore_one_row_speedup", split_ns / rescore_ns);
 }
 
 /// The SECDED read-back (mask build + corrupt + two-pass decode, exactly

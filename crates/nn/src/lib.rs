@@ -28,6 +28,7 @@ pub mod datasets;
 pub mod mlp;
 pub mod qtensor;
 pub mod quantized;
+pub mod score;
 pub mod tensor;
 pub mod train;
 
@@ -35,5 +36,6 @@ pub use datasets::{Dataset, DatasetKind, DatasetSpec, SyntheticData};
 pub use mlp::{argmax, Dense, Mlp, MNIST_LAYOUT};
 pub use qtensor::{decode_word, encode_word, QTensor, QMAX, SIGN_BIT};
 pub use quantized::{QLayer, QNetwork};
+pub use score::Scorer;
 pub use tensor::Matrix;
 pub use train::{train, TrainConfig};

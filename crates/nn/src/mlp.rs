@@ -8,13 +8,11 @@
 //! the same network, bit for bit.
 
 use crate::datasets::Dataset;
+use crate::score::Scorer;
 use crate::tensor::Matrix;
 use uvf_fpga::seedmix::{mix, unit_f64};
 
 const TAG_INIT: u64 = 0x0011_e7a1;
-
-/// Samples [`Mlp::error_on`] pushes through the net as one panel.
-const BATCH: usize = 8;
 
 /// The paper's MNIST accelerator topology.
 pub const MNIST_LAYOUT: [usize; 6] = [784, 1024, 512, 256, 128, 10];
@@ -179,86 +177,12 @@ impl Mlp {
     /// Samples run through the net eight at a time as one k-major
     /// panel ([`Matrix::panel_into`]), which yields bit-for-bit the logits
     /// of [`Mlp::forward`] on each sample alone; the last block may be
-    /// partial.
+    /// partial. This is the cold pass of a [`Scorer`], which scores a
+    /// sequence of nets recomputing only what changed.
     #[must_use]
     pub fn error_on(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let mut bufs = self.panel_buffers();
-        let mut wrong = 0usize;
-        for start in (0..data.len()).step_by(BATCH) {
-            let lanes = (data.len() - start).min(BATCH);
-            let logits = self.forward_block(data, start, &mut bufs);
-            wrong += (0..lanes)
-                .filter(|&j| argmax_lane(logits, j) != data.label(start + j) as usize)
-                .count();
-        }
-        wrong as f64 / data.len() as f64
+        Scorer::new(data).cold(self)
     }
-
-    /// Two scratch panels wide enough for any layer's activations.
-    fn panel_buffers(&self) -> [Vec<f32>; 2] {
-        let widest = self
-            .layers
-            .iter()
-            .map(Dense::out_dim)
-            .chain([self.in_dim()])
-            .max()
-            .unwrap_or(0);
-        [vec![0.0; widest * BATCH], vec![0.0; widest * BATCH]]
-    }
-
-    /// Forward samples `start..start + BATCH` (clipped to the dataset) as
-    /// one panel and return the k-major logit panel: `logits[r * BATCH +
-    /// j]` is logit `r` of sample `start + j`. Lanes past the dataset's
-    /// end hold zero inputs and are to be ignored.
-    fn forward_block<'b>(
-        &self,
-        data: &Dataset,
-        start: usize,
-        bufs: &'b mut [Vec<f32>; 2],
-    ) -> &'b [f32] {
-        let lanes = (data.len() - start).min(BATCH);
-        let [cur, next] = bufs;
-        let in_dim = self.in_dim();
-        let panel = &mut cur[..in_dim * BATCH];
-        panel.fill(0.0);
-        for j in 0..lanes {
-            for (k, &v) in data.input(start + j).iter().enumerate() {
-                panel[k * BATCH + j] = v;
-            }
-        }
-        let mut width = in_dim;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let out_dim = layer.out_dim();
-            let out = &mut next[..out_dim * BATCH];
-            layer.w.panel_into::<BATCH>(&cur[..width * BATCH], out);
-            let hidden = l + 1 < self.layers.len();
-            for (o, &b) in out.chunks_exact_mut(BATCH).zip(&layer.b) {
-                for v in o {
-                    *v += b;
-                    if hidden {
-                        *v = v.max(0.0);
-                    }
-                }
-            }
-            std::mem::swap(cur, next);
-            width = out_dim;
-        }
-        &cur[..width * BATCH]
-    }
-}
-
-/// [`argmax`] of lane `j` of a k-major panel.
-fn argmax_lane(panel: &[f32], j: usize) -> usize {
-    let mut best = 0;
-    for (i, &x) in panel.iter().skip(j).step_by(BATCH).enumerate().skip(1) {
-        if x > panel[best * BATCH + j] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// Index of the largest value, first occurrence wins.
@@ -277,7 +201,7 @@ pub fn argmax(v: &[f32]) -> usize {
 mod tests {
     use super::*;
     use crate::datasets::DatasetKind;
-    use crate::tensor::reference_matvec;
+    use crate::tensor::{reference_matvec, BATCH};
 
     /// The per-sample scalar forward pass the batched `error_on` replaced:
     /// one plain dot product per output, bias, ReLU. The bit-identity
@@ -318,9 +242,11 @@ mod tests {
 
     /// Batched logits of every sample, lane by lane, against the oracle.
     fn assert_logits_match(net: &Mlp, data: &Dataset) {
-        let mut bufs = net.panel_buffers();
+        let mut scorer = Scorer::new(data);
+        scorer.cold(net);
+        let width = net.out_dim() * BATCH;
         for start in (0..data.len()).step_by(BATCH) {
-            let logits = net.forward_block(data, start, &mut bufs).to_vec();
+            let logits = &scorer.logits()[start / BATCH * width..][..width];
             for j in 0..(data.len() - start).min(BATCH) {
                 let want = reference_logits(net, data.input(start + j));
                 let got: Vec<f32> = logits.iter().skip(j).step_by(BATCH).copied().collect();

@@ -26,6 +26,92 @@ fn dot_tile<const R: usize, const L: usize>(rows: [&[f32]; R], x: &[f32]) -> [[f
     acc
 }
 
+/// Lanes of the batched panel: the samples classification pushes through
+/// a layer together.
+pub(crate) const BATCH: usize = 8;
+
+/// The body of [`Matrix::panel_into`], compiled once per [`Kernel`].
+#[inline(always)]
+fn panel_body<const L: usize>(m: &Matrix, x: &[f32], out: &mut [f32]) {
+    if m.cols == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let cols = m.cols;
+    let mut tiles = m.data.chunks_exact(ROW_TILE * cols);
+    let mut out_tiles = out.chunks_exact_mut(ROW_TILE * L);
+    for (tile, out_tile) in (&mut tiles).zip(&mut out_tiles) {
+        let rows = std::array::from_fn(|i| &tile[i * cols..(i + 1) * cols]);
+        for (o, lanes) in out_tile
+            .chunks_exact_mut(L)
+            .zip(dot_tile::<ROW_TILE, L>(rows, x))
+        {
+            o.copy_from_slice(&lanes);
+        }
+    }
+    let tail_rows = tiles.remainder().chunks_exact(cols);
+    for (row, o) in tail_rows.zip(out_tiles.into_remainder().chunks_exact_mut(L)) {
+        o.copy_from_slice(&dot_tile::<1, L>([row], x)[0]);
+    }
+}
+
+/// [`panel_body`] compiled with AVX2, where one eight-lane row of the
+/// batched panel fills a 256-bit register (the baseline x86-64 target
+/// has 128-bit SSE2 only).
+///
+/// # Safety
+/// Calling it is `unsafe` outside code compiled for AVX2: the caller must
+/// have checked that the CPU supports it ([`Kernel::widest`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn panel_avx2<const L: usize>(m: &Matrix, x: &[f32], out: &mut [f32]) {
+    panel_body::<L>(m, x, out);
+}
+
+/// A compiled copy of the panel kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Compiled for the baseline target; runs everywhere.
+    Portable,
+    /// [`panel_avx2`]; only handed out where the CPU reports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The widest copy this CPU runs, detected once per process.
+    fn widest() -> Kernel {
+        static WIDEST: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
+        *WIDEST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                return Kernel::Avx2;
+            }
+            Kernel::Portable
+        })
+    }
+
+    /// Run this copy on checked shapes.
+    fn panel<const L: usize>(self, m: &Matrix, x: &[f32], out: &mut [f32]) {
+        match self {
+            Kernel::Portable => panel_body::<L>(m, x, out),
+            // SAFETY: `Avx2` is only built where the CPU reports AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { panel_avx2::<L>(m, x, out) },
+        }
+    }
+
+    /// Every copy this CPU runs, narrowest first.
+    #[cfg(test)]
+    fn supported() -> Vec<Kernel> {
+        let mut all = vec![Kernel::Portable];
+        if Kernel::widest() != Kernel::Portable {
+            all.push(Kernel::widest());
+        }
+        all
+    }
+}
+
 /// Row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -116,30 +202,20 @@ impl Matrix {
     /// exactly the scalar dot product's order: results are bit-identical
     /// to a plain per-row loop for any `L`.
     ///
+    /// The batched panel (`L == BATCH`, what classification runs) uses the
+    /// widest compiled copy of the kernel this CPU runs; every copy
+    /// compiles the same body, and IEEE-754 multiplies and adds round the
+    /// same at any vector width, so the bits do not depend on the copy.
+    ///
     /// # Panics
     /// If the shapes do not line up.
     pub fn panel_into<const L: usize>(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.cols * L, "input length");
         assert_eq!(out.len(), self.rows * L, "output length");
-        if self.cols == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let cols = self.cols;
-        let mut tiles = self.data.chunks_exact(ROW_TILE * cols);
-        let mut out_tiles = out.chunks_exact_mut(ROW_TILE * L);
-        for (tile, out_tile) in (&mut tiles).zip(&mut out_tiles) {
-            let rows = std::array::from_fn(|i| &tile[i * cols..(i + 1) * cols]);
-            for (o, lanes) in out_tile
-                .chunks_exact_mut(L)
-                .zip(dot_tile::<ROW_TILE, L>(rows, x))
-            {
-                o.copy_from_slice(&lanes);
-            }
-        }
-        let tail_rows = tiles.remainder().chunks_exact(cols);
-        for (row, o) in tail_rows.zip(out_tiles.into_remainder().chunks_exact_mut(L)) {
-            o.copy_from_slice(&dot_tile::<1, L>([row], x)[0]);
+        if L == BATCH {
+            Kernel::widest().panel::<L>(self, x, out);
+        } else {
+            panel_body::<L>(self, x, out);
         }
     }
 
@@ -205,38 +281,59 @@ mod tests {
     #[test]
     fn tiled_matvec_is_bit_identical_to_the_scalar_oracle() {
         // Row counts on and off the tile boundary, including tiles-only,
-        // tail-only and empty matrices.
-        for rows in [0, 1, 3, 4, 5, 7, 8, 13] {
-            for cols in [1, 2, 9, 33] {
-                let m = Matrix::from_vec(rows, cols, awkward(rows * cols, 11));
-                let x = awkward(cols, 5);
-                let mut out = vec![f32::NAN; rows];
-                m.matvec_into(&x, &mut out);
-                assert_bits_eq(&out, &reference_matvec(&m, &x));
+        // tail-only and empty matrices, through every copy this CPU runs.
+        for kernel in Kernel::supported() {
+            for rows in [0, 1, 3, 4, 5, 7, 8, 13] {
+                for cols in [1, 2, 9, 33] {
+                    let m = Matrix::from_vec(rows, cols, awkward(rows * cols, 11));
+                    let x = awkward(cols, 5);
+                    let mut out = vec![f32::NAN; rows];
+                    kernel.panel::<1>(&m, &x, &mut out);
+                    assert_bits_eq(&out, &reference_matvec(&m, &x));
+                    m.matvec_into(&x, &mut out);
+                    assert_bits_eq(&out, &reference_matvec(&m, &x));
+                }
             }
         }
     }
 
     #[test]
     fn panel_lanes_are_independent_scalar_products() {
-        const L: usize = 8;
-        for rows in [1, 4, 6, 11] {
-            let cols = 17;
-            let m = Matrix::from_vec(rows, cols, awkward(rows * cols, 3));
-            let lanes: Vec<Vec<f32>> = (0..L as u32).map(|j| awkward(cols, 100 + j)).collect();
-            let mut panel = vec![0.0f32; cols * L];
-            for (j, lane) in lanes.iter().enumerate() {
-                for (k, &v) in lane.iter().enumerate() {
-                    panel[k * L + j] = v;
+        const L: usize = BATCH;
+        for kernel in Kernel::supported() {
+            for rows in [1, 4, 6, 11] {
+                let cols = 17;
+                let m = Matrix::from_vec(rows, cols, awkward(rows * cols, 3));
+                let lanes: Vec<Vec<f32>> = (0..L as u32).map(|j| awkward(cols, 100 + j)).collect();
+                let mut panel = vec![0.0f32; cols * L];
+                for (j, lane) in lanes.iter().enumerate() {
+                    for (k, &v) in lane.iter().enumerate() {
+                        panel[k * L + j] = v;
+                    }
+                }
+                let mut out = vec![0.0f32; rows * L];
+                kernel.panel::<L>(&m, &panel, &mut out);
+                for (j, lane) in lanes.iter().enumerate() {
+                    let got: Vec<f32> = out.iter().skip(j).step_by(L).copied().collect();
+                    assert_bits_eq(&got, &reference_matvec(&m, lane));
                 }
             }
-            let mut out = vec![0.0f32; rows * L];
-            m.panel_into::<L>(&panel, &mut out);
-            for (j, lane) in lanes.iter().enumerate() {
-                let got: Vec<f32> = out.iter().skip(j).step_by(L).copied().collect();
-                assert_bits_eq(&got, &reference_matvec(&m, lane));
-            }
         }
+    }
+
+    #[test]
+    fn batched_panels_dispatch_to_the_widest_copy() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            Kernel::widest() == Kernel::Avx2,
+            is_x86_feature_detected!("avx2")
+        );
+        let m = Matrix::from_vec(5, 3, awkward(15, 7));
+        let x = awkward(3 * BATCH, 9);
+        let (mut via_dispatch, mut portable) = (vec![0.0; 5 * BATCH], vec![0.0; 5 * BATCH]);
+        m.panel_into::<BATCH>(&x, &mut via_dispatch);
+        Kernel::Portable.panel::<BATCH>(&m, &x, &mut portable);
+        assert_bits_eq(&via_dispatch, &portable);
     }
 
     #[test]

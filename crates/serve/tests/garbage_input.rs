@@ -2,18 +2,23 @@
 //!
 //! Each parser gets a valid input built from real artifacts — a crashed
 //! sweep's checkpoint, a die's FVM census, a wire stream holding every
-//! protocol message — and then thousands of deterministic mutations of
-//! it, drawn from [`SplitMix64`]: byte flips, truncations and JSON
+//! protocol message, a Prometheus exposition, a run manifest, a SECDED
+//! BRAM image — and then thousands of deterministic mutations of it,
+//! drawn from [`SplitMix64`]: byte flips, truncations and JSON
 //! punctuation splices. A panic fails the test and names the mutation.
 
+use std::collections::BTreeMap;
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use uvf_characterize::prelude::*;
 use uvf_characterize::record::Checkpoint;
-use uvf_faults::FaultModel;
+use uvf_faults::{ecc, FaultModel};
+use uvf_fpga::eccmode::{self, ECC_CODEWORDS_PER_BRAM, ECC_DATA_WORDS};
 use uvf_fpga::seedmix::SplitMix64;
-use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
+use uvf_fpga::{Board, Millivolts, PlatformKind, Rail, BRAM_ROWS};
 use uvf_serve::protocol::Message;
+use uvf_trace::{parse_exposition, Manifest, PhaseTime, PrometheusSink, Tracer};
 
 const MUTATIONS: u64 = 1500;
 
@@ -197,6 +202,88 @@ fn message_frames_never_panic() {
                 Err(_) => return false,
             }
         }
+    });
+    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
+}
+
+#[test]
+fn prometheus_exposition_parse_never_panics() {
+    // Every family kind the sink renders: counters, a gauge, and the
+    // histograms of a span and of a timing.
+    let prom = Arc::new(PrometheusSink::new());
+    let tracer = Tracer::builder().sink(prom.clone()).build();
+    tracer.counter("weights_written", 101_632);
+    tracer.counter("ecc_corrected", 388);
+    tracer.gauge("rail_power_uw", 118_100);
+    for ns in [900, 90_000, 9_000_000] {
+        tracer.timing("mask_apply", ns, 1024);
+    }
+    {
+        let _s = tracer.span("weights_read_back");
+    }
+    tracer.flush();
+    let text = prom.render();
+    let rejected = fuzz("exposition", 4, text.as_bytes(), |b| {
+        parse_exposition(&String::from_utf8_lossy(b)).is_ok()
+    });
+    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
+}
+
+#[test]
+fn manifest_parse_never_panics() {
+    let manifest = Manifest {
+        name: "mitigation".into(),
+        config_fingerprint: 0x9e37_79b9_7f4a_7c15,
+        platform: "vc707".into(),
+        seed: 21,
+        event_log: Some("repro-out/mitigation_events.jsonl".into()),
+        events: 4_242,
+        wall_ns_total: 7_000_000_000,
+        phases: vec![
+            PhaseTime {
+                name: "train_fixture".into(),
+                wall_ns: 19_800_000_000,
+            },
+            PhaseTime {
+                name: "mitigation_shootout".into(),
+                wall_ns: 10_700_000_000,
+            },
+        ],
+        counters: BTreeMap::from([
+            ("ecc_corrected".to_string(), 1_070_718),
+            ("weights_written".to_string(), 18_090_496),
+        ]),
+    };
+    let text = manifest.to_json_string();
+    assert_eq!(Manifest::parse(&text).expect("round trip"), manifest);
+    let rejected = fuzz("manifest", 5, text.as_bytes(), |b| {
+        Manifest::parse(&String::from_utf8_lossy(b)).is_ok()
+    });
+    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
+}
+
+#[test]
+fn ecc_decode_image_never_panics() {
+    // A full SECDED BRAM image of distinct codewords, as stored bytes.
+    let mut clean = [0u16; BRAM_ROWS];
+    for cw in 0..ECC_CODEWORDS_PER_BRAM {
+        let coded = ecc::encode((cw as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        eccmode::store_codeword(&mut clean, cw, coded.data, coded.parity);
+    }
+    let bytes: Vec<u8> = clean.iter().flat_map(|w| w.to_le_bytes()).collect();
+    // A mutant is "accepted" when every codeword decodes clean to the
+    // stored data; a short image reads back zero-filled, a long one cut.
+    let rejected = fuzz("ecc image", 6, &bytes, |b| {
+        let mut image = [0u16; BRAM_ROWS];
+        for (w, pair) in image.iter_mut().zip(b.chunks(2)) {
+            *w = u16::from_le_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]);
+        }
+        let mut decoded = Vec::new();
+        let stats = ecc::decode_image(&image, &clean, ECC_CODEWORDS_PER_BRAM, &mut decoded);
+        assert_eq!(stats.words, ECC_CODEWORDS_PER_BRAM as u64);
+        assert_eq!(decoded.len(), ECC_CODEWORDS_PER_BRAM * ECC_DATA_WORDS);
+        assert!(stats.corrected + stats.detected + stats.miscorrected <= stats.words);
+        stats.raw_flips == 0
     });
     assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
 }
