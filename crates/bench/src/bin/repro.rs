@@ -31,7 +31,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,8 +54,8 @@ use uvf_serve::{
     WorkerOptions,
 };
 use uvf_trace::{
-    parse_exposition, Event, EventKind, Json, JsonlSink, Manifest, MemorySink, PrometheusSink,
-    Sink, Tracer, Value,
+    parse_exposition, Event, EventKind, JsonlSink, Manifest, PrometheusSink, RunTally, Sink,
+    Tracer, Value,
 };
 
 /// Net seed pinned by `crates/accel/tests/fig14_mnist.rs` (lands the
@@ -329,23 +328,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Renders selected trace events as live progress log lines — the
 /// "long-campaign UX": sweep levels with ETA, crash/recovery lifecycle,
-/// and campaign job progress, straight off the event stream. Also counts
-/// every event it sees (the manifest's `events` total).
+/// and campaign job progress, straight off the event stream. It sees
+/// every event, so it also keeps the run's [`RunTally`] (the manifest's
+/// `events` total and `phases`).
 struct ProgressSink {
     prefix: &'static str,
-    total: AtomicU64,
+    tally: RunTally,
 }
 
 impl ProgressSink {
     fn new(prefix: &'static str) -> ProgressSink {
         ProgressSink {
             prefix,
-            total: AtomicU64::new(0),
+            tally: RunTally::default(),
         }
-    }
-
-    fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
     }
 }
 
@@ -369,107 +365,118 @@ fn f_bool(e: &Event, key: &str) -> bool {
     matches!(e.field(key), Some(Value::Bool(true)))
 }
 
+/// The one wording of each progress event, shared by `repro`'s own log
+/// ([`ProgressSink`]) and `repro watch` ([`WatchBoard`]); `None` for
+/// events neither shows. The campaign server's `job_*` events carry
+/// fewer fields than the in-process campaign's, so the job lines print
+/// `jobs_total` and `error` only when present.
+fn progress_line(e: &Event) -> Option<String> {
+    if !matches!(e.kind, EventKind::Instant) {
+        return None;
+    }
+    let line = match e.name.as_ref() {
+        "level_done" => format!(
+            "{:>4} mV: {} faults, rail {} µW ({}/{} levels, eta {} ms)",
+            f_u64(e, "v_mv"),
+            f_u64(e, "faults"),
+            f_u64(e, "rail_uw"),
+            f_u64(e, "levels_done"),
+            f_u64(e, "levels_total"),
+            f_u64(e, "eta_ms"),
+        ),
+        "crash" => format!(
+            "crash @ {} mV run {} attempt {}",
+            f_u64(e, "v_mv"),
+            f_u64(e, "run"),
+            f_u64(e, "attempt"),
+        ),
+        "power_cycle" => format!("power cycle @ {} mV", f_u64(e, "v_mv")),
+        "resume" => format!("resumed @ {} mV run {}", f_u64(e, "v_mv"), f_u64(e, "run")),
+        "crash_boundary" => format!(
+            "crash boundary: hung at {} mV, Vcrash = {} mV",
+            f_u64(e, "v_mv"),
+            f_u64(e, "vcrash_mv"),
+        ),
+        "job_claimed" => format!("job {} claimed: {}", f_u64(e, "job"), f_str(e, "platform")),
+        "job_done" => {
+            let mut line = format!(
+                "job {} done: {} sim-ms",
+                f_u64(e, "job"),
+                f_u64(e, "sim_ms")
+            );
+            if e.field("jobs_total").is_some() {
+                line += &format!(
+                    " ({}/{} jobs)",
+                    f_u64(e, "jobs_done"),
+                    f_u64(e, "jobs_total")
+                );
+            }
+            line
+        }
+        "job_failed" => {
+            let mut line = format!("job {} FAILED", f_u64(e, "job"));
+            if e.field("error").is_some() {
+                line += &format!(": {}", f_str(e, "error"));
+            }
+            line
+        }
+        "kmeans_done" => format!(
+            "{} clusters: k={} silhouette={:.3} least-faulty share {:.3}",
+            f_str(e, "platform"),
+            f_u64(e, "k"),
+            f_f64(e, "silhouette"),
+            f_f64(e, "least_faulty_share"),
+        ),
+        "chi2_done" => format!(
+            "χ² {}: statistic {:.1} (df {}), p = {:.3e}{}",
+            f_str(e, "scope"),
+            f_f64(e, "statistic"),
+            f_u64(e, "df"),
+            f_f64(e, "p_value"),
+            if f_bool(e, "rejected") {
+                " — rejects uniformity"
+            } else {
+                ""
+            },
+        ),
+        "thermal_point" => format!(
+            "{:>5.1} °C: median {:.0} faults",
+            f_f64(e, "temperature_c"),
+            f_f64(e, "median_faults"),
+        ),
+        "thermal_fit" => format!(
+            "{} fit: slope {:.2} faults/°C (r² {:.3}, log slope {:.4})",
+            f_str(e, "platform"),
+            f_f64(e, "slope"),
+            f_f64(e, "r2"),
+            f_f64(e, "log_slope"),
+        ),
+        "vmin_probe" => format!(
+            "probe {:>4} mV: {} faults{}",
+            f_u64(e, "v_mv"),
+            f_u64(e, "faults"),
+            if f_bool(e, "crashed") {
+                "  CRASHED"
+            } else {
+                ""
+            },
+        ),
+        "vmin_found" => format!(
+            "vmin = {} mV in {}/{} probes",
+            f_u64(e, "vmin_mv"),
+            f_u64(e, "probes"),
+            f_u64(e, "levels_total"),
+        ),
+        _ => return None,
+    };
+    Some(line)
+}
+
 impl Sink for ProgressSink {
     fn record(&self, e: &Event) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if !matches!(e.kind, EventKind::Instant) {
-            return;
-        }
-        let p = self.prefix;
-        match e.name.as_ref() {
-            "level_done" => println!(
-                "[{p}] {:>4} mV: {} faults, rail {} µW ({}/{} levels, eta {} ms)",
-                f_u64(e, "v_mv"),
-                f_u64(e, "faults"),
-                f_u64(e, "rail_uw"),
-                f_u64(e, "levels_done"),
-                f_u64(e, "levels_total"),
-                f_u64(e, "eta_ms"),
-            ),
-            "crash" => println!(
-                "[{p}] crash @ {} mV run {} attempt {}",
-                f_u64(e, "v_mv"),
-                f_u64(e, "run"),
-                f_u64(e, "attempt"),
-            ),
-            "power_cycle" => println!("[{p}] power cycle @ {} mV", f_u64(e, "v_mv")),
-            "resume" => println!(
-                "[{p}] resumed @ {} mV run {}",
-                f_u64(e, "v_mv"),
-                f_u64(e, "run"),
-            ),
-            "crash_boundary" => println!(
-                "[{p}] crash boundary: hung at {} mV, Vcrash = {} mV",
-                f_u64(e, "v_mv"),
-                f_u64(e, "vcrash_mv"),
-            ),
-            "job_claimed" => println!(
-                "[{p}] job {} claimed: {}",
-                f_u64(e, "job"),
-                f_str(e, "platform"),
-            ),
-            "job_done" => println!(
-                "[{p}] job {} done: {} ({}/{} jobs, {} sim-ms)",
-                f_u64(e, "job"),
-                f_str(e, "platform"),
-                f_u64(e, "jobs_done"),
-                f_u64(e, "jobs_total"),
-                f_u64(e, "sim_ms"),
-            ),
-            "job_failed" => println!(
-                "[{p}] job {} FAILED: {} ({})",
-                f_u64(e, "job"),
-                f_str(e, "platform"),
-                f_str(e, "error"),
-            ),
-            "kmeans_done" => println!(
-                "[{p}] {} clusters: k={} silhouette={:.3} least-faulty share {:.3}",
-                f_str(e, "platform"),
-                f_u64(e, "k"),
-                f_f64(e, "silhouette"),
-                f_f64(e, "least_faulty_share"),
-            ),
-            "chi2_done" => println!(
-                "[{p}] χ² {}: statistic {:.1} (df {}), p = {:.3e}{}",
-                f_str(e, "scope"),
-                f_f64(e, "statistic"),
-                f_u64(e, "df"),
-                f_f64(e, "p_value"),
-                if f_bool(e, "rejected") {
-                    " — rejects uniformity"
-                } else {
-                    ""
-                },
-            ),
-            "thermal_point" => println!(
-                "[{p}] {:>5.1} °C: median {:.0} faults",
-                f_f64(e, "temperature_c"),
-                f_f64(e, "median_faults"),
-            ),
-            "thermal_fit" => println!(
-                "[{p}] {} fit: slope {:.2} faults/°C (r² {:.3}, log slope {:.4})",
-                f_str(e, "platform"),
-                f_f64(e, "slope"),
-                f_f64(e, "r2"),
-                f_f64(e, "log_slope"),
-            ),
-            "vmin_probe" => println!(
-                "[{p}] probe {:>4} mV: {} faults{}",
-                f_u64(e, "v_mv"),
-                f_u64(e, "faults"),
-                if f_bool(e, "crashed") {
-                    "  CRASHED"
-                } else {
-                    ""
-                },
-            ),
-            "vmin_found" => println!(
-                "[{p}] vmin = {} mV in {}/{} probes",
-                f_u64(e, "vmin_mv"),
-                f_u64(e, "probes"),
-                f_u64(e, "levels_total"),
-            ),
-            _ => {}
+        self.tally.record(e);
+        if let Some(line) = progress_line(e) {
+            println!("[{}] {line}", self.prefix);
         }
     }
 }
@@ -1656,6 +1663,9 @@ fn run_serve(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
 }
 
 /// Validate the artifact triple `--check` style; error strings on failure.
+/// The manifest must also agree with its own event log: its phases are
+/// the log's root spans, in order, and it counts at least every logged
+/// event (the log omits `Timing` samples).
 fn check_artifacts(
     prom_text: &str,
     manifest: &Manifest,
@@ -1668,12 +1678,33 @@ fn check_artifacts(
         return Err("manifest did not round-trip".into());
     }
     let log = std::fs::read_to_string(jsonl_path).map_err(|e| format!("event log: {e}"))?;
-    let mut lines = 0usize;
+    let mut lines = 0u64;
+    let mut roots = Vec::new();
     for (i, line) in log.lines().enumerate() {
-        Json::parse(line).map_err(|e| format!("event log line {}: {e:?}", i + 1))?;
+        let event =
+            Event::parse_jsonl(line).map_err(|e| format!("event log line {}: {e}", i + 1))?;
+        if matches!(event.kind, EventKind::SpanEnd) && event.parent.is_none() {
+            roots.push(event.name.to_string());
+        }
         lines += 1;
     }
-    println!("  check ok: {samples} exposition samples, {lines} log lines, manifest round-trips");
+    let phases: Vec<&str> = manifest.phases.iter().map(|p| p.name.as_str()).collect();
+    if phases != roots {
+        return Err(format!(
+            "manifest phases {phases:?} are not the event log's root spans {roots:?}"
+        ));
+    }
+    if manifest.events < lines {
+        return Err(format!(
+            "manifest counts {} events but the event log holds {lines}",
+            manifest.events
+        ));
+    }
+    println!(
+        "  check ok: {samples} exposition samples, {lines} log lines, manifest round-trips \
+         and matches its log ({} phases)",
+        phases.len()
+    );
     Ok(())
 }
 
@@ -1683,12 +1714,10 @@ fn run_command(cmd: &str, ctx: &mut Ctx) -> Result<(), String> {
     let jsonl_path = ctx.out.join(format!("{cmd}.jsonl"));
     let jsonl = Arc::new(JsonlSink::create(&jsonl_path).map_err(|e| format!("event log: {e}"))?);
     let prom = Arc::new(PrometheusSink::new());
-    let mem = Arc::new(MemorySink::new(16 * 1024));
     let progress = Arc::new(ProgressSink::new(exp.name));
     let tracer = Tracer::builder()
         .sink(jsonl.clone())
         .sink(prom.clone())
-        .sink(mem.clone())
         .sink(progress.clone())
         .build();
 
@@ -1708,9 +1737,9 @@ fn run_command(cmd: &str, ctx: &mut Ctx) -> Result<(), String> {
         platform: summary.platform.clone(),
         seed: summary.seed,
         event_log: Some(jsonl_path.display().to_string()),
-        events: progress.total(),
+        events: progress.tally.events(),
         wall_ns_total,
-        phases: Manifest::phases_from_events(&mem.events()),
+        phases: progress.tally.phases(),
         counters: prom.counters(),
     };
     let prom_path = ctx.out.join(format!("{cmd}.prom"));
@@ -1937,17 +1966,18 @@ impl WatchBoard {
                 let job = f_u64(e, "job");
                 let worker = f_u64(e, "worker");
                 let platform = f_str(e, "platform").to_string();
+                self.jobs.insert(job, JobLine { platform, worker });
+                self.current = Some(job);
                 if e.name.as_ref() == "job_reassigned" {
                     self.recoveries += 1;
                     println!(
-                        "[watch] !! job {job} ({platform}) reassigned to worker {worker} (attempt {})",
+                        "[watch] !! {} | reassigned to worker {worker} (attempt {})",
+                        self.context(),
                         f_u64(e, "assignment"),
                     );
                 } else {
-                    println!("[watch] job {job} ({platform}) -> worker {worker}");
+                    self.progress(e);
                 }
-                self.jobs.insert(job, JobLine { platform, worker });
-                self.current = Some(job);
             }
             "worker_lost" | "lease_expired" => {
                 self.recoveries += 1;
@@ -1962,52 +1992,40 @@ impl WatchBoard {
                 self.recoveries += 1;
                 println!("[watch] !! {} resumed from checkpoint", self.context());
             }
+            _ => self.progress(e),
+        }
+    }
+
+    /// A [`progress_line`] event: the worker/job prefix, `!!` on crashes
+    /// and failures, and the fleet counters the event moves.
+    fn progress(&mut self, e: &Event) {
+        let Some(line) = progress_line(e) else {
+            return;
+        };
+        let (alert, fleet) = match e.name.as_ref() {
             "level_done" => {
                 self.faults += f_u64(e, "faults");
-                println!(
-                    "[watch] {} | {:>4} mV: {} faults ({}/{} levels, eta {} ms) | fleet {} faults",
-                    self.context(),
-                    f_u64(e, "v_mv"),
-                    f_u64(e, "faults"),
-                    f_u64(e, "levels_done"),
-                    f_u64(e, "levels_total"),
-                    f_u64(e, "eta_ms"),
-                    self.faults,
-                );
+                ("", format!(" | fleet {} faults", self.faults))
             }
             "crash" => {
                 self.crashes += 1;
-                println!(
-                    "[watch] !! {} crash @ {} mV (fleet crashes: {})",
-                    self.context(),
-                    f_u64(e, "v_mv"),
-                    self.crashes,
-                );
-            }
-            "power_cycle" => {
-                println!(
-                    "[watch] {} power cycle @ {} mV",
-                    self.context(),
-                    f_u64(e, "v_mv")
-                );
+                ("!! ", format!(" | fleet crashes: {}", self.crashes))
             }
             "job_done" => {
                 self.jobs_done += 1;
-                println!(
-                    "[watch] job {} done ({} sim-ms) — fleet: {} done, {} faults, {} crashes",
-                    f_u64(e, "job"),
-                    f_u64(e, "sim_ms"),
-                    self.jobs_done,
-                    self.faults,
-                    self.crashes,
+                let fleet = format!(
+                    " | fleet: {} done, {} faults, {} crashes",
+                    self.jobs_done, self.faults, self.crashes
                 );
+                ("", fleet)
             }
             "job_failed" => {
                 self.jobs_failed += 1;
-                println!("[watch] !! job {} FAILED permanently", f_u64(e, "job"));
+                ("!! ", String::new())
             }
-            _ => {}
-        }
+            _ => ("", String::new()),
+        };
+        println!("[watch] {alert}{} | {line}{fleet}", self.context());
     }
 
     fn summary(&self) {

@@ -49,12 +49,12 @@ use uvf_characterize::scan::{platform_fault_count, platform_level_counts};
 use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
 use uvf_nn::{DatasetKind, Mlp, QNetwork, Scorer};
-use uvf_trace::{Manifest, MemorySink, Tracer};
+use uvf_trace::{MemorySink, RunTally, Tracer};
 
 struct Args {
     quick: bool,
     out: PathBuf,
-    /// Committed `BENCH_sweep.json` to compare against: exit non-zero on
+    /// Committed baseline JSON to compare against: exit non-zero on
     /// a > 20% median regression of any watched (mask-build/sweep) bench.
     baseline: Option<PathBuf>,
 }
@@ -824,8 +824,8 @@ fn main() -> ExitCode {
 
     // Trace the suite run itself: one root span per bench group, folded
     // into the JSON as the per-phase wall-time breakdown.
-    let phase_sink = Arc::new(MemorySink::new(64));
-    let phase_tracer = Tracer::builder().sink(phase_sink.clone()).build();
+    let phase_tally = Arc::new(RunTally::default());
+    let phase_tracer = Tracer::builder().sink(phase_tally.clone()).build();
 
     let mut suite = Suite::new(args.quick, threads);
     {
@@ -882,7 +882,7 @@ fn main() -> ExitCode {
         let _p = phase_tracer.span("serve_subscribe");
         bench_subscribe_overhead(&mut suite, &opts);
     }
-    suite.phases = Manifest::phases_from_events(&phase_sink.events());
+    suite.phases = phase_tally.phases();
 
     suite.derive("fvm_cache_hits", campaign_cache.0 as f64);
     suite.derive("fvm_cache_misses", campaign_cache.1 as f64);

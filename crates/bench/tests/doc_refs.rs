@@ -1,9 +1,12 @@
-//! The docs must not name `repro` subcommands or flags that do not exist.
-//! Every `repro <name>` written as code in README.md, DESIGN.md and
-//! EXPERIMENTS.md — inline code spans and fenced blocks — must be a row of
-//! the registry `repro list` prints, or one of the built-in modes, and
-//! every `--flag` passed to `repro` there must appear in its usage text.
+//! The docs must not name `repro` subcommands, flags or crate items that
+//! do not exist. Every `repro <name>` written as code in README.md,
+//! DESIGN.md and EXPERIMENTS.md — inline code spans and fenced blocks —
+//! must be a row of the registry `repro list` prints, or one of the
+//! built-in modes, and every `--flag` passed to `repro` there must appear
+//! in its usage text. Every `uvf_<crate>::<Item>` path written as code
+//! there must name `pub` items or re-exports in `crates/<crate>/src`.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 
@@ -185,6 +188,124 @@ fn references_are_found_in_spans_and_fenced_commands() {
             "--quick",
             "--out",
             "fig3"
+        ]
+    );
+}
+
+/// The `uvf_<crate>::A::B` paths in one code fragment, as the crate name
+/// and its segments.
+fn crate_paths(code: &str) -> Vec<(String, Vec<String>)> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut paths = Vec::new();
+    for (at, _) in code.match_indices("uvf_") {
+        if code[..at].ends_with(is_ident) {
+            continue;
+        }
+        let mut segments = code[at..]
+            .split("::")
+            .map(|seg| {
+                let end = seg.find(|c: char| !is_ident(c)).unwrap_or(seg.len());
+                (&seg[..end], end == seg.len())
+            })
+            .scan(true, |more, (ident, whole)| {
+                let keep = *more && !ident.is_empty();
+                *more = whole;
+                keep.then(|| ident.to_string())
+            });
+        let krate = segments.next().expect("starts with uvf_");
+        let rest: Vec<String> = segments.collect();
+        if !rest.is_empty() {
+            paths.push((krate["uvf_".len()..].to_string(), rest));
+        }
+    }
+    paths
+}
+
+/// The identifiers in `text`.
+fn idents(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// Every name the Rust sources under `dir` declare `pub` (`pub fn`,
+/// `pub struct`, `pub mod`, …) or list in a `pub use`.
+fn pub_names(dir: &Path, names: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("read src dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            pub_names(&path, names);
+            continue;
+        }
+        if path.extension().is_none_or(|ext| ext != "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read source");
+        for (at, _) in text.match_indices("pub ") {
+            let rest = &text[at + "pub ".len()..];
+            if let Some(list) = rest.strip_prefix("use ") {
+                names.extend(
+                    idents(&list[..list.find(';').unwrap_or(list.len())]).map(String::from),
+                );
+                continue;
+            }
+            let words: Vec<&str> = idents(rest).take(3).collect();
+            let name = match words.as_slice() {
+                ["const" | "unsafe" | "async", "fn", name, ..] => name,
+                [kind, name, ..]
+                    if [
+                        "fn", "struct", "enum", "trait", "type", "mod", "const", "static",
+                    ]
+                    .contains(kind) =>
+                {
+                    name
+                }
+                _ => continue,
+            };
+            names.insert((*name).to_string());
+        }
+    }
+}
+
+#[test]
+fn every_documented_crate_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read doc");
+        for (krate, segments) in code_fragments(&text).iter().flat_map(|c| crate_paths(c)) {
+            checked += 1;
+            let src = root.join("crates").join(&krate).join("src");
+            let mut names = BTreeSet::new();
+            if src.is_dir() {
+                pub_names(&src, &mut names);
+            }
+            if let Some(seg) = segments.iter().find(|seg| !names.contains(*seg)) {
+                missing.push(format!(
+                    "{doc}: uvf_{krate}::{} ({seg})",
+                    segments.join("::")
+                ));
+            }
+        }
+    }
+    assert!(checked > 5, "only {checked} crate paths found");
+    assert!(
+        missing.is_empty(),
+        "docs name crate items that do not exist: {missing:#?}"
+    );
+}
+
+#[test]
+fn crate_paths_are_split_into_segments() {
+    let code = "see uvf_trace::Manifest::load() and uvf_nn::Scorer, not uvf_x or my_uvf_y::Z";
+    assert_eq!(
+        crate_paths(code),
+        [
+            (
+                "trace".to_string(),
+                vec!["Manifest".to_string(), "load".to_string()]
+            ),
+            ("nn".to_string(), vec!["Scorer".to_string()]),
         ]
     );
 }

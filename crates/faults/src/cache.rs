@@ -381,14 +381,14 @@ mod tests {
         let sink = Arc::new(uvf_trace::PrometheusSink::new());
         let tracer = Tracer::builder().sink(Arc::clone(&sink) as _).build();
         cache.publish(&tracer);
-        assert_eq!(sink.gauges().get("fvm_cache_size"), Some(&0));
-        assert_eq!(sink.gauges().get("fvm_cache_capacity"), Some(&5));
+        assert_eq!(sink.gauge("fvm_cache_size").get(&None), Some(&0));
+        assert_eq!(sink.gauge("fvm_cache_capacity").get(&None), Some(&5));
         let _ = cache.model(p, 1);
         let _ = cache.variation_map(p, 1, 25.0, p.vccbram.vcrash);
         cache.publish(&tracer);
         // One model + one map cached; gauges are absolute, not deltas.
-        assert_eq!(sink.gauges().get("fvm_cache_size"), Some(&2));
-        assert_eq!(sink.gauges().get("fvm_cache_capacity"), Some(&5));
+        assert_eq!(sink.gauge("fvm_cache_size").get(&None), Some(&2));
+        assert_eq!(sink.gauge("fvm_cache_capacity").get(&None), Some(&5));
         assert_eq!(cache.capacities(), (2, 3));
     }
 }

@@ -20,7 +20,7 @@
 //! * [`supervisor`] — process fleet keeper (spawn, reap, respawn, and
 //!   deliberate SIGKILL for chaos tests);
 //! * [`observatory`] — the server's passive metrics plane: fleet-wide
-//!   aggregation, per-worker flight recorders with crash-tail dumps,
+//!   aggregation, per-worker crash-tail rings,
 //!   and bounded per-subscriber event queues;
 //! * [`subscribe`] — the client side of live event-log tailing
 //!   ([`Subscription`]), plus the std-only `GET /metrics` endpoint the

@@ -1,5 +1,5 @@
 //! Server-side observability plane: fleet metric aggregation, per-worker
-//! flight recorders, and the bounded per-subscriber queues behind the
+//! crash-tail rings, and the bounded per-subscriber queues behind the
 //! `Subscribe`/`EventBatch` protocol.
 //!
 //! Everything here is **passive**: the observatory watches the streams
@@ -13,79 +13,78 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use uvf_trace::{Aggregator, Event, FlightRecorder};
+use uvf_trace::{Event, MemorySink, PrometheusSink, Sink as _};
 
-/// The server's metrics brain: one [`Aggregator`] holding both the
+/// The server's metrics brain: one [`PrometheusSink`] holding both the
 /// fleet-merged worker series and the server-level series
 /// (`jobs_*`, `lease_renewals`, `worker_liveness`, queue-wait and
-/// job-duration histograms), plus one bounded [`FlightRecorder`] per
+/// job-duration histograms), plus one bounded [`MemorySink`] ring per
 /// worker for crash forensics.
 pub struct Observatory {
-    agg: Aggregator,
-    recorders: Mutex<BTreeMap<u64, Arc<FlightRecorder>>>,
-    recorder_cap: usize,
+    metrics: PrometheusSink,
+    rings: Mutex<BTreeMap<u64, Arc<MemorySink>>>,
+    ring_cap: usize,
     /// Where `crash_tail_worker<id>.jsonl` dumps land; `None` disables
     /// dumping (the in-memory tail still accumulates).
     crash_dir: Option<PathBuf>,
 }
 
 impl Observatory {
-    pub(crate) fn new(recorder_cap: usize, crash_dir: Option<PathBuf>) -> Observatory {
+    pub(crate) fn new(ring_cap: usize, crash_dir: Option<PathBuf>) -> Observatory {
         Observatory {
-            agg: Aggregator::new(),
-            recorders: Mutex::new(BTreeMap::new()),
-            recorder_cap: recorder_cap.max(1),
+            metrics: PrometheusSink::new(),
+            rings: Mutex::new(BTreeMap::new()),
+            ring_cap,
             crash_dir,
         }
     }
 
-    /// The underlying aggregator (server series are added through it).
+    /// The underlying metrics store (server series are added through it).
     #[must_use]
-    pub fn aggregator(&self) -> &Aggregator {
-        &self.agg
-    }
-
-    fn recorder(&self, worker: u64) -> Arc<FlightRecorder> {
-        Arc::clone(
-            self.recorders
-                .lock()
-                .expect("observatory poisoned")
-                .entry(worker)
-                .or_insert_with(|| Arc::new(FlightRecorder::new(self.recorder_cap))),
-        )
+    pub fn metrics(&self) -> &PrometheusSink {
+        &self.metrics
     }
 
     /// Fold one event a worker streamed in: fleet aggregation plus that
-    /// worker's flight-recorder ring.
+    /// worker's crash-tail ring.
     pub(crate) fn worker_event(&self, worker: u64, event: &Event) {
-        self.agg.record(worker, event);
-        use uvf_trace::Sink as _;
-        self.recorder(worker).record(event);
+        self.metrics.record_from(worker, event);
+        let ring = Arc::clone(
+            self.rings
+                .lock()
+                .expect("observatory poisoned")
+                .entry(worker)
+                .or_insert_with(|| Arc::new(MemorySink::new(self.ring_cap))),
+        );
+        ring.record(event);
     }
 
     /// Mark `worker` alive (`uvf_worker_liveness{worker="N"} 1`).
     pub(crate) fn worker_alive(&self, worker: u64) {
-        self.agg.set_worker_gauge("worker_liveness", worker, 1);
+        self.metrics.set_worker_gauge("worker_liveness", worker, 1);
     }
 
-    /// Mark `worker` dead and dump its flight-recorder tail to
-    /// `crash_tail_worker<id>.jsonl` under the crash dir. Dumping is
+    /// Mark `worker` dead and dump its ring to `crash_tail_worker<id>.jsonl`
+    /// under the crash dir, if it ever streamed an event. Dumping is
     /// best-effort forensics; failures are swallowed by design.
     pub(crate) fn worker_dead(&self, worker: u64) {
-        self.agg.set_worker_gauge("worker_liveness", worker, 0);
-        if let Some(dir) = &self.crash_dir {
-            let recorder = self.recorder(worker);
-            if !recorder.is_empty() {
-                let _ = std::fs::create_dir_all(dir);
-                let _ = recorder.dump(dir.join(format!("crash_tail_worker{worker}.jsonl")));
-            }
+        self.metrics.set_worker_gauge("worker_liveness", worker, 0);
+        let ring = self
+            .rings
+            .lock()
+            .expect("observatory poisoned")
+            .get(&worker)
+            .cloned();
+        if let (Some(dir), Some(ring)) = (&self.crash_dir, ring) {
+            let _ = std::fs::create_dir_all(dir);
+            let _ = ring.dump(dir.join(format!("crash_tail_worker{worker}.jsonl")));
         }
     }
 
     /// Render the combined fleet + server exposition.
     #[must_use]
     pub fn render(&self) -> String {
-        self.agg.render()
+        self.metrics.render()
     }
 }
 
@@ -278,7 +277,7 @@ mod tests {
         assert_eq!(text.lines().count(), 4, "bounded to the ring capacity");
         assert!(text.lines().all(|l| l.starts_with('{')));
         assert_eq!(
-            obs.aggregator().gauge("worker_liveness").get(&Some(9)),
+            obs.metrics().gauge("worker_liveness").get(&Some(9)),
             Some(&0)
         );
         std::fs::remove_dir_all(&dir).ok();

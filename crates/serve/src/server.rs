@@ -193,7 +193,7 @@ struct State {
     permanent: Vec<Option<String>>,
     workers_seen: HashSet<u64>,
     max_assignments: u32,
-    /// Metrics + flight recorders (internally locked; safe to poke while
+    /// Metrics + crash-tail rings (internally locked; safe to poke while
     /// holding the state lock, never the other way around).
     obs: Arc<Observatory>,
     /// The live merged log: jobs `0..published_jobs` renumbered exactly
@@ -240,7 +240,7 @@ impl State {
         if released.is_empty() {
             // Clean exit (campaign over, nothing held): just the gauge.
             self.obs
-                .aggregator()
+                .metrics()
                 .set_worker_gauge("worker_liveness", worker, 0);
         } else {
             // Died holding work: dump the flight tail for post-mortem.
@@ -297,7 +297,7 @@ impl State {
                 lagged += sub.push_block(&block);
             }
             if lagged > 0 {
-                self.obs.aggregator().add("subscriber_lagged", lagged);
+                self.obs.metrics().add("subscriber_lagged", lagged);
             }
             self.published.extend(block);
         }
@@ -343,8 +343,8 @@ impl CampaignServer {
         ));
         // Touch every server-level counter so the families exist in the
         // very first scrape, not only after the first increment.
-        let agg = obs.aggregator();
-        agg.add("jobs_queued", n as u64);
+        let metrics = obs.metrics();
+        metrics.add("jobs_queued", n as u64);
         for name in [
             "jobs_leased",
             "jobs_done",
@@ -352,7 +352,7 @@ impl CampaignServer {
             "lease_renewals",
             "subscriber_lagged",
         ] {
-            agg.add(name, 0);
+            metrics.add(name, 0);
         }
         let flags = Flags::new();
         let metrics_addr = match &config.metrics_addr {
@@ -367,9 +367,9 @@ impl CampaignServer {
                     let cache = FvmCache::global();
                     let (models, maps) = cache.sizes();
                     let (model_cap, map_cap) = cache.capacities();
-                    obs.aggregator()
+                    obs.metrics()
                         .set_gauge("fvm_cache_size", (models + maps) as u64);
-                    obs.aggregator()
+                    obs.metrics()
                         .set_gauge("fvm_cache_capacity", (model_cap + map_cap) as u64);
                     obs.render()
                 });
@@ -440,7 +440,7 @@ impl ServerHandle {
         self.metrics_addr
     }
 
-    /// The server's metrics plane (fleet aggregation, flight recorders).
+    /// The server's metrics plane (fleet aggregation, crash-tail rings).
     #[must_use]
     pub fn observatory(&self) -> &Observatory {
         &self.obs
@@ -674,7 +674,7 @@ fn register_subscriber(
         .collect();
     let lagged = sub.push_block(&backlog);
     if lagged > 0 {
-        state.obs.aggregator().add("subscriber_lagged", lagged);
+        state.obs.metrics().add("subscriber_lagged", lagged);
     }
     state.subscribers.push(Arc::clone(&sub));
     sub
@@ -749,9 +749,9 @@ fn handle_message(
             match state.queue.claim(*worker, now) {
                 None => Some(Message::NoJob { done: false }),
                 Some((job, spec)) => {
-                    let agg = state.obs.aggregator();
-                    agg.add("jobs_leased", 1);
-                    agg.observe_ns(
+                    let metrics = state.obs.metrics();
+                    metrics.add("jobs_leased", 1);
+                    metrics.observe_ns(
                         "queue_wait",
                         now.saturating_sub(state.ready_ms[job])
                             .saturating_mul(1_000_000),
@@ -808,7 +808,7 @@ fn handle_message(
                 // alive however long the sweep takes; only silence (a
                 // hang) lets the deadline lapse.
                 state.queue.renew(*job, worker, now_ms(started));
-                state.obs.aggregator().add("lease_renewals", 1);
+                state.obs.metrics().add("lease_renewals", 1);
                 if let Some(event) = parsed {
                     if let Some(segment) = state.segments[*job].last_mut() {
                         segment.push(event);
@@ -831,9 +831,9 @@ fn handle_message(
                         let now = now_ms(started);
                         state.results[*job] = Some((parsed, *sim_ms));
                         state.queue.complete(*job);
-                        let agg = state.obs.aggregator();
-                        agg.add("jobs_done", 1);
-                        agg.observe_ns(
+                        let metrics = state.obs.metrics();
+                        metrics.add("jobs_done", 1);
+                        metrics.observe_ns(
                             "job_duration",
                             now.saturating_sub(state.claim_ms[*job])
                                 .saturating_mul(1_000_000),
@@ -907,7 +907,7 @@ fn fail_job(state: &mut State, job: usize, error: &str, now_ms: u64) {
     if attempts >= state.max_assignments {
         state.permanent[job] = Some(error.to_string());
         state.queue.complete(job);
-        state.obs.aggregator().add("jobs_failed", 1);
+        state.obs.metrics().add("jobs_failed", 1);
         state.inject(
             job,
             "job_failed",

@@ -25,20 +25,19 @@
 //! * [`Histogram`] — fixed power-of-two buckets (128 ns …), exact
 //!   min/max/sum, interpolated p50/p95/p99.
 //! * [`Sink`] implementations: [`JsonlSink`] (byte-stable event log),
-//!   [`PrometheusSink`] (text exposition snapshot), [`MemorySink`]
-//!   (bounded ring buffer).
-//! * [`Aggregator`] / [`FlightRecorder`] — fleet-wide metric merge
-//!   (counters summed, histograms bucket-merged, gauges per worker) and
-//!   the bounded crash-tail ring the campaign server dumps when a
-//!   worker dies.
+//!   [`PrometheusSink`] (text exposition snapshot; also the campaign
+//!   server's fleet-wide merge — counters summed, histograms
+//!   bucket-merged, gauges per worker) and [`MemorySink`] (bounded ring
+//!   buffer; the crash tail the campaign server dumps when a worker
+//!   dies).
 //! * [`Manifest`] — the per-run metadata document the `repro` binary
-//!   writes next to each figure/table.
+//!   writes next to each figure/table; [`RunTally`] gathers its event
+//!   count and phases from the live stream.
 //! * [`json`] — the byte-stable JSON value tree shared by the whole
 //!   workspace (grew up in `uvf-characterize`, which re-exports it).
 
 #![deny(deprecated)]
 
-pub mod aggregate;
 pub mod event;
 pub mod histogram;
 pub mod json;
@@ -47,11 +46,10 @@ pub mod merge;
 pub mod sink;
 pub mod tracer;
 
-pub use aggregate::{Aggregator, FlightRecorder};
 pub use event::{Event, EventKind, Value};
 pub use histogram::{bucket_upper_ns, Histogram, BUCKET_COUNT};
 pub use json::{Json, JsonError};
-pub use manifest::{Manifest, PhaseTime};
+pub use manifest::{Manifest, PhaseTime, RunTally};
 pub use merge::{merge_event_streams, offset_event};
 pub use sink::{
     parse_exposition, sanitize_metric_name, JsonlSink, MemorySink, PrometheusSink, Sink,

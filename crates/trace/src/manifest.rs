@@ -4,9 +4,12 @@
 
 use crate::event::{Event, EventKind};
 use crate::json::{Json, JsonError};
+use crate::sink::Sink;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Wall time attributed to one top-level phase of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,23 +40,48 @@ pub struct Manifest {
     pub counters: BTreeMap<String, u64>,
 }
 
-impl Manifest {
-    /// Extract the phase breakdown from an event stream: every *root*
-    /// span's end event (no parent) becomes a phase, in completion order.
+/// Gathers the two manifest fields that need a run's whole event stream:
+/// the event total and the phases — every *root* span's end (no parent),
+/// in completion order. It keeps only those, so however many events a run
+/// emits, no early phase is pushed out before the manifest is built.
+#[derive(Default)]
+pub struct RunTally {
+    events: AtomicU64,
+    phases: Mutex<Vec<PhaseTime>>,
+}
+
+impl RunTally {
+    /// Events seen so far, of every kind.
     #[must_use]
-    pub fn phases_from_events(events: &[Event]) -> Vec<PhaseTime> {
-        events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SpanEnd) && e.parent.is_none())
-            .filter_map(|e| {
-                e.wall_ns.map(|wall_ns| PhaseTime {
-                    name: e.name.to_string(),
-                    wall_ns,
-                })
-            })
-            .collect()
+    pub fn events(&self) -> u64 {
+        self.events.load(Ordering::Relaxed)
     }
 
+    /// The phases seen so far, in completion order.
+    #[must_use]
+    pub fn phases(&self) -> Vec<PhaseTime> {
+        self.phases.lock().expect("run tally poisoned").clone()
+    }
+}
+
+impl Sink for RunTally {
+    fn record(&self, event: &Event) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if let (EventKind::SpanEnd, None, Some(wall_ns)) =
+            (&event.kind, event.parent, event.wall_ns)
+        {
+            self.phases
+                .lock()
+                .expect("run tally poisoned")
+                .push(PhaseTime {
+                    name: event.name.to_string(),
+                    wall_ns,
+                });
+        }
+    }
+}
+
+impl Manifest {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let mut obj: Vec<(String, Json)> = vec![
@@ -182,6 +210,8 @@ impl Manifest {
 mod tests {
     use super::*;
     use crate::event::Event;
+    use crate::tracer::Tracer;
+    use std::sync::Arc;
 
     fn sample() -> Manifest {
         Manifest {
@@ -257,9 +287,13 @@ mod tests {
             mk(2, EventKind::SpanEnd, "sweep", None, Some(100)),
             mk(3, EventKind::SpanEnd, "report", None, Some(20)),
         ];
-        let phases = Manifest::phases_from_events(&events);
+        let tally = RunTally::default();
+        for e in &events {
+            tally.record(e);
+        }
+        assert_eq!(tally.events(), 4);
         assert_eq!(
-            phases,
+            tally.phases(),
             vec![
                 PhaseTime {
                     name: "sweep".into(),
@@ -271,6 +305,25 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn an_early_root_span_survives_a_long_run() {
+        let tally = Arc::new(RunTally::default());
+        let t = Tracer::builder().sink(tally.clone()).build();
+        {
+            let _s = t.span("train_fixture");
+            t.instant("epoch_done", vec![]);
+        }
+        for i in 0..20_000u64 {
+            t.timing("mask_apply", 100 + i, 64);
+        }
+        {
+            let _s = t.span("mitigation_shootout");
+        }
+        let names: Vec<String> = tally.phases().into_iter().map(|p| p.name).collect();
+        assert_eq!(names, ["train_fixture", "mitigation_shootout"]);
+        assert_eq!(tally.events(), 20_005);
     }
 
     #[test]

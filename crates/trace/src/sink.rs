@@ -6,10 +6,15 @@
 //! * [`JsonlSink`] — append-only structured event log. Serializes only the
 //!   deterministic core of each event (see [`crate::Event`]), so a traced
 //!   sweep produces a byte-identical log on every rerun.
-//! * [`PrometheusSink`] — in-memory aggregation of counters and latency
-//!   histograms, rendered as Prometheus text exposition on demand.
+//! * [`PrometheusSink`] — in-memory aggregation of counters, gauges and
+//!   latency histograms, rendered as Prometheus text exposition on
+//!   demand. One store serves a single run and a whole fleet: the
+//!   campaign server folds each worker's stream in with
+//!   [`PrometheusSink::record_from`] (gauges keyed by worker) and adds
+//!   its own series directly.
 //! * [`MemorySink`] — bounded ring buffer of recent events, for tests and
-//!   for the `repro` binary's live progress rendering.
+//!   for the campaign server's per-worker crash tails
+//!   ([`MemorySink::dump`]).
 
 use crate::event::{Event, EventKind};
 use crate::histogram::{bucket_upper_ns, Histogram};
@@ -55,12 +60,17 @@ impl JsonlSink {
     }
 }
 
+/// The log line [`JsonlSink`] writes for `event`, or `None` for the
+/// [`EventKind::Timing`] samples it skips.
+fn jsonl_line(event: &Event) -> Option<String> {
+    (!matches!(event.kind, EventKind::Timing { .. })).then(|| event.to_jsonl())
+}
+
 impl Sink for JsonlSink {
     fn record(&self, event: &Event) {
-        if matches!(event.kind, EventKind::Timing { .. }) {
+        let Some(line) = jsonl_line(event) else {
             return;
-        }
-        let line = event.to_jsonl();
+        };
         let mut writer = self.writer.lock().expect("jsonl sink poisoned");
         // Log writes are best-effort: losing telemetry must never fail the
         // experiment it observes.
@@ -75,8 +85,8 @@ impl Sink for JsonlSink {
 /// Bounded in-memory ring buffer of events (oldest evicted first).
 pub struct MemorySink {
     capacity: usize,
-    buf: Mutex<VecDeque<Event>>,
-    dropped: Mutex<u64>,
+    /// The held events, oldest first, and how many were evicted.
+    ring: Mutex<(VecDeque<Event>, u64)>,
 }
 
 impl MemorySink {
@@ -84,64 +94,80 @@ impl MemorySink {
     pub fn new(capacity: usize) -> MemorySink {
         MemorySink {
             capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::new()),
-            dropped: Mutex::new(0),
+            ring: Mutex::new((VecDeque::new(), 0)),
         }
     }
 
     /// Snapshot of the buffered events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .expect("memory sink poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        let ring = self.ring.lock().expect("memory sink poisoned");
+        ring.0.iter().cloned().collect()
     }
 
     /// How many events were evicted to honour the capacity bound.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock().expect("memory sink poisoned")
+        self.ring.lock().expect("memory sink poisoned").1
     }
 
-    /// Remove and return all buffered events, oldest first.
-    #[must_use]
-    pub fn drain(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .expect("memory sink poisoned")
-            .drain(..)
-            .collect()
+    /// Write the buffered tail to `path` (truncating) in [`JsonlSink`]'s
+    /// line form, returning how many lines were written. Like the log it
+    /// skips `Timing` samples and omits wall-clock readings, so the dump
+    /// is a verbatim suffix of the full event log. Best-effort forensics:
+    /// callers may ignore the error — a failed dump must never fail the
+    /// campaign.
+    pub fn dump(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
+        let mut writer = BufWriter::new(File::create(path)?);
+        let mut lines = 0;
+        for line in self.events().iter().filter_map(jsonl_line) {
+            writeln!(writer, "{line}")?;
+            lines += 1;
+        }
+        writer.flush()?;
+        Ok(lines)
     }
 }
 
 impl Sink for MemorySink {
     fn record(&self, event: &Event) {
-        let mut buf = self.buf.lock().expect("memory sink poisoned");
+        let mut ring = self.ring.lock().expect("memory sink poisoned");
+        let (buf, dropped) = &mut *ring;
         if buf.len() == self.capacity {
             buf.pop_front();
-            *self.dropped.lock().expect("memory sink poisoned") += 1;
+            *dropped += 1;
         }
         buf.push_back(event.clone());
     }
 }
 
+/// Gauge owner: `None` is an unlabeled gauge, `Some(w)` a per-worker one
+/// rendered with a `worker="w"` label.
+type GaugeOwner = Option<u64>;
+
 #[derive(Default)]
 struct PromState {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, BTreeMap<GaugeOwner, u64>>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 /// Aggregating metrics sink rendered as Prometheus text exposition.
 ///
 /// [`EventKind::Counter`] deltas sum into counters; [`EventKind::Gauge`]
-/// samples overwrite gauges (last value wins); [`EventKind::SpanEnd`]
-/// durations and [`EventKind::Timing`] samples fold into fixed-bucket
-/// histograms keyed by event name. `BTreeMap` keys make the rendered
-/// snapshot's metric order deterministic.
+/// samples overwrite gauges (last value wins, per owner);
+/// [`EventKind::SpanEnd`] durations and [`EventKind::Timing`] samples fold
+/// into fixed-bucket histograms keyed by event name. `BTreeMap` keys make
+/// the rendered snapshot's metric order deterministic.
+///
+/// [`Sink::record`] writes unlabeled gauges. A fleet view feeds each
+/// worker's stream through [`PrometheusSink::record_from`] instead:
+/// counters still sum and histograms bucket-merge across workers (so
+/// fleet p50/p95/p99 are exact, see [`Histogram::merge`]), while gauges
+/// stay per worker, so one slow die doesn't hide behind a fleet average.
+/// Server-level series go in through [`PrometheusSink::add`],
+/// [`PrometheusSink::set_gauge`], [`PrometheusSink::set_worker_gauge`]
+/// and [`PrometheusSink::observe_ns`].
 #[derive(Default)]
 pub struct PrometheusSink {
     state: Mutex<PromState>,
@@ -153,51 +179,106 @@ impl PrometheusSink {
         PrometheusSink::default()
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, PromState> {
+        self.state.lock().expect("prom sink poisoned")
+    }
+
+    /// Fold one event from `worker` into the store: as [`Sink::record`],
+    /// except that a gauge sample lands under `worker="worker"`.
+    pub fn record_from(&self, worker: u64, event: &Event) {
+        self.fold(Some(worker), event);
+    }
+
+    fn fold(&self, owner: GaugeOwner, event: &Event) {
+        match event.kind {
+            EventKind::Counter { delta } => self.add(&event.name, delta),
+            EventKind::Gauge { value } => self.put_gauge(&event.name, owner, value),
+            EventKind::SpanEnd => {
+                if let Some(wall_ns) = event.wall_ns {
+                    self.observe_ns(&event.name, wall_ns);
+                }
+            }
+            EventKind::Timing { ns, .. } => self.observe_ns(&event.name, ns),
+            EventKind::SpanStart | EventKind::Instant => {}
+        }
+    }
+
+    /// Add `delta` to the counter `name`.
+    pub fn add(&self, name: &str, delta: u64) {
+        *self.state().counters.entry(name.to_string()).or_insert(0) += delta;
+    }
+
+    /// Set the unlabeled gauge `name`.
+    pub fn set_gauge(&self, name: &str, value: u64) {
+        self.put_gauge(name, None, value);
+    }
+
+    /// Set the per-worker gauge `name{worker="worker"}`.
+    pub fn set_worker_gauge(&self, name: &str, worker: u64, value: u64) {
+        self.put_gauge(name, Some(worker), value);
+    }
+
+    fn put_gauge(&self, name: &str, owner: GaugeOwner, value: u64) {
+        self.state()
+            .gauges
+            .entry(name.to_string())
+            .or_default()
+            .insert(owner, value);
+    }
+
+    /// Fold one duration sample into the histogram `name`.
+    pub fn observe_ns(&self, name: &str, ns: u64) {
+        self.state()
+            .histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(ns);
+    }
+
     /// Current counter totals, by event name.
     #[must_use]
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.state
-            .lock()
-            .expect("prom sink poisoned")
-            .counters
-            .clone()
+        self.state().counters.clone()
     }
 
-    /// Current gauge values, by event name (last recorded value wins).
+    /// Current values of the gauge `name`, by owner (`None` = unlabeled).
     #[must_use]
-    pub fn gauges(&self) -> BTreeMap<String, u64> {
-        self.state
-            .lock()
-            .expect("prom sink poisoned")
-            .gauges
-            .clone()
+    pub fn gauge(&self, name: &str) -> BTreeMap<GaugeOwner, u64> {
+        self.state().gauges.get(name).cloned().unwrap_or_default()
     }
 
     /// Snapshot of the named histogram, if any samples arrived.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.state
-            .lock()
-            .expect("prom sink poisoned")
-            .histograms
-            .get(name)
-            .cloned()
+        self.state().histograms.get(name).cloned()
     }
 
-    /// Render the Prometheus text exposition snapshot.
+    /// Render the Prometheus text exposition snapshot: counters as
+    /// `uvf_<name>_total`, gauges as `uvf_<name>` (per-worker samples
+    /// labeled `worker="N"`), histograms as `uvf_<name>_duration_ns`.
+    /// Each family is declared exactly once.
     #[must_use]
     pub fn render(&self) -> String {
-        let state = self.state.lock().expect("prom sink poisoned");
+        let state = self.state();
         let mut out = String::new();
         for (name, total) in &state.counters {
             let metric = sanitize_metric_name(&format!("uvf_{name}_total"));
             let _ = writeln!(out, "# TYPE {metric} counter");
             let _ = writeln!(out, "{metric} {total}");
         }
-        for (name, value) in &state.gauges {
+        for (name, by_owner) in &state.gauges {
             let metric = sanitize_metric_name(&format!("uvf_{name}"));
             let _ = writeln!(out, "# TYPE {metric} gauge");
-            let _ = writeln!(out, "{metric} {value}");
+            for (owner, value) in by_owner {
+                match owner {
+                    None => {
+                        let _ = writeln!(out, "{metric} {value}");
+                    }
+                    Some(worker) => {
+                        let _ = writeln!(out, "{metric}{{worker=\"{worker}\"}} {value}");
+                    }
+                }
+            }
         }
         for (name, hist) in &state.histograms {
             let metric = sanitize_metric_name(&format!("uvf_{name}_duration_ns"));
@@ -216,32 +297,7 @@ impl PrometheusSink {
 
 impl Sink for PrometheusSink {
     fn record(&self, event: &Event) {
-        let mut state = self.state.lock().expect("prom sink poisoned");
-        match event.kind {
-            EventKind::Counter { delta } => {
-                *state.counters.entry(event.name.to_string()).or_insert(0) += delta;
-            }
-            EventKind::Gauge { value } => {
-                state.gauges.insert(event.name.to_string(), value);
-            }
-            EventKind::SpanEnd => {
-                if let Some(wall_ns) = event.wall_ns {
-                    state
-                        .histograms
-                        .entry(event.name.to_string())
-                        .or_default()
-                        .record(wall_ns);
-                }
-            }
-            EventKind::Timing { ns, .. } => {
-                state
-                    .histograms
-                    .entry(event.name.to_string())
-                    .or_default()
-                    .record(ns);
-            }
-            EventKind::SpanStart | EventKind::Instant => {}
-        }
+        self.fold(None, event);
     }
 }
 
@@ -389,6 +445,23 @@ mod tests {
     use crate::tracer::Tracer;
     use std::sync::Arc;
 
+    fn ev(kind: EventKind, name: &'static str) -> Event {
+        Event {
+            seq: 0,
+            kind,
+            name: name.into(),
+            span: None,
+            parent: None,
+            sim_ms: None,
+            wall_ns: None,
+            fields: Vec::new(),
+        }
+    }
+
+    fn timing(name: &'static str, ns: u64) -> Event {
+        ev(EventKind::Timing { ns, ops: 1 }, name)
+    }
+
     #[test]
     fn jsonl_sink_skips_timings_and_is_byte_stable() {
         let dir = std::env::temp_dir().join(format!("uvf-trace-jsonl-{}", std::process::id()));
@@ -420,25 +493,149 @@ mod tests {
     #[test]
     fn memory_sink_ring_evicts_oldest() {
         let mem = MemorySink::new(2);
-        let ev = |seq: u64| Event {
-            seq,
-            kind: EventKind::Instant,
-            name: "e".into(),
-            span: None,
-            parent: None,
-            sim_ms: None,
-            wall_ns: None,
-            fields: Vec::new(),
-        };
-        mem.record(&ev(0));
-        mem.record(&ev(1));
-        mem.record(&ev(2));
+        for seq in 0..3 {
+            let mut e = ev(EventKind::Instant, "e");
+            e.seq = seq;
+            mem.record(&e);
+        }
         let events = mem.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].seq, 1);
         assert_eq!(mem.dropped(), 1);
-        assert_eq!(mem.drain().len(), 2);
-        assert!(mem.events().is_empty());
+    }
+
+    #[test]
+    fn flight_recorder_keeps_tail_and_dumps_jsonl() {
+        let rec = MemorySink::new(4);
+        for seq in 0..5u64 {
+            let mut e = ev(EventKind::Instant, "step");
+            e.seq = seq;
+            e.fields.push(("i".into(), Value::U64(seq)));
+            rec.record(&e);
+        }
+        rec.record(&timing("kernel", 10)); // held, but not dumped, like JsonlSink
+        let tail = rec.events();
+        assert_eq!(tail.len(), 4);
+        assert_eq!(tail[0].seq, 2);
+        assert_eq!(tail[2].seq, 4);
+
+        let dir = std::env::temp_dir().join(format!("uvf-flightrec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("crash_tail.jsonl");
+        let written = rec.dump(&path).unwrap();
+        assert_eq!(written, 3);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        for (line, event) in lines.iter().zip(&tail) {
+            assert_eq!(*line, event.to_jsonl());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ring_dump_is_a_verbatim_suffix_of_the_jsonl_log() {
+        let dir = std::env::temp_dir().join(format!("uvf-ring-suffix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log_path = dir.join("full.jsonl");
+        let log = Arc::new(JsonlSink::create(&log_path).unwrap());
+        let ring = Arc::new(MemorySink::new(16));
+        let t = Tracer::builder().sink(log).sink(ring.clone()).build();
+        for level in 0..12u64 {
+            let _s = t.span("sweep_level");
+            t.gauge("v_mv", 600 - 10 * level);
+            t.timing("mask_apply", 100 + level, 64);
+            t.instant("level_done", vec![("level", level.into())]);
+            t.timing("mask_apply", 200 + level, 64);
+        }
+        t.flush();
+        let held = ring.events();
+        assert!(held
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Timing { .. })));
+
+        let dump_path = dir.join("tail.jsonl");
+        let written = ring.dump(&dump_path).unwrap();
+        let full = std::fs::read_to_string(&log_path).unwrap();
+        let tail = std::fs::read_to_string(&dump_path).unwrap();
+        assert_eq!(tail.lines().count(), written);
+        assert!(
+            written > 0 && written < held.len(),
+            "timings held, not dumped"
+        );
+        let suffix: Vec<&str> = full.lines().skip(full.lines().count() - written).collect();
+        assert_eq!(tail.lines().collect::<Vec<_>>(), suffix);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn counters_sum_and_gauges_key_by_worker() {
+        let agg = PrometheusSink::new();
+        agg.record_from(7, &ev(EventKind::Counter { delta: 3 }, "faults"));
+        agg.record_from(9, &ev(EventKind::Counter { delta: 5 }, "faults"));
+        agg.record_from(7, &ev(EventKind::Gauge { value: 540 }, "v_mv"));
+        agg.record_from(9, &ev(EventKind::Gauge { value: 560 }, "v_mv"));
+        agg.record_from(7, &ev(EventKind::Gauge { value: 530 }, "v_mv")); // last wins per worker
+        assert_eq!(agg.counters().get("faults"), Some(&8));
+        let gauge = agg.gauge("v_mv");
+        assert_eq!(gauge.get(&Some(7)), Some(&530));
+        assert_eq!(gauge.get(&Some(9)), Some(&560));
+        let text = agg.render();
+        assert!(text.contains("uvf_faults_total 8"));
+        assert!(text.contains("uvf_v_mv{worker=\"7\"} 530"));
+        assert!(text.contains("uvf_v_mv{worker=\"9\"} 560"));
+        parse_exposition(&text).expect("fleet exposition parses");
+    }
+
+    #[test]
+    fn fleet_percentiles_equal_concatenated_per_worker_histograms() {
+        // Three workers with very different latency profiles; the fleet
+        // histogram must produce the same quantiles as one histogram fed
+        // every sample — exact because all share the fixed bucket layout.
+        let agg = PrometheusSink::new();
+        let mut all = Histogram::default();
+        let mut per_worker: Vec<Histogram> = Vec::new();
+        for (w, base) in [(1u64, 200u64), (2, 9_000), (3, 1_500_000)] {
+            let mut own = Histogram::default();
+            for i in 0..400u64 {
+                let ns = base + i * base / 7;
+                agg.record_from(w, &timing("kernel", ns));
+                all.record(ns);
+                own.record(ns);
+            }
+            per_worker.push(own);
+        }
+        let fleet = agg.histogram("kernel").expect("histogram exists");
+        let mut merged = Histogram::default();
+        for h in &per_worker {
+            merged.merge(h);
+        }
+        for (a, b) in [(&fleet, &all), (&fleet, &merged)] {
+            assert_eq!(a.count(), b.count());
+            assert_eq!(a.p50(), b.p50());
+            assert_eq!(a.p95(), b.p95());
+            assert_eq!(a.p99(), b.p99());
+            assert_eq!(a.sum_ns(), b.sum_ns());
+        }
+    }
+
+    #[test]
+    fn server_level_series_share_the_exposition() {
+        let agg = PrometheusSink::new();
+        agg.add("jobs_done", 4);
+        agg.set_gauge("fvm_cache_size", 12);
+        agg.set_worker_gauge("worker_liveness", 41, 1);
+        agg.set_worker_gauge("worker_liveness", 42, 0);
+        agg.observe_ns("queue_wait", 1_000);
+        agg.observe_ns("queue_wait", 2_000_000);
+        let text = agg.render();
+        assert!(text.contains("uvf_jobs_done_total 4"));
+        assert!(text.contains("uvf_fvm_cache_size 12"));
+        assert!(text.contains("uvf_worker_liveness{worker=\"41\"} 1"));
+        assert!(text.contains("uvf_worker_liveness{worker=\"42\"} 0"));
+        assert!(text.contains("uvf_queue_wait_duration_ns_count 2"));
+        parse_exposition(&text).expect("exposition parses");
+        assert_eq!(agg.histogram("queue_wait").unwrap().count(), 2);
     }
 
     #[test]
@@ -463,7 +660,7 @@ mod tests {
         // 1 counter + 1 gauge + 2 histograms × (BUCKET_COUNT finite + Inf + sum + count)
         assert_eq!(samples, 2 + 2 * (BUCKET_COUNT + 3));
         assert_eq!(prom.counters().get("power_cycles"), Some(&3));
-        assert_eq!(prom.gauges().get("rail_power_uw"), Some(&118_100));
+        assert_eq!(prom.gauge("rail_power_uw").get(&None), Some(&118_100));
         assert_eq!(prom.histogram("corrupt_word").unwrap().count(), 1);
     }
 

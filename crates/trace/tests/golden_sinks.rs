@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use uvf_characterize::prelude::{Harness, RecoveryPolicy, SweepConfig, Tracer};
 use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
-use uvf_trace::{parse_exposition, Aggregator, JsonlSink, PrometheusSink};
+use uvf_trace::{parse_exposition, JsonlSink, PrometheusSink};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -150,7 +150,7 @@ fn ecc_mitigation_counters_are_golden_in_both_sinks() {
 #[test]
 fn aggregated_fleet_exposition_is_golden() {
     use uvf_trace::{Event, EventKind};
-    let agg = Aggregator::new();
+    let agg = PrometheusSink::new();
     let scripted = |kind: EventKind, name: &'static str| Event {
         seq: 0,
         kind,
@@ -162,7 +162,7 @@ fn aggregated_fleet_exposition_is_golden() {
         fields: Vec::new(),
     };
     for (i, worker) in [41u64, 42, 43].iter().enumerate() {
-        agg.record(
+        agg.record_from(
             *worker,
             &scripted(
                 EventKind::Counter {
@@ -171,11 +171,11 @@ fn aggregated_fleet_exposition_is_golden() {
                 "runs",
             ),
         );
-        agg.record(
+        agg.record_from(
             *worker,
             &scripted(EventKind::Counter { delta: 7 }, "faults"),
         );
-        agg.record(
+        agg.record_from(
             *worker,
             &scripted(
                 EventKind::Gauge {
@@ -185,7 +185,7 @@ fn aggregated_fleet_exposition_is_golden() {
             ),
         );
         for ns in [900u64, 9_000, 90_000, 900_000, 9_000_000] {
-            agg.record(
+            agg.record_from(
                 *worker,
                 &scripted(
                     EventKind::Timing {
