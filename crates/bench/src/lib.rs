@@ -10,8 +10,13 @@
 //! The harness measures; it does not judge. Speedup claims are derived
 //! ratios stored next to the raw samples, and assertions about them live
 //! in the caller (the `uvf-bench` binary prints them; CI archives them).
+//!
+//! [`registry`] holds the paper's experiments, one row per table/figure,
+//! with their landmark gates; the `repro` binary is its command line.
 
 #![deny(deprecated)]
+
+pub mod registry;
 
 use std::hint::black_box;
 use std::time::Instant;

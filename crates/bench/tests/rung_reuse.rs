@@ -4,24 +4,21 @@
 //! recomputed the slow way — a fresh `read_back` and a fresh `error_on` —
 //! and must match the reports exactly, errors and ECC tallies alike, for
 //! all four mitigation modes. Both ladders must also report the same
-//! whether the shared die cache starts cold or warm.
+//! whether the shared die cache starts cold or warm. The chip is the
+//! registry's Fig. 13/14 die, read cold, so faults arrive well inside the
+//! ladder.
 
 use std::sync::{Mutex, MutexGuard};
 use uvf_accel::{
     mitigation_shootout_traced, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork,
     Mitigation, ParetoConfig, Placement, ShootoutConfig,
 };
+use uvf_bench::registry::{CHIP_SEED, EVAL_RUN_SEED, EVAL_TEMPERATURE_C, NET_SEED};
 use uvf_faults::ecc::EccStats;
 use uvf_faults::{FaultModel, FvmCache, ReadCondition};
 use uvf_fpga::{Board, Millivolts, Platform, Rail};
 use uvf_nn::{train, DatasetKind, Mlp, QNetwork, SyntheticData, TrainConfig};
 use uvf_trace::Tracer;
-
-const NET_SEED: u64 = 12;
-/// The Fig. 13/14 chip, cold: faults arrive well inside the ladder.
-const CHIP_SEED: u64 = 21;
-const TEMPERATURE_C: f64 = 0.0;
-const RUN_SEED: u64 = 1;
 
 /// Every test here reads chip `CHIP_SEED` through the process-wide die
 /// cache and one clears it; serialize them so the cold run stays cold.
@@ -63,7 +60,12 @@ fn ladder(from_mv: u32, floor_mv: u32, step_mv: u32) -> Vec<Millivolts> {
 fn shootout_rungs_match_a_fresh_read_back_and_classification() {
     let _g = die_cache();
     let (data, qnet, weights) = small_net();
-    let cfg = ShootoutConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C, weights.len() - 1);
+    let cfg = ShootoutConfig::vc707_default(
+        CHIP_SEED,
+        EVAL_RUN_SEED,
+        EVAL_TEMPERATURE_C,
+        weights.len() - 1,
+    );
     let off = Tracer::disabled();
     let report = mitigation_shootout_traced(&cfg, &qnet, &weights, &data, &off).unwrap();
 
@@ -141,7 +143,7 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
 fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
     let _g = die_cache();
     let (data, qnet, weights) = small_net();
-    let cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
+    let cfg = ParetoConfig::vc707_default(CHIP_SEED, EVAL_RUN_SEED, EVAL_TEMPERATURE_C);
     let sweep = voltage_accuracy_power_sweep(&cfg, &qnet, &weights, &data).unwrap();
 
     let off = Tracer::disabled();
@@ -195,9 +197,14 @@ fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
 fn pareto_sweep_is_the_shootouts_none_curve_down_to_vcrash() {
     let _g = die_cache();
     let (data, qnet, weights) = small_net();
-    let pareto_cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
+    let pareto_cfg = ParetoConfig::vc707_default(CHIP_SEED, EVAL_RUN_SEED, EVAL_TEMPERATURE_C);
     let sweep = voltage_accuracy_power_sweep(&pareto_cfg, &qnet, &weights, &data).unwrap();
-    let cfg = ShootoutConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C, weights.len() - 1);
+    let cfg = ShootoutConfig::vc707_default(
+        CHIP_SEED,
+        EVAL_RUN_SEED,
+        EVAL_TEMPERATURE_C,
+        weights.len() - 1,
+    );
     let report =
         mitigation_shootout_traced(&cfg, &qnet, &weights, &data, &Tracer::disabled()).unwrap();
     let none = report.curve(Mitigation::None);
@@ -229,9 +236,13 @@ fn pareto_sweep_is_the_shootouts_none_curve_down_to_vcrash() {
 fn ladders_report_the_same_from_a_cold_or_warm_die_cache() {
     let _g = die_cache();
     let (data, qnet, weights) = small_net();
-    let shootout_cfg =
-        ShootoutConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C, weights.len() - 1);
-    let pareto_cfg = ParetoConfig::vc707_default(CHIP_SEED, RUN_SEED, TEMPERATURE_C);
+    let shootout_cfg = ShootoutConfig::vc707_default(
+        CHIP_SEED,
+        EVAL_RUN_SEED,
+        EVAL_TEMPERATURE_C,
+        weights.len() - 1,
+    );
+    let pareto_cfg = ParetoConfig::vc707_default(CHIP_SEED, EVAL_RUN_SEED, EVAL_TEMPERATURE_C);
     let run = || {
         (
             mitigation_shootout_traced(&shootout_cfg, &qnet, &weights, &data, &Tracer::disabled())

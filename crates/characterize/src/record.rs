@@ -12,7 +12,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use uvf_faults::{FaultModel, FaultVariationMap};
-use uvf_fpga::seedmix::mix;
+use uvf_fpga::seedmix::{fnv1a, mix};
 use uvf_fpga::{DataPattern, Millivolts, PlatformKind, Rail};
 
 /// Schema version of the checkpoint/record JSON.
@@ -382,12 +382,7 @@ impl SweepRecord {
     /// byte-stable serializations are equal.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_json_string().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        hash
+        fnv1a(self.to_json_string().as_bytes())
     }
 }
 

@@ -64,6 +64,16 @@ pub fn mix(keys: &[u64]) -> u64 {
     h
 }
 
+/// 64-bit FNV-1a over `bytes`: the workspace's one content hash (record
+/// identities, manifest fingerprints, golden digests). Not a mixer —
+/// use [`mix`] for key tuples.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Map 64 uniform bits onto a double in `[0, 1)` (53-bit mantissa).
 #[must_use]
 pub fn unit_f64(h: u64) -> f64 {
@@ -85,6 +95,13 @@ mod tests {
         assert_eq!(mix(&[1, 2, 3]), mix(&[1, 2, 3]));
         assert_ne!(mix(&[1, 2, 3]), mix(&[3, 2, 1]));
         assert_ne!(mix(&[1]), mix(&[1, 0]));
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -221,16 +221,13 @@ mod tests {
 
     /// FNV-1a over every weight's and bias's bit pattern.
     fn weight_digest(net: &Mlp) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for l in net.layers() {
-            for &v in l.w.data().iter().chain(&l.b) {
-                for byte in v.to_bits().to_le_bytes() {
-                    h ^= u64::from(byte);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-        h
+        let bytes: Vec<u8> = net
+            .layers()
+            .iter()
+            .flat_map(|l| l.w.data().iter().chain(&l.b))
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        uvf_fpga::seedmix::fnv1a(&bytes)
     }
 
     /// The `repro --quick` accelerator fixture. Training runs its forward

@@ -1,9 +1,10 @@
-//! §V-B landmark gates and breakdown-report golden bytes.
+//! Power-model invariants and breakdown-report golden bytes.
 //!
-//! These are the acceptance tests of the power model: the VC707 must
-//! reproduce the paper's headline numbers — BRAM rail ≈ 24.1 % of total
-//! on-chip power at nominal, >10× rail reduction at Vmin, ~40 % further
-//! at Vcrash — and the VTR-style report must render byte-identically.
+//! Every platform saves power monotonically down the ladder, PMBus reads
+//! the attached model, and the VTR-style report renders byte-identically.
+//! The §V-B headline numbers (24.1 %, >10× at Vmin, 40 % further at
+//! Vcrash) are gated by `uvf_bench::registry::check_fig10`, which tier-1
+//! runs through `crates/bench/tests/registry.rs`.
 //! Regenerate the golden after an intentional format change with
 //!
 //! ```text
@@ -39,41 +40,6 @@ fn assert_golden(name: &str, actual: &str) {
 
 fn vc707() -> ChipPowerModel {
     ChipPowerModel::for_platform(PlatformKind::Vc707)
-}
-
-#[test]
-fn vc707_bram_rail_is_24_1_percent_at_nominal() {
-    let m = vc707();
-    let share = m.rail_share_nominal(Rail::Vccbram);
-    assert!(
-        (share - 0.241).abs() < 1e-12,
-        "BRAM rail share {share}, paper says 24.1 %"
-    );
-}
-
-#[test]
-fn vc707_rail_reduction_at_vmin_exceeds_10x() {
-    let m = vc707();
-    let spec = m.rail(Rail::Vccbram);
-    let reduction = spec.reduction_at(spec.landmarks.vmin);
-    assert!(reduction > 10.0, "reduction at Vmin is {reduction:.1}×");
-    // The calibrated exponent actually lands near 20× — record the
-    // magnitude so a silent calibration change trips this gate.
-    assert!(
-        (15.0..30.0).contains(&reduction),
-        "reduction at Vmin is {reduction:.1}×, expected ≈20×"
-    );
-}
-
-#[test]
-fn vc707_further_reduction_at_vcrash_is_about_40_percent() {
-    let m = vc707();
-    let spec = m.rail(Rail::Vccbram);
-    let further = spec.further_reduction(spec.landmarks.vmin, spec.landmarks.vcrash);
-    assert!(
-        (further - 0.40).abs() < 1e-9,
-        "further Vmin→Vcrash reduction {further}"
-    );
 }
 
 #[test]
