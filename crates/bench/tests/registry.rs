@@ -1,145 +1,65 @@
 //! Tier-1 runs the registry: every `repro all` experiment, `--check`
-//! included, in-process at quick and at paper scale — the one home of
-//! every landmark gate (`uvf_bench::registry::check_*`).
-//!
-//! Each experiment's `.jsonl` event log is also pinned by its FNV-1a
-//! digest, so any record drift fails here even when no landmark moves.
-//! Regenerate the table after an intentional change with
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test -p uvf-bench --test registry
-//! ```
-//!
-//! and say why in the change log.
+//! included, in-process at quick scale, and every one but the network
+//! rows at paper scale (`fig14_mnist.rs` runs those on the one trained
+//! network its tests share). `uvf_bench::registry::check_*` is the one
+//! home of every landmark gate; `common` holds the digest table every
+//! event log is pinned by.
 
-use std::path::PathBuf;
+mod common;
 
+use common::{assert_pinned, ctx, run_rows, scale, DIGESTS, NET_ROWS};
 use uvf_accel::{LayerFaults, MappedNetwork, Placement};
-use uvf_bench::registry::{build_fixture, run_command, Ctx, EVAL_TEMPERATURE_C, REGISTRY};
+use uvf_bench::registry::{build_fixture, EVAL_TEMPERATURE_C, REGISTRY};
 use uvf_faults::{FaultModel, ReadCondition, ResolvedCondition};
-use uvf_fpga::seedmix::fnv1a;
 use uvf_fpga::{Board, Platform, PlatformKind, Rail};
 use uvf_nn::Dataset;
 use uvf_trace::Tracer;
 
-/// `(experiment, quick-scale digest, paper-scale digest)` of every
-/// experiment's `.jsonl`, in registry order.
-#[rustfmt::skip]
-const DIGESTS: &[(&str, u64, u64)] = &[
-    // digests:begin
-    ("table1", 0x6f1cc2fb1c12cfd2, 0x6f1cc2fb1c12cfd2),
-    ("fig1", 0x30aa18b31430a5ac, 0x59e5e2e6a7265f18),
-    ("fig3", 0x31299a86c313afbf, 0xc6e3d7420592b971),
-    ("fig4", 0x009a3b984d008b96, 0x70ec38837489dcbe),
-    ("fig5", 0x9a1bb2832437b507, 0x9a1bb2832437b507),
-    ("table2", 0x1f255272637ee37f, 0x0563221ed3691c48),
-    ("fig8", 0x0d8d918d49f677c0, 0x5d163f86a465e90f),
-    ("fig10", 0xbb394c64df342064, 0xbb394c64df342064),
-    ("fig11", 0xab8af68cbc8e8eee, 0xab8af68cbc8e8eee),
-    ("fig12", 0x6304b0a081417b63, 0x13b0da8ef9478f9f),
-    ("fig13", 0x01d88b009cf2d430, 0x9c153c9c39f7409f),
-    ("fig14", 0x8238fb3d17ca4597, 0xc9365330339f7098),
-    ("mitigation", 0xa8bda816da796467, 0x40ac3d9c0835fe9e),
-    // digests:end
-];
-
-/// The rows that train and read the §V network: the paper-scale long
-/// pole, so they get a thread of their own.
-const NET_ROWS: [&str; 4] = ["fig12", "fig13", "fig14", "mitigation"];
-
-fn scale(quick: bool) -> &'static str {
-    if quick {
-        "quick"
-    } else {
-        "paper"
-    }
-}
-
-/// The scale's artifact directory.
-fn out_dir(quick: bool) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "uvf-registry-{}-{}",
-        scale(quick),
-        std::process::id()
-    ))
-}
-
-/// Run the `all` experiments `rows` picks with `--check` into the scale's
-/// directory and return the digest of each one's event log.
-fn run_rows(quick: bool, rows: fn(&str) -> bool) -> Vec<(&'static str, u64)> {
-    let out = out_dir(quick);
-    let mut ctx = Ctx::new(quick, true, out.clone());
-    REGISTRY
-        .iter()
-        .filter(|e| e.in_all && rows(e.name))
-        .map(|e| {
-            run_command(e.name, &mut ctx)
-                .unwrap_or_else(|msg| panic!("{} {}: {msg}", scale(quick), e.name));
-            let log = std::fs::read(out.join(format!("{}.jsonl", e.name))).expect("event log");
-            (e.name, fnv1a(&log))
+/// Run the rows `rows` picks with `--check`, gate included, and return
+/// each one's digest; panics on the first failure.
+fn gated_rows(quick: bool, rows: fn(&str) -> bool) -> Vec<(&'static str, u64)> {
+    let ctx = ctx(quick);
+    run_rows(quick, rows)
+        .into_iter()
+        .map(|(name, outcome)| {
+            let (summary, digest) =
+                outcome.unwrap_or_else(|msg| panic!("{} {name}: {msg}", scale(quick)));
+            if let Some(check) = REGISTRY
+                .iter()
+                .find(|e| e.name == name)
+                .and_then(|e| e.check)
+            {
+                check(&ctx, &summary)
+                    .unwrap_or_else(|msg| panic!("{} {name}: {msg}", scale(quick)));
+            }
+            (name, digest)
         })
         .collect()
 }
 
-/// Rewrite the rows between the `digests:` markers of this file.
-fn bless(rows: &[(&str, u64, u64)]) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/registry.rs");
-    let text = std::fs::read_to_string(&path).expect("read test source");
-    let marker = "    // digests:begin\n";
-    let begin = text.find(marker).expect("begin marker") + marker.len();
-    let end = text.find("    // digests:end").expect("end marker");
-    let table: String = rows
-        .iter()
-        .map(|(name, q, p)| format!("    ({name:?}, {q:#018x}, {p:#018x}),\n"))
-        .collect();
-    std::fs::write(&path, format!("{}{table}{}", &text[..begin], &text[end..]))
-        .expect("write test source");
-    println!("regenerated the digest table in {}", path.display());
-}
-
 #[test]
-fn every_gate_passes_and_every_log_matches_its_digest_at_both_scales() {
-    // Paper-scale training dominates, so the paper network rows run on
-    // one thread while the other runs everything else; each scale still
-    // trains its one fixture, in its first network row.
-    let clear = || {
-        for quick in [true, false] {
-            std::fs::remove_dir_all(out_dir(quick)).ok();
-        }
-    };
-    clear();
-    let (paper_net, paper_rest, quick) = std::thread::scope(|s| {
-        let net = s.spawn(|| run_rows(false, |name| NET_ROWS.contains(&name)));
-        let rest = run_rows(false, |name| !NET_ROWS.contains(&name));
-        let quick = run_rows(true, |_| true);
-        (net.join().expect("paper-scale network rows"), rest, quick)
+fn every_row_but_the_paper_network_passes_its_gate_and_digest() {
+    // The quick scale (which trains its small network) and the paper
+    // platform rows take about as long, so they run side by side.
+    let (paper, quick) = std::thread::scope(|s| {
+        let paper = s.spawn(|| gated_rows(false, |name| !NET_ROWS.contains(&name)));
+        let quick = gated_rows(true, |_| true);
+        (paper.join().expect("paper-scale platform rows"), quick)
     });
-    clear();
-    let paper = |name| {
-        paper_net
-            .iter()
-            .chain(&paper_rest)
-            .find(|(row, _)| *row == name)
-            .map(|&(_, digest)| digest)
-            .expect("paper-scale row")
-    };
-    let rows: Vec<(&str, u64, u64)> = quick
-        .iter()
-        .map(|&(name, q)| (name, q, paper(name)))
-        .collect();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        bless(&rows);
-        return;
+    assert_pinned(true, &quick);
+    assert_pinned(false, &paper);
+    // Every row of the table ran at quick scale, and at paper scale here
+    // or in `fig14_mnist.rs`.
+    for (name, _, _) in DIGESTS {
+        assert!(
+            quick.iter().any(|row| row.0 == *name),
+            "{name} did not run at quick scale"
+        );
+        assert!(
+            paper.iter().any(|row| row.0 == *name) || NET_ROWS.contains(name),
+            "{name} did not run at paper scale"
+        );
     }
-    let drifted: Vec<String> = rows
-        .iter()
-        .filter(|row| !DIGESTS.contains(row))
-        .map(|(name, q, p)| format!("{name}: quick {q:#018x}, paper {p:#018x}"))
-        .collect();
-    assert!(
-        drifted.is_empty() && rows.len() == DIGESTS.len(),
-        "event logs drifted from the digest table (bless with UPDATE_GOLDEN=1): {drifted:#?}"
-    );
 }
 
 #[test]
