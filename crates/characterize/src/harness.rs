@@ -228,7 +228,7 @@ impl Harness {
         // Consult the process-wide cache: the same (platform, chip_seed)
         // die is shared across harnesses, search probes and worker jobs.
         let model = FvmCache::global().model(*board.platform(), board.chip_seed());
-        let mut record = cfg.empty_record(&board);
+        let mut record = cfg.empty_record(board.platform().kind, board.chip_seed());
         record.noise_band_mv = cfg.noise_band_mv;
         let mut board = board;
         board.set_noise_band_mv(cfg.noise_band_mv);

@@ -10,7 +10,9 @@
 use crate::record::SweepRecord;
 use crate::scan;
 use uvf_faults::{run_seed, FaultModel, ReadCondition};
-use uvf_fpga::{Board, BoardError, BramId, DataPattern, Millivolts, Rail, DEFAULT_TEMPERATURE_C};
+use uvf_fpga::{
+    Board, BoardError, BramId, DataPattern, Millivolts, PlatformKind, Rail, DEFAULT_TEMPERATURE_C,
+};
 
 /// Parameters of one guardband sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,14 +151,17 @@ impl SweepConfig {
         })
     }
 
-    /// An empty record carrying this configuration, ready for the harness.
+    /// An empty record carrying this configuration for the die
+    /// `(platform, chip_seed)`, ready for the harness. Takes the die's
+    /// identity rather than a [`Board`], so a record can be checked against
+    /// its job without building the board.
     #[must_use]
-    pub fn empty_record(&self, board: &Board) -> SweepRecord {
+    pub fn empty_record(&self, platform: PlatformKind, chip_seed: u64) -> SweepRecord {
         SweepRecord {
-            platform: board.platform().kind,
+            platform,
             rail: self.rail,
             pattern: self.pattern,
-            chip_seed: board.chip_seed(),
+            chip_seed,
             start_mv: self.start.0,
             floor_mv: self.floor.0,
             step_mv: self.step_mv,

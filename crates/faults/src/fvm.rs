@@ -89,15 +89,6 @@ impl FaultVariationMap {
         let clean = self.counts.iter().filter(|&&c| c == 0).count();
         clean as f64 / self.counts.len() as f64
     }
-
-    /// All BRAM ids, least vulnerable first (count ascending, id
-    /// tie-break) — the ICBP candidate order.
-    #[must_use]
-    pub fn ranked(&self) -> Vec<BramId> {
-        let mut ids: Vec<u32> = (0..self.counts.len() as u32).collect();
-        ids.sort_by_key(|&id| (self.counts[id as usize], id));
-        ids.into_iter().map(BramId).collect()
-    }
 }
 
 impl FaultModel {
@@ -173,15 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn ranking_is_ascending_and_total_matches() {
+    fn total_matches_the_per_bram_counts() {
         let m = model();
         let map = m.variation_map(m.platform().vccbram.vcrash);
-        let ranked = map.ranked();
-        assert_eq!(ranked.len(), m.platform().bram_count);
-        for pair in ranked.windows(2) {
-            let (a, b) = (map.count(pair[0]), map.count(pair[1]));
-            assert!(a < b || (a == b && pair[0].0 < pair[1].0));
-        }
+        assert_eq!(map.counts().len(), m.platform().bram_count);
         let sum: u64 = (0..m.platform().bram_count as u32)
             .map(|b| u64::from(map.count(BramId(b))))
             .sum();

@@ -46,7 +46,7 @@
 //! [`FvmRecord`]: uvf_characterize::record::FvmRecord
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -60,14 +60,20 @@ pub const MAX_FRAME_BYTES: u32 = 16 << 20;
 
 /// Write one `length ‖ payload` frame and flush it.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
+    append_frame(w, json)?;
+    w.flush()
+}
+
+/// Write one `length ‖ payload` frame without flushing: behind a buffered
+/// writer, consecutive frames leave in one write.
+fn append_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
     let payload = json.to_string();
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|l| *l <= MAX_FRAME_BYTES)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload.as_bytes())?;
-    w.flush()
+    w.write_all(payload.as_bytes())
 }
 
 /// Read one frame. `Ok(None)` is a clean close (EOF before any length
@@ -351,9 +357,14 @@ impl Message {
         })
     }
 
-    /// Frame this message onto `w`.
+    /// Frame this message onto `w` and flush it.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         write_frame(w, &self.to_json())
+    }
+
+    /// Frame this message onto `w` without flushing ([`append_frame`]).
+    pub(crate) fn append_to(&self, w: &mut impl Write) -> io::Result<()> {
+        append_frame(w, &self.to_json())
     }
 
     /// Read and decode the next message; `Ok(None)` is a clean close.
@@ -484,7 +495,10 @@ impl BoundListener {
 
 /// One bidirectional peer connection, split into independently owned
 /// read/write halves so a worker can stream events from a sink while its
-/// main loop writes job messages.
+/// main loop writes job messages. The read half is buffered, so a frame's
+/// length prefix and payload — and a run of small frames — come in with
+/// one `read(2)`; the write half is the raw socket, and whoever wants
+/// coalesced writes buffers it.
 pub struct Conn {
     pub reader: Box<dyn Read + Send>,
     pub writer: Box<dyn Write + Send>,
@@ -494,7 +508,7 @@ impl Conn {
     fn from_unix(stream: UnixStream) -> io::Result<Conn> {
         let write_half = stream.try_clone()?;
         Ok(Conn {
-            reader: Box::new(stream),
+            reader: Box::new(BufReader::new(stream)),
             writer: Box::new(write_half),
         })
     }
@@ -503,7 +517,7 @@ impl Conn {
         stream.set_nodelay(true).ok();
         let write_half = stream.try_clone()?;
         Ok(Conn {
-            reader: Box::new(stream),
+            reader: Box::new(BufReader::new(stream)),
             writer: Box::new(write_half),
         })
     }

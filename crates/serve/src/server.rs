@@ -22,7 +22,18 @@
 //! mechanism PR 1's harness uses for board crashes, lifted one level up.
 //! When a worker dies holding a lease, the server also dumps that
 //! worker's flight-recorder tail (its last K events) to a
-//! `crash_tail_worker<id>.jsonl` for post-mortem.
+//! `crash_tail_worker<id>.jsonl` for post-mortem. Workers coalesce their
+//! event frames (see the lease heartbeat below), so a SIGKILLed worker's
+//! tail may miss at most the events of its last 50 ms before the kill.
+//!
+//! ## The lease heartbeat
+//!
+//! Every event frame from the lease holder renews its lease. A worker
+//! buffers its event frames and flushes them with each control frame
+//! (`Hello`, `JobRequest`, `JobDone`, `JobFailed`), at every throttle
+//! pause, and whenever an event is written 50 ms or more after the last
+//! flush. So a job's events always precede its `JobDone`, and a sweep
+//! that keeps emitting events is heard from about every 50 ms.
 //!
 //! ## Determinism
 //!
@@ -804,9 +815,11 @@ fn handle_message(
                 uvf_characterize::store::LeaseState::Leased { worker: w, .. } if w == worker
             );
             if holds_lease {
-                // Progress heartbeat: a streaming worker keeps its lease
-                // alive however long the sweep takes; only silence (a
-                // hang) lets the deadline lapse.
+                // Progress heartbeat (module docs): a worker flushes its
+                // buffered events at least every 50 ms while it emits and
+                // at every throttle pause, so a sweep keeps its lease
+                // however long it takes; only silence (a hang) lets the
+                // deadline lapse.
                 state.queue.renew(*job, worker, now_ms(started));
                 state.obs.metrics().add("lease_renewals", 1);
                 if let Some(event) = parsed {
@@ -922,12 +935,13 @@ fn fail_job(state: &mut State, job: usize, error: &str, now_ms: u64) {
 }
 
 /// Parse and verify a worker's record against the job it was assigned:
-/// same configuration fingerprint, same die.
+/// same configuration fingerprint, same die. The die is named by its
+/// platform and seed alone; no board is built.
 fn verify_record(job: &CampaignJob, record_text: &str) -> Result<SweepRecord, String> {
     let parsed = uvf_characterize::prelude::Json::parse(record_text)
         .map_err(|e| format!("record JSON: {e}"))
         .and_then(|v| SweepRecord::from_json(&v).map_err(|e| format!("record schema: {e}")))?;
-    let expected = job.cfg.empty_record(&job.board()).fingerprint();
+    let expected = job.cfg.empty_record(job.kind, job.seed()).fingerprint();
     let found = parsed.fingerprint();
     if found != expected {
         return Err(format!(

@@ -18,10 +18,10 @@
 //! lease-expiry path rather than the connection-drop path.
 
 use crate::protocol::{Conn, Endpoint, Message};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uvf_characterize::prelude::{
     Backoff, CampaignJob, CheckpointStore, Harness, HarnessStatus, RecoveryPolicy,
 };
@@ -100,19 +100,48 @@ impl WorkerOptions {
     }
 }
 
-/// The socket's write half, shared between the worker's control loop and
-/// its event-forwarding sink.
-type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
+/// An event frame waits in the worker's buffer at most until the next
+/// event written this long after the last flush (or the next control
+/// frame, or throttle pause). It bounds both how stale the server's view
+/// of a busy job gets and what a SIGKILL can cost the crash tail.
+const EVENT_FLUSH_INTERVAL: Duration = Duration::from_millis(50);
 
+/// The socket's buffered write half, shared between the worker's control
+/// loop and its event-forwarding sink. Event frames accumulate in the
+/// buffer; control frames go through the same buffer and flush it, so a
+/// job's events always reach the server before its `JobDone`.
+struct Wire {
+    out: BufWriter<Box<dyn Write + Send>>,
+    last_flush: Instant,
+}
+
+impl Wire {
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()?;
+        self.last_flush = Instant::now();
+        Ok(())
+    }
+}
+
+type SharedWriter = Arc<Mutex<Wire>>;
+
+fn lock(writer: &SharedWriter) -> std::sync::MutexGuard<'_, Wire> {
+    writer.lock().expect("worker writer poisoned")
+}
+
+/// Send a control frame, flushing every event frame buffered before it.
 fn send(writer: &SharedWriter, msg: &Message) -> io::Result<()> {
-    let mut w = writer.lock().expect("worker writer poisoned");
-    msg.write_to(&mut *w)
+    let mut wire = lock(writer);
+    msg.append_to(&mut wire.out)?;
+    wire.flush()
 }
 
 /// A [`Sink`] that frames every deterministic-core event onto the campaign
-/// socket as it is emitted, tagged with the job it belongs to. [`Timing`]
-/// samples are dropped — their wall-clock payload is nondeterministic and
-/// the JSONL form excludes them anyway.
+/// socket's buffer, tagged with the job it belongs to, and flushes when
+/// [`EVENT_FLUSH_INTERVAL`] has passed since the last flush. The flushes
+/// are the lease heartbeat: a sweep that keeps emitting events keeps its
+/// lease. [`Timing`] samples are dropped — their wall-clock payload is
+/// nondeterministic and the JSONL form excludes them anyway.
 ///
 /// [`Timing`]: EventKind::Timing
 struct ForwardSink {
@@ -125,15 +154,17 @@ impl Sink for ForwardSink {
         if matches!(event.kind, EventKind::Timing { .. }) {
             return;
         }
+        let msg = Message::Event {
+            job: self.job,
+            line: event.to_jsonl(),
+        };
         // A send failure means the server is gone; the harness error path
         // will surface it, so the sink itself stays quiet.
-        let _ = send(
-            &self.writer,
-            &Message::Event {
-                job: self.job,
-                line: event.to_jsonl(),
-            },
-        );
+        let mut wire = lock(&self.writer);
+        if msg.append_to(&mut wire.out).is_ok() && wire.last_flush.elapsed() >= EVENT_FLUSH_INTERVAL
+        {
+            let _ = wire.flush();
+        }
     }
 }
 
@@ -142,7 +173,10 @@ impl Sink for ForwardSink {
 pub fn run_worker(opts: &WorkerOptions) -> io::Result<()> {
     let conn = connect_with_backoff(opts)?;
     let Conn { mut reader, writer } = conn;
-    let writer: SharedWriter = Arc::new(Mutex::new(writer));
+    let writer: SharedWriter = Arc::new(Mutex::new(Wire {
+        out: BufWriter::new(writer),
+        last_flush: Instant::now(),
+    }));
     send(
         &writer,
         &Message::Hello {
@@ -238,6 +272,9 @@ fn execute_job(
             {
                 HarnessStatus::Finished(_) => break,
                 HarnessStatus::Paused { .. } => {
+                    // Flush before sleeping: the server hears the chunk's
+                    // events (and renews the lease) before the pause.
+                    lock(writer).flush().map_err(|e| e.to_string())?;
                     std::thread::sleep(Duration::from_millis(opts.throttle_ms));
                 }
             }
@@ -288,6 +325,84 @@ mod tests {
             (opts.throttle_ms, opts.chunk_runs, opts.hang),
             (0, 8, false)
         );
+    }
+
+    /// A socket stand-in that keeps every byte written through to it.
+    #[derive(Clone, Default)]
+    struct Socket(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Socket {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Socket {
+        /// The frames that reached the socket, decoded.
+        fn frames(&self) -> Vec<Message> {
+            let bytes = self.0.lock().unwrap().clone();
+            let mut reader = bytes.as_slice();
+            std::iter::from_fn(|| Message::read_from(&mut reader).unwrap()).collect()
+        }
+    }
+
+    #[test]
+    fn events_wait_for_the_flush_interval_and_precede_control_frames() {
+        let socket = Socket::default();
+        let writer: SharedWriter = Arc::new(Mutex::new(Wire {
+            out: BufWriter::new(Box::new(socket.clone())),
+            last_flush: Instant::now(),
+        }));
+        let sink = ForwardSink {
+            job: 3,
+            writer: Arc::clone(&writer),
+        };
+        let event = |seq| Event {
+            seq,
+            kind: EventKind::Instant,
+            name: "level_done".into(),
+            span: None,
+            parent: None,
+            sim_ms: Some(seq),
+            wall_ns: None,
+            fields: Vec::new(),
+        };
+        let seqs = |frames: &[Message]| -> Vec<Option<u64>> {
+            frames
+                .iter()
+                .map(|m| match m {
+                    Message::Event { job: 3, line } => Some(Event::parse_jsonl(line).unwrap().seq),
+                    _ => None,
+                })
+                .collect()
+        };
+        sink.record(&event(0));
+        assert!(
+            socket.frames().is_empty(),
+            "a fresh event waits in the buffer"
+        );
+        // An event written once the interval has passed flushes everything
+        // buffered, itself included.
+        let past = Instant::now().checked_sub(EVENT_FLUSH_INTERVAL).unwrap();
+        lock(&writer).last_flush = past;
+        sink.record(&event(1));
+        assert_eq!(seqs(&socket.frames()), [Some(0), Some(1)]);
+        sink.record(&event(2));
+        assert_eq!(socket.frames().len(), 2, "the flush restarted the interval");
+        // A control frame flushes the buffered event ahead of itself.
+        let done = Message::JobDone {
+            job: 3,
+            record: "{}".into(),
+            sim_ms: 2,
+        };
+        send(&writer, &done).unwrap();
+        let frames = socket.frames();
+        assert_eq!(seqs(&frames), [Some(0), Some(1), Some(2), None]);
+        assert_eq!(frames[3], done);
     }
 
     #[test]

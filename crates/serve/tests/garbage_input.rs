@@ -206,6 +206,48 @@ fn message_frames_never_panic() {
     assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
 }
 
+/// Frames whose string ends inside a multibyte run, or on a lone
+/// backslash, are typed errors; the same frame, terminated, reads back.
+#[test]
+fn multibyte_string_frames_fail_typed() {
+    let frame = |payload: &str| {
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload.as_bytes());
+        wire
+    };
+    let head = r#"{"type":"event","job":1,"line":"µs 日本語 🦀"#;
+    let ok = frame(&format!("{head}\"}}"));
+    let read = Message::read_from(&mut ok.as_slice()).unwrap();
+    assert_eq!(
+        read,
+        Some(Message::Event {
+            job: 1,
+            line: "µs 日本語 🦀".into()
+        })
+    );
+    for (label, payload) in [
+        ("unterminated after a multibyte run", head.to_string()),
+        ("trailing lone backslash", format!("{head}\\")),
+    ] {
+        let wire = frame(&payload);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            Message::read_from(&mut wire.as_slice())
+        }))
+        .unwrap_or_else(|_| panic!("{label}: panicked"));
+        let err = result.expect_err(label);
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{label}: {err}"
+        );
+        assert!(
+            err.to_string()
+                .contains(&format!("JSON error at byte {}", payload.len())),
+            "{label}: the error names the end of the frame: {err}"
+        );
+    }
+}
+
 #[test]
 fn prometheus_exposition_parse_never_panics() {
     // Every family kind the sink renders: counters, a gauge, and the

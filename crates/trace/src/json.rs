@@ -155,6 +155,7 @@ impl Json {
 
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -202,6 +203,9 @@ fn write_escaped(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes. `pos` stays on a char boundary: the parser steps
+    /// over single bytes only when they are ASCII, or just before failing.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -359,12 +363,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash in one step. Both are ASCII, so the run
+                    // ends on a char boundary and slicing `text` is O(1).
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -468,6 +475,56 @@ mod tests {
         let control = Json::Str("\u{1}".to_string()).to_string();
         assert_eq!(control, "\"\\u0001\"");
         assert_eq!(Json::parse(&control).unwrap().as_str(), Some("\u{1}"));
+    }
+
+    #[test]
+    fn multibyte_runs_survive_the_run_scan() {
+        for s in [
+            "µ",
+            "日本語",
+            "🦀",
+            "µs at 540 mV, 日本語 🦀🦀 done",
+            "a🦀b",
+        ] {
+            let text = Json::Str(s.to_string()).to_string();
+            assert_eq!(text, format!("\"{s}\""), "multibyte text is written raw");
+            assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_characters() {
+        let s = "日\n本\"語\\🦀\tµ\u{1}é";
+        let text = Json::Str(s.to_string()).to_string();
+        assert_eq!(text, "\"日\\n本\\\"語\\\\🦀\\tµ\\u0001é\"");
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+        // `\u` escapes between multibyte runs, and a `\/` the writer never
+        // emits.
+        let parsed = Json::parse(r#""µA日本é🦀\/語""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("µA日本é🦀/語"));
+        // A run that ends the document is unterminated at its very end,
+        // and a lone trailing backslash is a bad escape there too.
+        for bad in ["\"日本語", "\"🦀\\", "\"µ\\u00", "\"日\\x\""] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.offset <= bad.len(), "{bad:?}: {err}");
+        }
+        assert_eq!(
+            Json::parse("\"日本語").unwrap_err().offset,
+            "\"日本語".len()
+        );
+        assert_eq!(Json::parse("\"🦀\\").unwrap_err().msg, "bad escape");
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        let unit = "540 mV µ 日本語 🦀 \"q\" \\ \n";
+        let s = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(s.len() >= 1 << 20);
+        let v = Json::obj(vec![("line", Json::Str(s.clone())), ("n", Json::UInt(7))]);
+        let text = v.to_string();
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("line").and_then(Json::as_str), Some(s.as_str()));
+        assert_eq!(back.to_string(), text, "byte-stable");
     }
 
     #[test]
