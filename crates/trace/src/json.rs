@@ -14,6 +14,8 @@
 
 use std::error::Error;
 use std::fmt;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -194,6 +196,28 @@ fn write_escaped(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Save `text` at `path` atomically: write `<path>.tmp`, **fsync it**,
+/// then rename it over `path`. Neither a process crash mid-write nor a
+/// host crash right after the rename (which could otherwise land before
+/// the data blocks) leaves a torn document at `path`. Every checkpoint,
+/// record, manifest and bench suite is saved through here.
+pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
+    let tmp = tmp_path(path);
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)
+}
+
+/// The temp file [`write_atomic`] renames into `path`.
+#[must_use]
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(".tmp");
+    PathBuf::from(os)
 }
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser

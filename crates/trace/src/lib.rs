@@ -34,10 +34,14 @@
 //!   writes next to each figure/table; [`RunTally`] gathers its event
 //!   count and phases from the live stream.
 //! * [`json`] — the byte-stable JSON value tree shared by the whole
-//!   workspace (grew up in `uvf-characterize`, which re-exports it).
+//!   workspace (grew up in `uvf-characterize`, which re-exports it), and
+//!   [`write_atomic`], the one temp + fsync + rename save.
+//! * [`codec`] — the declarative record codec: [`json_record!`] declares
+//!   a record's fields once and derives both directions of its JSON.
 
 #![deny(deprecated)]
 
+pub mod codec;
 pub mod event;
 pub mod histogram;
 pub mod json;
@@ -48,7 +52,7 @@ pub mod tracer;
 
 pub use event::{Event, EventKind, Value};
 pub use histogram::{bucket_upper_ns, Histogram, BUCKET_COUNT};
-pub use json::{Json, JsonError};
+pub use json::{write_atomic, Json, JsonError};
 pub use manifest::{Manifest, PhaseTime, RunTally};
 pub use merge::{merge_event_streams, offset_event};
 pub use sink::{

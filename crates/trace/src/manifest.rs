@@ -3,41 +3,44 @@
 //! platform/seed, where the event log lives, and where the wall time went.
 
 use crate::event::{Event, EventKind};
-use crate::json::{Json, JsonError};
+use crate::json::{write_atomic, Json, JsonError};
 use crate::sink::Sink;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Wall time attributed to one top-level phase of a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseTime {
-    pub name: String,
-    pub wall_ns: u64,
+crate::json_record! {
+    /// Wall time attributed to one top-level phase of a run.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PhaseTime {
+        pub name: String,
+        pub wall_ns: u64,
+    }
 }
 
-/// Metadata describing one completed run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Manifest {
-    /// Experiment name (e.g. `fig3`, `table2`).
-    pub name: String,
-    /// Fingerprint of the configuration that produced the run; two runs
-    /// with equal fingerprints are replaying the same experiment.
-    pub config_fingerprint: u64,
-    pub platform: String,
-    pub seed: u64,
-    /// Path of the JSONL event log, when one was written.
-    pub event_log: Option<String>,
-    /// Total events emitted during the run.
-    pub events: u64,
-    /// End-to-end wall time of the run.
-    pub wall_ns_total: u64,
-    /// Wall-time breakdown by top-level span, in completion order.
-    pub phases: Vec<PhaseTime>,
-    /// Final counter totals, by name.
-    pub counters: BTreeMap<String, u64>,
+crate::json_record! {
+    /// Metadata describing one completed run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Manifest: JsonError {
+        /// Experiment name (e.g. `fig3`, `table2`).
+        pub name: String,
+        /// Fingerprint of the configuration that produced the run; two runs
+        /// with equal fingerprints are replaying the same experiment.
+        pub config_fingerprint: u64,
+        pub platform: String,
+        pub seed: u64,
+        /// Path of the JSONL event log, when one was written.
+        pub event_log: Option<String>,
+        /// Total events emitted during the run.
+        pub events: u64,
+        /// End-to-end wall time of the run.
+        pub wall_ns_total: u64,
+        /// Wall-time breakdown by top-level span, in completion order.
+        pub phases: Vec<PhaseTime>,
+        /// Final counter totals, by name.
+        pub counters: BTreeMap<String, u64>,
+    }
 }
 
 /// Gathers the two manifest fields that need a run's whole event stream:
@@ -82,121 +85,15 @@ impl Sink for RunTally {
 }
 
 impl Manifest {
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut obj: Vec<(String, Json)> = vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            (
-                "config_fingerprint".into(),
-                Json::UInt(self.config_fingerprint),
-            ),
-            ("platform".into(), Json::Str(self.platform.clone())),
-            ("seed".into(), Json::UInt(self.seed)),
-        ];
-        if let Some(log) = &self.event_log {
-            obj.push(("event_log".into(), Json::Str(log.clone())));
-        }
-        obj.push(("events".into(), Json::UInt(self.events)));
-        obj.push(("wall_ns_total".into(), Json::UInt(self.wall_ns_total)));
-        obj.push((
-            "phases".into(),
-            Json::Arr(
-                self.phases
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(p.name.clone())),
-                            ("wall_ns".into(), Json::UInt(p.wall_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        obj.push((
-            "counters".into(),
-            Json::Obj(
-                self.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                    .collect(),
-            ),
-        ));
-        Json::Obj(obj)
-    }
-
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
-    }
-
     /// Parse a manifest previously produced by [`Manifest::to_json_string`].
     pub fn parse(text: &str) -> Result<Manifest, JsonError> {
-        fn schema(msg: &str) -> JsonError {
-            JsonError {
-                msg: format!("manifest: {msg}"),
-                offset: 0,
-            }
-        }
-        let json = Json::parse(text)?;
-        if !matches!(json, Json::Obj(_)) {
-            return Err(schema("not an object"));
-        }
-        let get = |key: &str| {
-            json.get(key)
-                .ok_or_else(|| schema(&format!("missing {key}")))
-        };
-        let str_of = |j: &Json| {
-            j.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| schema("expected string"))
-        };
-        let uint_of = |j: &Json| j.as_u64().ok_or_else(|| schema("expected uint"));
-        let phases = get("phases")?
-            .as_arr()
-            .ok_or_else(|| schema("phases not an array"))?
-            .iter()
-            .map(|p| {
-                Ok(PhaseTime {
-                    name: str_of(p.get("name").ok_or_else(|| schema("phase missing name"))?)?,
-                    wall_ns: uint_of(
-                        p.get("wall_ns")
-                            .ok_or_else(|| schema("phase missing wall_ns"))?,
-                    )?,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let counters = match get("counters")? {
-            Json::Obj(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), uint_of(v)?)))
-                .collect::<Result<BTreeMap<_, _>, JsonError>>()?,
-            _ => return Err(schema("counters not an object")),
-        };
-        Ok(Manifest {
-            name: str_of(get("name")?)?,
-            config_fingerprint: uint_of(get("config_fingerprint")?)?,
-            platform: str_of(get("platform")?)?,
-            seed: uint_of(get("seed")?)?,
-            event_log: json.get("event_log").map(&str_of).transpose()?,
-            events: uint_of(get("events")?)?,
-            wall_ns_total: uint_of(get("wall_ns_total")?)?,
-            phases,
-            counters,
-        })
+        Manifest::from_json(&Json::parse(text)?)
     }
 
-    /// Write the manifest atomically (temp file + rename), matching the
-    /// checkpoint-durability convention of the sweep stack.
+    /// Write the manifest and a trailing newline atomically
+    /// ([`write_atomic`]).
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("manifest.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.to_json_string().as_bytes())?;
-            file.write_all(b"\n")?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        write_atomic(path.as_ref(), &(self.to_json_string() + "\n"))
     }
 
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Manifest> {
@@ -240,9 +137,25 @@ mod tests {
     fn round_trips_through_json() {
         let m = sample();
         let text = m.to_json_string();
+        // The bytes the hand-written encoder wrote before the codec.
+        assert_eq!(
+            text,
+            r#"{"name":"fig3","config_fingerprint":244837814047284,"platform":"KC705","seed":42,"event_log":"out/fig3.jsonl","events":128,"wall_ns_total":9000000,"phases":[{"name":"sweep","wall_ns":7000000},{"name":"report","wall_ns":2000000}],"counters":{"crashes":2,"runs":60}}"#
+        );
         assert_eq!(Manifest::parse(&text).unwrap(), m);
         // And byte-stable on re-serialization.
         assert_eq!(Manifest::parse(&text).unwrap().to_json_string(), text);
+        // A decode failure names its key.
+        let bad = text.replace(r#""runs":60"#, r#""runs":"60""#);
+        assert_eq!(
+            Manifest::parse(&bad).unwrap_err().msg,
+            "counters.runs is not a u64"
+        );
+        let bad = text.replace(r#""wall_ns":7000000"#, r#""wall":7000000"#);
+        assert_eq!(
+            Manifest::parse(&bad).unwrap_err().msg,
+            "phases.wall_ns missing"
+        );
     }
 
     #[test]
@@ -262,10 +175,7 @@ mod tests {
         let m = sample();
         m.save(&path).unwrap();
         assert_eq!(Manifest::load(&path).unwrap(), m);
-        assert!(
-            !path.with_extension("manifest.tmp").exists(),
-            "temp cleaned up"
-        );
+        assert!(!crate::json::tmp_path(&path).exists(), "temp cleaned up");
         std::fs::remove_dir_all(&dir).ok();
     }
 
