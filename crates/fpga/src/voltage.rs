@@ -28,6 +28,19 @@ impl Millivolts {
     }
 }
 
+/// Records carry a level as its bare millivolt integer.
+impl From<u32> for Millivolts {
+    fn from(mv: u32) -> Millivolts {
+        Millivolts(mv)
+    }
+}
+
+impl From<Millivolts> for u32 {
+    fn from(v: Millivolts) -> u32 {
+        v.0
+    }
+}
+
 impl fmt::Display for Millivolts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2} V", self.as_volts())
