@@ -19,13 +19,17 @@
 
 use uvf_fpga::seedmix::mix;
 
-/// Capped exponential backoff with deterministic subtractive jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    /// Delay of attempt 0, before jitter.
-    pub base_ms: u64,
-    /// Ceiling the exponential saturates at (pre-jitter).
-    pub cap_ms: u64,
+uvf_trace::json_record! {
+    /// Capped exponential backoff with deterministic subtractive jitter.
+    /// Its keys are the ones [`RecoveryPolicy`](crate::harness::RecoveryPolicy)
+    /// splices into its own wire form.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Backoff {
+        /// Delay of attempt 0, before jitter.
+        pub base_ms: u64 => "backoff_base_ms",
+        /// Ceiling the exponential saturates at (pre-jitter).
+        pub cap_ms: u64 => "backoff_cap_ms",
+    }
 }
 
 impl Backoff {

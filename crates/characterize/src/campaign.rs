@@ -13,20 +13,24 @@
 use crate::guardband::GuardbandReport;
 use crate::harness::{Harness, HarnessError, RecoveryPolicy};
 use crate::json::Json;
-use crate::record::{req_str, req_u64, schema, RecordError, SweepOutcome, SweepRecord};
+use crate::record::{RecordError, SweepOutcome, SweepRecord};
 use crate::store::CheckpointStore;
 use crate::sweep::SweepConfig;
 use std::path::{Path, PathBuf};
 use uvf_fpga::{Board, PlatformKind};
+use uvf_trace::codec::Text;
 use uvf_trace::Tracer;
 
-/// One board's sweep within a campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignJob {
-    pub kind: PlatformKind,
-    /// Die identity; `None` uses the platform's default die.
-    pub chip_seed: Option<u64>,
-    pub cfg: SweepConfig,
+uvf_trace::json_record! {
+    /// One board's sweep within a campaign. Its JSON is the campaign
+    /// server → worker wire form.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CampaignJob: RecordError {
+        pub kind: PlatformKind as Text => "platform",
+        /// Die identity; `None` uses the platform's default die.
+        pub chip_seed: Option<u64>,
+        pub cfg: SweepConfig,
+    }
 }
 
 impl CampaignJob {
@@ -56,31 +60,6 @@ impl CampaignJob {
             .unwrap_or(self.kind.descriptor().default_chip_seed)
     }
 
-    /// Wire form (campaign server → worker).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![("platform", Json::Str(self.kind.to_string()))];
-        if let Some(seed) = self.chip_seed {
-            fields.push(("chip_seed", Json::UInt(seed)));
-        }
-        fields.push(("cfg", self.cfg.to_json()));
-        Json::obj(fields)
-    }
-
-    /// Inverse of [`CampaignJob::to_json`].
-    pub fn from_json(v: &Json) -> Result<CampaignJob, RecordError> {
-        Ok(CampaignJob {
-            kind: req_str(v, "platform")?
-                .parse()
-                .map_err(|_| schema("unknown platform"))?,
-            chip_seed: match v.get("chip_seed") {
-                None => None,
-                Some(seed) => Some(seed.as_u64().ok_or_else(|| schema("chip_seed not a u64"))?),
-            },
-            cfg: SweepConfig::from_json(v.get("cfg").ok_or_else(|| schema("cfg missing"))?)?,
-        })
-    }
-
     /// Checkpoint filename of this job inside the campaign directory:
     /// unique per (platform, rail, pattern, die), stable across resumes.
     #[must_use]
@@ -106,29 +85,33 @@ pub struct CampaignEntry {
     pub sim_ms: u64,
 }
 
-/// One job's line in a [`CampaignManifest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ManifestEntry {
-    pub platform: PlatformKind,
-    pub chip_seed: u64,
-    /// The record's configuration fingerprint (checkpoint guard).
-    pub fingerprint: u64,
-    pub outcome: SweepOutcome,
-    /// Simulated milliseconds the job's sweep took.
-    pub sim_ms: u64,
-    /// FNV-1a over the record's canonical JSON ([`SweepRecord::content_hash`]).
-    pub record_hash: u64,
+uvf_trace::json_record! {
+    /// One job's line in a [`CampaignManifest`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ManifestEntry {
+        pub platform: PlatformKind as Text,
+        pub chip_seed: u64,
+        /// The record's configuration fingerprint (checkpoint guard).
+        pub fingerprint: u64,
+        pub outcome: SweepOutcome,
+        /// Simulated milliseconds the job's sweep took.
+        pub sim_ms: u64,
+        /// FNV-1a over the record's canonical JSON ([`SweepRecord::content_hash`]).
+        pub record_hash: u64,
+    }
 }
 
-/// The deterministic campaign summary: per-job identity, outcome,
-/// simulated duration and record content hash — and nothing that depends
-/// on wall clocks, worker count, or scheduling. This is the document the
-/// distributed path is required to reproduce **byte-for-byte** against
-/// the in-process [`Campaign`], which makes "the cluster computed the
-/// same science" a single string comparison.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignManifest {
-    pub entries: Vec<ManifestEntry>,
+uvf_trace::json_record! {
+    /// The deterministic campaign summary: per-job identity, outcome,
+    /// simulated duration and record content hash — and nothing that depends
+    /// on wall clocks, worker count, or scheduling. This is the document the
+    /// distributed path is required to reproduce **byte-for-byte** against
+    /// the in-process [`Campaign`], which makes "the cluster computed the
+    /// same science" a single string comparison.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CampaignManifest: RecordError {
+        pub entries: Vec<ManifestEntry> => "jobs",
+    }
 }
 
 impl CampaignManifest {
@@ -149,82 +132,9 @@ impl CampaignManifest {
         }
     }
 
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "jobs",
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(|e| {
-                        Json::obj(vec![
-                            ("platform", Json::Str(e.platform.to_string())),
-                            ("chip_seed", Json::UInt(e.chip_seed)),
-                            ("fingerprint", Json::UInt(e.fingerprint)),
-                            ("outcome", outcome_to_json(e.outcome)),
-                            ("sim_ms", Json::UInt(e.sim_ms)),
-                            ("record_hash", Json::UInt(e.record_hash)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-    }
-
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
-    }
-
     pub fn parse(text: &str) -> Result<CampaignManifest, RecordError> {
-        let v = Json::parse(text)?;
-        let entries = v
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| schema("jobs missing"))?
-            .iter()
-            .map(|e| {
-                Ok(ManifestEntry {
-                    platform: req_str(e, "platform")?
-                        .parse()
-                        .map_err(|_| schema("unknown platform"))?,
-                    chip_seed: req_u64(e, "chip_seed")?,
-                    fingerprint: req_u64(e, "fingerprint")?,
-                    outcome: outcome_from_json(
-                        e.get("outcome").ok_or_else(|| schema("outcome missing"))?,
-                    )?,
-                    sim_ms: req_u64(e, "sim_ms")?,
-                    record_hash: req_u64(e, "record_hash")?,
-                })
-            })
-            .collect::<Result<Vec<_>, RecordError>>()?;
-        Ok(CampaignManifest { entries })
+        CampaignManifest::from_json(&Json::parse(text)?)
     }
-}
-
-fn outcome_to_json(outcome: SweepOutcome) -> Json {
-    match outcome {
-        SweepOutcome::InProgress => Json::obj(vec![("kind", Json::Str("in_progress".into()))]),
-        SweepOutcome::CrashFound { vcrash_mv } => Json::obj(vec![
-            ("kind", Json::Str("crash_found".into())),
-            ("vcrash_mv", Json::UInt(u64::from(vcrash_mv))),
-        ]),
-        SweepOutcome::FloorReached => Json::obj(vec![("kind", Json::Str("floor_reached".into()))]),
-    }
-}
-
-fn outcome_from_json(v: &Json) -> Result<SweepOutcome, RecordError> {
-    Ok(match req_str(v, "kind")? {
-        "in_progress" => SweepOutcome::InProgress,
-        "crash_found" => SweepOutcome::CrashFound {
-            vcrash_mv: v
-                .get("vcrash_mv")
-                .and_then(Json::as_u32)
-                .ok_or_else(|| schema("vcrash_mv missing"))?,
-        },
-        "floor_reached" => SweepOutcome::FloorReached,
-        other => return Err(schema(&format!("unknown outcome kind {other}"))),
-    })
 }
 
 /// A set of independent board sweeps, run one after another.
@@ -459,18 +369,38 @@ mod tests {
 
     #[test]
     fn job_and_policy_roundtrip_through_wire_json() {
+        // Bytes as the hand-written encoders wrote them before the codec;
+        // a VCCINT job carries the logic probe.
+        let cfg = r#"{"rail":"vccint","probe":"logic","pattern":"ffff","start_mv":1000,"floor_mv":450,"step_mv":10,"runs_per_level":5,"temperature_c":25.0,"noise_band_mv":0}"#;
         let mut job = CampaignJob::new(
             PlatformKind::Vc707,
-            SweepConfig::builder(Rail::Vccbram).runs(5).build(),
+            SweepConfig::builder(Rail::Vccint).runs(5).build(),
+        );
+        assert_eq!(
+            job.to_json_string(),
+            format!(r#"{{"platform":"vc707","cfg":{cfg}}}"#)
         );
         let back = CampaignJob::from_json(&job.to_json()).unwrap();
         assert_eq!(back, job);
         job.chip_seed = Some(0xabcd);
+        assert_eq!(
+            job.to_json_string(),
+            format!(r#"{{"platform":"vc707","chip_seed":43981,"cfg":{cfg}}}"#)
+        );
         let back = CampaignJob::from_json(&job.to_json()).unwrap();
         assert_eq!(back, job);
         assert_eq!(back.to_json().to_string(), job.to_json().to_string());
+        let bad = job.to_json_string().replace("logic", "laser");
+        assert_eq!(
+            CampaignJob::from_json(&Json::parse(&bad).unwrap()),
+            Err(RecordError::Schema(r#"unknown cfg.probe "laser""#.into()))
+        );
 
         let policy = RecoveryPolicy::default();
+        assert_eq!(
+            policy.to_json_string(),
+            r#"{"watchdog_timeout_ms":250,"max_retries":3,"backoff_base_ms":100,"backoff_cap_ms":5000,"checkpoint_every_runs":10}"#
+        );
         let back = RecoveryPolicy::from_json(&policy.to_json()).unwrap();
         assert_eq!(back, policy);
     }

@@ -37,21 +37,24 @@ use uvf_trace::Tracer;
 /// Simulated cost of one write/read-back run.
 pub const MS_PER_RUN: u64 = 3;
 
-/// Recovery knobs of the harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// How long the watchdog waits before declaring a hung board.
-    pub watchdog_timeout_ms: u64,
-    /// Power-cycle retries per run before the level is declared the crash
-    /// boundary.
-    pub max_retries: u32,
-    /// Retry delay schedule: capped exponential with deterministic jitter
-    /// keyed by the sweep position, so resumes replay identical delays
-    /// (see [`Backoff`]). Shared with the campaign server's worker
-    /// supervisor.
-    pub backoff: Backoff,
-    /// Checkpoint after this many completed runs (1 = after every run).
-    pub checkpoint_every_runs: u32,
+uvf_trace::json_record! {
+    /// Recovery knobs of the harness. Its JSON is the campaign server →
+    /// worker wire form.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RecoveryPolicy: RecordError {
+        /// How long the watchdog waits before declaring a hung board.
+        pub watchdog_timeout_ms: u64,
+        /// Power-cycle retries per run before the level is declared the crash
+        /// boundary.
+        pub max_retries: u32,
+        /// Retry delay schedule: capped exponential with deterministic jitter
+        /// keyed by the sweep position, so resumes replay identical delays
+        /// (see [`Backoff`]). Shared with the campaign server's worker
+        /// supervisor.
+        pub backoff: Backoff => ..,
+        /// Checkpoint after this many completed runs (1 = after every run).
+        pub checkpoint_every_runs: u32,
+    }
 }
 
 impl Default for RecoveryPolicy {
@@ -62,39 +65,6 @@ impl Default for RecoveryPolicy {
             backoff: Backoff::default(),
             checkpoint_every_runs: 10,
         }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Wire form (campaign server → worker); byte-stable like every other
-    /// JSON in the workspace.
-    #[must_use]
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        Json::obj(vec![
-            ("watchdog_timeout_ms", Json::UInt(self.watchdog_timeout_ms)),
-            ("max_retries", Json::UInt(u64::from(self.max_retries))),
-            ("backoff_base_ms", Json::UInt(self.backoff.base_ms)),
-            ("backoff_cap_ms", Json::UInt(self.backoff.cap_ms)),
-            (
-                "checkpoint_every_runs",
-                Json::UInt(u64::from(self.checkpoint_every_runs)),
-            ),
-        ])
-    }
-
-    /// Inverse of [`RecoveryPolicy::to_json`].
-    pub fn from_json(v: &crate::json::Json) -> Result<RecoveryPolicy, RecordError> {
-        use crate::record::{req_u32, req_u64};
-        Ok(RecoveryPolicy {
-            watchdog_timeout_ms: req_u64(v, "watchdog_timeout_ms")?,
-            max_retries: req_u32(v, "max_retries")?,
-            backoff: Backoff::new(
-                req_u64(v, "backoff_base_ms")?,
-                req_u64(v, "backoff_cap_ms")?,
-            ),
-            checkpoint_every_runs: req_u32(v, "checkpoint_every_runs")?,
-        })
     }
 }
 

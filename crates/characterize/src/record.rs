@@ -5,6 +5,12 @@
 //! cursor) to JSON after every few runs, atomically, so a sweep interrupted
 //! by a board hang — or by the host process dying — resumes exactly where
 //! it stopped and finishes bit-identical to an uninterrupted one.
+//!
+//! Every record here is a [`json_record!`](uvf_trace::json_record)
+//! declaration: its fields, in wire order, are its codec. Only the gates
+//! are written by hand — the schema version each document leads with,
+//! the checkpoint's configuration fingerprint and the FVM census's BRAM
+//! count.
 
 use crate::json::{Json, JsonError};
 use std::error::Error;
@@ -14,6 +20,8 @@ use std::path::{Path, PathBuf};
 use uvf_faults::{FaultModel, FaultVariationMap};
 use uvf_fpga::seedmix::{fnv1a, mix};
 use uvf_fpga::{DataPattern, Millivolts, PlatformKind, Rail};
+use uvf_trace::codec::{self, DecodeError, Text, Value, Via};
+use uvf_trace::write_atomic;
 
 /// Schema version of the checkpoint/record JSON.
 ///
@@ -30,28 +38,31 @@ use uvf_fpga::{DataPattern, Millivolts, PlatformKind, Rail};
 /// reinterpreted record.
 pub const RECORD_VERSION: u64 = 2;
 
-/// One read-out run at one voltage level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunRecord {
-    pub run: u32,
-    /// Observable faults counted in this run (whole BRAM pool).
-    pub faults: u64,
+uvf_trace::json_record! {
+    /// One read-out run at one voltage level.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RunRecord {
+        pub run: u32,
+        /// Observable faults counted in this run (whole BRAM pool).
+        pub faults: u64,
+    }
 }
 
-/// All runs at one voltage level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LevelRecord {
-    pub v_mv: u32,
-    /// Modeled draw of the swept rail at this level, integer microwatts
-    /// (schema v2). A pure function of `(platform, rail, v_mv,
-    /// temperature_c)`, so resume recomputes the identical value.
-    pub rail_uw: u64,
-    /// `true` when the sweep ended here: the board hung at this level and
-    /// retries were exhausted, so the level's data is partial.
-    pub crashed: bool,
-    pub runs: Vec<RunRecord>,
+uvf_trace::json_record! {
+    /// All runs at one voltage level.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LevelRecord {
+        pub v_mv: u32,
+        /// Modeled draw of the swept rail at this level, integer microwatts
+        /// (schema v2). A pure function of `(platform, rail, v_mv,
+        /// temperature_c)`, so resume recomputes the identical value.
+        pub rail_uw: u64,
+        /// `true` when the sweep ended here: the board hung at this level and
+        /// retries were exhausted, so the level's data is partial.
+        pub crashed: bool,
+        pub runs: Vec<RunRecord>,
+    }
 }
-
 impl LevelRecord {
     #[must_use]
     pub fn any_faults(&self) -> bool {
@@ -98,54 +109,61 @@ impl LevelRecord {
     }
 }
 
-/// Why the sweep stopped descending.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepOutcome {
-    /// Interrupted mid-sweep (checkpointed); resume to continue.
-    InProgress,
-    /// The board hung at the level below `vcrash_mv` and retries were
-    /// exhausted: `vcrash_mv` is the lowest *operational* level (Fig. 1).
-    CrashFound { vcrash_mv: u32 },
-    /// The configured floor was reached without a terminal hang.
-    FloorReached,
+uvf_trace::json_record! {
+    /// Why the sweep stopped descending.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SweepOutcome tag "kind" {
+        /// Interrupted mid-sweep (checkpointed); resume to continue.
+        InProgress => "in_progress",
+        /// The board hung at the level below `vcrash_mv` and retries were
+        /// exhausted: `vcrash_mv` is the lowest *operational* level (Fig. 1).
+        CrashFound { vcrash_mv: u32 } => "crash_found",
+        /// The configured floor was reached without a terminal hang.
+        FloorReached => "floor_reached",
+    }
 }
 
-/// Telemetry of one detected hang + recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashEvent {
-    /// Level being measured when the board hung.
-    pub v_mv: u32,
-    /// Run index the hang interrupted.
-    pub run: u32,
-    /// Retry attempt (0 = first encounter at this run).
-    pub attempt: u32,
-    /// Simulated time at detection.
-    pub sim_ms: u64,
-    /// How long the watchdog waited before declaring the hang.
-    pub detected_ms: u64,
-    /// Exponential backoff applied before the power-cycle retry.
-    pub backoff_ms: u64,
+uvf_trace::json_record! {
+    /// Telemetry of one detected hang + recovery.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CrashEvent {
+        /// Level being measured when the board hung.
+        pub v_mv: u32,
+        /// Run index the hang interrupted.
+        pub run: u32,
+        /// Retry attempt (0 = first encounter at this run).
+        pub attempt: u32,
+        /// Simulated time at detection.
+        pub sim_ms: u64,
+        /// How long the watchdog waited before declaring the hang.
+        pub detected_ms: u64,
+        /// Exponential backoff applied before the power-cycle retry.
+        pub backoff_ms: u64,
+    }
 }
 
-/// Full record of one guardband sweep (Listing 1 + crash telemetry).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRecord {
-    pub platform: PlatformKind,
-    pub rail: Rail,
-    pub pattern: DataPattern,
-    pub chip_seed: u64,
-    pub start_mv: u32,
-    pub floor_mv: u32,
-    pub step_mv: u32,
-    pub runs_per_level: u32,
-    pub temperature_c: f64,
-    pub noise_band_mv: u32,
-    /// Levels in sweep order (descending voltage).
-    pub levels: Vec<LevelRecord>,
-    pub crash_events: Vec<CrashEvent>,
-    pub outcome: SweepOutcome,
-    /// Power cycles across the whole sweep, surviving resume.
-    pub power_cycles: u32,
+uvf_trace::json_record! {
+    /// Full record of one guardband sweep (Listing 1 + crash telemetry).
+    /// Its document leads with [`RECORD_VERSION`] ([`SweepRecord::to_json`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SweepRecord {
+        pub platform: PlatformKind as Text,
+        pub rail: Rail as Text,
+        pub pattern: DataPattern as Text,
+        pub chip_seed: u64,
+        pub start_mv: u32,
+        pub floor_mv: u32,
+        pub step_mv: u32,
+        pub runs_per_level: u32,
+        pub temperature_c: f64,
+        pub noise_band_mv: u32,
+        /// Levels in sweep order (descending voltage).
+        pub levels: Vec<LevelRecord>,
+        pub crash_events: Vec<CrashEvent>,
+        pub outcome: SweepOutcome,
+        /// Power cycles across the whole sweep, surviving resume.
+        pub power_cycles: u32,
+    }
 }
 
 impl SweepRecord {
@@ -193,84 +211,10 @@ impl SweepRecord {
         Some(f64::from(Millivolts::NOMINAL.0 - vmin.0) / f64::from(Millivolts::NOMINAL.0))
     }
 
+    /// The record document: [`RECORD_VERSION`], then the fields.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("version", Json::UInt(RECORD_VERSION)),
-            ("platform", Json::Str(self.platform.to_string())),
-            ("rail", Json::Str(self.rail.to_string())),
-            ("pattern", Json::Str(self.pattern.to_string())),
-            ("chip_seed", Json::UInt(self.chip_seed)),
-            ("start_mv", Json::UInt(u64::from(self.start_mv))),
-            ("floor_mv", Json::UInt(u64::from(self.floor_mv))),
-            ("step_mv", Json::UInt(u64::from(self.step_mv))),
-            ("runs_per_level", Json::UInt(u64::from(self.runs_per_level))),
-            ("temperature_c", Json::Float(self.temperature_c)),
-            ("noise_band_mv", Json::UInt(u64::from(self.noise_band_mv))),
-            (
-                "levels",
-                Json::Arr(
-                    self.levels
-                        .iter()
-                        .map(|l| {
-                            Json::obj(vec![
-                                ("v_mv", Json::UInt(u64::from(l.v_mv))),
-                                ("rail_uw", Json::UInt(l.rail_uw)),
-                                ("crashed", Json::Bool(l.crashed)),
-                                (
-                                    "runs",
-                                    Json::Arr(
-                                        l.runs
-                                            .iter()
-                                            .map(|r| {
-                                                Json::obj(vec![
-                                                    ("run", Json::UInt(u64::from(r.run))),
-                                                    ("faults", Json::UInt(r.faults)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "crash_events",
-                Json::Arr(
-                    self.crash_events
-                        .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                ("v_mv", Json::UInt(u64::from(c.v_mv))),
-                                ("run", Json::UInt(u64::from(c.run))),
-                                ("attempt", Json::UInt(u64::from(c.attempt))),
-                                ("sim_ms", Json::UInt(c.sim_ms)),
-                                ("detected_ms", Json::UInt(c.detected_ms)),
-                                ("backoff_ms", Json::UInt(c.backoff_ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "outcome",
-                match self.outcome {
-                    SweepOutcome::InProgress => {
-                        Json::obj(vec![("kind", Json::Str("in_progress".into()))])
-                    }
-                    SweepOutcome::CrashFound { vcrash_mv } => Json::obj(vec![
-                        ("kind", Json::Str("crash_found".into())),
-                        ("vcrash_mv", Json::UInt(u64::from(vcrash_mv))),
-                    ]),
-                    SweepOutcome::FloorReached => {
-                        Json::obj(vec![("kind", Json::Str("floor_reached".into()))])
-                    }
-                },
-            ),
-            ("power_cycles", Json::UInt(u64::from(self.power_cycles))),
-        ])
+        codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self.encode())
     }
 
     pub fn from_json(v: &Json) -> Result<SweepRecord, RecordError> {
@@ -288,88 +232,7 @@ impl SweepRecord {
                 )))
             }
         }
-        let platform: PlatformKind = req_str(v, "platform")?
-            .parse()
-            .map_err(|_| schema("unknown platform"))?;
-        let rail: Rail = req_str(v, "rail")?
-            .parse()
-            .map_err(|_| schema("unknown rail"))?;
-        let pattern: DataPattern = req_str(v, "pattern")?
-            .parse()
-            .map_err(|_| schema("unknown pattern"))?;
-        let levels = v
-            .get("levels")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| schema("levels missing"))?
-            .iter()
-            .map(|l| {
-                let runs = l
-                    .get("runs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| schema("runs missing"))?
-                    .iter()
-                    .map(|r| {
-                        Ok(RunRecord {
-                            run: req_u32(r, "run")?,
-                            faults: req_u64(r, "faults")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, RecordError>>()?;
-                Ok(LevelRecord {
-                    v_mv: req_u32(l, "v_mv")?,
-                    rail_uw: req_u64(l, "rail_uw")?,
-                    crashed: l
-                        .get("crashed")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| schema("crashed missing"))?,
-                    runs,
-                })
-            })
-            .collect::<Result<Vec<_>, RecordError>>()?;
-        let crash_events = v
-            .get("crash_events")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| schema("crash_events missing"))?
-            .iter()
-            .map(|c| {
-                Ok(CrashEvent {
-                    v_mv: req_u32(c, "v_mv")?,
-                    run: req_u32(c, "run")?,
-                    attempt: req_u32(c, "attempt")?,
-                    sim_ms: req_u64(c, "sim_ms")?,
-                    detected_ms: req_u64(c, "detected_ms")?,
-                    backoff_ms: req_u64(c, "backoff_ms")?,
-                })
-            })
-            .collect::<Result<Vec<_>, RecordError>>()?;
-        let outcome_v = v.get("outcome").ok_or_else(|| schema("outcome missing"))?;
-        let outcome = match req_str(outcome_v, "kind")? {
-            "in_progress" => SweepOutcome::InProgress,
-            "crash_found" => SweepOutcome::CrashFound {
-                vcrash_mv: req_u32(outcome_v, "vcrash_mv")?,
-            },
-            "floor_reached" => SweepOutcome::FloorReached,
-            other => return Err(schema(&format!("unknown outcome kind {other}"))),
-        };
-        Ok(SweepRecord {
-            platform,
-            rail,
-            pattern,
-            chip_seed: req_u64(v, "chip_seed")?,
-            start_mv: req_u32(v, "start_mv")?,
-            floor_mv: req_u32(v, "floor_mv")?,
-            step_mv: req_u32(v, "step_mv")?,
-            runs_per_level: req_u32(v, "runs_per_level")?,
-            temperature_c: v
-                .get("temperature_c")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| schema("temperature_c missing"))?,
-            noise_band_mv: req_u32(v, "noise_band_mv")?,
-            levels,
-            crash_events,
-            outcome,
-            power_cycles: req_u32(v, "power_cycles")?,
-        })
+        Ok(SweepRecord::decode(v)?)
     }
 
     #[must_use]
@@ -386,59 +249,69 @@ impl SweepRecord {
     }
 }
 
-/// Checkpoint = record-so-far + resume cursor. The cursor is tiny on
-/// purpose: everything positional (current level, next run) is derivable
-/// from the record itself; only the retry attempt counter and the simulated
-/// clock are extra state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    pub record: SweepRecord,
-    /// Retry attempt at the current (level, run) position.
-    pub attempt: u32,
-    /// Simulated milliseconds elapsed across the whole sweep.
-    pub clock_ms: u64,
+/// A [`SweepRecord`] nested as its versioned document (a checkpoint's
+/// `record`), so its version gate runs on decode.
+enum VersionedRecord {}
+
+impl Via<SweepRecord> for VersionedRecord {
+    fn encode_as(record: &SweepRecord) -> Json {
+        record.to_json()
+    }
+
+    fn decode_as(v: &Json) -> Result<SweepRecord, DecodeError> {
+        SweepRecord::from_json(v).map_err(|e| match e {
+            RecordError::Schema(msg) => DecodeError::invalid(msg),
+            other => DecodeError::invalid(other.to_string()),
+        })
+    }
+}
+
+uvf_trace::json_record! {
+    /// Checkpoint = record-so-far + resume cursor. The cursor is tiny on
+    /// purpose: everything positional (current level, next run) is derivable
+    /// from the record itself; only the retry attempt counter and the simulated
+    /// clock are extra state. Its document leads with [`RECORD_VERSION`] and
+    /// the record's fingerprint ([`Checkpoint::to_json_string`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Checkpoint {
+        /// Retry attempt at the current (level, run) position.
+        pub attempt: u32,
+        /// Simulated milliseconds elapsed across the whole sweep.
+        pub clock_ms: u64,
+        pub record: SweepRecord as VersionedRecord,
+    }
 }
 
 impl Checkpoint {
     #[must_use]
     pub fn to_json_string(&self) -> String {
-        Json::obj(vec![
+        let head = vec![
             ("version", Json::UInt(RECORD_VERSION)),
             ("fingerprint", Json::UInt(self.record.fingerprint())),
-            ("attempt", Json::UInt(u64::from(self.attempt))),
-            ("clock_ms", Json::UInt(self.clock_ms)),
-            ("record", self.record.to_json()),
-        ])
-        .to_string()
+        ];
+        codec::lead(head, self.encode()).to_string()
     }
 
     pub fn parse(text: &str) -> Result<Checkpoint, RecordError> {
         let v = Json::parse(text)?;
-        let version = req_u64(&v, "version")?;
+        let version: u64 = codec::get(&v, "version")?;
         if version != RECORD_VERSION {
             return Err(schema(&format!("unsupported checkpoint version {version}")));
         }
-        let record =
-            SweepRecord::from_json(v.get("record").ok_or_else(|| schema("record missing"))?)?;
-        let stored_fp = req_u64(&v, "fingerprint")?;
-        if stored_fp != record.fingerprint() {
-            return Err(RecordError::FingerprintMismatch {
-                stored: stored_fp,
-                computed: record.fingerprint(),
-            });
+        let checkpoint = Checkpoint::decode(&v)?;
+        let stored: u64 = codec::get(&v, "fingerprint")?;
+        let computed = checkpoint.record.fingerprint();
+        if stored != computed {
+            return Err(RecordError::FingerprintMismatch { stored, computed });
         }
-        Ok(Checkpoint {
-            record,
-            attempt: req_u32(&v, "attempt")?,
-            clock_ms: req_u64(&v, "clock_ms")?,
-        })
+        Ok(checkpoint)
     }
 
-    /// Atomic write: temp file + fsync + rename, so neither a process
-    /// crash mid-write nor a host crash right after the rename can leave
-    /// a torn checkpoint behind.
+    /// Atomic write ([`write_atomic`]): neither a process crash mid-write
+    /// nor a host crash right after the rename can leave a torn checkpoint
+    /// behind.
     pub fn save(&self, path: &Path) -> Result<(), RecordError> {
-        write_atomic(path, &self.to_json_string())
+        write_atomic(path, &self.to_json_string()).map_err(|e| io_err(path, &e))
     }
 
     pub fn load(path: &Path) -> Result<Checkpoint, RecordError> {
@@ -447,18 +320,20 @@ impl Checkpoint {
     }
 }
 
-/// Persisted Fault Variation Map: the per-BRAM weak-cell census of one die
-/// at one reference voltage (`uvf_faults::FaultVariationMap`), serialized
-/// with the same byte-stable JSON as sweep records so ICBP placements can
-/// be derived offline from a characterization artifact instead of a live
-/// model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FvmRecord {
-    pub platform: PlatformKind,
-    pub chip_seed: u64,
-    pub v_ref_mv: u32,
-    /// Weak-cell count per BRAM, indexed by `BramId`.
-    pub counts: Vec<u32>,
+uvf_trace::json_record! {
+    /// Persisted Fault Variation Map: the per-BRAM weak-cell census of one die
+    /// at one reference voltage (`uvf_faults::FaultVariationMap`), serialized
+    /// with the same byte-stable JSON as sweep records so ICBP placements can
+    /// be derived offline from a characterization artifact instead of a live
+    /// model. Its document leads with [`RECORD_VERSION`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FvmRecord {
+        pub platform: PlatformKind as Text,
+        pub chip_seed: u64,
+        pub v_ref_mv: u32,
+        /// Weak-cell count per BRAM, indexed by `BramId`.
+        pub counts: Vec<u32>,
+    }
 }
 
 impl FvmRecord {
@@ -491,21 +366,7 @@ impl FvmRecord {
 
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("version", Json::UInt(RECORD_VERSION)),
-            ("platform", Json::Str(self.platform.to_string())),
-            ("chip_seed", Json::UInt(self.chip_seed)),
-            ("v_ref_mv", Json::UInt(u64::from(self.v_ref_mv))),
-            (
-                "counts",
-                Json::Arr(
-                    self.counts
-                        .iter()
-                        .map(|&c| Json::UInt(u64::from(c)))
-                        .collect(),
-                ),
-            ),
-        ])
+        codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self.encode())
     }
 
     #[must_use]
@@ -514,29 +375,15 @@ impl FvmRecord {
     }
 
     pub fn from_json(v: &Json) -> Result<FvmRecord, RecordError> {
-        let version = req_u64(v, "version")?;
+        let version: u64 = codec::get(v, "version")?;
         if version != RECORD_VERSION {
             return Err(schema(&format!("unsupported FVM record version {version}")));
         }
-        let platform: PlatformKind = req_str(v, "platform")?
-            .parse()
-            .map_err(|_| schema("unknown platform"))?;
-        let counts = v
-            .get("counts")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| schema("counts missing"))?
-            .iter()
-            .map(|c| c.as_u32().ok_or_else(|| schema("counts entry not a u32")))
-            .collect::<Result<Vec<u32>, RecordError>>()?;
-        if counts.len() != platform.descriptor().bram_count {
+        let record = FvmRecord::decode(v)?;
+        if record.counts.len() != record.platform.descriptor().bram_count {
             return Err(schema("counts length does not match the platform"));
         }
-        Ok(FvmRecord {
-            platform,
-            chip_seed: req_u64(v, "chip_seed")?,
-            v_ref_mv: req_u32(v, "v_ref_mv")?,
-            counts,
-        })
+        Ok(record)
     }
 
     pub fn parse(text: &str) -> Result<FvmRecord, RecordError> {
@@ -545,35 +392,13 @@ impl FvmRecord {
 
     /// Atomic write, same discipline as [`Checkpoint::save`].
     pub fn save(&self, path: &Path) -> Result<(), RecordError> {
-        write_atomic(path, &self.to_json_string())
+        write_atomic(path, &self.to_json_string()).map_err(|e| io_err(path, &e))
     }
 
     pub fn load(path: &Path) -> Result<FvmRecord, RecordError> {
         let text = fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
         FvmRecord::parse(&text)
     }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-/// The atomic-persist primitive behind every checkpoint/record save:
-/// write a temp file, **fsync it**, then rename over the target. The
-/// fsync matters — without it a host crash can replay the rename before
-/// the data blocks hit disk, leaving a truncated file at the *final*
-/// path where the fingerprint guard would be the only (lucky) defense.
-fn write_atomic(path: &Path, text: &str) -> Result<(), RecordError> {
-    use std::io::Write;
-    let tmp = tmp_path(path);
-    let mut file = fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-    file.write_all(text.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| io_err(&tmp, &e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))
 }
 
 /// Errors of record/checkpoint (de)serialization.
@@ -616,13 +441,18 @@ impl From<JsonError> for RecordError {
     }
 }
 
+impl From<DecodeError> for RecordError {
+    fn from(e: DecodeError) -> RecordError {
+        RecordError::Schema(e.to_string())
+    }
+}
+
 /// Stable key for a short lowercase name (config fingerprinting).
 fn str_key(s: &str) -> u64 {
     s.bytes().fold(0u64, |acc, b| (acc << 8) | u64::from(b))
 }
 
-/// A [`RecordError::Schema`] with `msg` — shared by every JSON decoder in
-/// the workspace (records, campaign jobs, wire messages).
+/// A [`RecordError::Schema`] with `msg`: a gate's rejection.
 #[must_use]
 pub fn schema(msg: &str) -> RecordError {
     RecordError::Schema(msg.to_string())
@@ -703,13 +533,61 @@ mod tests {
         }
     }
 
+    /// `sample_record`'s bytes as the hand-written encoder wrote them
+    /// before the record codec.
+    const SAMPLE_JSON: &str = r#"{"version":2,"platform":"vc707","rail":"vccbram","pattern":"ffff","chip_seed":8966790011213442769,"start_mv":1000,"floor_mv":450,"step_mv":10,"runs_per_level":3,"temperature_c":25.0,"noise_band_mv":0,"levels":[{"v_mv":1000,"rail_uw":2410000,"crashed":false,"runs":[{"run":0,"faults":0}]},{"v_mv":610,"rail_uw":118100,"crashed":false,"runs":[{"run":0,"faults":1},{"run":1,"faults":2},{"run":2,"faults":4}]}],"crash_events":[{"v_mv":530,"run":1,"attempt":2,"sim_ms":12345,"detected_ms":250,"backoff_ms":400}],"outcome":{"kind":"crash_found","vcrash_mv":540},"power_cycles":3}"#;
+
+    fn schema_error(text: &str) -> String {
+        match SweepRecord::from_json(&Json::parse(text).unwrap()) {
+            Err(RecordError::Schema(msg)) => msg,
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn record_roundtrips_through_json() {
         let rec = sample_record();
         let text = rec.to_json_string();
+        assert_eq!(text, SAMPLE_JSON);
         let back = SweepRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, rec);
         assert_eq!(back.to_json_string(), text, "byte-stable");
+        for (outcome, wire) in [
+            (SweepOutcome::InProgress, r#"{"kind":"in_progress"}"#),
+            (SweepOutcome::FloorReached, r#"{"kind":"floor_reached"}"#),
+        ] {
+            let rec = SweepRecord {
+                outcome,
+                ..sample_record()
+            };
+            let text = rec.to_json_string();
+            assert!(text.ends_with(&format!(r#""outcome":{wire},"power_cycles":3}}"#)));
+            assert_eq!(
+                SweepRecord::from_json(&Json::parse(&text).unwrap()),
+                Ok(rec)
+            );
+        }
+        // A bad field is named, however deep it sits.
+        assert_eq!(
+            schema_error(&text.replace(r#""faults":4"#, r#""faults":-4"#)),
+            "levels.runs.faults is not a u64"
+        );
+        assert_eq!(
+            schema_error(&text.replace(r#""vcrash_mv":540"#, r#""vcrash_mv":5400000000"#)),
+            "outcome.vcrash_mv is not a u32"
+        );
+        assert_eq!(
+            schema_error(&text.replace("crash_found", "melted")),
+            r#"unknown outcome.kind "melted""#
+        );
+        assert_eq!(
+            schema_error(&text.replace(r#""rail":"vccbram""#, r#""rail":"vcc""#)),
+            r#"unknown rail "vcc""#
+        );
+        assert_eq!(
+            schema_error(&text.replace(r#""power_cycles":3"#, r#""cycles":3"#)),
+            "power_cycles missing"
+        );
     }
 
     #[test]
@@ -849,8 +727,20 @@ mod tests {
             clock_ms: 98765,
         };
         let text = cp.to_json_string();
+        assert_eq!(
+            text,
+            format!(
+                r#"{{"version":2,"fingerprint":18434189666035312366,"attempt":1,"clock_ms":98765,"record":{SAMPLE_JSON}}}"#
+            )
+        );
         let back = Checkpoint::parse(&text).unwrap();
         assert_eq!(back, cp);
+        // The nested record keeps its own version gate.
+        let nested = text.replacen(r#""record":{"version":2"#, r#""record":{"version":3"#, 1);
+        assert!(matches!(
+            Checkpoint::parse(&nested),
+            Err(RecordError::Schema(msg)) if msg.contains("unsupported record schema version 3")
+        ));
 
         // Tampering with a config field breaks the fingerprint.
         let tampered = text.replace("\"step_mv\":10", "\"step_mv\":20");
@@ -872,7 +762,10 @@ mod tests {
         };
         cp.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
-        assert!(!tmp_path(&path).exists(), "temp file renamed away");
+        assert!(
+            !uvf_trace::json::tmp_path(&path).exists(),
+            "temp file renamed away"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,37 +7,44 @@
 //! self-test. Either way the probe goes *through the board*, so a hung
 //! board surfaces as `BoardError::Crashed` for the harness watchdog.
 
-use crate::record::SweepRecord;
+use crate::record::{RecordError, SweepRecord};
 use crate::scan;
+use std::fmt;
+use std::str::FromStr;
 use uvf_faults::{run_seed, FaultModel, ReadCondition};
 use uvf_fpga::{
     Board, BoardError, BramId, DataPattern, Millivolts, PlatformKind, Rail, DEFAULT_TEMPERATURE_C,
 };
+use uvf_trace::codec::Text;
 
-/// Parameters of one guardband sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepConfig {
-    pub rail: Rail,
-    /// How runs turn silicon state into fault counts. Defaults to the
-    /// rail's natural probe ([`Probe::for_rail`]); override through
-    /// [`SweepConfigBuilder::probe`]. Not part of the checkpoint
-    /// fingerprint — the rail default is what resume assumes.
-    pub probe: Probe,
-    /// Pattern written before every read-back run (the paper's default and
-    /// worst case is all-ones, `FFFF`).
-    pub pattern: DataPattern,
-    /// First level, normally nominal.
-    pub start: Millivolts,
-    /// Lowest level the sweep will attempt if no crash intervenes.
-    pub floor: Millivolts,
-    /// VID step between levels (10 mV on every Table-I regulator).
-    pub step_mv: u32,
-    /// Read-back runs per level (100 in the paper).
-    pub runs_per_level: u32,
-    pub temperature_c: f64,
-    /// Width of the noisy-environment band above `Vcrash` in which supply
-    /// noise can crash the board early; 0 disables it (lab conditions).
-    pub noise_band_mv: u32,
+uvf_trace::json_record! {
+    /// Parameters of one guardband sweep. Its JSON is the campaign-job
+    /// wire form: the same byte-stable discipline as [`SweepRecord`],
+    /// carrying every field including the probe override.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct SweepConfig: RecordError {
+        pub rail: Rail as Text,
+        /// How runs turn silicon state into fault counts. Defaults to the
+        /// rail's natural probe ([`Probe::for_rail`]); override through
+        /// [`SweepConfigBuilder::probe`]. Not part of the checkpoint
+        /// fingerprint — the rail default is what resume assumes.
+        pub probe: Probe as Text,
+        /// Pattern written before every read-back run (the paper's default and
+        /// worst case is all-ones, `FFFF`).
+        pub pattern: DataPattern as Text,
+        /// First level, normally nominal.
+        pub start: Millivolts as u32 => "start_mv",
+        /// Lowest level the sweep will attempt if no crash intervenes.
+        pub floor: Millivolts as u32 => "floor_mv",
+        /// VID step between levels (10 mV on every Table-I regulator).
+        pub step_mv: u32,
+        /// Read-back runs per level (100 in the paper).
+        pub runs_per_level: u32,
+        pub temperature_c: f64,
+        /// Width of the noisy-environment band above `Vcrash` in which supply
+        /// noise can crash the board early; 0 disables it (lab conditions).
+        pub noise_band_mv: u32,
+    }
 }
 
 impl SweepConfig {
@@ -104,51 +111,6 @@ impl SweepConfig {
             return Err("VCCAUX is never underscaled".into());
         }
         Ok(())
-    }
-
-    /// Wire form of the configuration (campaign-job serialization): the
-    /// same byte-stable JSON discipline as [`SweepRecord`], carrying every
-    /// field including the probe override.
-    #[must_use]
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        Json::obj(vec![
-            ("rail", Json::Str(self.rail.to_string())),
-            ("probe", Json::Str(self.probe.label().into())),
-            ("pattern", Json::Str(self.pattern.to_string())),
-            ("start_mv", Json::UInt(u64::from(self.start.0))),
-            ("floor_mv", Json::UInt(u64::from(self.floor.0))),
-            ("step_mv", Json::UInt(u64::from(self.step_mv))),
-            ("runs_per_level", Json::UInt(u64::from(self.runs_per_level))),
-            ("temperature_c", Json::Float(self.temperature_c)),
-            ("noise_band_mv", Json::UInt(u64::from(self.noise_band_mv))),
-        ])
-    }
-
-    /// Inverse of [`SweepConfig::to_json`].
-    pub fn from_json(v: &crate::json::Json) -> Result<SweepConfig, crate::record::RecordError> {
-        use crate::json::Json;
-        use crate::record::{req_str, req_u32, schema};
-        let rail: Rail = req_str(v, "rail")?
-            .parse()
-            .map_err(|_| schema("unknown rail"))?;
-        Ok(SweepConfig {
-            rail,
-            probe: Probe::from_label(req_str(v, "probe")?)
-                .ok_or_else(|| schema("unknown probe"))?,
-            pattern: req_str(v, "pattern")?
-                .parse()
-                .map_err(|_| schema("unknown pattern"))?,
-            start: Millivolts(req_u32(v, "start_mv")?),
-            floor: Millivolts(req_u32(v, "floor_mv")?),
-            step_mv: req_u32(v, "step_mv")?,
-            runs_per_level: req_u32(v, "runs_per_level")?,
-            temperature_c: v
-                .get("temperature_c")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| schema("temperature_c missing"))?,
-            noise_band_mv: req_u32(v, "noise_band_mv")?,
-        })
     }
 
     /// An empty record carrying this configuration for the die
@@ -251,6 +213,28 @@ pub enum Probe {
     Logic,
 }
 
+/// The stable lowercase wire label (campaign-job serialization).
+impl fmt::Display for Probe {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Probe::Bram => "bram",
+            Probe::Logic => "logic",
+        })
+    }
+}
+
+impl FromStr for Probe {
+    type Err = String;
+
+    fn from_str(label: &str) -> Result<Probe, String> {
+        match label {
+            "bram" => Ok(Probe::Bram),
+            "logic" => Ok(Probe::Logic),
+            _ => Err(format!("unknown probe {label:?}")),
+        }
+    }
+}
+
 impl Probe {
     /// The natural probe for a rail.
     #[must_use]
@@ -258,25 +242,6 @@ impl Probe {
         match rail {
             Rail::Vccbram => Probe::Bram,
             _ => Probe::Logic,
-        }
-    }
-
-    /// Stable lowercase wire label (campaign-job serialization).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Probe::Bram => "bram",
-            Probe::Logic => "logic",
-        }
-    }
-
-    /// Inverse of [`Probe::label`].
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Probe> {
-        match label {
-            "bram" => Some(Probe::Bram),
-            "logic" => Some(Probe::Logic),
-            _ => None,
         }
     }
 
