@@ -101,262 +101,75 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// One protocol message; see the module docs for the exchange.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    Hello {
-        worker: u64,
-    },
-    JobRequest {
-        worker: u64,
-    },
-    JobAssign {
-        job: usize,
-        spec: CampaignJob,
-        policy: RecoveryPolicy,
-        /// Shared checkpoint directory (same host / shared filesystem);
-        /// the worker resumes from whatever a predecessor left there.
-        checkpoint_dir: Option<String>,
-    },
-    NoJob {
-        /// `true`: the campaign is over, exit. `false`: all jobs are
-        /// currently leased — back off and ask again.
-        done: bool,
-    },
-    Event {
-        job: usize,
-        /// One deterministic-core JSONL line ([`uvf_trace::Event`]).
-        line: String,
-    },
-    JobDone {
-        job: usize,
-        /// The finished sweep record's canonical JSON.
-        record: String,
-        sim_ms: u64,
-    },
-    JobFailed {
-        job: usize,
-        error: String,
-    },
-    /// Fetch the fault-variation census for a die from the server's
-    /// shared [`FvmCache`](uvf_characterize::FvmCache).
-    GetFvm {
-        /// Platform label (`PlatformKind::to_string` / `FromStr` form).
-        platform: String,
-        chip_seed: u64,
-        /// Temperature in milli-°C — fixed point keeps `f64` off the wire.
-        temp_mc: i64,
-        v_ref_mv: u32,
-    },
-    /// Reply to [`Message::GetFvm`]: the census as canonical
-    /// [`FvmRecord`](uvf_characterize::record::FvmRecord) JSON.
-    Fvm {
-        record: String,
-    },
-    /// Tail the published merged event log live, starting at `from_seq`.
-    Subscribe {
-        from_seq: u64,
-        /// Per-subscriber queue bound in events; 0 = server default.
-        queue_cap: u64,
-    },
-    /// A run of consecutive published events, as JSONL lines.
-    EventBatch {
-        /// Sequence number of the first line in `lines` (meaningless
-        /// when `lines` is empty, e.g. a final empty `done` batch).
-        first_seq: u64,
-        lines: Vec<String>,
-        /// Cumulative events dropped for *this* subscriber because its
-        /// queue overflowed (the stream has a gap after a drop).
-        dropped: u64,
-        /// Campaign finished and every published event was delivered.
-        done: bool,
-    },
-    /// Stop tailing; the server closes the subscription cleanly.
-    Unsubscribe,
+uvf_trace::json_record! {
+    /// One protocol message; see the module docs for the exchange. Its
+    /// frame is the variant's fields behind a `type` tag.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message tag "type": RecordError {
+        Hello { worker: u64 } => "hello",
+        JobRequest { worker: u64 } => "job_request",
+        JobAssign {
+            job: usize,
+            spec: CampaignJob,
+            policy: RecoveryPolicy,
+            /// Shared checkpoint directory (same host / shared filesystem);
+            /// the worker resumes from whatever a predecessor left there.
+            checkpoint_dir: Option<String>,
+        } => "job_assign",
+        NoJob {
+            /// `true`: the campaign is over, exit. `false`: all jobs are
+            /// currently leased — back off and ask again.
+            done: bool,
+        } => "no_job",
+        Event {
+            job: usize,
+            /// One deterministic-core JSONL line ([`uvf_trace::Event`]).
+            line: String,
+        } => "event",
+        JobDone {
+            job: usize,
+            /// The finished sweep record's canonical JSON.
+            record: String,
+            sim_ms: u64,
+        } => "job_done",
+        JobFailed { job: usize, error: String } => "job_failed",
+        /// Fetch the fault-variation census for a die from the server's
+        /// shared [`FvmCache`](uvf_characterize::FvmCache).
+        GetFvm {
+            /// Platform label (`PlatformKind::to_string` / `FromStr` form).
+            platform: String,
+            chip_seed: u64,
+            /// Temperature in milli-°C — fixed point keeps `f64` off the wire.
+            temp_mc: i64,
+            v_ref_mv: u32,
+        } => "get_fvm",
+        /// Reply to [`Message::GetFvm`]: the census as canonical
+        /// [`FvmRecord`](uvf_characterize::record::FvmRecord) JSON.
+        Fvm { record: String } => "fvm",
+        /// Tail the published merged event log live, starting at `from_seq`.
+        Subscribe {
+            from_seq: u64,
+            /// Per-subscriber queue bound in events; 0 = server default.
+            queue_cap: u64,
+        } => "subscribe",
+        /// A run of consecutive published events, as JSONL lines.
+        EventBatch {
+            /// Sequence number of the first line in `lines` (meaningless
+            /// when `lines` is empty, e.g. a final empty `done` batch).
+            first_seq: u64,
+            lines: Vec<String>,
+            /// Cumulative events dropped for *this* subscriber because its
+            /// queue overflowed (the stream has a gap after a drop).
+            dropped: u64,
+            /// Campaign finished and every published event was delivered.
+            done: bool,
+        } => "event_batch",
+        /// Stop tailing; the server closes the subscription cleanly.
+        Unsubscribe => "unsubscribe",
+    }
 }
 
 impl Message {
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        match self {
-            Message::Hello { worker } => Json::obj(vec![
-                ("type", Json::Str("hello".into())),
-                ("worker", Json::UInt(*worker)),
-            ]),
-            Message::JobRequest { worker } => Json::obj(vec![
-                ("type", Json::Str("job_request".into())),
-                ("worker", Json::UInt(*worker)),
-            ]),
-            Message::JobAssign {
-                job,
-                spec,
-                policy,
-                checkpoint_dir,
-            } => {
-                let mut fields = vec![
-                    ("type", Json::Str("job_assign".into())),
-                    ("job", Json::UInt(*job as u64)),
-                    ("spec", spec.to_json()),
-                    ("policy", policy.to_json()),
-                ];
-                if let Some(dir) = checkpoint_dir {
-                    fields.push(("checkpoint_dir", Json::Str(dir.clone())));
-                }
-                Json::obj(fields)
-            }
-            Message::NoJob { done } => Json::obj(vec![
-                ("type", Json::Str("no_job".into())),
-                ("done", Json::Bool(*done)),
-            ]),
-            Message::Event { job, line } => Json::obj(vec![
-                ("type", Json::Str("event".into())),
-                ("job", Json::UInt(*job as u64)),
-                ("line", Json::Str(line.clone())),
-            ]),
-            Message::JobDone {
-                job,
-                record,
-                sim_ms,
-            } => Json::obj(vec![
-                ("type", Json::Str("job_done".into())),
-                ("job", Json::UInt(*job as u64)),
-                ("record", Json::Str(record.clone())),
-                ("sim_ms", Json::UInt(*sim_ms)),
-            ]),
-            Message::JobFailed { job, error } => Json::obj(vec![
-                ("type", Json::Str("job_failed".into())),
-                ("job", Json::UInt(*job as u64)),
-                ("error", Json::Str(error.clone())),
-            ]),
-            Message::GetFvm {
-                platform,
-                chip_seed,
-                temp_mc,
-                v_ref_mv,
-            } => Json::obj(vec![
-                ("type", Json::Str("get_fvm".into())),
-                ("platform", Json::Str(platform.clone())),
-                ("chip_seed", Json::UInt(*chip_seed)),
-                ("temp_mc", Json::Int(*temp_mc)),
-                ("v_ref_mv", Json::UInt(u64::from(*v_ref_mv))),
-            ]),
-            Message::Fvm { record } => Json::obj(vec![
-                ("type", Json::Str("fvm".into())),
-                ("record", Json::Str(record.clone())),
-            ]),
-            Message::Subscribe {
-                from_seq,
-                queue_cap,
-            } => Json::obj(vec![
-                ("type", Json::Str("subscribe".into())),
-                ("from_seq", Json::UInt(*from_seq)),
-                ("queue_cap", Json::UInt(*queue_cap)),
-            ]),
-            Message::EventBatch {
-                first_seq,
-                lines,
-                dropped,
-                done,
-            } => Json::obj(vec![
-                ("type", Json::Str("event_batch".into())),
-                ("first_seq", Json::UInt(*first_seq)),
-                (
-                    "lines",
-                    Json::Arr(lines.iter().map(|l| Json::Str(l.clone())).collect()),
-                ),
-                ("dropped", Json::UInt(*dropped)),
-                ("done", Json::Bool(*done)),
-            ]),
-            Message::Unsubscribe => Json::obj(vec![("type", Json::Str("unsubscribe".into()))]),
-        }
-    }
-
-    pub fn from_json(v: &Json) -> Result<Message, RecordError> {
-        use uvf_characterize::record::{req_str, req_u64, schema};
-        let job = || -> Result<usize, RecordError> {
-            usize::try_from(req_u64(v, "job")?).map_err(|_| schema("job index overflow"))
-        };
-        Ok(match req_str(v, "type")? {
-            "hello" => Message::Hello {
-                worker: req_u64(v, "worker")?,
-            },
-            "job_request" => Message::JobRequest {
-                worker: req_u64(v, "worker")?,
-            },
-            "job_assign" => Message::JobAssign {
-                job: job()?,
-                spec: CampaignJob::from_json(v.get("spec").ok_or_else(|| schema("spec missing"))?)?,
-                policy: RecoveryPolicy::from_json(
-                    v.get("policy").ok_or_else(|| schema("policy missing"))?,
-                )?,
-                checkpoint_dir: v
-                    .get("checkpoint_dir")
-                    .and_then(Json::as_str)
-                    .map(str::to_string),
-            },
-            "no_job" => Message::NoJob {
-                done: v
-                    .get("done")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| schema("done missing"))?,
-            },
-            "event" => Message::Event {
-                job: job()?,
-                line: req_str(v, "line")?.to_string(),
-            },
-            "job_done" => Message::JobDone {
-                job: job()?,
-                record: req_str(v, "record")?.to_string(),
-                sim_ms: req_u64(v, "sim_ms")?,
-            },
-            "job_failed" => Message::JobFailed {
-                job: job()?,
-                error: req_str(v, "error")?.to_string(),
-            },
-            "get_fvm" => Message::GetFvm {
-                platform: req_str(v, "platform")?.to_string(),
-                chip_seed: req_u64(v, "chip_seed")?,
-                temp_mc: match v.get("temp_mc") {
-                    Some(Json::Int(t)) => *t,
-                    Some(Json::UInt(t)) => {
-                        i64::try_from(*t).map_err(|_| schema("temp_mc overflow"))?
-                    }
-                    _ => return Err(schema("temp_mc missing")),
-                },
-                v_ref_mv: u32::try_from(req_u64(v, "v_ref_mv")?)
-                    .map_err(|_| schema("v_ref_mv overflow"))?,
-            },
-            "fvm" => Message::Fvm {
-                record: req_str(v, "record")?.to_string(),
-            },
-            "subscribe" => Message::Subscribe {
-                from_seq: req_u64(v, "from_seq")?,
-                queue_cap: req_u64(v, "queue_cap")?,
-            },
-            "event_batch" => Message::EventBatch {
-                first_seq: req_u64(v, "first_seq")?,
-                lines: v
-                    .get("lines")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| schema("lines missing"))?
-                    .iter()
-                    .map(|l| {
-                        l.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| schema("non-string event line"))
-                    })
-                    .collect::<Result<Vec<String>, RecordError>>()?,
-                dropped: req_u64(v, "dropped")?,
-                done: v
-                    .get("done")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| schema("done missing"))?,
-            },
-            "unsubscribe" => Message::Unsubscribe,
-            other => return Err(schema(&format!("unknown message type {other}"))),
-        })
-    }
-
     /// Frame this message onto `w` and flush it.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         write_frame(w, &self.to_json())
@@ -593,12 +406,51 @@ mod tests {
         for msg in sample_messages() {
             msg.write_to(&mut wire).unwrap();
         }
+        // The frames the hand-written encoder wrote before the codec.
+        assert_eq!(
+            (wire.len(), uvf_fpga::seedmix::fnv1a(&wire)),
+            (1208, 0x086e_c3d1_91c6_dbc4)
+        );
         let mut cursor = wire.as_slice();
         for expected in sample_messages() {
             let got = Message::read_from(&mut cursor).unwrap().unwrap();
             assert_eq!(got, expected);
         }
         assert_eq!(Message::read_from(&mut cursor).unwrap(), None, "clean EOF");
+
+        // No directory: the key is left out, and comes back as `None`.
+        let bare = Message::JobAssign {
+            job: 0,
+            spec: CampaignJob::new(PlatformKind::Zc702, SweepConfig::quick(Rail::Vccbram, 1)),
+            policy: RecoveryPolicy::default(),
+            checkpoint_dir: None,
+        };
+        assert!(!bare.to_json_string().contains("checkpoint_dir"));
+        assert_eq!(Message::from_json(&bare.to_json()), Ok(bare));
+        // Decode errors name the key.
+        let decode = |text: &str| Message::from_json(&Json::parse(text).unwrap());
+        let schema = |msg: &str| Err(RecordError::Schema(msg.into()));
+        assert_eq!(
+            decode(r#"{"type":"bogus"}"#),
+            schema(r#"unknown type "bogus""#)
+        );
+        assert_eq!(decode(r#"{"worker":1}"#), schema("type missing"));
+        assert_eq!(
+            decode(r#"{"type":"job_done","job":1,"record":"{}"}"#),
+            schema("sim_ms missing")
+        );
+        assert_eq!(
+            decode(
+                r#"{"type":"get_fvm","platform":"vc707","chip_seed":1,"temp_mc":9223372036854775808,"v_ref_mv":540}"#
+            ),
+            schema("temp_mc is not an i64")
+        );
+        assert_eq!(
+            decode(
+                r#"{"type":"event_batch","first_seq":0,"lines":["a",1],"dropped":0,"done":true}"#
+            ),
+            schema("lines is not a string")
+        );
     }
 
     #[test]
