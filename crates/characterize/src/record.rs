@@ -465,27 +465,6 @@ fn io_err(path: &Path, e: &std::io::Error) -> RecordError {
     }
 }
 
-/// Required string field, or a schema error naming `key`.
-pub fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, RecordError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| schema(&format!("{key} missing or not a string")))
-}
-
-/// Required unsigned-integer field, or a schema error naming `key`.
-pub fn req_u64(v: &Json, key: &str) -> Result<u64, RecordError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| schema(&format!("{key} missing or not an integer")))
-}
-
-/// Required u32 field, or a schema error naming `key`.
-pub fn req_u32(v: &Json, key: &str) -> Result<u32, RecordError> {
-    v.get(key)
-        .and_then(Json::as_u32)
-        .ok_or_else(|| schema(&format!("{key} missing or not a u32")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
