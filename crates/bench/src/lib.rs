@@ -237,13 +237,9 @@ impl Suite {
         .to_string()
     }
 
-    /// Atomic write (temp + rename), like the sweep checkpoints.
+    /// Atomic write ([`uvf_trace::write_atomic`]: temp + fsync + rename).
     pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json_string())?;
-        std::fs::rename(&tmp, path)
+        uvf_trace::write_atomic(path, &self.to_json_string())
     }
 }
 
