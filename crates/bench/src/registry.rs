@@ -1442,20 +1442,15 @@ fn run_mitigation(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> 
         }
     }
 
-    // Phase B: the NN recovery shoot-out on the Fig. 13/14 chip, run
-    // twice — the second run must be PartialEq-identical to the first.
+    // Phase B: the NN recovery shoot-out on the Fig. 13/14 chip. Its
+    // run-to-run identity is pinned by the registry's digest table.
     let fx = ctx.fixture(tracer);
     let protected = fx.weights.len() - 1;
     let cfg =
         ShootoutConfig::vc707_default(CHIP_SEED, EVAL_RUN_SEED, EVAL_TEMPERATURE_C, protected);
-    let mut span = tracer.span_with("mitigation_shootout", vec![("chip_seed", CHIP_SEED.into())]);
+    let _span = tracer.span_with("mitigation_shootout", vec![("chip_seed", CHIP_SEED.into())]);
     let report = mitigation_shootout_traced(&cfg, &fx.qnet, &fx.weights, &fx.data, tracer)
         .map_err(|e| format!("shootout: {e:?}"))?;
-    let rerun =
-        mitigation_shootout_traced(&cfg, &fx.qnet, &fx.weights, &fx.data, &Tracer::disabled())
-            .map_err(|e| format!("shootout rerun: {e:?}"))?;
-    let identical = report == rerun;
-    span.field("rerun_identical", identical.into());
 
     println!("  NN recovery (VC707 chip {CHIP_SEED}, cold die, protected layer {protected}):");
     print!("    {:>7}", "mV");
@@ -1512,9 +1507,6 @@ fn run_mitigation(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> 
             ],
         );
     }
-    if !identical {
-        println!("  WARNING: rerun diverged from first shoot-out");
-    }
     let ecc_escaped_vcrash = report
         .curve(Mitigation::Ecc)
         .points
@@ -1534,7 +1526,6 @@ fn run_mitigation(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> 
         ("floor_ecc_icbp_mv", floor(Mitigation::EccIcbp)),
         ("ecc_escaped_vcrash", ecc_escaped_vcrash),
         ("census_escaped_vcrash", census_escaped_vcrash),
-        ("rerun_identical", flag(identical)),
     ]))
 }
 
@@ -1543,13 +1534,10 @@ fn run_mitigation(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> 
 /// over the test split, so equality is well-defined.
 const RECOVERY_TOL: f64 = 0.0;
 
-/// `--check` gate for the shoot-out headline: reruns are bit-identical,
-/// multi-bit words appear near Vcrash (so plain ECC escapes), and
-/// ECC+ICBP holds nominal accuracy strictly deeper than ICBP alone.
+/// `--check` gate for the shoot-out headline: multi-bit words appear
+/// near Vcrash (so plain ECC escapes), and ECC+ICBP holds nominal
+/// accuracy strictly deeper than ICBP alone.
 pub fn check_mitigation(_ctx: &Ctx, s: &CmdSummary) -> Result<(), String> {
-    if s.metric("rerun_identical")? != 1.0 {
-        return Err("shoot-out rerun was not bit-identical".into());
-    }
     if s.metric("census_escaped_vcrash")? <= 0.0 {
         return Err("no multi-bit escapes in the VC707 census at Vcrash".into());
     }
