@@ -37,11 +37,15 @@
 //!
 //! ## Determinism
 //!
-//! Completed records are deterministic per job (position-keyed draws),
-//! so *which* worker finishes a job — even a zombie whose lease lapsed —
-//! cannot change its bytes; the server still verifies every incoming
-//! record's fingerprint against the job's expected configuration before
-//! accepting it. Results are merged in job order, making the final
+//! Only the current lease holder's frames about a job count: a zombie
+//! whose lease lapsed has its events, `JobDone` and `JobFailed` dropped,
+//! so a finished job's log segment holds the finishing worker's own
+//! events, and a zombie's failure cannot free the new holder's lease. A
+//! frame naming a job past the campaign drops the peer, like a torn
+//! frame. Completed records are deterministic per job (position-keyed
+//! draws), so *which* holder finishes a job cannot change its bytes; the
+//! server still verifies every incoming record's fingerprint against the
+//! job's expected configuration before accepting it. Results are merged in job order, making the final
 //! [`CampaignManifest`] byte-identical to a single-process run's.
 //!
 //! ## The published log and subscribers
@@ -642,7 +646,12 @@ fn handle_conn(
             }
             _ => {
                 let mut state = state.lock().expect("server state poisoned");
-                handle_message(&msg, &mut state, &mut worker_id, config, started)
+                match handle_message(&msg, &mut state, &mut worker_id, config, started) {
+                    Ok(response) => response,
+                    // A frame naming a job past the campaign: a corrupt
+                    // peer, dropped like one that tore a frame.
+                    Err(OutOfRange) => break,
+                }
             }
         };
         if let Some(response) = response {
@@ -732,16 +741,32 @@ fn run_subscriber_writer(mut writer: Box<dyn Write + Send>, sub: &Arc<Subscriber
     }
 }
 
+/// A job index no job of the campaign has.
+struct OutOfRange;
+
 /// Dispatch one message under the state lock; the response (if any) is
-/// written outside.
+/// written outside. A frame naming a job past the campaign is an `Err`.
 fn handle_message(
     msg: &Message,
     state: &mut State,
     worker_id: &mut Option<u64>,
     config: &ServerConfig,
     started: Instant,
-) -> Option<Message> {
-    match msg {
+) -> Result<Option<Message>, OutOfRange> {
+    if let Message::Event { job, .. }
+    | Message::JobDone { job, .. }
+    | Message::JobFailed { job, .. } = msg
+    {
+        if *job >= config.jobs.len() {
+            return Err(OutOfRange);
+        }
+    }
+    // Only the lease holder's frames about a job count (module docs); a
+    // holder's frame renews its lease.
+    let holds_lease = |state: &mut State, job: usize| {
+        worker_id.is_some_and(|worker| state.queue.renew(job, worker, now_ms(started)))
+    };
+    Ok(match msg {
         Message::Hello { worker } => {
             *worker_id = Some(*worker);
             state.workers_seen.insert(*worker);
@@ -755,7 +780,7 @@ fn handle_message(
             let now = now_ms(started);
             state.expire_leases(now);
             if state.finished() {
-                return Some(Message::NoJob { done: true });
+                return Ok(Some(Message::NoJob { done: true }));
             }
             match state.queue.claim(*worker, now) {
                 None => Some(Message::NoJob { done: false }),
@@ -799,28 +824,21 @@ fn handle_message(
             }
         }
         Message::Event { job, line } => {
-            let worker = (*worker_id)?;
             let parsed = Event::parse_jsonl(line).ok();
-            if let Some(event) = &parsed {
+            if let (Some(worker), Some(event)) = (*worker_id, &parsed) {
                 // Fleet metrics and the flight recorder see everything
                 // the worker says, zombie or not — forensics wants the
                 // last words, and fleet counters tolerate double counts
                 // from at most one lapsed-lease straggler.
                 state.obs.worker_event(worker, event);
             }
-            // Zombie suppression: only the current lease holder's events
-            // enter the job's segment.
-            let holds_lease = matches!(
-                state.queue.state(*job),
-                uvf_characterize::store::LeaseState::Leased { worker: w, .. } if w == worker
-            );
-            if holds_lease {
-                // Progress heartbeat (module docs): a worker flushes its
-                // buffered events at least every 50 ms while it emits and
-                // at every throttle pause, so a sweep keeps its lease
-                // however long it takes; only silence (a hang) lets the
-                // deadline lapse.
-                state.queue.renew(*job, worker, now_ms(started));
+            // Zombie suppression: only the lease holder's events enter
+            // the job's segment. Each renews the lease (progress
+            // heartbeat, module docs): a worker flushes its buffered
+            // events at least every 50 ms while it emits and at every
+            // throttle pause, so a sweep keeps its lease however long it
+            // takes; only silence (a hang) lets the deadline lapse.
+            if holds_lease(state, *job) {
                 state.obs.metrics().add("lease_renewals", 1);
                 if let Some(event) = parsed {
                     if let Some(segment) = state.segments[*job].last_mut() {
@@ -830,41 +848,41 @@ fn handle_message(
             }
             None
         }
-        Message::JobDone {
+        &Message::JobDone {
             job,
-            record,
+            ref record,
             sim_ms,
         } => {
-            // First completion wins; determinism makes every completion
-            // identical, but the fingerprint check still guards against a
-            // worker running the wrong configuration.
-            if state.results[*job].is_none() {
-                match verify_record(&config.jobs[*job], record) {
+            // Determinism makes every completion identical, but the
+            // fingerprint check still guards against a worker running the
+            // wrong configuration.
+            if holds_lease(state, job) {
+                match verify_record(&config.jobs[job], record) {
                     Ok(parsed) => {
                         let now = now_ms(started);
-                        state.results[*job] = Some((parsed, *sim_ms));
-                        state.queue.complete(*job);
+                        state.results[job] = Some((parsed, sim_ms));
+                        state.queue.complete(job);
                         let metrics = state.obs.metrics();
                         metrics.add("jobs_done", 1);
                         metrics.observe_ns(
                             "job_duration",
-                            now.saturating_sub(state.claim_ms[*job])
+                            now.saturating_sub(state.claim_ms[job])
                                 .saturating_mul(1_000_000),
                         );
                         state.inject(
-                            *job,
+                            job,
                             "job_done",
-                            vec![("job", (*job).into()), ("sim_ms", (*sim_ms).into())],
+                            vec![("job", job.into()), ("sim_ms", sim_ms.into())],
                         );
                         state.publish_ready();
                     }
-                    Err(err) => fail_job(state, *job, &err, now_ms(started)),
+                    Err(err) => fail_job(state, job, &err, now_ms(started)),
                 }
             }
             None
         }
         Message::JobFailed { job, error } => {
-            if state.results[*job].is_none() {
+            if holds_lease(state, *job) {
                 fail_job(state, *job, error, now_ms(started));
             }
             None
@@ -879,7 +897,7 @@ fn handle_message(
         | Message::JobAssign { .. }
         | Message::NoJob { .. }
         | Message::Fvm { .. } => None,
-    }
+    })
 }
 
 /// Answer a census query from the process-wide [`FvmCache`]: repeat
