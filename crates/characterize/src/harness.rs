@@ -32,6 +32,7 @@ use uvf_faults::{run_seed, FaultModel, FvmCache, ReadCondition, ResolvedConditio
 use uvf_fpga::seedmix::mix;
 use uvf_fpga::{Board, BoardError, BramId, Millivolts};
 use uvf_power::ChipPowerModel;
+use uvf_trace::codec::Flat;
 use uvf_trace::Tracer;
 
 /// Simulated cost of one write/read-back run.
@@ -51,7 +52,7 @@ uvf_trace::json_record! {
         /// keyed by the sweep position, so resumes replay identical delays
         /// (see [`Backoff`]). Shared with the campaign server's worker
         /// supervisor.
-        pub backoff: Backoff => ..,
+        pub backoff: Backoff as Flat,
         /// Checkpoint after this many completed runs (1 = after every run).
         pub checkpoint_every_runs: u32,
     }

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use uvf_faults::{FaultModel, FaultVariationMap};
 use uvf_fpga::seedmix::{fnv1a, mix};
 use uvf_fpga::{DataPattern, Millivolts, PlatformKind, Rail};
-use uvf_trace::codec::{self, DecodeError, Text, Value, Via};
+use uvf_trace::codec::{self, DecodeError, DecodeErrorKind, Plain, Text, Value, Via};
 use uvf_trace::write_atomic;
 
 /// Schema version of the checkpoint/record JSON.
@@ -214,7 +214,7 @@ impl SweepRecord {
     /// The record document: [`RECORD_VERSION`], then the fields.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self.encode())
+        codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self)
     }
 
     pub fn from_json(v: &Json) -> Result<SweepRecord, RecordError> {
@@ -254,14 +254,17 @@ impl SweepRecord {
 enum VersionedRecord {}
 
 impl Via<SweepRecord> for VersionedRecord {
-    fn encode_as(record: &SweepRecord) -> Json {
-        record.to_json()
+    fn put(out: &mut Vec<(String, Json)>, key: &str, record: &SweepRecord) {
+        codec::push(out, key, Some(record.to_json()));
     }
 
-    fn decode_as(v: &Json) -> Result<SweepRecord, DecodeError> {
-        SweepRecord::from_json(v).map_err(|e| match e {
-            RecordError::Schema(msg) => DecodeError::invalid(msg),
-            other => DecodeError::invalid(other.to_string()),
+    fn get(v: &Json, key: &str) -> Result<SweepRecord, DecodeError> {
+        codec::field(v, key, |json| {
+            let record = SweepRecord::from_json(json.ok_or(DecodeErrorKind::Missing)?);
+            record.map_err(|e| match e {
+                RecordError::Schema(msg) => DecodeErrorKind::Invalid(msg).into(),
+                other => DecodeErrorKind::Invalid(other.to_string()).into(),
+            })
         })
     }
 }
@@ -289,17 +292,17 @@ impl Checkpoint {
             ("version", Json::UInt(RECORD_VERSION)),
             ("fingerprint", Json::UInt(self.record.fingerprint())),
         ];
-        codec::lead(head, self.encode()).to_string()
+        codec::lead(head, self).to_string()
     }
 
     pub fn parse(text: &str) -> Result<Checkpoint, RecordError> {
         let v = Json::parse(text)?;
-        let version: u64 = codec::get(&v, "version")?;
+        let version: u64 = Plain::get(&v, "version")?;
         if version != RECORD_VERSION {
             return Err(schema(&format!("unsupported checkpoint version {version}")));
         }
         let checkpoint = Checkpoint::decode(&v)?;
-        let stored: u64 = codec::get(&v, "fingerprint")?;
+        let stored: u64 = Plain::get(&v, "fingerprint")?;
         let computed = checkpoint.record.fingerprint();
         if stored != computed {
             return Err(RecordError::FingerprintMismatch { stored, computed });
@@ -366,7 +369,7 @@ impl FvmRecord {
 
     #[must_use]
     pub fn to_json(&self) -> Json {
-        codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self.encode())
+        codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self)
     }
 
     #[must_use]
@@ -375,7 +378,7 @@ impl FvmRecord {
     }
 
     pub fn from_json(v: &Json) -> Result<FvmRecord, RecordError> {
-        let version: u64 = codec::get(v, "version")?;
+        let version: u64 = Plain::get(v, "version")?;
         if version != RECORD_VERSION {
             return Err(schema(&format!("unsupported FVM record version {version}")));
         }

@@ -1,45 +1,26 @@
-//! The declarative record codec: a struct or tagged enum declares its
-//! fields once, and [`json_record!`](crate::json_record) derives both
-//! directions of its byte-stable JSON form.
+//! The declarative record codec: [`json_record!`](crate::json_record)
+//! declares a struct or tagged enum once and derives both directions of
+//! its byte-stable JSON.
 //!
 //! Each field maps to one key, in declaration order, so a record encodes
 //! to exactly the [`Json`] tree a hand-written `Json::obj(vec![...])`
-//! would build. A field may carry:
+//! would build. A field may add `=> "key"` (its wire key, when not the
+//! field name) and `as A`, the adapter ([`Via`]) it travels by: [`Flat`]
+//! splices a record's keys into its parent's, [`Text`] carries anything
+//! `Display` + `FromStr` as its name, `u32` an integer newtype such as
+//! millivolts.
 //!
-//! * `=> "wire_key"` — the key on the wire when it differs from the
-//!   field name (`start => "start_mv"`);
-//! * `=> ..` — no key of its own: the field's record is spliced in place
-//!   (its keys join the parent's);
-//! * `as A` — the field travels in the wire form of the adapter `A`
-//!   ([`Via`]): [`Text`] for anything `Display` + `FromStr` (platform,
-//!   rail, pattern and probe names), `u32` for integer newtypes such as
-//!   millivolts, or a local adapter (a record nested with its schema
-//!   version).
-//!
-//! [`Value`] covers the leaf kinds: `u32`, `u64`, `i64`, `usize`, `f64`,
-//! `bool`, `String`, `Vec<T>`, string-keyed `BTreeMap`s, and `Option<T>`,
-//! whose `None` leaves the key out. A record that fails to decode says
-//! which key was missing, mistyped or unknown ([`DecodeError`]).
-//!
-//! ```
-//! use uvf_trace::{json_record, JsonError};
-//!
-//! json_record! {
-//!     #[derive(Debug, PartialEq)]
-//!     pub struct Level: JsonError {
-//!         pub v_mv: u32 => "mv",
-//!         pub note: Option<String>,
-//!     }
-//! }
-//! let level = Level { v_mv: 540, note: None };
-//! assert_eq!(level.to_json_string(), r#"{"mv":540}"#);
-//! assert_eq!(Level::from_json(&level.to_json()).unwrap(), level);
-//! ```
+//! [`Value`] covers `u32`, `u64`, `i64`, `usize`, `f64`, `bool`,
+//! `String`, `Vec<T>`, string-keyed `BTreeMap`s and `Option<T>`, whose
+//! `None` leaves the key out. A failed decode names the key that was
+//! missing, mistyped or unknown ([`DecodeError`]). The unit tests below
+//! declare a struct, a spliced record and a tagged enum.
 
 use crate::json::{Json, JsonError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
+use DecodeErrorKind::{Invalid, Missing, Mistyped, Unknown};
 
 /// Why a document did not decode, and at which key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,42 +37,26 @@ pub enum DecodeErrorKind {
     Missing,
     /// The value is not the named kind (`"a u32"`).
     Mistyped(&'static str),
-    /// A name — an enum tag or a `Text` field — that matches nothing.
+    /// A name — an enum tag or a [`Text`] field — that matches nothing.
     Unknown(String),
     /// Rejected by a nested document's own gate (its message).
     Invalid(String),
 }
 
+impl From<DecodeErrorKind> for DecodeError {
+    fn from(kind: DecodeErrorKind) -> DecodeError {
+        let key = String::new();
+        DecodeError { key, kind }
+    }
+}
+
 impl DecodeError {
-    fn bare(kind: DecodeErrorKind) -> DecodeError {
-        DecodeError {
-            key: String::new(),
-            kind,
-        }
-    }
-
-    #[must_use]
-    pub fn mistyped(want: &'static str) -> DecodeError {
-        DecodeError::bare(DecodeErrorKind::Mistyped(want))
-    }
-
-    #[must_use]
-    pub fn unknown(name: &str) -> DecodeError {
-        DecodeError::bare(DecodeErrorKind::Unknown(name.to_string()))
-    }
-
-    #[must_use]
-    pub fn invalid(msg: String) -> DecodeError {
-        DecodeError::bare(DecodeErrorKind::Invalid(msg))
-    }
-
     /// The same error one level down, under `key`.
     #[must_use]
     pub fn at(mut self, key: &str) -> DecodeError {
-        self.key = if self.key.is_empty() {
-            key.to_string()
-        } else {
-            format!("{key}.{}", self.key)
+        self.key = match self.key.as_str() {
+            "" => key.to_string(),
+            inner => format!("{key}.{inner}"),
         };
         self
     }
@@ -99,24 +64,21 @@ impl DecodeError {
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = &self.key;
         match &self.kind {
-            DecodeErrorKind::Missing => write!(f, "{} missing", self.key),
-            DecodeErrorKind::Mistyped(want) => write!(f, "{} is not {want}", self.key),
-            DecodeErrorKind::Unknown(name) => write!(f, "unknown {} {name:?}", self.key),
-            DecodeErrorKind::Invalid(msg) => write!(f, "{}: {msg}", self.key),
+            Missing => write!(f, "{key} missing"),
+            Mistyped(want) => write!(f, "{key} is not {want}"),
+            Unknown(name) => write!(f, "unknown {key} {name:?}"),
+            Invalid(msg) => write!(f, "{key}: {msg}"),
         }
     }
 }
 
-impl std::error::Error for DecodeError {}
-
 /// A decode error as a JSON error (no byte offset: the text parsed).
 impl From<DecodeError> for JsonError {
     fn from(e: DecodeError) -> JsonError {
-        JsonError {
-            msg: e.to_string(),
-            offset: 0,
-        }
+        let msg = e.to_string();
+        JsonError { msg, offset: 0 }
     }
 }
 
@@ -132,10 +94,7 @@ pub trait Value: Sized {
 
     /// Decode the value under a field's key (`None`: the key is absent).
     fn decode_field(v: Option<&Json>) -> Result<Self, DecodeError> {
-        v.map_or(
-            Err(DecodeError::bare(DecodeErrorKind::Missing)),
-            Self::decode,
-        )
+        Self::decode(v.ok_or(Missing)?)
     }
 }
 
@@ -143,31 +102,40 @@ macro_rules! leaf {
     ($ty:ty, $want:literal, |$x:ident| $encode:expr, |$v:ident| $decode:expr) => {
         impl Value for $ty {
             fn encode(&self) -> Json {
-                let $x = self;
+                let $x = *self;
                 $encode
             }
             fn decode($v: &Json) -> Result<$ty, DecodeError> {
-                $decode.ok_or_else(|| DecodeError::mistyped($want))
+                $decode.ok_or(Mistyped($want).into())
             }
         }
     };
 }
 
-leaf!(u32, "a u32", |x| Json::UInt(u64::from(*x)), |v| v.as_u32());
-leaf!(u64, "a u64", |x| Json::UInt(*x), |v| v.as_u64());
-leaf!(usize, "a usize", |x| Json::UInt(*x as u64), |v| v
+leaf!(u32, "a u32", |x| Json::UInt(u64::from(x)), |v| v
+    .as_u64()
+    .and_then(|u| u32::try_from(u).ok()));
+leaf!(u64, "a u64", |x| Json::UInt(x), |v| v.as_u64());
+leaf!(usize, "a usize", |x| Json::UInt(x as u64), |v| v
     .as_u64()
     .and_then(|u| usize::try_from(u).ok()));
-leaf!(i64, "an i64", |x| Json::Int(*x), |v| match *v {
+leaf!(i64, "an i64", |x| Json::Int(x), |v| match *v {
     Json::Int(i) => Some(i),
     Json::UInt(u) => i64::try_from(u).ok(),
     _ => None,
 });
-leaf!(f64, "a number", |x| Json::Float(*x), |v| v.as_f64());
-leaf!(bool, "a bool", |x| Json::Bool(*x), |v| v.as_bool());
-leaf!(String, "a string", |x| Json::Str(x.clone()), |v| v
-    .as_str()
-    .map(str::to_string));
+leaf!(f64, "a number", |x| Json::Float(x), |v| v.as_f64());
+leaf!(bool, "a bool", |x| Json::Bool(x), |v| v.as_bool());
+
+impl Value for String {
+    fn encode(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn decode(v: &Json) -> Result<String, DecodeError> {
+        Ok(v.as_str().ok_or(Mistyped("a string"))?.to_string())
+    }
+}
 
 impl<T: Value> Value for Vec<T> {
     fn encode(&self) -> Json {
@@ -175,11 +143,8 @@ impl<T: Value> Value for Vec<T> {
     }
 
     fn decode(v: &Json) -> Result<Vec<T>, DecodeError> {
-        v.as_arr()
-            .ok_or_else(|| DecodeError::mistyped("an array"))?
-            .iter()
-            .map(T::decode)
-            .collect()
+        let items = v.as_arr().ok_or(Mistyped("an array"))?;
+        items.iter().map(T::decode).collect()
     }
 }
 
@@ -189,13 +154,11 @@ impl<T: Value> Value for BTreeMap<String, T> {
     }
 
     fn decode(v: &Json) -> Result<BTreeMap<String, T>, DecodeError> {
-        match v {
-            Json::Obj(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), T::decode(v).map_err(|e| e.at(k))?)))
-                .collect(),
-            _ => Err(DecodeError::mistyped("an object")),
-        }
+        let Json::Obj(fields) = v else {
+            return Err(Mistyped("an object").into());
+        };
+        let entry = |(k, v): &(String, Json)| Ok((k.clone(), T::decode(v).map_err(|e| e.at(k))?));
+        fields.iter().map(entry).collect()
     }
 }
 
@@ -203,14 +166,11 @@ impl<T: Value> Value for BTreeMap<String, T> {
 /// decodes to `None`.
 impl<T: Value> Value for Option<T> {
     fn encode(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::encode)
+        self.encode_field().unwrap_or(Json::Null)
     }
 
     fn decode(v: &Json) -> Result<Option<T>, DecodeError> {
-        match v {
-            Json::Null => Ok(None),
-            v => T::decode(v).map(Some),
-        }
+        Self::decode_field((*v != Json::Null).then_some(v))
     }
 
     fn encode_field(&self) -> Option<Json> {
@@ -222,104 +182,108 @@ impl<T: Value> Value for Option<T> {
     }
 }
 
-/// An adapter that carries a field of type `T` in another wire form
-/// (`field: T as Adapter` in [`json_record!`](crate::json_record)).
+/// How a field of type `T` travels: `field: T as A` in
+/// [`json_record!`](crate::json_record) picks the adapter `A`; a field
+/// without `as` is [`Plain`].
 pub trait Via<T> {
-    fn encode_as(value: &T) -> Json;
-    fn decode_as(v: &Json) -> Result<T, DecodeError>;
+    /// Append `value` to the record `out` as its field `key`.
+    fn put(out: &mut Vec<(String, Json)>, key: &str, value: &T);
+    /// Read the field `key` of the record `v`.
+    fn get(v: &Json, key: &str) -> Result<T, DecodeError>;
 }
 
-/// Names on the wire: any `Display` + `FromStr` type travels as its
-/// string form.
-pub enum Text {}
-
-impl<T: fmt::Display + FromStr> Via<T> for Text {
-    fn encode_as(value: &T) -> Json {
-        Json::Str(value.to_string())
-    }
-
-    fn decode_as(v: &Json) -> Result<T, DecodeError> {
-        let name = String::decode(v)?;
-        name.parse().map_err(|_| DecodeError::unknown(&name))
-    }
-}
-
-/// An integer newtype on the wire as its `u32`.
-impl<T: Copy + From<u32>> Via<T> for u32
-where
-    u32: From<T>,
-{
-    fn encode_as(value: &T) -> Json {
-        u32::from(*value).encode()
-    }
-
-    fn decode_as(v: &Json) -> Result<T, DecodeError> {
-        u32::decode(v).map(T::from)
-    }
-}
-
-/// Append `value` under `key` (nothing for a `None`).
-pub fn put<T: Value>(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
-    if let Some(json) = value.encode_field() {
+/// Append `json` under `key`; `None` leaves the key out.
+pub fn push(out: &mut Vec<(String, Json)>, key: &str, json: Option<Json>) {
+    if let Some(json) = json {
         out.push((key.to_string(), json));
     }
 }
 
-/// Append `value` under `key` in the wire form of `W`.
-pub fn put_via<T, W: Via<T>>(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
-    out.push((key.to_string(), W::encode_as(value)));
+/// Decode the field `key` of the record `v`, naming the key on failure.
+pub fn field<T>(
+    v: &Json,
+    key: &str,
+    decode: impl FnOnce(Option<&Json>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    decode(v.get(key)).map_err(|e| e.at(key))
 }
 
-/// Splice the keys of `value`'s record into `out`.
-pub fn put_flat<T: Value>(out: &mut Vec<(String, Json)>, value: &T) {
-    if let Json::Obj(fields) = value.encode() {
-        out.extend(fields);
+/// A [`Value`] field, as itself.
+pub enum Plain {}
+
+impl<T: Value> Via<T> for Plain {
+    fn put(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
+        push(out, key, value.encode_field());
+    }
+
+    fn get(v: &Json, key: &str) -> Result<T, DecodeError> {
+        field(v, key, T::decode_field)
     }
 }
 
-/// The field `key` of the record `v`.
-pub fn get<T: Value>(v: &Json, key: &str) -> Result<T, DecodeError> {
-    T::decode_field(v.get(key)).map_err(|e| e.at(key))
+/// A record spliced into its parent: its keys join the parent's, and
+/// its field has no key of its own.
+pub enum Flat {}
+
+impl<T: Value> Via<T> for Flat {
+    fn put(out: &mut Vec<(String, Json)>, _: &str, value: &T) {
+        if let Json::Obj(fields) = value.encode() {
+            out.extend(fields);
+        }
+    }
+
+    fn get(v: &Json, _: &str) -> Result<T, DecodeError> {
+        T::decode(v)
+    }
 }
 
-/// The field `key` of the record `v`, in the wire form of `W`.
-pub fn get_via<T, W: Via<T>>(v: &Json, key: &str) -> Result<T, DecodeError> {
-    v.get(key)
-        .map_or(
-            Err(DecodeError::bare(DecodeErrorKind::Missing)),
-            W::decode_as,
-        )
-        .map_err(|e| e.at(key))
+/// A name: any `Display` + `FromStr` field, as its string form.
+pub enum Text {}
+
+impl<T: fmt::Display + FromStr> Via<T> for Text {
+    fn put(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
+        push(out, key, Some(Json::Str(value.to_string())));
+    }
+
+    fn get(v: &Json, key: &str) -> Result<T, DecodeError> {
+        field(v, key, |json| {
+            let name = String::decode_field(json)?;
+            name.parse().map_err(|_| Unknown(name).into())
+        })
+    }
 }
 
-/// A tagged enum's tag: the string under `key`.
-pub fn tag<'a>(v: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
-    v.get(key)
-        .ok_or_else(|| DecodeError::bare(DecodeErrorKind::Missing))
-        .and_then(|t| t.as_str().ok_or_else(|| DecodeError::mistyped("a string")))
-        .map_err(|e| e.at(key))
+/// An integer newtype, as its `u32`.
+impl<T: Copy + From<u32>> Via<T> for u32
+where
+    u32: From<T>,
+{
+    fn put(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
+        push(out, key, Some(u32::from(*value).encode()));
+    }
+
+    fn get(v: &Json, key: &str) -> Result<T, DecodeError> {
+        field(v, key, |json| u32::decode_field(json).map(T::from))
+    }
 }
 
-/// `head`'s keys, then those of the record `body`: a hand-written gate
-/// field (a schema version, a fingerprint) in front of a declared record.
+/// `head`'s keys, then those of the record `body`: hand-written gate
+/// fields (a schema version, a fingerprint) in front of a declared record.
 #[must_use]
-pub fn lead(head: Vec<(&str, Json)>, body: Json) -> Json {
-    let mut fields: Vec<(String, Json)> =
-        head.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-    if let Json::Obj(rest) = body {
-        fields.extend(rest);
-    }
+pub fn lead<T: Value>(head: Vec<(&str, Json)>, body: &T) -> Json {
+    let mut fields: Vec<(String, Json)> = head.into_iter().map(|(k, v)| (k.into(), v)).collect();
+    Flat::put(&mut fields, "", body);
     Json::Obj(fields)
 }
 
 /// Declare a struct or a tagged enum together with its JSON codec: a
 /// [`Value`](crate::codec::Value) impl whose keys follow the declaration
-/// order. See the [module docs](crate::codec) for the field forms.
+/// order (field forms in the [module docs](crate::codec)).
 ///
 /// `struct Name: Error { .. }` and `enum Name tag "key": Error { .. }`
 /// also get inherent `to_json`, `to_json_string` and `from_json`, whose
-/// decode errors convert into `Error`. An enum's variants name their tag
-/// value: `CrashFound { vcrash_mv: u32 } => "crash_found"`.
+/// decode errors convert into `Error`. A variant names its tag value:
+/// `CrashFound { vcrash_mv: u32 } => "crash_found"`.
 #[macro_export]
 macro_rules! json_record {
     (
@@ -327,7 +291,7 @@ macro_rules! json_record {
         $vis:vis struct $name:ident $(: $err:ty)? {
             $(
                 $(#[$fmeta:meta])*
-                $fvis:vis $field:ident : $ty:ty $(as $via:ty)? $(=> $key:tt)?
+                $fvis:vis $field:ident : $ty:ty $(as $via:ty)? $(=> $key:literal)?
             ),* $(,)?
         }
     ) => {
@@ -339,13 +303,13 @@ macro_rules! json_record {
         impl $crate::codec::Value for $name {
             fn encode(&self) -> $crate::Json {
                 let mut out = ::std::vec::Vec::new();
-                $( $crate::__codec_put!(out, &self.$field, $ty, [$($via)?], $field [$($key)?]); )*
+                $( <$crate::__codec_via!($($via)?) as $crate::codec::Via<$ty>>::put(&mut out, $crate::__codec_key!($field $($key)?), &self.$field); )*
                 $crate::Json::Obj(out)
             }
 
             fn decode(v: &$crate::Json) -> ::std::result::Result<Self, $crate::codec::DecodeError> {
                 ::std::result::Result::Ok($name {
-                    $( $field: $crate::__codec_get!(v, $ty, [$($via)?], $field [$($key)?]), )*
+                    $( $field: <$crate::__codec_via!($($via)?) as $crate::codec::Via<$ty>>::get(v, $crate::__codec_key!($field $($key)?))?, )*
                 })
             }
         }
@@ -360,7 +324,7 @@ macro_rules! json_record {
                 $variant:ident $({
                     $(
                         $(#[$fmeta:meta])*
-                        $field:ident : $ty:ty $(as $via:ty)? $(=> $key:tt)?
+                        $field:ident : $ty:ty $(as $via:ty)? $(=> $key:literal)?
                     ),* $(,)?
                 })? => $wire:literal
             ),* $(,)?
@@ -373,25 +337,25 @@ macro_rules! json_record {
 
         impl $crate::codec::Value for $name {
             fn encode(&self) -> $crate::Json {
-                let mut out = ::std::vec::Vec::new();
+                let mut out = vec![($tag.to_string(), $crate::Json::Null)];
                 match self {
                     $( $name::$variant { $($($field),*)? } => {
-                        out.push(($tag.to_string(), $crate::Json::Str($wire.to_string())));
-                        $($( $crate::__codec_put!(out, $field, $ty, [$($via)?], $field [$($key)?]); )*)?
+                        out[0].1 = $crate::Json::Str($wire.to_string());
+                        $($( <$crate::__codec_via!($($via)?) as $crate::codec::Via<$ty>>::put(&mut out, $crate::__codec_key!($field $($key)?), $field); )*)?
                     } )*
                 }
                 $crate::Json::Obj(out)
             }
 
             fn decode(v: &$crate::Json) -> ::std::result::Result<Self, $crate::codec::DecodeError> {
-                ::std::result::Result::Ok(match $crate::codec::tag(v, $tag)? {
+                let tag: ::std::string::String = <$crate::codec::Plain as $crate::codec::Via<::std::string::String>>::get(v, $tag)?;
+                ::std::result::Result::Ok(match tag.as_str() {
                     $( $wire => $name::$variant {
-                        $($( $field: $crate::__codec_get!(v, $ty, [$($via)?], $field [$($key)?]), )*)?
+                        $($( $field: <$crate::__codec_via!($($via)?) as $crate::codec::Via<$ty>>::get(v, $crate::__codec_key!($field $($key)?))?, )*)?
                     }, )*
                     other => {
-                        return ::std::result::Result::Err(
-                            $crate::codec::DecodeError::unknown(other).at($tag),
-                        )
+                        let unknown = $crate::codec::DecodeErrorKind::Unknown(other.to_string());
+                        return ::std::result::Result::Err($crate::codec::DecodeError::from(unknown).at($tag));
                     }
                 })
             }
@@ -401,31 +365,15 @@ macro_rules! json_record {
     };
 }
 
+/// The adapter a [`json_record!`](crate::json_record) field travels by.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __codec_put {
-    ($out:ident, $val:expr, $ty:ty, [$($via:ty)?], $field:ident [..]) => {
-        $crate::codec::put_flat(&mut $out, $val)
+macro_rules! __codec_via {
+    () => {
+        $crate::codec::Plain
     };
-    ($out:ident, $val:expr, $ty:ty, [], $field:ident [$($key:literal)?]) => {
-        $crate::codec::put(&mut $out, $crate::__codec_key!($field $($key)?), $val)
-    };
-    ($out:ident, $val:expr, $ty:ty, [$via:ty], $field:ident [$($key:literal)?]) => {
-        $crate::codec::put_via::<$ty, $via>(&mut $out, $crate::__codec_key!($field $($key)?), $val)
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __codec_get {
-    ($v:ident, $ty:ty, [$($via:ty)?], $field:ident [..]) => {
-        <$ty as $crate::codec::Value>::decode($v)?
-    };
-    ($v:ident, $ty:ty, [], $field:ident [$($key:literal)?]) => {
-        $crate::codec::get::<$ty>($v, $crate::__codec_key!($field $($key)?))?
-    };
-    ($v:ident, $ty:ty, [$via:ty], $field:ident [$($key:literal)?]) => {
-        $crate::codec::get_via::<$ty, $via>($v, $crate::__codec_key!($field $($key)?))?
+    ($via:ty) => {
+        $via
     };
 }
 
@@ -501,7 +449,7 @@ mod tests {
     #[test]
     fn leaves_reject_the_wrong_kind_and_out_of_range() {
         let over = Json::UInt(u64::from(u32::MAX) + 1);
-        assert_eq!(u32::decode(&over), Err(DecodeError::mistyped("a u32")));
+        assert_eq!(u32::decode(&over), Err(Mistyped("a u32").into()));
         assert!(i64::decode(&Json::UInt(u64::MAX)).is_err());
         assert!(u64::decode(&Json::Int(-1)).is_err());
         assert!(bool::decode(&Json::UInt(1)).is_err());
@@ -524,7 +472,7 @@ mod tests {
             name: String,
             mv: u32 => "v_mv",
             label: Option<String>,
-            inner: Inner => ..,
+            inner: Inner as Flat,
             kinds: Vec<Kind>,
         }
     }
@@ -650,24 +598,25 @@ mod tests {
 
     #[test]
     fn adapters_carry_names_and_newtypes() {
+        let mut out = Vec::new();
+        <Text as Via<Name>>::put(&mut out, "probe", &Name("logic"));
+        <u32 as Via<Mv>>::put(&mut out, "start_mv", &Mv(540));
         assert_eq!(
-            <Text as Via<Name>>::encode_as(&Name("logic")),
-            Json::Str("logic".into())
+            Json::Obj(out).to_string(),
+            r#"{"probe":"logic","start_mv":540}"#
         );
         let doc = Json::parse(r#"{"probe":"bram","bad":"x","start_mv":1000}"#).unwrap();
-        assert_eq!(get_via::<Name, Text>(&doc, "probe").unwrap().0, "bram");
-        let err = get_via::<Name, Text>(&doc, "bad").err().unwrap();
-        assert_eq!(err.to_string(), r#"unknown bad "x""#);
-        let err = get_via::<Name, Text>(&doc, "none").err().unwrap();
-        assert_eq!(err.to_string(), "none missing");
-        assert_eq!(<u32 as Via<Mv>>::encode_as(&Mv(540)), Json::UInt(540));
-        assert_eq!(get_via::<Mv, u32>(&doc, "start_mv"), Ok(Mv(1000)));
-        assert!(get_via::<Mv, u32>(&doc, "probe").is_err());
+        let name = |key| <Text as Via<Name>>::get(&doc, key);
+        assert_eq!(name("probe").unwrap().0, "bram");
+        assert_eq!(name("bad").err().unwrap().to_string(), r#"unknown bad "x""#);
+        assert_eq!(name("none").err().unwrap().to_string(), "none missing");
+        assert_eq!(<u32 as Via<Mv>>::get(&doc, "start_mv"), Ok(Mv(1000)));
+        assert!(<u32 as Via<Mv>>::get(&doc, "probe").is_err());
     }
 
     #[test]
     fn lead_puts_gate_fields_first() {
-        let doc = lead(vec![("version", Json::UInt(2))], outer().to_json());
+        let doc = lead(vec![("version", Json::UInt(2))], &outer());
         assert!(doc
             .to_string()
             .starts_with(r#"{"version":2,"name":"vc707","#));

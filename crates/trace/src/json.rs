@@ -76,11 +76,6 @@ impl Json {
     }
 
     #[must_use]
-    pub fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|v| u32::try_from(v).ok())
-    }
-
-    #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
             Json::Float(v) => Some(v),
