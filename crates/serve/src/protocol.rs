@@ -8,23 +8,13 @@
 //! peer treats exactly like a closed connection, never as a half-parsed
 //! message.
 //!
-//! The message set is deliberately small — workers *pull* jobs, stream
-//! trace events back, and report one terminal message per job:
-//!
-//! ```text
-//! worker  ->  server   Hello     { worker }
-//! worker  ->  server   JobRequest{ worker }
-//! server  ->  worker   JobAssign { job, spec, policy, checkpoint_dir }
-//! server  ->  worker   NoJob     { done }        (done: exit; else re-ask)
-//! worker  ->  server   Event     { job, line }   (one JSONL trace event)
-//! worker  ->  server   JobDone   { job, record, sim_ms }
-//! worker  ->  server   JobFailed { job, error }
-//! client  ->  server   GetFvm    { platform, chip_seed, temp_mc, v_ref_mv }
-//! server  ->  client   Fvm       { record }       (FvmRecord canonical JSON)
-//! client  ->  server   Subscribe { from_seq, queue_cap }
-//! server  ->  client   EventBatch{ first_seq, lines, dropped, done }
-//! client  ->  server   Unsubscribe
-//! ```
+//! The message set ([`Message`]) is deliberately small — workers *pull*
+//! jobs, stream trace events back, and report one terminal message per
+//! job: a worker sends `Hello` and `JobRequest`, which the server answers
+//! with `JobAssign` or `NoJob` (`done`: exit; else re-ask), then `Event`s
+//! and one `JobDone` or `JobFailed`. Clients send `GetFvm` (answered by
+//! `Fvm`), `Subscribe` (answered by `EventBatch` frames) and
+//! `Unsubscribe`.
 //!
 //! `GetFvm` lets any client — a worker about to place an accelerator, a
 //! repeat client across millions of chip seeds — fetch a fault-variation

@@ -761,22 +761,19 @@ fn handle_message(
             return Err(OutOfRange);
         }
     }
+    if let Message::Hello { worker } | Message::JobRequest { worker } = msg {
+        *worker_id = Some(*worker);
+        state.workers_seen.insert(*worker);
+        state.obs.worker_alive(*worker);
+    }
     // Only the lease holder's frames about a job count (module docs); a
     // holder's frame renews its lease.
     let holds_lease = |state: &mut State, job: usize| {
         worker_id.is_some_and(|worker| state.queue.renew(job, worker, now_ms(started)))
     };
     Ok(match msg {
-        Message::Hello { worker } => {
-            *worker_id = Some(*worker);
-            state.workers_seen.insert(*worker);
-            state.obs.worker_alive(*worker);
-            None
-        }
+        Message::Hello { .. } => None,
         Message::JobRequest { worker } => {
-            *worker_id = Some(*worker);
-            state.workers_seen.insert(*worker);
-            state.obs.worker_alive(*worker);
             let now = now_ms(started);
             state.expire_leases(now);
             if state.finished() {
