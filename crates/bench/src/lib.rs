@@ -21,6 +21,7 @@ pub mod registry;
 use std::hint::black_box;
 use std::time::Instant;
 use uvf_characterize::Json;
+use uvf_trace::codec::Value;
 use uvf_trace::{Histogram, PhaseTime};
 
 /// Global sizing of a suite run.
@@ -94,10 +95,7 @@ impl Measurement {
             ("p95_ns", Json::UInt(hist.p95())),
             ("p99_ns", Json::UInt(hist.p99())),
             ("ns_per_op", Json::Float(self.ns_per_op())),
-            (
-                "samples_ns",
-                Json::Arr(self.samples_ns.iter().map(|&n| Json::UInt(n)).collect()),
-            ),
+            ("samples_ns", self.samples_ns.encode()),
         ])
     }
 }
@@ -210,20 +208,7 @@ impl Suite {
                 "benches",
                 Json::Arr(self.measurements.iter().map(Measurement::to_json).collect()),
             ),
-            (
-                "phases",
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("name", Json::Str(p.name.clone())),
-                                ("wall_ns", Json::UInt(p.wall_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("phases", self.phases.encode()),
             (
                 "derived",
                 Json::obj(
