@@ -745,7 +745,7 @@ mod tests {
         cp.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
         assert!(
-            !uvf_trace::json::tmp_path(&path).exists(),
+            !dir.join("sweep.json.tmp").exists(),
             "temp file renamed away"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -199,20 +199,14 @@ fn write_escaped(s: &str, out: &mut String) {
 /// the data blocks) leaves a torn document at `path`. Every checkpoint,
 /// record, manifest and bench suite is saved through here.
 pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    let tmp = tmp_path(path);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     let mut file = std::fs::File::create(&tmp)?;
     file.write_all(text.as_bytes())?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, path)
-}
-
-/// The temp file [`write_atomic`] renames into `path`.
-#[must_use]
-pub fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
 }
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser

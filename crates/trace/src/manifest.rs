@@ -175,7 +175,10 @@ mod tests {
         let m = sample();
         m.save(&path).unwrap();
         assert_eq!(Manifest::load(&path).unwrap(), m);
-        assert!(!crate::json::tmp_path(&path).exists(), "temp cleaned up");
+        assert!(
+            !dir.join("run_manifest.json.tmp").exists(),
+            "temp cleaned up"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
