@@ -337,10 +337,10 @@ macro_rules! json_record {
 
         impl $crate::codec::Value for $name {
             fn encode(&self) -> $crate::Json {
-                let mut out = vec![($tag.to_string(), $crate::Json::Null)];
+                let mut out = ::std::vec::Vec::new();
                 match self {
                     $( $name::$variant { $($($field),*)? } => {
-                        out[0].1 = $crate::Json::Str($wire.to_string());
+                        out.push(($tag.to_string(), $crate::Json::Str($wire.to_string())));
                         $($( <$crate::__codec_via!($($via)?) as $crate::codec::Via<$ty>>::put(&mut out, $crate::__codec_key!($field $($key)?), $field); )*)?
                     } )*
                 }
