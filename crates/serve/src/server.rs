@@ -45,8 +45,9 @@
 //! frame. Completed records are deterministic per job (position-keyed
 //! draws), so *which* holder finishes a job cannot change its bytes; the
 //! server still verifies every incoming record's fingerprint against the
-//! job's expected configuration before accepting it. Results are merged in job order, making the final
-//! [`CampaignManifest`] byte-identical to a single-process run's.
+//! job's expected configuration before accepting it. Results are merged
+//! in job order, making the final [`CampaignManifest`] byte-identical to
+//! a single-process run's.
 //!
 //! ## The published log and subscribers
 //!
@@ -845,35 +846,35 @@ fn handle_message(
             }
             None
         }
-        &Message::JobDone {
+        Message::JobDone {
             job,
-            ref record,
+            record,
             sim_ms,
         } => {
             // Determinism makes every completion identical, but the
             // fingerprint check still guards against a worker running the
             // wrong configuration.
-            if holds_lease(state, job) {
-                match verify_record(&config.jobs[job], record) {
+            if holds_lease(state, *job) {
+                match verify_record(&config.jobs[*job], record) {
                     Ok(parsed) => {
                         let now = now_ms(started);
-                        state.results[job] = Some((parsed, sim_ms));
-                        state.queue.complete(job);
+                        state.results[*job] = Some((parsed, *sim_ms));
+                        state.queue.complete(*job);
                         let metrics = state.obs.metrics();
                         metrics.add("jobs_done", 1);
                         metrics.observe_ns(
                             "job_duration",
-                            now.saturating_sub(state.claim_ms[job])
+                            now.saturating_sub(state.claim_ms[*job])
                                 .saturating_mul(1_000_000),
                         );
                         state.inject(
-                            job,
+                            *job,
                             "job_done",
-                            vec![("job", job.into()), ("sim_ms", sim_ms.into())],
+                            vec![("job", (*job).into()), ("sim_ms", (*sim_ms).into())],
                         );
                         state.publish_ready();
                     }
-                    Err(err) => fail_job(state, job, &err, now_ms(started)),
+                    Err(err) => fail_job(state, *job, &err, now_ms(started)),
                 }
             }
             None
