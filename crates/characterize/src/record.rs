@@ -457,7 +457,7 @@ fn str_key(s: &str) -> u64 {
 
 /// A [`RecordError::Schema`] with `msg`: a gate's rejection.
 #[must_use]
-pub fn schema(msg: &str) -> RecordError {
+fn schema(msg: &str) -> RecordError {
     RecordError::Schema(msg.to_string())
 }
 
