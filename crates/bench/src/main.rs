@@ -3,12 +3,10 @@
 //!
 //! Benchmarks:
 //!
-//! * `corrupt_word/*` — per-word read-back corruption: the seed-era linear
-//!   scan vs the row-indexed path vs a prebuilt [`FaultMask`]; the
-//!   `bulk_word_corruption_speedup` ratio compares the linear baseline to
-//!   the bulk pipeline (resolve the condition once, then the row-indexed
-//!   scan) — the path every bulk consumer actually takes.
-//! * `mask_build` — cost of snapshotting a whole die into masks.
+//! * `corrupt_word/prebuilt_mask` — per-word read-back corruption through
+//!   a prebuilt [`FaultMask`].
+//! * `mask_build` — cost of snapshotting a whole die into masks, one
+//!   `fault_mask` per BRAM.
 //! * `faults/die_build_vc707` — one cold build of the largest die through
 //!   a fresh `FvmCache`: the cost `FaultModel::with_chip_seed` hides
 //!   behind the shared cache after the first call.
@@ -20,10 +18,10 @@
 //!   rung runs), and rescored after a flip in one weight row
 //!   (`nn/rescore_one_row`, what a `Scorer` runs on a ladder rung that
 //!   picked up one new flip; `nn_rescore_one_row_speedup` is the ratio).
-//! * `ecc_decode/*` — the raw corrupted read-back vs the SECDED
-//!   corrupt-and-decode path over the same fault masks, paired per sample
-//!   (`ecc_decode_overhead_x` is the acceptance number: the mitigation
-//!   must cost < 3x the unprotected read).
+//! * `ecc_decode/*` — a raw per-word read over row-bucketed weak cells vs
+//!   the SECDED corrupt-and-decode path over the same BRAMs' fault masks,
+//!   paired per sample (`ecc_decode_overhead_x` is the acceptance number:
+//!   the mitigation must cost < 3x the unprotected read).
 //! * `traced_overhead/*` — the bulk-corruption kernel untraced vs wrapped
 //!   in a live `uvf-trace` span (`span_overhead_pct` is the acceptance
 //!   number: telemetry must cost < 5%).
@@ -46,7 +44,7 @@ use uvf_characterize::prelude::{
     Campaign, CampaignJob, FvmCache, Json, Probe, RecoveryPolicy, SweepConfig,
 };
 use uvf_characterize::scan::{platform_fault_count, platform_level_counts};
-use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition};
+use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition, WeakCell};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
 use uvf_nn::{DatasetKind, Mlp, QNetwork, Scorer};
 use uvf_trace::{MemorySink, RunTally, Tracer};
@@ -123,10 +121,11 @@ fn vcrash_condition(model: &FaultModel) -> ReadCondition {
     }
 }
 
-/// Per-word corruption kernels on the paper's largest die (VC707).
+/// Per-word corruption through prebuilt masks, and the whole-die mask
+/// build, on the paper's largest die (VC707).
 fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
     let model = FaultModel::new(PlatformKind::Vc707.descriptor());
-    let cond = vcrash_condition(&model);
+    let resolved = model.resolve(&vcrash_condition(&model));
     let brams: u32 = if opts.quick { 8 } else { 64 };
     let rows = BRAM_ROWS as u16;
     let ops = u64::from(brams) * u64::from(rows);
@@ -134,40 +133,6 @@ fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
         "corrupt_word kernels: VC707, {brams} BRAMs x {rows} rows at Vcrash ({} weak cells on die)",
         model.total_weak_cells()
     );
-
-    let linear = bench("corrupt_word/linear_scan_seed_baseline", ops, opts, || {
-        let mut acc = 0u64;
-        for b in 0..brams {
-            for row in 0..rows {
-                acc ^= u64::from(model.corrupt_word_linear(BramId(b), row, 0xFFFF, &cond));
-            }
-        }
-        acc
-    });
-    print_measurement(suite.record(linear));
-
-    let indexed = bench("corrupt_word/row_indexed", ops, opts, || {
-        let mut acc = 0u64;
-        for b in 0..brams {
-            for row in 0..rows {
-                acc ^= u64::from(model.corrupt_word(BramId(b), row, 0xFFFF, &cond));
-            }
-        }
-        acc
-    });
-    print_measurement(suite.record(indexed));
-
-    let resolved = model.resolve(&cond);
-    let indexed_resolved = bench("corrupt_word/row_indexed_resolved", ops, opts, || {
-        let mut acc = 0u64;
-        for b in 0..brams {
-            for row in 0..rows {
-                acc ^= u64::from(model.corrupt_word_resolved(BramId(b), row, 0xFFFF, &resolved));
-            }
-        }
-        acc
-    });
-    print_measurement(suite.record(indexed_resolved));
 
     let masks: Vec<_> = (0..brams)
         .map(|b| model.fault_mask(BramId(b), &resolved))
@@ -183,25 +148,13 @@ fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
     });
     print_measurement(suite.record(masked));
 
-    // Per-BRAM iterator: the same masks in the same order, without
-    // materializing a whole-die Vec.
-    let build = bench(
-        "mask_build/full_die",
-        model.platform().bram_count as u64,
-        opts,
-        || model.fault_masks_iter(&resolved).count(),
-    );
+    let bram_count = model.platform().bram_count as u32;
+    let build = bench("mask_build/full_die", u64::from(bram_count), opts, || {
+        (0..bram_count)
+            .map(|b| model.fault_mask(BramId(b), &resolved).flip_cells())
+            .sum::<u32>()
+    });
     print_measurement(suite.record(build));
-
-    // Bulk corruption means many words under one condition, so the bulk
-    // ratio is linear vs resolve-once + row-indexed (measurement 2); the
-    // per-call `corrupt_word` (measurement 1) re-resolves every word and
-    // is reported but not the headline.
-    let linear_ns = suite.measurements[0].median_ns as f64;
-    let resolved_ns = suite.measurements[2].median_ns.max(1) as f64;
-    let masked_ns = suite.measurements[3].median_ns.max(1) as f64;
-    suite.derive("bulk_word_corruption_speedup", linear_ns / resolved_ns);
-    suite.derive("mask_vs_linear_speedup", linear_ns / masked_ns);
 }
 
 /// A cold VC707 die build. Every sample asks a fresh one-entry cache, so
@@ -283,7 +236,10 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
             let mut acc = 0u64;
             for rc in &probe_conds {
                 let resolved = model.resolve(rc.condition());
-                for mask in model.fault_masks_iter(&resolved).collect::<Vec<_>>() {
+                let masks: Vec<_> = (0..brams)
+                    .map(|b| model.fault_mask(BramId(b), &resolved))
+                    .collect();
+                for mask in masks {
                     acc += u64::from(mask.flip_cells());
                 }
             }
@@ -292,13 +248,13 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
     );
     print_measurement(suite.record(per_level));
 
-    // The per-BRAM iterator: same per-condition rebuilds, nothing
+    // Same per-condition rebuilds, one BRAM's mask at a time, nothing
     // materialized platform-wide.
     let per_iter = bench("ladder_mask_build/per_level_iter", probe_ops, opts, || {
         let mut acc = 0u64;
         for rc in &probe_conds {
-            for mask in model.fault_masks_iter(rc) {
-                acc += u64::from(mask.flip_cells());
+            for b in 0..brams {
+                acc += u64::from(model.fault_mask(BramId(b), rc).flip_cells());
             }
         }
         acc
@@ -523,9 +479,47 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
     suite.derive("nn_rescore_one_row_speedup", split_ns / rescore_ns);
 }
 
+/// One BRAM's weak cells bucketed by row, in `(row, bit)` order, for the
+/// per-word raw read `ecc_decode/raw_corrupt_read` prices: each word
+/// touches only the cells of its own row.
+struct RowBuckets {
+    cells: Vec<WeakCell>,
+    /// `cells[offsets[r]..offsets[r + 1]]` are the cells of row `r`.
+    offsets: Vec<u32>,
+}
+
+impl RowBuckets {
+    fn new(model: &FaultModel, bram: BramId) -> RowBuckets {
+        let mut cells = model.weak_cells(bram).to_vec();
+        cells.sort_unstable_by_key(|c| (c.row, c.bit));
+        let offsets = (0..=BRAM_ROWS)
+            .map(|r| cells.partition_point(|c| usize::from(c.row) < r) as u32)
+            .collect();
+        RowBuckets { cells, offsets }
+    }
+
+    /// Corrupted read-back of `stored` at `row` of `bram`.
+    fn corrupt(&self, bram: BramId, row: u16, stored: u16, resolved: &ResolvedCondition) -> u16 {
+        let r = usize::from(row);
+        let mut word = stored;
+        for cell in &self.cells[self.offsets[r] as usize..self.offsets[r + 1] as usize] {
+            let mask = 1u16 << cell.bit;
+            if cell.observable(stored & mask != 0) && resolved.cell_fails(bram, cell) {
+                if cell.one_to_zero {
+                    word &= !mask;
+                } else {
+                    word |= mask;
+                }
+            }
+        }
+        word
+    }
+}
+
 /// The SECDED read-back (mask build + corrupt + two-pass decode, exactly
-/// what `read_back_ecc` runs per BRAM) against the raw per-word
-/// `corrupt_word` read path it replaces, on the same VC707 die at Vcrash.
+/// what `read_back_ecc` runs per BRAM) against a raw per-word read over
+/// row-bucketed weak cells, on the same VC707 die at Vcrash. The buckets
+/// are built once, before any sample.
 ///
 /// Samples are **paired** like [`bench_traced_overhead`]: each iteration
 /// times the raw read and the decode path back to back, and the reported
@@ -553,13 +547,15 @@ fn bench_ecc_decode(suite: &mut Suite, opts: &BenchOptions) {
     let pairs = opts.samples.max(3) * 3;
     println!("ecc decode: VC707 at Vcrash, {brams} BRAMs, {pairs} paired samples");
 
+    let buckets: Vec<RowBuckets> = (0..brams)
+        .map(|b| RowBuckets::new(&model, BramId(b)))
+        .collect();
     let run_raw = |scratch: &mut [u16; BRAM_ROWS]| -> u64 {
         let mut acc = 0u64;
-        for b in 0..brams {
+        for (b, bucket) in buckets.iter().enumerate() {
             for row in 0..rows {
                 let word = clean[usize::from(row)];
-                scratch[usize::from(row)] =
-                    model.corrupt_word_resolved(BramId(b), row, word, &resolved);
+                scratch[usize::from(row)] = bucket.corrupt(BramId(b as u32), row, word, &resolved);
             }
             acc ^= u64::from(scratch[BRAM_ROWS - 1]);
         }

@@ -347,20 +347,6 @@ impl<'m> MaskPlan<'m> {
             *slot = n;
         }
     }
-
-    /// Masks of one BRAM for every condition of the family, produced
-    /// incrementally through one [`LadderKernel`].
-    #[must_use]
-    pub fn bram_masks(&self, bram: BramId) -> Vec<FaultMask> {
-        let mut kernel = LadderKernel::new(self.model, bram);
-        self.resolved
-            .iter()
-            .map(|rc| {
-                kernel.advance(rc);
-                kernel.to_mask()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -447,11 +433,11 @@ mod tests {
         let m = model();
         let v = m.platform().vccbram.vcrash;
         let family: Vec<ResolvedCondition> = (0..4).map(|run| resolved_at(&m, v, run)).collect();
-        let plan = MaskPlan::new(&m, family.clone());
         let bram = m.sentinel().0;
-        let masks = plan.bram_masks(bram);
-        for (mask, rc) in masks.iter().zip(&family) {
-            assert_eq!(*mask, FaultMask::build(&m, bram, rc));
+        let mut kernel = LadderKernel::new(&m, bram);
+        for rc in &family {
+            kernel.advance(rc);
+            assert_eq!(kernel.to_mask(), FaultMask::build(&m, bram, rc));
         }
     }
 
@@ -463,6 +449,7 @@ mod tests {
         let mut out = [7u64; 2];
         plan.bram_counts(BramId(0), |_, _| true, &mut out);
         assert_eq!(out, [7, 7], "no condition may touch the output");
-        assert!(plan.bram_masks(BramId(0)).is_empty());
+        // A kernel advanced over no condition holds identity masks.
+        assert!(LadderKernel::new(&m, BramId(0)).to_mask().is_clean());
     }
 }

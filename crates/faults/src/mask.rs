@@ -10,10 +10,8 @@
 //! condition once into dense per-row AND/OR bitmasks for one BRAM, so
 //! corrupting a whole read-back stream (the `uvf-accel` weight path, the
 //! pattern experiments) is two bitwise ops per word with no per-cell work
-//! at all. Both forms are bit-identical to [`FaultModel::corrupt_word`] —
-//! the equivalence tests below and in `uvf-bench` pin that.
-//!
-//! [`FaultModel::corrupt_word`]: crate::model::FaultModel::corrupt_word
+//! at all. `tests/mask_equivalence.rs` pins it bit for bit against a
+//! per-cell reference that walks every weak cell of the BRAM.
 
 use crate::model::{FaultModel, ReadCondition, JITTER_WINDOW_SIGMAS, TAG_JITTER};
 use crate::rng::standard_normal;
@@ -447,7 +445,7 @@ mod tests {
         for b in (0..m.platform().bram_count as u32).step_by(37) {
             let bram = BramId(b);
             let mut from_scan = Vec::new();
-            m.for_each_failing(bram, &cond, |c| from_scan.push(*c));
+            m.for_each_failing_resolved(bram, &rc, |c| from_scan.push(*c));
             let from_resolved: Vec<WeakCell> = m
                 .weak_cells(bram)
                 .iter()
@@ -455,27 +453,6 @@ mod tests {
                 .copied()
                 .collect();
             assert_eq!(from_scan, from_resolved, "BRAM {b}");
-        }
-    }
-
-    #[test]
-    fn mask_reproduces_corrupt_word_for_all_patterns() {
-        let m = model();
-        let vcrash = m.platform().vccbram.vcrash;
-        let cond = cond_at(&m, vcrash, 0);
-        let rc = m.resolve(&cond);
-        for b in (0..m.platform().bram_count as u32).step_by(19) {
-            let bram = BramId(b);
-            let mask = FaultMask::build(&m, bram, &rc);
-            for row in (0..BRAM_ROWS as u16).step_by(61) {
-                for stored in [0xFFFFu16, 0x0000, 0xAAAA, 0x5555, 0x1234] {
-                    assert_eq!(
-                        mask.apply(row, stored),
-                        m.corrupt_word(bram, row, stored, &cond),
-                        "BRAM {b} row {row} stored {stored:#06x}"
-                    );
-                }
-            }
         }
     }
 

@@ -51,60 +51,19 @@ pub fn run_seed(chip_seed: u64, rail: Rail, v: Millivolts, run: u32) -> u64 {
     ])
 }
 
-/// Weak cells of one BRAM in the two orders the hot paths need.
-///
-/// `by_threshold` (descending `vfail_mv`) serves the sweep scans, which
-/// stop at the condition's cutoff; `by_row` + `row_offsets` serve the
-/// read-back path, where [`FaultModel::corrupt_word`] must touch only the
-/// cells of *one* row — O(cells-in-row) instead of O(cells-in-BRAM).
-/// The weak tail is tiny (a few hundred cells per BRAM at worst), so the
-/// duplicated storage costs megabytes while the index turns the word path
-/// from a full scan into a couple of cache lines.
-#[derive(Debug)]
-struct BramCells {
-    /// Sorted by descending `vfail_mv`, ties by `(row, bit)`.
-    by_threshold: Vec<WeakCell>,
-    /// The same cells in `(row, bit)` order (the `generate_bram` order).
-    by_row: Vec<WeakCell>,
-    /// `by_row[row_offsets[r] .. row_offsets[r+1]]` are the cells of row
-    /// `r`; length `BRAM_ROWS + 1`.
-    row_offsets: Vec<u32>,
-}
-
-impl BramCells {
-    fn new(by_row: Vec<WeakCell>) -> BramCells {
-        let mut by_threshold = by_row.clone();
-        // `(row, bit)` is unique per BRAM, so the key is a total order and
-        // an unstable sort is deterministic.
-        by_threshold.sort_unstable_by(|a, b| {
-            b.vfail_mv
-                .total_cmp(&a.vfail_mv)
-                .then(a.row.cmp(&b.row))
-                .then(a.bit.cmp(&b.bit))
-        });
-        let mut row_offsets = Vec::with_capacity(BRAM_ROWS + 1);
-        let mut cursor = 0usize;
-        row_offsets.push(0);
-        for row in 0..BRAM_ROWS as u16 {
-            while cursor < by_row.len() && by_row[cursor].row == row {
-                cursor += 1;
-            }
-            row_offsets.push(cursor as u32);
-        }
-        BramCells {
-            by_threshold,
-            by_row,
-            row_offsets,
-        }
-    }
-
-    fn row(&self, row: u16) -> &[WeakCell] {
-        let r = row as usize;
-        if r >= BRAM_ROWS {
-            return &[];
-        }
-        &self.by_row[self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize]
-    }
+/// Sort one BRAM's weak cells (generated in `(row, bit)` order) in place
+/// into the one order every read takes: descending `vfail_mv`, so a scan
+/// stops at its condition's cutoff. `(row, bit)` is unique per BRAM and
+/// breaks ties, so the key is a total order and an unstable sort is
+/// deterministic.
+fn sort_by_threshold(mut cells: Vec<WeakCell>) -> Vec<WeakCell> {
+    cells.sort_unstable_by(|a, b| {
+        b.vfail_mv
+            .total_cmp(&a.vfail_mv)
+            .then(a.row.cmp(&b.row))
+            .then(a.bit.cmp(&b.bit))
+    });
+    cells
 }
 
 /// The immutable part of a die: its weak-cell population and sentinel.
@@ -112,7 +71,8 @@ impl BramCells {
 /// every [`FaultModel`] handle of that die.
 #[derive(Debug)]
 struct Die {
-    weak: Vec<BramCells>,
+    /// Per BRAM, its weak cells by descending threshold.
+    weak: Vec<Vec<WeakCell>>,
     /// Cached at construction: the weak population never changes.
     total_weak: usize,
     sentinel: (BramId, u16, u8),
@@ -166,18 +126,18 @@ impl FaultModel {
         let sentinel_row = ((sent_h >> 24) % BRAM_ROWS as u64) as u16;
         let sentinel_bit = ((sent_h >> 48) % BRAM_WORD_BITS as u64) as u8;
 
-        let weak: Vec<BramCells> = multipliers
+        let weak: Vec<Vec<WeakCell>> = multipliers
             .iter()
             .enumerate()
             .map(|(i, &multiplier)| {
                 let id = BramId(i as u32);
                 let sentinel = (id == sentinel_bram).then_some((sentinel_row, sentinel_bit));
-                BramCells::new(generate_bram(
+                sort_by_threshold(generate_bram(
                     chip_seed, id, multiplier, landmarks, &params, sentinel,
                 ))
             })
             .collect();
-        let total_weak = weak.iter().map(|b| b.by_threshold.len()).sum();
+        let total_weak = weak.iter().map(Vec::len).sum();
 
         FaultModel {
             platform,
@@ -231,17 +191,7 @@ impl FaultModel {
         self.die
             .weak
             .get(bram.0 as usize)
-            .map(|b| b.by_threshold.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Weak cells of one row of `bram`, sorted by bit.
-    #[must_use]
-    pub fn row_cells(&self, bram: BramId, row: u16) -> &[WeakCell] {
-        self.die
-            .weak
-            .get(bram.0 as usize)
-            .map(|b| b.row(row))
+            .map(Vec::as_slice)
             .unwrap_or(&[])
     }
 
@@ -292,28 +242,11 @@ impl FaultModel {
         FaultMask::build(self, bram, resolved)
     }
 
-    /// Fault masks of every BRAM on the die, yielded lazily in `BramId`
-    /// order: one-BRAM-at-a-time consumers allocate nothing beyond the
-    /// mask they are looking at, and a whole-die `Vec` is a `collect`.
-    pub fn fault_masks_iter<'a>(
-        &'a self,
-        resolved: &'a ResolvedCondition,
-    ) -> impl Iterator<Item = FaultMask> + 'a {
-        (0..self.platform.bram_count as u32)
-            .map(move |b| FaultMask::build(self, BramId(b), resolved))
-    }
-
-    /// Visit every cell of `bram` that flips under `cond`, in descending
-    /// threshold order. Observability against stored data is the caller's
-    /// concern ([`WeakCell::observable`]) — the silicon doesn't know what
-    /// the design wrote.
-    pub fn for_each_failing(&self, bram: BramId, cond: &ReadCondition, f: impl FnMut(&WeakCell)) {
-        self.for_each_failing_resolved(bram, &self.resolve(cond), f);
-    }
-
-    /// [`FaultModel::for_each_failing`] with the condition already
-    /// resolved — the form the sweep loops use so the shift and jitter
-    /// window are computed once per condition, not once per BRAM.
+    /// Visit every cell of `bram` that flips under `resolved`, in
+    /// descending threshold order: the per-cell scan the mask and plan
+    /// kernels are tested against. Observability against stored data is
+    /// the caller's concern ([`WeakCell::observable`]) — the silicon
+    /// doesn't know what the design wrote.
     pub fn for_each_failing_resolved(
         &self,
         bram: BramId,
@@ -329,71 +262,6 @@ impl FaultModel {
                 f(cell);
             }
         }
-    }
-
-    /// Corrupted read-back of one stored word under `cond`.
-    ///
-    /// Resolves the condition per call; when reading many words at the
-    /// same condition use [`FaultModel::corrupt_word_resolved`] (or a
-    /// [`FaultMask`] for whole-BRAM streams).
-    #[must_use]
-    pub fn corrupt_word(&self, bram: BramId, row: u16, stored: u16, cond: &ReadCondition) -> u16 {
-        self.corrupt_word_resolved(bram, row, stored, &self.resolve(cond))
-    }
-
-    /// Corrupted read-back via the row index: O(cells-in-row) per word.
-    #[must_use]
-    pub fn corrupt_word_resolved(
-        &self,
-        bram: BramId,
-        row: u16,
-        stored: u16,
-        resolved: &ResolvedCondition,
-    ) -> u16 {
-        let mut word = stored;
-        for cell in self.row_cells(bram, row) {
-            let mask = 1u16 << cell.bit;
-            let stored_bit = stored & mask != 0;
-            if cell.observable(stored_bit) && resolved.cell_fails(bram, cell) {
-                if cell.one_to_zero {
-                    word &= !mask;
-                } else {
-                    word |= mask;
-                }
-            }
-        }
-        word
-    }
-
-    /// The seed-era `corrupt_word`: a linear scan over *every* weak cell
-    /// of the BRAM, re-resolving the condition per call. Kept only as the
-    /// baseline `uvf-bench` measures the indexed path against and as the
-    /// equivalence oracle in tests — never used on a hot path.
-    #[must_use]
-    pub fn corrupt_word_linear(
-        &self,
-        bram: BramId,
-        row: u16,
-        stored: u16,
-        cond: &ReadCondition,
-    ) -> u16 {
-        let resolved = self.resolve(cond);
-        let mut word = stored;
-        for cell in self.weak_cells(bram) {
-            if cell.row != row {
-                continue;
-            }
-            let mask = 1u16 << cell.bit;
-            let stored_bit = stored & mask != 0;
-            if cell.observable(stored_bit) && resolved.cell_fails(bram, cell) {
-                if cell.one_to_zero {
-                    word &= !mask;
-                } else {
-                    word |= mask;
-                }
-            }
-        }
-        word
     }
 
     /// `Vmin + 3σ`: the sentinel's threshold, exposed for calibration tests.
@@ -419,10 +287,11 @@ mod tests {
             temperature_c: 25.0,
             run_seed: run_seed(m.chip_seed(), Rail::Vccbram, v, run),
         };
+        let resolved = m.resolve(&cond);
         let mut n = 0u64;
         for b in 0..m.platform().bram_count as u32 {
             // FFFF pattern: every 1→0 flip is observable.
-            m.for_each_failing(BramId(b), &cond, |c| {
+            m.for_each_failing_resolved(BramId(b), &resolved, |c| {
                 if c.one_to_zero {
                     n += 1;
                 }
@@ -486,9 +355,10 @@ mod tests {
             run_seed: run_seed(m.chip_seed(), Rail::Vccbram, vcrash, 0),
         };
         let count = |t| {
+            let resolved = m.resolve(&cond(t));
             let mut n = 0u64;
             for b in 0..m.platform().bram_count as u32 {
-                m.for_each_failing(BramId(b), &cond(t), |_| n += 1);
+                m.for_each_failing_resolved(BramId(b), &resolved, |_| n += 1);
             }
             n
         };
@@ -510,55 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn row_index_partitions_the_threshold_population() {
-        let m = model(PlatformKind::Zc702);
-        for b in (0..m.platform().bram_count as u32).step_by(13) {
-            let bram = BramId(b);
-            let by_threshold = m.weak_cells(bram);
-            let mut from_rows: Vec<WeakCell> = (0..BRAM_ROWS as u16)
-                .flat_map(|row| {
-                    let cells = m.row_cells(bram, row);
-                    assert!(cells.iter().all(|c| c.row == row), "row index mislabeled");
-                    cells.iter().copied()
-                })
-                .collect();
-            let mut reference = by_threshold.to_vec();
-            let key = |c: &WeakCell| (c.row, c.bit);
-            from_rows.sort_by_key(key);
-            reference.sort_by_key(key);
-            assert_eq!(from_rows, reference, "BRAM {b}");
-        }
-        assert_eq!(m.row_cells(BramId(0), BRAM_ROWS as u16), &[]);
-    }
-
-    #[test]
-    fn indexed_corrupt_word_matches_linear_baseline() {
-        let m = model(PlatformKind::Zc702);
-        let vcrash = m.platform().vccbram.vcrash;
-        for run in 0..3u32 {
-            let cond = ReadCondition {
-                v: vcrash,
-                temperature_c: 25.0,
-                run_seed: run_seed(m.chip_seed(), Rail::Vccbram, vcrash, run),
-            };
-            let resolved = m.resolve(&cond);
-            for b in (0..m.platform().bram_count as u32).step_by(7) {
-                let bram = BramId(b);
-                for row in (0..BRAM_ROWS as u16).step_by(97) {
-                    for stored in [0xFFFFu16, 0x0000, 0xA5A5] {
-                        let linear = m.corrupt_word_linear(bram, row, stored, &cond);
-                        assert_eq!(m.corrupt_word(bram, row, stored, &cond), linear);
-                        assert_eq!(
-                            m.corrupt_word_resolved(bram, row, stored, &resolved),
-                            linear
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn total_weak_cells_matches_per_bram_sum() {
         let m = model(PlatformKind::Zc702);
         let summed: usize = (0..m.platform().bram_count as u32)
@@ -572,20 +393,21 @@ mod tests {
     fn corrupt_word_flips_only_observable_bits() {
         let m = model(PlatformKind::Zc702);
         let vcrash = m.platform().vccbram.vcrash;
-        let cond = ReadCondition {
+        let resolved = m.resolve(&ReadCondition {
             v: vcrash,
             temperature_c: 25.0,
             run_seed: run_seed(m.chip_seed(), Rail::Vccbram, vcrash, 0),
-        };
+        });
         let mut checked_flip = false;
         for b in 0..m.platform().bram_count as u32 {
             let id = BramId(b);
-            m.for_each_failing(id, &cond, |c| {
+            let mask = m.fault_mask(id, &resolved);
+            m.for_each_failing_resolved(id, &resolved, |c| {
                 if c.one_to_zero {
-                    let read = m.corrupt_word(id, c.row, 0xFFFF, &cond);
+                    let read = mask.apply(c.row, 0xFFFF);
                     assert_eq!(read & (1 << c.bit), 0, "1→0 flip visible on FFFF");
                     // The same cell is invisible on a stored 0.
-                    let zero = m.corrupt_word(id, c.row, 0x0000, &cond);
+                    let zero = mask.apply(c.row, 0x0000);
                     assert_eq!(zero & (1 << c.bit), 0);
                     checked_flip = true;
                 }

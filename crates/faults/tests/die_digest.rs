@@ -2,15 +2,15 @@
 //!
 //! The die generator may change how it finds its cells, but never which
 //! cells it finds. Each digest folds every weak cell's `row`, `bit`,
-//! `one_to_zero` and `vfail_mv.to_bits()` in both orders the hot paths
-//! read: descending threshold ([`FaultModel::weak_cells`]) and the row
-//! index ([`FaultModel::row_cells`]). The constants were computed from the
+//! `one_to_zero` and `vfail_mv.to_bits()` in two orders: descending
+//! threshold, as [`FaultModel::weak_cells`] stores them, and `(row, bit)`,
+//! the generator's own order. The constants were computed from the
 //! original scalar generator; any drift in a single threshold bit, a
-//! polarity, the sentinel or either order changes them.
+//! polarity, the sentinel or the stored order changes them.
 
 use uvf_faults::{FaultModel, WeakCell};
 use uvf_fpga::seedmix::mix64;
-use uvf_fpga::{BramId, PlatformKind, BRAM_ROWS};
+use uvf_fpga::{BramId, PlatformKind};
 
 /// Fold one weak cell into a running hash.
 fn fold(h: u64, cell: &WeakCell) -> u64 {
@@ -24,10 +24,11 @@ fn digests(model: &FaultModel) -> (u64, u64, usize) {
     let mut by_row = 0u64;
     for b in 0..model.platform().bram_count as u32 {
         let bram = BramId(b);
-        by_threshold = model.weak_cells(bram).iter().fold(by_threshold, fold);
-        for row in 0..BRAM_ROWS as u16 {
-            by_row = model.row_cells(bram, row).iter().fold(by_row, fold);
-        }
+        let cells = model.weak_cells(bram);
+        by_threshold = cells.iter().fold(by_threshold, fold);
+        let mut rows = cells.to_vec();
+        rows.sort_by_key(|c| (c.row, c.bit));
+        by_row = rows.iter().fold(by_row, fold);
     }
     (by_threshold, by_row, model.total_weak_cells())
 }

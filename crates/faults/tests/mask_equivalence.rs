@@ -1,12 +1,11 @@
-//! Property tests for the indexed fault-mask kernels.
+//! Property tests for the fault-mask kernel.
 //!
-//! The hot paths — [`FaultMask`]'s per-row AND/OR masks with
-//! `count_observable`, and the row-indexed `corrupt_word_resolved` — must
-//! agree bit-for-bit with the naive per-cell reference (walk every weak
-//! cell, apply observability and `cell_fails` directly) under *any*
-//! (platform, voltage, temperature, chip seed, run seed, stored data)
-//! combination. The trials here are drawn from a seeded generator, so a
-//! failure reproduces exactly.
+//! The hot path — [`FaultMask`]'s per-row AND/OR masks with
+//! `count_observable` — must agree bit-for-bit with the naive per-cell
+//! reference (walk every weak cell, apply observability and `cell_fails`
+//! directly) under *any* (platform, voltage, temperature, chip seed, run
+//! seed, stored data) combination. The trials here are drawn from a seeded
+//! generator, so a failure reproduces exactly.
 
 use uvf_faults::{FaultMask, FaultModel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{BramId, Millivolts, PlatformKind, BRAM_ROWS, BRAM_WORD_BITS};
@@ -61,6 +60,10 @@ fn stored_words(rng: &mut SplitMix64) -> Vec<u16> {
     (0..BRAM_ROWS).map(|_| rng.next_u64() as u16).collect()
 }
 
+/// Fixed stored images every trial also reads: both uniform polarities,
+/// both checkerboards and one irregular word.
+const FIXED_PATTERNS: [u16; 5] = [0xFFFF, 0x0000, 0xAAAA, 0x5555, 0x1234];
+
 /// Naive reference: corrupt one word by walking the BRAM's full weak-cell
 /// list and applying observability + `cell_fails` per cell.
 fn corrupt_reference(
@@ -97,7 +100,7 @@ fn mask_kernels_match_the_per_cell_reference() {
         let model = FaultModel::with_chip_seed(platform, t.chip_seed);
         let resolved = model.resolve(&t.cond);
         let mask: FaultMask = model.fault_mask(t.bram, &resolved);
-        let words = stored_words(&mut rng);
+        let random = stored_words(&mut rng);
 
         // flip_cells == the number of weak cells failing the condition,
         // regardless of stored data.
@@ -113,34 +116,27 @@ fn mask_kernels_match_the_per_cell_reference() {
             (t.kind, t.chip_seed, t.cond.v, t.bram),
         );
 
-        // Per-word: AND/OR mask application == indexed corrupt_word ==
-        // linear reference == per-cell reference.
-        let mut observable = 0u64;
-        for (row, &w) in words.iter().enumerate() {
-            let row = row as u16;
-            let reference = corrupt_reference(&model, t.bram, row, w, &resolved);
-            let via_mask = (w & mask.and_mask(row)) | mask.or_mask(row);
-            let via_index = model.corrupt_word_resolved(t.bram, row, w, &resolved);
-            let via_linear = model.corrupt_word_linear(t.bram, row, w, &t.cond);
+        // Per-word: AND/OR mask application == per-cell reference, on the
+        // random image and on every fixed pattern.
+        let fixed = FIXED_PATTERNS.map(|p| vec![p; BRAM_ROWS]);
+        for words in std::iter::once(&random).chain(&fixed) {
+            let mut observable = 0u64;
+            for (row, &w) in words.iter().enumerate() {
+                let row = row as u16;
+                let reference = corrupt_reference(&model, t.bram, row, w, &resolved);
+                assert_eq!(
+                    (w & mask.and_mask(row)) | mask.or_mask(row),
+                    reference,
+                    "trial {trial} row {row} stored {w:#06x}: mask vs reference",
+                );
+                observable += u64::from((w ^ reference).count_ones());
+            }
             assert_eq!(
-                via_mask, reference,
-                "trial {trial} row {row}: mask vs reference",
+                mask.count_observable(words),
+                observable,
+                "trial {trial}: observable flip total",
             );
-            assert_eq!(
-                via_index, reference,
-                "trial {trial} row {row}: indexed vs reference",
-            );
-            assert_eq!(
-                via_linear, reference,
-                "trial {trial} row {row}: linear vs reference",
-            );
-            observable += u64::from((w ^ reference).count_ones());
         }
-        assert_eq!(
-            mask.count_observable(&words),
-            observable,
-            "trial {trial}: observable flip total",
-        );
     }
 }
 

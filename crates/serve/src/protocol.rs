@@ -42,6 +42,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use uvf_characterize::prelude::{CampaignJob, Json, RecoveryPolicy};
 use uvf_characterize::record::RecordError;
+use uvf_fpga::PlatformKind;
+use uvf_trace::codec::Text;
 
 /// Upper bound on one frame; a full VC707 sweep record is ~100 KiB, so
 /// this is generous headroom, while a garbage length prefix (corrupt
@@ -126,8 +128,9 @@ uvf_trace::json_record! {
         /// Fetch the fault-variation census for a die from the server's
         /// shared [`FvmCache`](uvf_characterize::FvmCache).
         GetFvm {
-            /// Platform label (`PlatformKind::to_string` / `FromStr` form).
-            platform: String,
+            /// Platform label (`PlatformKind::to_string` / `FromStr` form);
+            /// an unknown label fails to decode, like any corrupt frame.
+            platform: PlatformKind as Text,
             chip_seed: u64,
             /// Temperature in milli-°C — fixed point keeps `f64` off the wire.
             temp_mc: i64,
@@ -359,7 +362,7 @@ mod tests {
                 error: "board on fire".into(),
             },
             Message::GetFvm {
-                platform: PlatformKind::Vc707.to_string(),
+                platform: PlatformKind::Vc707,
                 chip_seed: 0xFEED,
                 temp_mc: -1_500,
                 v_ref_mv: 540,

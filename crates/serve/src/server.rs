@@ -83,6 +83,7 @@ use uvf_characterize::prelude::{
 };
 use uvf_characterize::record::RecordError;
 use uvf_characterize::FvmCache;
+use uvf_fpga::PlatformKind;
 use uvf_trace::merge::{merge_event_streams, offset_event};
 use uvf_trace::{Event, EventKind, Value};
 
@@ -621,7 +622,7 @@ fn handle_conn(
                 chip_seed,
                 temp_mc,
                 v_ref_mv,
-            } => Some(answer_fvm(platform, *chip_seed, *temp_mc, *v_ref_mv)),
+            } => Some(answer_fvm(*platform, *chip_seed, *temp_mc, *v_ref_mv)),
             Message::Subscribe {
                 from_seq,
                 queue_cap,
@@ -903,17 +904,11 @@ fn handle_message(
 /// regenerating dies. Purity of the map makes the reply byte-identical
 /// whether it was a hit or a miss; the cache's hit/miss/eviction counters
 /// are published by the driving binary at its reporting boundary.
-fn answer_fvm(platform: &str, chip_seed: u64, temp_mc: i64, v_ref_mv: u32) -> Message {
+fn answer_fvm(platform: PlatformKind, chip_seed: u64, temp_mc: i64, v_ref_mv: u32) -> Message {
     use uvf_characterize::record::FvmRecord;
-    use uvf_fpga::{Millivolts, PlatformKind};
-    let Ok(kind) = platform.parse::<PlatformKind>() else {
-        return Message::JobFailed {
-            job: 0,
-            error: format!("get_fvm: unknown platform {platform:?}"),
-        };
-    };
+    use uvf_fpga::Millivolts;
     let map = FvmCache::global().variation_map(
-        kind.descriptor(),
+        platform.descriptor(),
         chip_seed,
         temp_mc as f64 / 1000.0,
         Millivolts(v_ref_mv),

@@ -495,7 +495,7 @@ fn ladder_engine_and_fvm_cache_preserve_merged_manifest_bytes() {
         let p = job.kind.descriptor();
         let chip_seed = job.chip_seed.unwrap_or(p.default_chip_seed);
         let query = Message::GetFvm {
-            platform: job.kind.to_string(),
+            platform: job.kind,
             chip_seed,
             temp_mc: 25_000,
             v_ref_mv: p.vccbram.vcrash.0,

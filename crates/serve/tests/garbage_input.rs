@@ -168,7 +168,7 @@ fn message_frames_never_panic() {
             error: "board on fire".into(),
         },
         Message::GetFvm {
-            platform: PlatformKind::Zc702.to_string(),
+            platform: PlatformKind::Zc702,
             chip_seed: 0xFEED,
             temp_mc: -1_500,
             v_ref_mv: 540,
@@ -246,6 +246,35 @@ fn multibyte_string_frames_fail_typed() {
             "{label}: the error names the end of the frame: {err}"
         );
     }
+}
+
+/// A census query for a platform the protocol does not know is a corrupt
+/// frame: a typed `InvalidData` error naming the key, so the server drops
+/// the peer. The same frame naming a real platform reads back.
+#[test]
+fn unknown_platform_census_query_fails_typed() {
+    let frame = |platform: &str| {
+        let payload = format!(
+            r#"{{"type":"get_fvm","platform":"{platform}","chip_seed":0,"temp_mc":0,"v_ref_mv":0}}"#
+        );
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload.as_bytes());
+        wire
+    };
+    let ok = frame(&PlatformKind::Zc702.to_string());
+    assert_eq!(
+        Message::read_from(&mut ok.as_slice()).unwrap(),
+        Some(Message::GetFvm {
+            platform: PlatformKind::Zc702,
+            chip_seed: 0,
+            temp_mc: 0,
+            v_ref_mv: 0,
+        })
+    );
+    let bad = frame("no-such-board");
+    let err = Message::read_from(&mut bad.as_slice()).expect_err("unknown platform");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("platform"), "{err}");
 }
 
 #[test]

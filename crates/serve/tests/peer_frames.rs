@@ -78,15 +78,16 @@ impl Peer {
     }
 
     /// Return once the server has handled every frame sent so far: a
-    /// census query for an unknown platform is answered at once, in order.
+    /// census query is answered in order with the frames before it.
     fn sync(&mut self) {
+        let platform = PlatformKind::Zc702;
         self.send(&Message::GetFvm {
-            platform: "no-such-board".into(),
-            chip_seed: 0,
-            temp_mc: 0,
-            v_ref_mv: 0,
+            platform,
+            chip_seed: platform.descriptor().default_chip_seed,
+            temp_mc: 25_000,
+            v_ref_mv: platform.descriptor().vccbram.vcrash.0,
         });
-        assert!(matches!(self.recv(), Some(Message::JobFailed { .. })));
+        assert!(matches!(self.recv(), Some(Message::Fvm { .. })));
     }
 }
 
