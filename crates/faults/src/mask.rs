@@ -457,6 +457,43 @@ mod tests {
     }
 
     #[test]
+    fn mask_reproduces_corrupt_word_for_all_patterns() {
+        // Per-cell word corruption: every weak cell of the row that fails
+        // the condition and is observable under the stored bit flips.
+        let corrupt_word = |m: &FaultModel, bram, row, stored: u16, rc: &ResolvedCondition| {
+            let mut word = stored;
+            for cell in m.weak_cells(bram).iter().filter(|c| c.row == row) {
+                let bit = 1u16 << cell.bit;
+                if cell.observable(stored & bit != 0) && rc.cell_fails(bram, cell) {
+                    word = if cell.one_to_zero {
+                        word & !bit
+                    } else {
+                        word | bit
+                    };
+                }
+            }
+            word
+        };
+        let m = model();
+        let vcrash = m.platform().vccbram.vcrash;
+        let cond = cond_at(&m, vcrash, 0);
+        let rc = m.resolve(&cond);
+        for b in (0..m.platform().bram_count as u32).step_by(19) {
+            let bram = BramId(b);
+            let mask = FaultMask::build(&m, bram, &rc);
+            for row in (0..BRAM_ROWS as u16).step_by(61) {
+                for stored in [0xFFFFu16, 0x0000, 0xAAAA, 0x5555, 0x1234] {
+                    assert_eq!(
+                        mask.apply(row, stored),
+                        corrupt_word(&m, bram, row, stored, &rc),
+                        "BRAM {b} row {row} stored {stored:#06x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mask_is_clean_above_vmin() {
         let m = model();
         let above = Millivolts(m.platform().vccbram.vmin.0 + 10);
