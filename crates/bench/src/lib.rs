@@ -1,15 +1,14 @@
 //! `uvf-bench` — std-only timing harness for the simulator's hot paths.
 //!
-//! No Criterion in an offline workspace, so this is the minimal honest
-//! subset: per-sample wall-clock timing over a work closure, warmup
-//! iterations to fault in caches and branch predictors, the **median** of
-//! N samples as the reported statistic (robust against scheduler noise on
-//! shared runners), and byte-stable JSON output so CI can archive
-//! `BENCH_sweep.json` and later PRs can diff perf trajectories.
-//!
-//! The harness measures; it does not judge. Speedup claims are derived
-//! ratios stored next to the raw samples, and assertions about them live
-//! in the caller (the `uvf-bench` binary prints them; CI archives them).
+//! No Criterion in an offline workspace, so the harness has one
+//! primitive: a [`Pair`]. [`pair`] times a reference and the kernel that
+//! replaced it back to back in every sample, after warmup calls of both,
+//! and reports the median per-sample ratio of their per-op times (kernel ÷
+//! reference, so lower is better). Scheduler drift and host speed hit both
+//! sides of a sample alike, so the ratio describes the code rather than
+//! the host, which is what lets CI hold it to a committed baseline
+//! ([`ratio_regressions`]). The suite is byte-stable JSON
+//! (`BENCH_sweep.json`).
 //!
 //! [`registry`] holds the paper's experiments, one row per table/figure,
 //! with their landmark gates; the `repro` binary is its command line.
@@ -20,14 +19,13 @@ pub mod registry;
 
 use std::hint::black_box;
 use std::time::Instant;
-use uvf_characterize::Json;
 use uvf_trace::codec::Value;
-use uvf_trace::{Histogram, PhaseTime};
+use uvf_trace::PhaseTime;
 
 /// Global sizing of a suite run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchOptions {
-    /// Unmeasured iterations before sampling starts.
+    /// Unmeasured calls of each side before sampling starts.
     pub warmup_iters: u32,
     /// Measured samples; the median is the reported statistic.
     pub samples: u32,
@@ -49,54 +47,67 @@ impl BenchOptions {
     pub fn quick() -> BenchOptions {
         BenchOptions {
             warmup_iters: 1,
-            samples: 5,
+            samples: 31,
             quick: true,
         }
     }
 }
 
-/// One benchmark's timing summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
-    pub name: String,
-    /// Work units per sample (words corrupted, runs measured, …); lets the
-    /// JSON carry per-op times without losing the raw totals.
-    pub ops_per_sample: u64,
-    pub samples_ns: Vec<u64>,
-    pub median_ns: u64,
-    pub min_ns: u64,
-    pub max_ns: u64,
+uvf_trace::json_record! {
+    /// One side of a pair: its wall-clock samples.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Measurement {
+        pub name: String,
+        /// Work units per call (conditions, BRAMs, images, …), so sides
+        /// of different sizes compare per op.
+        pub ops_per_sample: u64,
+        pub median_ns: u64,
+        pub samples_ns: Vec<u64>,
+    }
 }
 
 impl Measurement {
+    #[must_use]
+    fn new(name: &str, ops_per_sample: u64, samples_ns: Vec<u64>) -> Measurement {
+        Measurement {
+            name: name.to_string(),
+            ops_per_sample,
+            median_ns: median_ns(&samples_ns),
+            samples_ns,
+        }
+    }
+
     /// Median nanoseconds per single work unit.
     #[must_use]
     pub fn ns_per_op(&self) -> f64 {
         self.median_ns as f64 / self.ops_per_sample.max(1) as f64
     }
+}
 
-    /// The samples folded into a `uvf-trace` fixed-bucket histogram —
-    /// the source of the reported p50/p95/p99.
-    #[must_use]
-    pub fn histogram(&self) -> Histogram {
-        Histogram::from_samples(&self.samples_ns)
+uvf_trace::json_record! {
+    /// A kernel timed against its reference, sample by sample.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Pair {
+        pub name: String,
+        /// Held to its committed ratio by [`ratio_regressions`]; an
+        /// ungated pair is only reported (or held to a fixed bar by its
+        /// caller).
+        pub gated: bool,
+        /// Median over samples of kernel ns/op ÷ reference ns/op.
+        pub ratio: f64,
+        pub reference: Measurement,
+        pub kernel: Measurement,
     }
+}
 
+impl Pair {
+    /// The same pair, held to the committed baseline.
     #[must_use]
-    pub fn to_json(&self) -> Json {
-        let hist = self.histogram();
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("ops_per_sample", Json::UInt(self.ops_per_sample)),
-            ("median_ns", Json::UInt(self.median_ns)),
-            ("min_ns", Json::UInt(self.min_ns)),
-            ("max_ns", Json::UInt(self.max_ns)),
-            ("p50_ns", Json::UInt(hist.p50())),
-            ("p95_ns", Json::UInt(hist.p95())),
-            ("p99_ns", Json::UInt(hist.p99())),
-            ("ns_per_op", Json::Float(self.ns_per_op())),
-            ("samples_ns", self.samples_ns.encode()),
-        ])
+    pub fn gate(self) -> Pair {
+        Pair {
+            gated: true,
+            ..self
+        }
     }
 }
 
@@ -114,56 +125,65 @@ pub fn median_ns(samples: &[u64]) -> u64 {
     }
 }
 
-/// Time `work` (`warmup` unmeasured + `samples` measured calls); the
-/// closure's return value is routed through [`black_box`] so the optimizer
-/// cannot delete the measured work.
-pub fn bench<R>(
+/// Wall-clock nanoseconds of one call. The result goes through
+/// [`black_box`], so the optimizer cannot delete the measured work, and
+/// is dropped after the clock stops, so a side can hand back what it
+/// wants torn down off the clock.
+fn time<R>(work: &mut impl FnMut() -> R) -> u64 {
+    let start = Instant::now();
+    let result = black_box(work());
+    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    drop(result);
+    ns
+}
+
+/// Time `kernel` against `reference`: `warmup_iters` unmeasured calls of
+/// each, then `samples` samples that each call `reference` and then
+/// `kernel`. Each side is `(measurement name, ops per call)`.
+pub fn pair<A, B>(
     name: &str,
-    ops_per_sample: u64,
     opts: &BenchOptions,
-    mut work: impl FnMut() -> R,
-) -> Measurement {
+    (reference_name, reference_ops): (&str, u64),
+    (kernel_name, kernel_ops): (&str, u64),
+    mut reference: impl FnMut() -> A,
+    mut kernel: impl FnMut() -> B,
+) -> Pair {
     for _ in 0..opts.warmup_iters {
-        black_box(work());
+        black_box(reference());
+        black_box(kernel());
     }
-    let samples_ns: Vec<u64> = (0..opts.samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(work());
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
+    let (reference_ns, kernel_ns): (Vec<u64>, Vec<u64>) = (0..opts.samples.max(1))
+        .map(|_| (time(&mut reference), time(&mut kernel)))
+        .unzip();
+    let per_op = |ns: u64, ops: u64| ns.max(1) as f64 / ops.max(1) as f64;
+    let mut ratios: Vec<f64> = reference_ns
+        .iter()
+        .zip(&kernel_ns)
+        .map(|(&r, &k)| per_op(k, kernel_ops) / per_op(r, reference_ops))
         .collect();
-    let median = median_ns(&samples_ns);
-    let min = *samples_ns.iter().min().expect("samples nonempty");
-    let max = *samples_ns.iter().max().expect("samples nonempty");
-    Measurement {
+    ratios.sort_by(f64::total_cmp);
+    Pair {
         name: name.to_string(),
-        ops_per_sample,
-        samples_ns,
-        median_ns: median,
-        min_ns: min,
-        max_ns: max,
+        gated: false,
+        ratio: ratios[ratios.len() / 2],
+        reference: Measurement::new(reference_name, reference_ops, reference_ns),
+        kernel: Measurement::new(kernel_name, kernel_ops, kernel_ns),
     }
 }
 
-/// A named scalar derived from measurements (speedup ratios etc.).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Derived {
-    pub name: String,
-    pub value: f64,
-}
-
-/// The whole suite's output: raw measurements + derived ratios + context.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Suite {
-    pub quick: bool,
-    /// The host's available parallelism, recorded as a host fact.
-    pub threads: usize,
-    pub measurements: Vec<Measurement>,
-    pub derived: Vec<Derived>,
-    /// Per-phase wall time of the suite run itself (from `uvf-trace` root
-    /// spans), so `BENCH_sweep.json` records where the wall clock went.
-    pub phases: Vec<PhaseTime>,
+uvf_trace::json_record! {
+    /// The whole suite's output: every pair, plus context.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Suite {
+        pub quick: bool,
+        /// The host's available parallelism, recorded as a host fact.
+        pub threads: usize,
+        pub pairs: Vec<Pair>,
+        /// Per-phase wall time of the suite run itself (from `uvf-trace`
+        /// root spans), so `BENCH_sweep.json` records where the wall
+        /// clock went.
+        pub phases: Vec<PhaseTime>,
+    }
 }
 
 impl Suite {
@@ -172,54 +192,20 @@ impl Suite {
         Suite {
             quick,
             threads,
-            measurements: Vec::new(),
-            derived: Vec::new(),
+            pairs: Vec::new(),
             phases: Vec::new(),
         }
     }
 
-    pub fn record(&mut self, m: Measurement) -> &Measurement {
-        self.measurements.push(m);
-        self.measurements.last().expect("just pushed")
-    }
-
-    pub fn derive(&mut self, name: &str, value: f64) {
-        self.derived.push(Derived {
-            name: name.to_string(),
-            value,
-        });
-    }
-
+    /// The ratio of the pair called `name`.
     #[must_use]
-    pub fn derived_value(&self, name: &str) -> Option<f64> {
-        self.derived
-            .iter()
-            .find(|d| d.name == name)
-            .map(|d| d.value)
+    pub fn ratio(&self, name: &str) -> Option<f64> {
+        self.pairs.iter().find(|p| p.name == name).map(|p| p.ratio)
     }
 
     #[must_use]
     pub fn to_json_string(&self) -> String {
-        Json::obj(vec![
-            ("version", Json::UInt(2)),
-            ("quick", Json::Bool(self.quick)),
-            ("threads", Json::UInt(self.threads as u64)),
-            (
-                "benches",
-                Json::Arr(self.measurements.iter().map(Measurement::to_json).collect()),
-            ),
-            ("phases", self.phases.encode()),
-            (
-                "derived",
-                Json::obj(
-                    self.derived
-                        .iter()
-                        .map(|d| (d.name.as_str(), Json::Float(d.value)))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string()
+        self.encode().to_string()
     }
 
     /// Atomic write ([`uvf_trace::write_atomic`]: temp + fsync + rename).
@@ -228,69 +214,60 @@ impl Suite {
     }
 }
 
-/// Compare this suite's medians against a previously committed
-/// `BENCH_sweep.json` (parsed into `baseline`). A **watched** bench — one
-/// whose name starts with any of `watch_prefixes` — regresses when its
-/// median exceeds the baseline median by more than `max_regression_pct`;
-/// the returned list describes every regression (empty = pass). Benches
-/// new since the baseline are skipped: they have nothing to regress from.
+/// `--baseline`'s one rule: a gated pair regresses when its ratio is more
+/// than `max_regression_pct` above the same pair's ratio in `baseline`.
+/// Returns a description of every regression (empty = pass). A pair the
+/// baseline lacks is skipped: it has nothing to regress from.
 ///
 /// Quick and full runs have different problem sizes, so comparing across
-/// modes is meaningless and an error, not a silent pass.
-pub fn compare_to_baseline(
+/// modes is an error, not a silent pass.
+pub fn ratio_regressions(
     current: &Suite,
-    baseline: &Json,
+    baseline: &Suite,
     max_regression_pct: f64,
-    watch_prefixes: &[&str],
 ) -> Result<Vec<String>, String> {
-    let base_quick = baseline
-        .get("quick")
-        .and_then(Json::as_bool)
-        .ok_or("baseline missing quick flag")?;
-    if base_quick != current.quick {
+    let mode = |quick| if quick { "quick" } else { "full" };
+    if baseline.quick != current.quick {
         return Err(format!(
             "baseline is a {} run, current is {}: not comparable",
-            if base_quick { "quick" } else { "full" },
-            if current.quick { "quick" } else { "full" },
+            mode(baseline.quick),
+            mode(current.quick),
         ));
     }
-    let benches = baseline
-        .get("benches")
-        .and_then(Json::as_arr)
-        .ok_or("baseline missing benches array")?;
-    let base_median = |name: &str| -> Option<u64> {
-        benches
-            .iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(name))
-            .and_then(|b| b.get("median_ns").and_then(Json::as_u64))
-    };
     let allowed = 1.0 + max_regression_pct / 100.0;
-    let mut regressions = Vec::new();
-    for m in &current.measurements {
-        if !watch_prefixes.iter().any(|p| m.name.starts_with(p)) {
-            continue;
-        }
-        let Some(base) = base_median(&m.name) else {
-            continue;
-        };
-        let limit = base as f64 * allowed;
-        if m.median_ns as f64 > limit {
-            regressions.push(format!(
-                "{}: median {} ns > baseline {} ns (+{:.1}% > +{:.0}% allowed)",
-                m.name,
-                m.median_ns,
-                base,
-                (m.median_ns as f64 / base.max(1) as f64 - 1.0) * 100.0,
-                max_regression_pct,
-            ));
-        }
-    }
-    Ok(regressions)
+    Ok(current
+        .pairs
+        .iter()
+        .filter(|p| p.gated)
+        .filter_map(|p| {
+            let base = baseline.ratio(&p.name)?;
+            (p.ratio > base * allowed).then(|| {
+                format!(
+                    "{}: ratio {:.3} > baseline {base:.3} (+{:.1}% > +{max_regression_pct:.0}% allowed)",
+                    p.name,
+                    p.ratio,
+                    (p.ratio / base - 1.0) * 100.0,
+                )
+            })
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use uvf_trace::Json;
+
+    fn fixed_pair(name: &str, ratio: f64) -> Pair {
+        Pair {
+            name: name.into(),
+            gated: true,
+            ratio,
+            reference: Measurement::new("reference", 1, vec![100]),
+            kernel: Measurement::new("kernel", 1, vec![(100.0 * ratio) as u64]),
+        }
+    }
 
     #[test]
     fn median_handles_odd_and_even() {
@@ -306,100 +283,107 @@ mod tests {
             samples: 7,
             quick: true,
         };
-        let mut calls = 0u32;
-        let m = bench("spin", 10, &opts, || {
-            calls += 1;
-            std::hint::black_box((0..100u64).sum::<u64>())
-        });
-        assert_eq!(calls, 9, "warmup + samples");
-        assert_eq!(m.samples_ns.len(), 7);
-        assert!(m.min_ns <= m.median_ns && m.median_ns <= m.max_ns);
-        assert!(m.ns_per_op() >= 0.0);
+        let calls = RefCell::new(String::new());
+        let spin = |side: char, n: u64| {
+            calls.borrow_mut().push(side);
+            black_box((0..n).sum::<u64>())
+        };
+        let p = pair(
+            "spin",
+            &opts,
+            ("spin/reference", 10),
+            ("spin/kernel", 5),
+            || spin('r', 1000),
+            || spin('k', 100),
+        );
+        assert_eq!(
+            *calls.borrow(),
+            "rk".repeat(9),
+            "warmup + samples, alternating"
+        );
+        assert_eq!(p.reference.samples_ns.len(), 7);
+        assert_eq!(p.kernel.samples_ns.len(), 7);
+        assert_eq!(
+            (p.reference.ops_per_sample, p.kernel.ops_per_sample),
+            (10, 5)
+        );
+        assert!(!p.gated && p.clone().gate().gated);
+        // The ratio is the median of the per-sample per-op ratios.
+        let mut ratios: Vec<f64> = (0..7)
+            .map(|i| {
+                let r = p.reference.samples_ns[i].max(1) as f64 / 10.0;
+                p.kernel.samples_ns[i].max(1) as f64 / 5.0 / r
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        assert_eq!(p.ratio, ratios[3]);
+        let sorted = |m: &Measurement| {
+            let mut s = m.samples_ns.clone();
+            s.sort_unstable();
+            s
+        };
+        assert_eq!(p.reference.median_ns, sorted(&p.reference)[3]);
+        assert!(p.kernel.ns_per_op() >= 0.0);
     }
 
     #[test]
     fn suite_json_is_parseable_and_carries_derived() {
         let mut suite = Suite::new(true, 4);
-        suite.record(Measurement {
-            name: "x".into(),
-            ops_per_sample: 2,
-            samples_ns: vec![10, 20, 30],
-            median_ns: 20,
-            min_ns: 10,
-            max_ns: 30,
+        suite.pairs.push(Pair {
+            gated: false,
+            ..fixed_pair("ladder_mask_build", 0.25)
         });
-        suite.derive("speedup", 12.5);
         suite.phases.push(PhaseTime {
-            name: "word_kernels".into(),
+            name: "ladder".into(),
             wall_ns: 1234,
         });
-        assert_eq!(suite.derived_value("speedup"), Some(12.5));
+        assert_eq!(suite.ratio("ladder_mask_build"), Some(0.25));
+        assert_eq!(suite.ratio("absent"), None);
         let parsed = Json::parse(&suite.to_json_string()).unwrap();
-        assert_eq!(parsed.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(parsed.get("threads").and_then(Json::as_u64), Some(4));
-        // Quantiles are bucket-interpolated estimates clamped to [min, max].
-        let bench0 = parsed.get("benches").and_then(Json::as_arr).unwrap()[0].clone();
-        let p50 = bench0.get("p50_ns").and_then(Json::as_u64).unwrap();
-        let p99 = bench0.get("p99_ns").and_then(Json::as_u64).unwrap();
-        assert!((10..=30).contains(&p50));
-        assert!(p50 <= p99 && p99 <= 30);
-        let phase0 = parsed.get("phases").and_then(Json::as_arr).unwrap()[0].clone();
+        let pair0 = parsed.get("pairs").and_then(Json::as_arr).unwrap()[0].clone();
+        assert_eq!(pair0.get("ratio").and_then(Json::as_f64), Some(0.25));
         assert_eq!(
-            phase0.get("name").and_then(Json::as_str),
-            Some("word_kernels")
+            pair0
+                .get("kernel")
+                .and_then(|k| k.get("median_ns"))
+                .and_then(Json::as_u64),
+            Some(25)
         );
+        let phase0 = parsed.get("phases").and_then(Json::as_arr).unwrap()[0].clone();
+        assert_eq!(phase0.get("name").and_then(Json::as_str), Some("ladder"));
         assert_eq!(phase0.get("wall_ns").and_then(Json::as_u64), Some(1234));
-        let speedup = parsed
-            .get("derived")
-            .and_then(|d| d.get("speedup"))
-            .and_then(Json::as_f64);
-        assert_eq!(speedup, Some(12.5));
+        assert_eq!(Suite::decode(&parsed).unwrap(), suite, "round trip");
     }
 
     #[test]
     fn baseline_compare_flags_watched_regressions_only() {
         let mut old = Suite::new(true, 4);
-        for (name, ns) in [
-            ("mask_build/full_die", 100u64),
-            ("ladder_mask_build/ladder_kernel", 100),
-            ("nn/classify_per_sample", 100),
-        ] {
-            old.record(Measurement {
-                name: name.into(),
-                ops_per_sample: 1,
-                samples_ns: vec![ns],
-                median_ns: ns,
-                min_ns: ns,
-                max_ns: ns,
-            });
-        }
-        let baseline = Json::parse(&old.to_json_string()).unwrap();
+        old.pairs = vec![
+            fixed_pair("ladder_mask_build", 0.20),
+            fixed_pair("sweep_level_counts", 0.30),
+            fixed_pair("serve_subscribe", 1.00),
+        ];
+        let baseline = Suite::decode(&Json::parse(&old.to_json_string()).unwrap()).unwrap();
 
-        let mut new = Suite::new(true, 4);
-        for (name, ns) in [
-            ("mask_build/full_die", 150u64),          // +50%: regression
-            ("ladder_mask_build/ladder_kernel", 110), // +10%: within budget
-            ("nn/classify_per_sample", 900),          // unwatched: ignored
-            ("ladder_mask_build/brand_new", 999),     // no baseline: skipped
-        ] {
-            new.record(Measurement {
-                name: name.into(),
-                ops_per_sample: 1,
-                samples_ns: vec![ns],
-                median_ns: ns,
-                min_ns: ns,
-                max_ns: ns,
-            });
-        }
-        let watch = ["mask_build", "ladder_mask_build"];
-        let regressions = compare_to_baseline(&new, &baseline, 20.0, &watch).unwrap();
+        let mut new = Suite::new(true, 2);
+        new.pairs = vec![
+            fixed_pair("ladder_mask_build", 0.25),  // +25%: regression
+            fixed_pair("sweep_level_counts", 0.35), // +16.7%: within budget
+            fixed_pair("brand_new", 9.0),           // no baseline: skipped
+            Pair {
+                gated: false, // an overhead pair: not the baseline's to judge
+                ..fixed_pair("serve_subscribe", 2.0)
+            },
+        ];
+        let regressions = ratio_regressions(&new, &baseline, 20.0).unwrap();
         assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].starts_with("mask_build/full_die"));
+        assert!(regressions[0].starts_with("ladder_mask_build: ratio 0.250"));
 
         let mut full = new.clone();
         full.quick = false;
         assert!(
-            compare_to_baseline(&full, &baseline, 20.0, &watch).is_err(),
+            ratio_regressions(&full, &baseline, 20.0).is_err(),
             "quick baseline vs full run must refuse to compare"
         );
     }

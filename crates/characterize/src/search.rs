@@ -102,12 +102,6 @@ impl VminSearch {
         self
     }
 
-    #[must_use]
-    pub fn with_policy(mut self, policy: RecoveryPolicy) -> VminSearch {
-        self.policy = policy;
-        self
-    }
-
     /// Checkpoint every probe into `dir` (one file per level). A search
     /// killed mid-probe resumes from the probe's checkpoint; finished
     /// probes short-circuit entirely on re-run.

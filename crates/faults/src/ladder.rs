@@ -195,16 +195,6 @@ impl<'m> LadderKernel<'m> {
         }
     }
 
-    #[must_use]
-    pub fn and_mask(&self, row: u16) -> u16 {
-        self.and_masks[row as usize]
-    }
-
-    #[must_use]
-    pub fn or_mask(&self, row: u16) -> u16 {
-        self.or_masks[row as usize]
-    }
-
     /// Corrupted read-back of `stored` at `row` under the advanced
     /// condition.
     #[inline]

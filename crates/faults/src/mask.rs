@@ -57,11 +57,6 @@ impl ResolvedCondition {
         &self.cond
     }
 
-    #[must_use]
-    pub fn shift_mv(&self) -> f64 {
-        self.shift_mv
-    }
-
     /// Early-exit boundary for descending-threshold scans: no cell with
     /// `vfail_mv` below this fails under this condition.
     #[must_use]
@@ -314,16 +309,6 @@ impl FaultMask {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.flip_cells == 0
-    }
-
-    #[must_use]
-    pub fn and_mask(&self, row: u16) -> u16 {
-        self.and_masks[row as usize]
-    }
-
-    #[must_use]
-    pub fn or_mask(&self, row: u16) -> u16 {
-        self.or_masks[row as usize]
     }
 
     /// Corrupted read-back of `stored` at `row`.

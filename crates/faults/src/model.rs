@@ -12,7 +12,7 @@ use crate::params::FaultParams;
 use crate::rng::standard_normal;
 use crate::thermal::itd_shift_mv;
 use crate::variation::die_multipliers;
-use crate::weakcells::{generate_bram, WeakCell, SENTINEL_SIGMA_OFFSET};
+use crate::weakcells::{generate_bram, WeakCell};
 use std::sync::Arc;
 use uvf_fpga::seedmix::mix;
 use uvf_fpga::{BramId, Floorplan, Millivolts, Platform, Rail, BRAM_ROWS, BRAM_WORD_BITS};
@@ -262,13 +262,6 @@ impl FaultModel {
                 f(cell);
             }
         }
-    }
-
-    /// `Vmin + 3σ`: the sentinel's threshold, exposed for calibration tests.
-    #[must_use]
-    pub fn sentinel_vfail_mv(&self) -> f64 {
-        f64::from(self.platform.vccbram.vmin.0)
-            + SENTINEL_SIGMA_OFFSET * self.params.run_jitter_sigma_mv
     }
 }
 

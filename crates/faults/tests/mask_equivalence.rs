@@ -125,7 +125,7 @@ fn mask_kernels_match_the_per_cell_reference() {
                 let row = row as u16;
                 let reference = corrupt_reference(&model, t.bram, row, w, &resolved);
                 assert_eq!(
-                    (w & mask.and_mask(row)) | mask.or_mask(row),
+                    mask.apply(row, w),
                     reference,
                     "trial {trial} row {row} stored {w:#06x}: mask vs reference",
                 );

@@ -84,11 +84,6 @@ impl Board {
         self.power_model = Some(model);
     }
 
-    #[must_use]
-    pub fn has_power_model(&self) -> bool {
-        self.power_model.is_some()
-    }
-
     /// Modeled draw of `rail` at its current setpoint and die temperature,
     /// in microwatts. `None` without an attached model. Host-side
     /// bookkeeping like [`Board::rail_mv`] — the experiment driver itself

@@ -165,13 +165,6 @@ impl Mlp {
         cur
     }
 
-    /// Argmax class prediction (ties break to the lowest index, so the
-    /// result is deterministic even under heavy corruption).
-    #[must_use]
-    pub fn predict(&self, x: &[f32]) -> usize {
-        argmax(&self.forward(x))
-    }
-
     /// Classification error rate on a dataset, in `[0, 1]`.
     ///
     /// Samples run through the net eight at a time as one k-major

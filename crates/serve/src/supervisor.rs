@@ -43,13 +43,6 @@ impl Supervisor {
         }
     }
 
-    /// Replace the restart backoff (default 50 ms base, 2 s cap).
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Backoff) -> Supervisor {
-        self.backoff = backoff;
-        self
-    }
-
     fn launch(&self) -> io::Result<Child> {
         Command::new(&self.program)
             .args(&self.args)
