@@ -140,12 +140,6 @@ impl<'a> MappedNetwork<'a> {
         &self.placement
     }
 
-    /// Is the network stored in the SECDED ECC layout?
-    #[must_use]
-    pub fn is_ecc(&self) -> bool {
-        self.ecc
-    }
-
     #[must_use]
     pub fn network(&self) -> &QNetwork {
         self.qnet
@@ -436,7 +430,6 @@ mod tests {
         let (mut board, qnet, weights) = small_setup();
         let placement = Placement::contiguous_with_capacity(&weights, uvf_fpga::ECC_WORDS_PER_BRAM);
         let mapped = MappedNetwork::load_ecc_traced(&mut board, &qnet, placement, &off).unwrap();
-        assert!(mapped.is_ecc());
         let model = FaultModel::new(*board.platform());
         let (read, stats) = mapped
             .read_back_ecc_traced(&board, &model, None, LayerFaults::All, &off)

@@ -1,6 +1,7 @@
-//! The registry's digest table and its runner, shared by `registry.rs`
-//! (every row at quick scale, the platform rows at paper scale) and
-//! `fig14_mnist.rs` (the paper-scale network rows).
+//! The registry's digest table, its runner and the helpers that apply
+//! gate pieces, shared by `registry.rs` (every row at quick scale, the
+//! platform rows at paper scale) and `fig14_mnist.rs` (the paper-scale
+//! network rows).
 //!
 //! Each experiment's `.jsonl` event log is pinned by its FNV-1a digest,
 //! so any record drift fails tier-1 even when no landmark moves.
@@ -94,6 +95,30 @@ pub fn run_rows(quick: bool, rows: fn(&str) -> bool) -> Vec<(&'static str, Outco
         bless(quick, &digests);
     }
     outcomes
+}
+
+/// The run of `name` among `rows` at `quick` or paper scale: its metrics
+/// and its log's digest. Panics if the row failed or did not run.
+pub fn row<'a>(
+    rows: &'a [(&'static str, Outcome)],
+    quick: bool,
+    name: &str,
+) -> (&'a CmdSummary, u64) {
+    let (_, outcome) = rows
+        .iter()
+        .find(|(row, _)| *row == name)
+        .unwrap_or_else(|| panic!("{} {name} did not run", scale(quick)));
+    match outcome {
+        Ok((summary, digest)) => (summary, *digest),
+        Err(msg) => panic!("{} {name}: {msg}", scale(quick)),
+    }
+}
+
+/// Panic with a gate's error.
+pub fn pass(gate: Result<(), String>) {
+    if let Err(msg) = gate {
+        panic!("{msg}");
+    }
 }
 
 fn blessing() -> bool {

@@ -4,7 +4,9 @@
 //! must be a row of the registry `repro list` prints, or one of the
 //! built-in modes, and every `--flag` passed to `repro` there must appear
 //! in its usage text. Every `uvf_<crate>::<Item>` path written as code
-//! there must name `pub` items or re-exports in `crates/<crate>/src`.
+//! there must name `pub` items or re-exports in `crates/<crate>/src`, and
+//! every `*.rs` path written as code there must name a file under
+//! `crates/` or `perfbench/`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -307,5 +309,68 @@ fn crate_paths_are_split_into_segments() {
             ),
             ("nn".to_string(), vec!["Scorer".to_string()]),
         ]
+    );
+}
+
+/// The `*.rs` paths in one code fragment, without a leading `/` or `./`.
+fn rs_paths(code: &str) -> Vec<&str> {
+    code.split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)))
+        .map(|token| token.trim_start_matches("./").trim_start_matches('/'))
+        .filter(|path| {
+            path.strip_suffix(".rs")
+                .is_some_and(|stem| !stem.is_empty() && !stem.ends_with('/'))
+        })
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, as a path relative to `root`, skipping
+/// build output.
+fn rust_files(dir: &Path, root: &Path, files: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") {
+                rust_files(&path, root, files);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let relative = path.strip_prefix(root).expect("under the root");
+            files.push(relative.to_string_lossy().replace('\\', "/"));
+        }
+    }
+}
+
+#[test]
+fn every_documented_source_file_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "perfbench"] {
+        rust_files(&root.join(dir), &root, &mut files);
+    }
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read doc");
+        for fragment in code_fragments(&text) {
+            for path in rs_paths(&fragment) {
+                checked += 1;
+                let suffix = format!("/{path}");
+                if !files.iter().any(|f| f == path || f.ends_with(&suffix)) {
+                    missing.push(format!("{doc}: {path}"));
+                }
+            }
+        }
+    }
+    assert!(checked > 20, "only {checked} source paths found");
+    assert!(
+        missing.is_empty(),
+        "docs name source files that do not exist: {missing:#?}"
+    );
+}
+
+#[test]
+fn rs_paths_are_found_in_code() {
+    assert_eq!(
+        rs_paths("see crates/bench/tests/registry.rs::row, ./src/lib.rs and crates/*/src/**/*.rs"),
+        ["crates/bench/tests/registry.rs", "src/lib.rs"]
     );
 }

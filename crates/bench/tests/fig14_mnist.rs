@@ -21,7 +21,7 @@ mod common;
 
 use std::sync::OnceLock;
 
-use common::{assert_pinned, ctx, run_rows, Outcome, NET_ROWS};
+use common::{assert_pinned, ctx, pass, run_rows, Outcome, NET_ROWS};
 use uvf_bench::registry::{
     check_fig12_frontier, check_fig12_ladder, check_fig13, check_fig13_calibration_filter,
     check_fig14, check_mitigation, CmdSummary,
@@ -34,20 +34,7 @@ fn rows() -> &'static [(&'static str, Outcome)] {
 
 /// The paper-scale run of `name`: its metrics and its log's digest.
 fn row(name: &str) -> (&'static CmdSummary, u64) {
-    let (_, outcome) = rows()
-        .iter()
-        .find(|(row, _)| *row == name)
-        .expect("a network row");
-    match outcome {
-        Ok((summary, digest)) => (summary, *digest),
-        Err(msg) => panic!("paper {name}: {msg}"),
-    }
-}
-
-fn pass(gate: Result<(), String>) {
-    if let Err(msg) = gate {
-        panic!("{msg}");
-    }
+    common::row(rows(), false, name)
 }
 
 /// The pinned (`NET_SEED`, `CHIP_SEED`, `EVAL_RUN_SEED`) triple must

@@ -1,62 +1,80 @@
-//! Tier-1 runs the registry: every `repro all` experiment, `--check`
-//! included, in-process at quick scale, and every one but the network
-//! rows at paper scale (`fig14_mnist.rs` runs those on the one trained
-//! network its tests share). `uvf_bench::registry::check_*` is the one
-//! home of every landmark gate; `common` holds the digest table every
-//! event log is pinned by.
+//! Tier-1 runs the registry: every `repro all` experiment in-process at
+//! quick scale, and every one but the network rows at paper scale
+//! (`fig14_mnist.rs` runs those on the one trained network its tests
+//! share). Each scale's rows run once, behind a `OnceLock`, with
+//! `--check`'s artifact validation. One test applies every row's whole
+//! gate and pins every digest; the others each apply one gate piece, so
+//! a landmark that moves fails under its own name.
+//! `uvf_bench::registry::check_*` is the one home of every bound; `common`
+//! holds the digest table every event log is pinned by.
 
 mod common;
 
-use common::{assert_pinned, ctx, run_rows, scale, DIGESTS, NET_ROWS};
+use std::sync::OnceLock;
+
+use common::{assert_pinned, ctx, pass, row, run_rows, scale, Outcome, DIGESTS, NET_ROWS};
 use uvf_accel::{LayerFaults, MappedNetwork, Placement};
-use uvf_bench::registry::{build_fixture, EVAL_TEMPERATURE_C, REGISTRY};
+use uvf_bench::registry::{
+    build_fixture, check_fig1, check_fig10_further_reduction, check_fig10_share,
+    check_fig10_vmin_reduction, check_fig5_clusters, check_fig5_dominant_share,
+    check_fig5_location, check_fig5_never_faulty, check_fig5_within_bram, check_fig8_itd,
+    check_table1_guardbands, check_table1_landmarks, check_table2_design_targets,
+    check_table2_spread, CmdSummary, Ctx, EVAL_TEMPERATURE_C, REGISTRY,
+};
 use uvf_faults::{FaultModel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, Platform, PlatformKind, Rail};
 use uvf_nn::Dataset;
 use uvf_trace::Tracer;
 
-/// Run the rows `rows` picks with `--check`, gate included, and return
-/// each one's digest; panics on the first failure.
-fn gated_rows(quick: bool, rows: fn(&str) -> bool) -> Vec<(&'static str, u64)> {
-    let ctx = ctx(quick);
-    run_rows(quick, rows)
-        .into_iter()
-        .map(|(name, outcome)| {
-            let (summary, digest) =
-                outcome.unwrap_or_else(|msg| panic!("{} {name}: {msg}", scale(quick)));
-            if let Some(check) = REGISTRY
-                .iter()
-                .find(|e| e.name == name)
-                .and_then(|e| e.check)
-            {
-                check(&ctx, &summary)
-                    .unwrap_or_else(|msg| panic!("{} {name}: {msg}", scale(quick)));
-            }
-            (name, digest)
-        })
-        .collect()
+/// The rows of one scale: every `all` row at quick scale (which trains
+/// the small network), every one but the network rows at paper scale.
+fn rows(quick: bool) -> &'static [(&'static str, Outcome)] {
+    static QUICK: OnceLock<Vec<(&'static str, Outcome)>> = OnceLock::new();
+    static PAPER: OnceLock<Vec<(&'static str, Outcome)>> = OnceLock::new();
+    if quick {
+        QUICK.get_or_init(|| run_rows(true, |_| true))
+    } else {
+        PAPER.get_or_init(|| run_rows(false, |name| !NET_ROWS.contains(&name)))
+    }
+}
+
+/// Apply gate piece `piece` to row `name` at both scales. Paper scale
+/// goes first, and the whole-gate test starts at quick scale, so the two
+/// scales' rows run side by side on the harness's threads.
+fn gate(name: &str, piece: fn(&Ctx, &CmdSummary) -> Result<(), String>) {
+    for quick in [false, true] {
+        let gate = piece(&ctx(quick), row(rows(quick), quick, name).0);
+        pass(gate.map_err(|msg| format!("{} {name}: {msg}", scale(quick))));
+    }
 }
 
 #[test]
 fn every_row_but_the_paper_network_passes_its_gate_and_digest() {
-    // The quick scale (which trains its small network) and the paper
-    // platform rows take about as long, so they run side by side.
-    let (paper, quick) = std::thread::scope(|s| {
-        let paper = s.spawn(|| gated_rows(false, |name| !NET_ROWS.contains(&name)));
-        let quick = gated_rows(true, |_| true);
-        (paper.join().expect("paper-scale platform rows"), quick)
-    });
-    assert_pinned(true, &quick);
-    assert_pinned(false, &paper);
+    for quick in [true, false] {
+        let ctx = ctx(quick);
+        let mut digests = Vec::new();
+        for (name, _) in rows(quick) {
+            let (summary, digest) = row(rows(quick), quick, name);
+            if let Some(check) = REGISTRY
+                .iter()
+                .find(|e| e.name == *name)
+                .and_then(|e| e.check)
+            {
+                pass(check(&ctx, summary).map_err(|msg| format!("{} {name}: {msg}", scale(quick))));
+            }
+            digests.push((*name, digest));
+        }
+        assert_pinned(quick, &digests);
+    }
     // Every row of the table ran at quick scale, and at paper scale here
     // or in `fig14_mnist.rs`.
     for (name, _, _) in DIGESTS {
         assert!(
-            quick.iter().any(|row| row.0 == *name),
+            rows(true).iter().any(|row| row.0 == *name),
             "{name} did not run at quick scale"
         );
         assert!(
-            paper.iter().any(|row| row.0 == *name) || NET_ROWS.contains(name),
+            rows(false).iter().any(|row| row.0 == *name) || NET_ROWS.contains(name),
             "{name} did not run at paper scale"
         );
     }
@@ -64,14 +82,80 @@ fn every_row_but_the_paper_network_passes_its_gate_and_digest() {
 
 #[test]
 fn every_landmark_bearing_row_has_a_gate() {
-    let gated: Vec<&str> = REGISTRY
-        .iter()
-        .filter(|e| e.check.is_some())
-        .map(|e| e.name)
-        .collect();
-    for name in ["fig10", "fig11", "fig12", "fig13", "fig14", "mitigation"] {
-        assert!(gated.contains(&name), "{name} lost its check: {gated:?}");
+    for e in REGISTRY.iter().filter(|e| e.in_all) {
+        assert!(e.check.is_some(), "{} has no gate", e.name);
     }
+}
+
+#[test]
+fn vccbram_landmarks_match_design_table() {
+    gate("table1", |_, s| check_table1_landmarks(s));
+}
+
+#[test]
+fn mean_guardbands_match_the_paper() {
+    gate("table1", |_, s| check_table1_guardbands(s));
+}
+
+/// At paper scale every ladder starts at nominal.
+#[test]
+fn ladders_discover_every_design_landmark() {
+    gate("fig1", check_fig1);
+}
+
+#[test]
+fn hundred_run_rates_match_design_targets() {
+    gate("table2", check_table2_design_targets);
+}
+
+#[test]
+fn sigma_over_100_runs_is_a_small_fraction_of_the_mean() {
+    gate("table2", check_table2_spread);
+}
+
+#[test]
+fn dominant_cluster_share_tracks_fig5_split() {
+    gate("fig5", |_, s| check_fig5_dominant_share(s));
+}
+
+#[test]
+fn fig5_clusters_are_multi_and_separated() {
+    gate("fig5", |_, s| check_fig5_clusters(s));
+}
+
+#[test]
+fn never_faulty_share_matches_fig5_shape() {
+    gate("fig5", |_, s| check_fig5_never_faulty(s));
+}
+
+#[test]
+fn location_uniformity_is_rejected_on_every_platform() {
+    gate("fig5", |_, s| check_fig5_location(s));
+}
+
+#[test]
+fn within_bram_positions_are_structureless() {
+    gate("fig5", |_, s| check_fig5_within_bram(s));
+}
+
+#[test]
+fn fig8_thermal_slope_is_negative_on_every_platform() {
+    gate("fig8", check_fig8_itd);
+}
+
+#[test]
+fn vc707_bram_rail_is_24_1_percent_at_nominal() {
+    gate("fig10", |_, s| check_fig10_share(s));
+}
+
+#[test]
+fn vc707_rail_reduction_at_vmin_exceeds_10x() {
+    gate("fig10", |_, s| check_fig10_vmin_reduction(s));
+}
+
+#[test]
+fn vc707_further_reduction_at_vcrash_is_about_40_percent() {
+    gate("fig10", |_, s| check_fig10_further_reduction(s));
 }
 
 /// Re-calibration tool for the registry's §V constants (`NET_SEED`,

@@ -166,16 +166,6 @@ impl Campaign {
         self
     }
 
-    /// The paper's Table-I setup: the same sweep on all four boards.
-    #[must_use]
-    pub fn all_platforms(cfg: SweepConfig, policy: RecoveryPolicy) -> Campaign {
-        let mut campaign = Campaign::new(policy);
-        for kind in PlatformKind::ALL {
-            campaign.push(CampaignJob::new(kind, cfg));
-        }
-        campaign
-    }
-
     pub fn push(&mut self, job: CampaignJob) -> &mut Campaign {
         self.jobs.push(job);
         self

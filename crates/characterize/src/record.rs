@@ -90,23 +90,6 @@ impl LevelRecord {
     pub fn median_faults_per_mbit(&self, total_mbit: f64) -> f64 {
         self.median_faults() / total_mbit
     }
-
-    /// Population standard deviation of the per-run fault rate, in
-    /// faults/Mbit — Table II's run-to-run spread column.
-    #[must_use]
-    pub fn sigma_faults_per_mbit(&self, total_mbit: f64) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        let rates: Vec<f64> = self
-            .runs
-            .iter()
-            .map(|r| r.faults as f64 / total_mbit)
-            .collect();
-        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-        let var = rates.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / rates.len() as f64;
-        var.sqrt()
-    }
 }
 
 uvf_trace::json_record! {
@@ -356,17 +339,6 @@ impl FvmRecord {
         }
     }
 
-    /// Rehydrate the census for ranking/placement.
-    #[must_use]
-    pub fn to_map(&self) -> FaultVariationMap {
-        FaultVariationMap::from_counts(
-            self.platform,
-            self.chip_seed,
-            Millivolts(self.v_ref_mv),
-            self.counts.clone(),
-        )
-    }
-
     #[must_use]
     pub fn to_json(&self) -> Json {
         codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self)
@@ -584,10 +556,9 @@ mod tests {
         assert_eq!(back, rec);
         assert_eq!(back.to_json_string(), text, "byte-stable");
 
-        // The rehydrated map carries the live census, BRAM for BRAM.
+        // The parsed record carries the live census, BRAM for BRAM.
         let live = model.variation_map(platform.vccbram.vcrash);
-        assert_eq!(back.to_map(), live);
-        assert_eq!(back.to_map().counts(), live.counts());
+        assert_eq!(back.counts, live.counts());
     }
 
     #[test]

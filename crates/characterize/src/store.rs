@@ -247,20 +247,6 @@ impl JobQueue {
         }
         released
     }
-
-    #[must_use]
-    pub fn all_done(&self) -> bool {
-        self.states.iter().all(|s| *s == LeaseState::Done)
-    }
-
-    /// Jobs finished so far.
-    #[must_use]
-    pub fn done_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| **s == LeaseState::Done)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -360,11 +346,9 @@ mod tests {
         let (a, _) = q.claim(1, 0).unwrap();
         assert!(q.complete(a));
         assert!(!q.complete(a), "second completion is a no-op");
-        assert!(!q.all_done());
         let (b, _) = q.claim(1, 0).unwrap();
         assert!(q.complete(b));
-        assert!(q.all_done());
-        assert_eq!(q.done_count(), 2);
+        assert_eq!([q.state(a), q.state(b)], [LeaseState::Done; 2]);
         // Done jobs never expire back to pending.
         assert!(q.expire(u64::MAX).is_empty());
     }

@@ -27,23 +27,6 @@ pub struct FaultVariationMap {
 }
 
 impl FaultVariationMap {
-    /// Build the census directly from per-BRAM counts (the record-loading
-    /// path). Prefer [`FaultModel::variation_map`] when a model is at hand.
-    #[must_use]
-    pub fn from_counts(
-        platform: PlatformKind,
-        chip_seed: u64,
-        v_ref: Millivolts,
-        counts: Vec<u32>,
-    ) -> FaultVariationMap {
-        FaultVariationMap {
-            platform,
-            chip_seed,
-            v_ref_mv: v_ref.0,
-            counts,
-        }
-    }
-
     #[must_use]
     pub fn platform(&self) -> PlatformKind {
         self.platform

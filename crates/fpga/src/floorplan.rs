@@ -58,16 +58,6 @@ impl Floorplan {
         })
     }
 
-    /// Inverse of [`Floorplan::site`].
-    #[must_use]
-    pub fn id_at(&self, site: Site) -> Option<BramId> {
-        let idx = site.x as usize * self.rows_per_column + site.y as usize;
-        if site.y as usize >= self.rows_per_column || idx >= self.bram_count {
-            return None;
-        }
-        Some(BramId(idx as u32))
-    }
-
     /// Iterate every populated site in id order.
     pub fn sites(&self) -> impl Iterator<Item = (BramId, Site)> + '_ {
         (0..self.bram_count as u32).filter_map(|i| {
@@ -80,6 +70,15 @@ impl Floorplan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inverse of [`Floorplan::site`].
+    fn id_at(fp: &Floorplan, site: Site) -> Option<BramId> {
+        let idx = site.x as usize * fp.rows_per_column + site.y as usize;
+        if site.y as usize >= fp.rows_per_column || idx >= fp.bram_count {
+            return None;
+        }
+        Some(BramId(idx as u32))
+    }
 
     #[test]
     fn vc707_grid_is_21_columns() {
@@ -95,7 +94,7 @@ mod tests {
     fn site_id_roundtrip() {
         let fp = Floorplan::new(890);
         for (id, site) in fp.sites() {
-            assert_eq!(fp.id_at(site), Some(id));
+            assert_eq!(id_at(&fp, site), Some(id));
         }
         assert_eq!(fp.sites().count(), 890);
     }

@@ -28,20 +28,6 @@ pub enum PmbusCommand {
     ClearFaults,
 }
 
-impl PmbusCommand {
-    /// Mnemonic of the underlying PMBus command code.
-    #[must_use]
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            PmbusCommand::VoutCommand { .. } => "VOUT_COMMAND",
-            PmbusCommand::ReadVout { .. } => "READ_VOUT",
-            PmbusCommand::ReadTemperature2 => "READ_TEMPERATURE_2",
-            PmbusCommand::ReadPout { .. } => "READ_POUT",
-            PmbusCommand::ClearFaults => "CLEAR_FAULTS",
-        }
-    }
-}
-
 /// Successful replies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PmbusResponse {
@@ -80,15 +66,6 @@ impl PmbusResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mnemonics() {
-        let cmd = PmbusCommand::VoutCommand {
-            rail: Rail::Vccbram,
-            v: Millivolts(540),
-        };
-        assert_eq!(cmd.mnemonic(), "VOUT_COMMAND");
-    }
 
     #[test]
     fn vout_accessor() {

@@ -183,25 +183,6 @@ impl DatasetSpec {
     /// class. The lowest rung sits just below the test margin band.
     pub const TRAIN_LAMBDA_LADDER: [f64; 3] = [0.55, 0.65, 0.80];
 
-    /// Total training samples.
-    #[must_use]
-    pub fn train_len(&self) -> usize {
-        self.classes * self.train_clean_per_class
-            + Self::TRAIN_LAMBDA_LADDER.len() * self.classes * (self.classes - 1)
-    }
-
-    /// Total test samples.
-    #[must_use]
-    pub fn test_len(&self) -> usize {
-        self.test_clean + self.test_margin + self.test_hard
-    }
-
-    /// Error contributed by the hard samples alone (the nominal landmark).
-    #[must_use]
-    pub fn hard_error(&self) -> f64 {
-        self.test_hard as f64 / self.test_len() as f64
-    }
-
     /// Deterministic generation: a pure function of `(self, seed)`.
     #[must_use]
     pub fn generate(&self, seed: u64) -> SyntheticData {
@@ -397,12 +378,9 @@ mod tests {
     #[test]
     fn mnist_like_has_the_landmark_composition() {
         let spec = DatasetKind::MnistLike.spec();
-        assert_eq!(spec.test_len(), 625);
         assert_eq!(spec.test_hard, 16);
-        assert!((spec.hard_error() - 0.0256).abs() < 1e-12);
         let data = spec.generate(1);
         assert_eq!(data.test.len(), 625);
-        assert_eq!(data.train.len(), spec.train_len());
         assert_eq!(data.train.len(), 10 * 60 + 3 * 90);
         assert_eq!(data.train.input_dim(), 784);
         assert_eq!(data.train.classes(), 10);

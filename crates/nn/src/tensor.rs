@@ -218,22 +218,6 @@ impl Matrix {
             panel_body::<L>(self, x, out);
         }
     }
-
-    /// Rank-1 update `self += alpha · d ⊗ x` (the SGD weight step).
-    pub fn rank1_add(&mut self, alpha: f32, d: &[f32], x: &[f32]) {
-        assert_eq!(d.len(), self.rows, "delta length");
-        assert_eq!(x.len(), self.cols, "input length");
-        for (r, &dr) in d.iter().enumerate() {
-            let a = alpha * dr;
-            if a == 0.0 {
-                continue;
-            }
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (w, v) in row.iter_mut().zip(x) {
-                *w += a * v;
-            }
-        }
-    }
 }
 
 /// The scalar per-row dot product the tiled kernel replaced: the
@@ -361,13 +345,6 @@ mod tests {
         let mut out = [0.0f32; 2];
         m.matvec_into(&[1.0, 0.5, -1.0], &mut out);
         assert_eq!(out, [1.0 + 1.0 - 3.0, 4.0 + 2.5 - 6.0]);
-    }
-
-    #[test]
-    fn rank1_update_touches_every_entry_once() {
-        let mut m = Matrix::zeros(2, 2);
-        m.rank1_add(0.5, &[1.0, -2.0], &[3.0, 4.0]);
-        assert_eq!(m.data(), &[1.5, 2.0, -3.0, -4.0]);
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl Histogram {
         }
     }
 
-    /// Build from a slice of samples (convenience for the bench suite).
-    #[must_use]
-    pub fn from_samples(samples_ns: &[u64]) -> Histogram {
-        let mut h = Histogram::new();
-        for &s in samples_ns {
-            h.record(s);
-        }
-        h
-    }
-
     pub fn record(&mut self, ns: u64) {
         match self
             .counts
@@ -180,6 +170,14 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    fn from_samples(samples_ns: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &s in samples_ns {
+            h.record(s);
+        }
+        h
+    }
+
     #[test]
     fn quantiles_are_ordered_and_clamped() {
         let mut h = Histogram::new();
@@ -207,11 +205,11 @@ mod tests {
     fn merge_equals_recording_everything_in_one() {
         let xs = [150u64, 90, 4_000, 77_000, 1 << 50];
         let ys = [300u64, 300, 128];
-        let mut a = Histogram::from_samples(&xs);
-        let b = Histogram::from_samples(&ys);
+        let mut a = from_samples(&xs);
+        let b = from_samples(&ys);
         a.merge(&b);
         let all: Vec<u64> = xs.iter().chain(ys.iter()).copied().collect();
-        assert_eq!(a, Histogram::from_samples(&all));
+        assert_eq!(a, from_samples(&all));
         assert_eq!(a.count(), 8);
     }
 
@@ -228,7 +226,7 @@ mod tests {
 
     #[test]
     fn single_sample_every_quantile_is_that_sample() {
-        let h = Histogram::from_samples(&[777]);
+        let h = from_samples(&[777]);
         for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 777);
         }
