@@ -977,11 +977,12 @@ fn run_fig5(_ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
     Ok(CmdSummary::new("all", CLUSTER_SEED, fnv1a(text.as_bytes())).with_metrics(metrics))
 }
 
-/// `--check` gate for fig5: its five `check_fig5_*` pieces.
+/// `--check` gate for fig5: its six `check_fig5_*` pieces.
 pub fn check_fig5(_ctx: &Ctx, s: &CmdSummary) -> Result<(), String> {
     check_fig5_dominant_share(s)?;
     check_fig5_clusters(s)?;
     check_fig5_never_faulty(s)?;
+    check_fig5_vc707_never_faulty(s)?;
     check_fig5_location(s)?;
     check_fig5_within_bram(s)?;
     println!(
@@ -1043,6 +1044,22 @@ pub fn check_fig5_never_faulty(s: &CmdSummary) -> Result<(), String> {
         s.bound(kind, "max_over_mean", "> 3", |v| v > 3.0)?;
     }
     Ok(())
+}
+
+/// Gated band of VC707's never-faulty BRAM share at `Vcrash`. The paper
+/// reports 38.9 %; this die measures 29.3 % (604 of 2060 BRAMs) at both
+/// scales, a documented deviation. The band holds it from both sides and
+/// excludes the paper's figure.
+pub const VC707_NEVER_FAULTY_BAND: (f64, f64) = (0.28, 0.31);
+
+/// fig5 gate piece: VC707's never-faulty share stays in
+/// [`VC707_NEVER_FAULTY_BAND`].
+pub fn check_fig5_vc707_never_faulty(s: &CmdSummary) -> Result<(), String> {
+    let (lo, hi) = VC707_NEVER_FAULTY_BAND;
+    let want = format!("in the documented deviation band [{lo}, {hi}]");
+    s.bound(PlatformKind::Vc707, "never_faulty_share", &want, |v| {
+        (lo..=hi).contains(&v)
+    })
 }
 
 /// fig5 gate piece: the per-BRAM, die-column and die-row histograms
@@ -1127,11 +1144,12 @@ fn run_fig8(ctx: &mut Ctx, tracer: &Tracer) -> Result<CmdSummary, String> {
     .with_metrics(metrics))
 }
 
-/// `--check` gate for fig8: [`check_fig8_itd`] and
-/// [`check_fig8_vc707_reduction`].
+/// `--check` gate for fig8: [`check_fig8_itd`],
+/// [`check_fig8_vc707_reduction`] and [`check_fig8_slopes_agree`].
 pub fn check_fig8(ctx: &Ctx, s: &CmdSummary) -> Result<(), String> {
     check_fig8_itd(ctx, s)?;
     check_fig8_vc707_reduction(ctx, s)?;
+    check_fig8_slopes_agree(ctx, s)?;
     println!("  check ok: inverse thermal dependence on every platform the row runs");
     Ok(())
 }
@@ -1157,6 +1175,35 @@ pub fn check_fig8_vc707_reduction(ctx: &Ctx, s: &CmdSummary) -> Result<(), Strin
         s.bound(PlatformKind::Vc707, "reduction_50_80", "> 3", |v| v > 3.0)?;
     }
     Ok(())
+}
+
+/// Largest ratio of two platforms' log-linear thermal slopes. All four
+/// dies share one ITD coefficient (`itd_mv_per_c` 0.35), so their slopes
+/// agree (measured −0.0457 to −0.0488 /°C, a ratio of 1.07) and the
+/// paper's VC707/KC705-A crossover cannot appear: a documented deviation.
+pub const FIG8_SLOPE_RATIO: f64 = 1.10;
+
+/// fig8 gate piece, at paper scale: the four log-linear slopes lie within
+/// [`FIG8_SLOPE_RATIO`] of one another.
+pub fn check_fig8_slopes_agree(ctx: &Ctx, s: &CmdSummary) -> Result<(), String> {
+    if ctx.quick {
+        return Ok(());
+    }
+    let mut steepest = 0.0f64;
+    let mut flattest = f64::INFINITY;
+    for kind in PlatformKind::ALL {
+        let slope = s.metric_of(kind, "log_slope")?.abs();
+        steepest = steepest.max(slope);
+        flattest = flattest.min(slope);
+    }
+    if steepest <= FIG8_SLOPE_RATIO * flattest {
+        Ok(())
+    } else {
+        Err(format!(
+            "log-linear slopes span {flattest}..{steepest} /°C, more than {FIG8_SLOPE_RATIO}x \
+             apart: the documented no-crossover deviation moved"
+        ))
+    }
 }
 
 /// The platforms table2 runs at quick scale.

@@ -6,9 +6,10 @@
 //! in its usage text. Every `uvf_<crate>::<Item>` path written as code
 //! there must name `pub` items or re-exports in `crates/<crate>/src`, and
 //! every `*.rs` path written as code there must name a file under
-//! `crates/` or `perfbench/`.
+//! `crates/` or `perfbench/`. And every `pub fn` must have a caller
+//! outside tests, or a reason in [`ORACLES`] to exist without one.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::Command;
 
@@ -229,42 +230,47 @@ fn idents(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
+/// The items `text` declares `pub`, as `(kind, name)`: `("fn", "load")`,
+/// `("struct", "Manifest")`, … and `("use", name)` for every identifier a
+/// `pub use` lists.
+fn pub_items(text: &str) -> Vec<(&str, &str)> {
+    let mut items = Vec::new();
+    for (at, _) in text.match_indices("pub ") {
+        let rest = &text[at + "pub ".len()..];
+        if let Some(list) = rest.strip_prefix("use ") {
+            items.extend(idents(&list[..list.find(';').unwrap_or(list.len())]).map(|n| ("use", n)));
+            continue;
+        }
+        let words: Vec<&str> = idents(rest).take(3).collect();
+        let item = match words.as_slice() {
+            ["const" | "unsafe" | "async", "fn", name, ..] => ("fn", *name),
+            [kind, name, ..]
+                if [
+                    "fn", "struct", "enum", "trait", "type", "mod", "const", "static",
+                ]
+                .contains(kind) =>
+            {
+                (*kind, *name)
+            }
+            _ => continue,
+        };
+        items.push(item);
+    }
+    items
+}
+
 /// Every name the Rust sources under `dir` declare `pub` (`pub fn`,
 /// `pub struct`, `pub mod`, …) or list in a `pub use`.
 fn pub_names(dir: &Path, names: &mut BTreeSet<String>) {
-    for entry in std::fs::read_dir(dir).expect("read src dir") {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            pub_names(&path, names);
-            continue;
-        }
-        if path.extension().is_none_or(|ext| ext != "rs") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("read source");
-        for (at, _) in text.match_indices("pub ") {
-            let rest = &text[at + "pub ".len()..];
-            if let Some(list) = rest.strip_prefix("use ") {
-                names.extend(
-                    idents(&list[..list.find(';').unwrap_or(list.len())]).map(String::from),
-                );
-                continue;
-            }
-            let words: Vec<&str> = idents(rest).take(3).collect();
-            let name = match words.as_slice() {
-                ["const" | "unsafe" | "async", "fn", name, ..] => name,
-                [kind, name, ..]
-                    if [
-                        "fn", "struct", "enum", "trait", "type", "mod", "const", "static",
-                    ]
-                    .contains(kind) =>
-                {
-                    name
-                }
-                _ => continue,
-            };
-            names.insert((*name).to_string());
-        }
+    let mut files = Vec::new();
+    rust_files(dir, dir, &mut files);
+    for file in files {
+        let text = std::fs::read_to_string(dir.join(file)).expect("read source");
+        names.extend(
+            pub_items(&text)
+                .into_iter()
+                .map(|(_, name)| name.to_string()),
+        );
     }
 }
 
@@ -373,4 +379,135 @@ fn rs_paths_are_found_in_code() {
         rs_paths("see crates/bench/tests/registry.rs::row, ./src/lib.rs and crates/*/src/**/*.rs"),
         ["crates/bench/tests/registry.rs", "src/lib.rs"]
     );
+}
+
+/// `pub fn`s that only tests call, each kept for the reason given: the
+/// reference a test holds a production path against, or the handle a test
+/// needs to reach it.
+const ORACLES: &[(&str, &str)] = &[
+    (
+        "reference_decode",
+        "the textbook SECDED decoder the table-driven `decode` is held against",
+    ),
+    (
+        "for_each_failing_resolved",
+        "the per-cell scan the fault masks, ladder kernel and probe counts are held against",
+    ),
+    (
+        "total_weak_cells",
+        "the die size the weak-cell digests and die-sharing tests pin",
+    ),
+    (
+        "environment_noise_mv",
+        "reads back DESIGN §6b's supply-droop knob in the die-sharing and ladder tests",
+    ),
+    (
+        "set_environment_noise_mv",
+        "DESIGN §6b's supply-droop knob, which the ladder equivalence trials randomise",
+    ),
+    (
+        "to_mask",
+        "snapshots a ladder kernel so the tests hold it against `FaultMask::build`",
+    ),
+    (
+        "with_checkpoint_dir",
+        "the checkpointed single-process campaign and search the fleet and resume tests compare against",
+    ),
+    (
+        "probe_count",
+        "the VminSearch tests check its documented O(log levels) probe count",
+    ),
+    (
+        "probe_budget",
+        "the bound `probe_count` is checked against",
+    ),
+];
+
+/// The non-test part of a source file: the text above its
+/// `#[cfg(test)] mod`.
+fn non_test(text: &str) -> &str {
+    let end = text
+        .match_indices("#[cfg(test)]")
+        .map(|(at, tag)| at + tag.len())
+        .find(|&after| text[after..].trim_start().starts_with("mod "))
+        .map_or(text.len(), |after| after - "#[cfg(test)]".len());
+    &text[..end]
+}
+
+/// `text` without its whole-line comments and its `pub use` lists, so a
+/// name in a doc comment or a re-export is not taken for a caller.
+fn callers_only(text: &str) -> String {
+    let code: String = text
+        .lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    let mut out = String::new();
+    let mut rest = code.as_str();
+    while let Some(at) = rest.find("pub use ") {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        rest = &rest[rest.find(';').map_or(rest.len(), |end| end + 1)..];
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn every_pub_fn_has_a_caller_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "perfbench"] {
+        rust_files(&root.join(dir), &root, &mut files);
+    }
+    let mut declared: Vec<(String, String)> = Vec::new();
+    let mut uses: BTreeMap<String, usize> = BTreeMap::new();
+    for file in &files {
+        let parts: Vec<&str> = file.split('/').collect();
+        let text = std::fs::read_to_string(root.join(file)).expect("read source");
+        let text = match parts.as_slice() {
+            ["crates", _, "src", ..] => {
+                let source = non_test(&text);
+                declared.extend(
+                    pub_items(source)
+                        .into_iter()
+                        .filter(|(kind, _)| *kind == "fn")
+                        .map(|(_, name)| (file.clone(), name.to_string())),
+                );
+                source
+            }
+            ["crates", _, "examples", ..] | ["perfbench", ..] => &text,
+            _ => continue,
+        };
+        for name in idents(&callers_only(text)) {
+            *uses.entry(name.to_string()).or_default() += 1;
+        }
+    }
+    assert!(
+        declared.len() > 100,
+        "only {} pub fns found",
+        declared.len()
+    );
+    let mut declarations: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, name) in &declared {
+        *declarations.entry(name).or_default() += 1;
+    }
+    let is_uncalled = |name: &str| uses.get(name).copied().unwrap_or(0) <= declarations[name];
+    let uncalled: Vec<String> = declared
+        .iter()
+        .filter(|(_, name)| is_uncalled(name))
+        .filter(|(_, name)| !ORACLES.iter().any(|(oracle, _)| oracle == name))
+        .map(|(file, name)| format!("{file}: {name}"))
+        .collect();
+    assert!(
+        uncalled.is_empty(),
+        "pub fns with no caller outside tests (call them, delete them, or list \
+         them in ORACLES with a reason): {uncalled:#?}"
+    );
+    for (oracle, _) in ORACLES {
+        assert!(
+            declarations.contains_key(oracle) && is_uncalled(oracle),
+            "ORACLES lists {oracle}, which is not an uncalled pub fn"
+        );
+    }
 }

@@ -17,9 +17,10 @@ use uvf_accel::{LayerFaults, MappedNetwork, Placement};
 use uvf_bench::registry::{
     build_fixture, check_fig1, check_fig10_further_reduction, check_fig10_share,
     check_fig10_vmin_reduction, check_fig5_clusters, check_fig5_dominant_share,
-    check_fig5_location, check_fig5_never_faulty, check_fig5_within_bram, check_fig8_itd,
-    check_table1_guardbands, check_table1_landmarks, check_table2_design_targets,
-    check_table2_spread, CmdSummary, Ctx, EVAL_TEMPERATURE_C, REGISTRY,
+    check_fig5_location, check_fig5_never_faulty, check_fig5_vc707_never_faulty,
+    check_fig5_within_bram, check_fig8_itd, check_fig8_slopes_agree, check_table1_guardbands,
+    check_table1_landmarks, check_table2_design_targets, check_table2_spread, CmdSummary, Ctx,
+    EVAL_TEMPERATURE_C, REGISTRY,
 };
 use uvf_faults::{FaultModel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, Platform, PlatformKind, Rail};
@@ -129,6 +130,11 @@ fn never_faulty_share_matches_fig5_shape() {
 }
 
 #[test]
+fn vc707_never_faulty_share_holds_its_deviation() {
+    gate("fig5", |_, s| check_fig5_vc707_never_faulty(s));
+}
+
+#[test]
 fn location_uniformity_is_rejected_on_every_platform() {
     gate("fig5", |_, s| check_fig5_location(s));
 }
@@ -141,6 +147,11 @@ fn within_bram_positions_are_structureless() {
 #[test]
 fn fig8_thermal_slope_is_negative_on_every_platform() {
     gate("fig8", check_fig8_itd);
+}
+
+#[test]
+fn fig8_slopes_agree_so_no_crossover_appears() {
+    gate("fig8", check_fig8_slopes_agree);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! A VC707 VCCBRAM guardband sweep that survives its own crash.
 //!
-//! The sweep descends in 10 mV steps. Below Vcrash the board ACKs the
-//! lethal VOUT_COMMAND and silently hangs; the harness watchdog notices
+//! The sweep descends in 10 mV steps. Below Vcrash the board acknowledges
+//! the lethal rail setting and silently hangs; the harness watchdog notices
 //! the dead read, power-cycles, retries with backoff, and — once retries
 //! are exhausted — reports the crash boundary. A JSON checkpoint is
 //! written throughout, so killing this process mid-sweep and re-running

@@ -16,7 +16,7 @@ use crate::json::Json;
 use crate::record::{RecordError, SweepOutcome, SweepRecord};
 use crate::store::CheckpointStore;
 use crate::sweep::SweepConfig;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use uvf_fpga::{Board, PlatformKind};
 use uvf_trace::codec::Text;
 use uvf_trace::Tracer;
@@ -284,11 +284,6 @@ impl Campaign {
     /// ignored. Kept only because the `perfbench/` workloads still call it.
     pub fn run(&self, _board_threads: usize) -> Result<Vec<CampaignEntry>, HarnessError> {
         self.run_sequential()
-    }
-
-    #[must_use]
-    pub fn checkpoint_dir(&self) -> Option<&Path> {
-        self.checkpoint_dir.as_deref()
     }
 }
 

@@ -2,14 +2,11 @@
 //!
 //! The experimentally discovered `Vmin` (highest level with faults) and
 //! `Vcrash` (lowest operational level) are read straight out of a
-//! [`SweepRecord`]; [`discover`] runs the whole pipeline — board, fault
-//! model, crash-resilient harness — for one platform/rail.
+//! [`SweepRecord`] that a crash-resilient `Harness` produced.
 
-use crate::harness::{Harness, HarnessError, RecoveryPolicy};
 use crate::record::SweepRecord;
-use crate::sweep::SweepConfig;
 use std::fmt;
-use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
+use uvf_fpga::{Millivolts, PlatformKind, Rail};
 
 /// Summary of one platform/rail guardband discovery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,34 +75,22 @@ impl fmt::Display for GuardbandReport {
     }
 }
 
-/// Run a full guardband sweep for one platform and return the report plus
-/// the underlying record.
-pub fn discover(
-    kind: PlatformKind,
-    cfg: SweepConfig,
-    policy: RecoveryPolicy,
-) -> Result<(GuardbandReport, SweepRecord), HarnessError> {
-    let board = Board::new(kind.descriptor());
-    let mut harness = Harness::new(board, cfg, policy)?;
-    harness.run()?;
-    let record = harness.record().clone();
-    Ok((GuardbandReport::from_record(&record), record))
-}
-
-/// Discover the `rail` guardband on all four Table-I platforms.
-pub fn discover_all(rail: Rail, runs_per_level: u32) -> Result<Vec<GuardbandReport>, HarnessError> {
-    PlatformKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let cfg = SweepConfig::quick(rail, runs_per_level);
-            discover(kind, cfg, RecoveryPolicy::default()).map(|(report, _)| report)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{Harness, RecoveryPolicy};
+    use crate::sweep::SweepConfig;
+    use uvf_fpga::Board;
+
+    /// One ZC702 VCCBRAM sweep through the harness, as its report and
+    /// record.
+    fn sweep_zc702(cfg: SweepConfig) -> (GuardbandReport, SweepRecord) {
+        let board = Board::new(PlatformKind::Zc702.descriptor());
+        let mut harness = Harness::new(board, cfg, RecoveryPolicy::default()).unwrap();
+        harness.run().unwrap();
+        let record = harness.record().clone();
+        (GuardbandReport::from_record(&record), record)
+    }
 
     #[test]
     fn discovery_matches_design_landmarks_for_zc702() {
@@ -114,8 +99,7 @@ mod tests {
             .runs(2)
             .start(Millivolts(platform.vccbram.vmin.0 + 20))
             .build();
-        let (report, record) =
-            discover(PlatformKind::Zc702, cfg, RecoveryPolicy::default()).unwrap();
+        let (report, record) = sweep_zc702(cfg);
         assert_eq!(report.vmin, Some(platform.vccbram.vmin));
         assert_eq!(report.vcrash, Some(platform.vccbram.vcrash));
         assert!(report.crash_events > 0, "no induced crash was survived");
@@ -130,7 +114,7 @@ mod tests {
             .runs(1)
             .start(Millivolts(platform.vccbram.vcrash.0 + 10))
             .build();
-        let (report, _) = discover(PlatformKind::Zc702, cfg, RecoveryPolicy::default()).unwrap();
+        let (report, _) = sweep_zc702(cfg);
         let line = report.to_string();
         assert!(line.contains("zc702"), "{line}");
         assert!(line.contains("vccbram"), "{line}");

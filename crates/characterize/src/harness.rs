@@ -2,9 +2,9 @@
 //!
 //! The hard part of undervolting characterization is not the sweep loop —
 //! it is that driving a rail below `Vcrash` hangs the board *silently*: the
-//! lethal `VOUT_COMMAND` is ACKed, and the hang only becomes visible when a
-//! later read never returns. This harness wraps Listing 1 with exactly the
-//! machinery a multi-day lab campaign needs:
+//! lethal rail setting is acknowledged, and the hang only becomes visible
+//! when a later read never returns. This harness wraps Listing 1 with
+//! exactly the machinery a multi-day lab campaign needs:
 //!
 //! * a **watchdog**: any board access that never completes is declared hung
 //!   after `watchdog_timeout_ms` of simulated waiting,
@@ -183,10 +183,9 @@ pub struct Harness {
     /// never influence it, so records are bit-identical with tracing on.
     tracer: Tracer,
     /// Analytic rail-power model for the platform under test; sampled once
-    /// per level into [`LevelRecord::rail_uw`] and mirrored onto the board
-    /// so `READ_POUT` answers. Pure in (rail, voltage, temperature), so it
-    /// never perturbs the sweep record's fault data.
-    power: Arc<ChipPowerModel>,
+    /// per level into [`LevelRecord::rail_uw`]. Pure in (rail, voltage,
+    /// temperature), so it never perturbs the sweep record's fault data.
+    power: ChipPowerModel,
 }
 
 impl Harness {
@@ -204,8 +203,7 @@ impl Harness {
         let mut board = board;
         board.set_noise_band_mv(cfg.noise_band_mv);
         board.set_temperature_c(cfg.temperature_c);
-        let power = Arc::new(ChipPowerModel::for_platform(board.platform().kind));
-        board.attach_power_model(power.clone());
+        let power = ChipPowerModel::for_platform(board.platform().kind);
         Ok(Harness {
             board,
             model,

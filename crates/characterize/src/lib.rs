@@ -13,7 +13,7 @@
 //!   checkpointed resume (the crash-resilience core),
 //! * [`campaign`] — multi-board runner: one harness per die, in job
 //!   order, with a shared checkpoint directory,
-//! * [`guardband`] — `Vmin`/`Vcrash` discovery reports over the harness,
+//! * [`guardband`] — `Vmin`/`Vcrash` reports read out of a sweep record,
 //! * [`stats`] — the Fig. 5–8 statistical analyses (location χ², k-means
 //!   vulnerability clusters, thermal regression) over `uvf-stats`,
 //! * [`search`] — `Vmin` binary search: O(log levels) single-level
@@ -45,7 +45,7 @@ pub use uvf_trace::json;
 
 pub use backoff::Backoff;
 pub use campaign::{Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry};
-pub use guardband::{discover, discover_all, GuardbandReport};
+pub use guardband::GuardbandReport;
 pub use harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy, SimClock, MS_PER_RUN};
 pub use json::{Json, JsonError};
 pub use record::{
@@ -55,8 +55,8 @@ pub use record::{
 pub use scan::platform_level_counts;
 pub use search::{VminProbe, VminSearch, VminSearchReport};
 pub use stats::{
-    bram_rates_per_mbit, cluster_brams, BramClusters, LocationStats, ThermalCampaign, ThermalPoint,
-    ThermalReport, LOCATION_ALPHA,
+    cluster_brams, BramClusters, LocationStats, ThermalCampaign, ThermalPoint, ThermalReport,
+    LOCATION_ALPHA,
 };
 pub use store::{CheckpointStore, JobQueue, LeaseState};
 pub use sweep::{Probe, SweepConfig, SweepConfigBuilder};
@@ -81,14 +81,14 @@ pub mod prelude {
     pub use crate::campaign::{
         Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry,
     };
-    pub use crate::guardband::{discover, discover_all, GuardbandReport};
+    pub use crate::guardband::GuardbandReport;
     pub use crate::harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy};
     pub use crate::json::Json;
     pub use crate::record::{Checkpoint, FvmRecord, LevelRecord, SweepOutcome, SweepRecord};
     pub use crate::search::{VminProbe, VminSearch, VminSearchReport};
     pub use crate::stats::{
-        bram_rates_per_mbit, cluster_brams, BramClusters, LocationStats, ThermalCampaign,
-        ThermalPoint, ThermalReport, LOCATION_ALPHA,
+        cluster_brams, BramClusters, LocationStats, ThermalCampaign, ThermalPoint, ThermalReport,
+        LOCATION_ALPHA,
     };
     pub use crate::store::{CheckpointStore, JobQueue, LeaseState};
     pub use crate::sweep::{Probe, SweepConfig, SweepConfigBuilder};

@@ -17,7 +17,7 @@ use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use uvf_faults::{FaultModel, FaultVariationMap};
+use uvf_faults::FaultVariationMap;
 use uvf_fpga::seedmix::{fnv1a, mix};
 use uvf_fpga::{DataPattern, Millivolts, PlatformKind, Rail};
 use uvf_trace::codec::{self, DecodeError, DecodeErrorKind, Plain, Text, Value, Via};
@@ -30,8 +30,7 @@ use uvf_trace::write_atomic;
 ///   itself (only checkpoints carried one).
 /// * **v2** — the record document leads with `version`, and every level
 ///   carries `rail_uw`: the modeled draw of the swept rail at that level
-///   in integer microwatts (`uvf-power`, quantized at the
-///   `uvf_fpga::RailDraw` seam).
+///   in integer microwatts (`uvf-power`'s `PowerSample::total_uw`).
 ///
 /// Decoders reject any other version loudly ([`RecordError::Schema`]);
 /// a checkpoint from an older build must never resume into a silently
@@ -323,12 +322,6 @@ uvf_trace::json_record! {
 }
 
 impl FvmRecord {
-    /// Capture the census of a live fault model at `v_ref`.
-    #[must_use]
-    pub fn capture(model: &FaultModel, v_ref: Millivolts) -> FvmRecord {
-        FvmRecord::from_map(&model.variation_map(v_ref))
-    }
-
     #[must_use]
     pub fn from_map(map: &FaultVariationMap) -> FvmRecord {
         FvmRecord {
@@ -443,6 +436,7 @@ fn io_err(path: &Path, e: &std::io::Error) -> RecordError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uvf_faults::FaultModel;
 
     fn sample_record() -> SweepRecord {
         SweepRecord {
@@ -548,7 +542,7 @@ mod tests {
     fn fvm_record_roundtrips_byte_stable_and_rehydrates() {
         let platform = PlatformKind::Zc702.descriptor();
         let model = FaultModel::new(platform);
-        let rec = FvmRecord::capture(&model, platform.vccbram.vcrash);
+        let rec = FvmRecord::from_map(&model.variation_map(platform.vccbram.vcrash));
         assert_eq!(rec.counts.len(), platform.bram_count);
 
         let text = rec.to_json_string();
@@ -565,7 +559,7 @@ mod tests {
     fn fvm_record_rejects_wrong_bram_count() {
         let platform = PlatformKind::Zc702.descriptor();
         let model = FaultModel::new(platform);
-        let mut rec = FvmRecord::capture(&model, platform.vccbram.vcrash);
+        let mut rec = FvmRecord::from_map(&model.variation_map(platform.vccbram.vcrash));
         rec.counts.pop();
         let text = rec.to_json_string();
         assert!(matches!(
@@ -578,7 +572,7 @@ mod tests {
     fn fvm_record_saves_and_loads_atomically() {
         let platform = PlatformKind::Zc702.descriptor();
         let model = FaultModel::new(platform);
-        let rec = FvmRecord::capture(&model, platform.vccbram.vcrash);
+        let rec = FvmRecord::from_map(&model.variation_map(platform.vccbram.vcrash));
         let path = std::env::temp_dir().join(format!("uvf-fvm-{}.json", std::process::id()));
         rec.save(&path).unwrap();
         assert_eq!(FvmRecord::load(&path).unwrap(), rec);

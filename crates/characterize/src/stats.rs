@@ -385,17 +385,6 @@ impl ThermalCampaign {
     }
 }
 
-/// Convenience: the per-BRAM fault *rate* (weak cells per Mbit) behind a
-/// census — the Fig. 5 y-axis unit.
-#[must_use]
-pub fn bram_rates_per_mbit(map: &FaultVariationMap) -> Vec<f64> {
-    const MBIT_PER_BRAM: f64 = (BRAM_ROWS * BRAM_WORD_BITS) as f64 / (1024.0 * 1024.0);
-    map.counts()
-        .iter()
-        .map(|&c| f64::from(c) / MBIT_PER_BRAM)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,15 +446,5 @@ mod tests {
             c.run(&Tracer::disabled()),
             Err(HarnessError::Config(_))
         ));
-    }
-
-    #[test]
-    fn bram_rates_scale_counts() {
-        let m = model(PlatformKind::Zc702);
-        let map = m.variation_map(m.platform().vccbram.vcrash);
-        let rates = bram_rates_per_mbit(&map);
-        assert_eq!(rates.len(), map.bram_count());
-        let mbit = (BRAM_ROWS * BRAM_WORD_BITS) as f64 / (1024.0 * 1024.0);
-        assert!((rates[0] - f64::from(map.counts()[0]) / mbit).abs() < 1e-9);
     }
 }

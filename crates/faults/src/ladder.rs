@@ -50,9 +50,8 @@ pub struct LadderStep {
 /// Incremental per-BRAM fault masks across a ladder of conditions.
 ///
 /// After [`LadderKernel::advance`], the kernel's rows are exactly the rows
-/// [`FaultMask::build`] would produce for the same condition; query them in
-/// place ([`LadderKernel::apply`], [`LadderKernel::count_observable`]) or
-/// snapshot them with [`LadderKernel::to_mask`].
+/// [`FaultMask::build`] would produce for the same condition; snapshot them
+/// with [`LadderKernel::to_mask`].
 #[derive(Debug, Clone)]
 pub struct LadderKernel<'m> {
     model: &'m FaultModel,
@@ -195,27 +194,6 @@ impl<'m> LadderKernel<'m> {
         }
     }
 
-    /// Corrupted read-back of `stored` at `row` under the advanced
-    /// condition.
-    #[inline]
-    #[must_use]
-    pub fn apply(&self, row: u16, stored: u16) -> u16 {
-        let r = row as usize;
-        (stored & self.and_masks[r]) | self.or_masks[r]
-    }
-
-    /// Observable flips against a stored image — matches
-    /// [`FaultMask::count_observable`] of the same condition.
-    #[must_use]
-    pub fn count_observable(&self, words: &[u16]) -> u64 {
-        let mut n = 0u64;
-        for (row, &w) in words.iter().enumerate() {
-            let corrupted = (w & self.and_masks[row]) | self.or_masks[row];
-            n += u64::from((w ^ corrupted).count_ones());
-        }
-        n
-    }
-
     /// Snapshot the advanced condition as an owned [`FaultMask`],
     /// bit-identical to [`FaultMask::build`] for the same condition.
     #[must_use]
@@ -279,11 +257,6 @@ impl<'m> MaskPlan<'m> {
             scan_cutoff_mv,
             shared_certain_mv,
         }
-    }
-
-    #[must_use]
-    pub fn conditions(&self) -> &[ResolvedCondition] {
-        &self.resolved
     }
 
     #[must_use]

@@ -311,30 +311,11 @@ impl FaultMask {
         self.flip_cells == 0
     }
 
-    /// Corrupted read-back of `stored` at `row`.
-    #[inline]
-    #[must_use]
-    pub fn apply(&self, row: u16, stored: u16) -> u16 {
-        let r = row as usize;
-        (stored & self.and_masks[r]) | self.or_masks[r]
-    }
-
     /// Corrupt a whole stored image in place; `words[i]` is row `i`.
     pub fn apply_all(&self, words: &mut [u16]) {
         for (row, w) in words.iter_mut().enumerate() {
             *w = (*w & self.and_masks[row]) | self.or_masks[row];
         }
-    }
-
-    /// Observable flips against a stored image (the probe's statistic).
-    #[must_use]
-    pub fn count_observable(&self, words: &[u16]) -> u64 {
-        let mut n = 0u64;
-        for (row, &w) in words.iter().enumerate() {
-            let corrupted = (w & self.and_masks[row]) | self.or_masks[row];
-            n += u64::from((w ^ corrupted).count_ones());
-        }
-        n
     }
 }
 
@@ -466,10 +447,12 @@ mod tests {
         for b in (0..m.platform().bram_count as u32).step_by(19) {
             let bram = BramId(b);
             let mask = FaultMask::build(&m, bram, &rc);
-            for row in (0..BRAM_ROWS as u16).step_by(61) {
-                for stored in [0xFFFFu16, 0x0000, 0xAAAA, 0x5555, 0x1234] {
+            for stored in [0xFFFFu16, 0x0000, 0xAAAA, 0x5555, 0x1234] {
+                let mut read = vec![stored; BRAM_ROWS];
+                mask.apply_all(&mut read);
+                for row in (0..BRAM_ROWS as u16).step_by(61) {
                     assert_eq!(
-                        mask.apply(row, stored),
+                        read[row as usize],
                         corrupt_word(&m, bram, row, stored, &rc),
                         "BRAM {b} row {row} stored {stored:#06x}"
                     );
@@ -504,16 +487,9 @@ mod tests {
         let expect: Vec<u16> = words
             .iter()
             .enumerate()
-            .map(|(row, &w)| mask.apply(row as u16, w))
+            .map(|(row, &w)| (w & mask.and_masks[row]) | mask.or_masks[row])
             .collect();
-        let stored = words.clone();
         mask.apply_all(&mut words);
         assert_eq!(words, expect);
-        let flips: u64 = stored
-            .iter()
-            .zip(&words)
-            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-            .sum();
-        assert_eq!(mask.count_observable(&stored), flips);
     }
 }

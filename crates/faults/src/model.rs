@@ -395,12 +395,16 @@ mod tests {
         for b in 0..m.platform().bram_count as u32 {
             let id = BramId(b);
             let mask = m.fault_mask(id, &resolved);
+            let mut ones = [0xFFFFu16; BRAM_ROWS];
+            let mut zeros = [0x0000u16; BRAM_ROWS];
+            mask.apply_all(&mut ones);
+            mask.apply_all(&mut zeros);
             m.for_each_failing_resolved(id, &resolved, |c| {
                 if c.one_to_zero {
-                    let read = mask.apply(c.row, 0xFFFF);
+                    let read = ones[c.row as usize];
                     assert_eq!(read & (1 << c.bit), 0, "1→0 flip visible on FFFF");
                     // The same cell is invisible on a stored 0.
-                    let zero = mask.apply(c.row, 0x0000);
+                    let zero = zeros[c.row as usize];
                     assert_eq!(zero & (1 << c.bit), 0);
                     checked_flip = true;
                 }

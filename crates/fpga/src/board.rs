@@ -8,15 +8,11 @@
 //! a read stops returning data and a watchdog expires.
 
 use crate::bram::{Bram, BramId, DataPattern};
-use crate::error::{BoardError, PmbusError};
-use crate::floorplan::Floorplan;
+use crate::error::BoardError;
 use crate::platform::{Platform, BRAM_ROWS};
-use crate::pmbus::{PmbusCommand, PmbusResponse};
-use crate::power::RailDraw;
 use crate::regulator::Regulator;
 use crate::seedmix;
-use crate::voltage::{Millivolts, Rail};
-use std::sync::Arc;
+use crate::voltage::{Millivolts, Rail, VoltageRegion};
 
 /// Liveness of the board.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +32,6 @@ pub const DEFAULT_TEMPERATURE_C: f64 = 25.0;
 pub struct Board {
     platform: Platform,
     chip_seed: u64,
-    floorplan: Floorplan,
     regulator: Regulator,
     brams: Vec<Bram>,
     temperature_c: f64,
@@ -48,9 +43,6 @@ pub struct Board {
     /// operates *near* (but above) the boundary.
     noise_band_mv: u32,
     power_cycles: u32,
-    /// Electrical-draw model answering `READ_POUT` (none attached by
-    /// default; the characterization stack attaches one per platform).
-    power_model: Option<Arc<dyn RailDraw>>,
 }
 
 impl Board {
@@ -67,32 +59,13 @@ impl Board {
         Board {
             platform,
             chip_seed,
-            floorplan: Floorplan::new(platform.bram_count),
             regulator: Regulator::at_nominal(),
             brams: (0..platform.bram_count).map(|_| Bram::new()).collect(),
             temperature_c: DEFAULT_TEMPERATURE_C,
             state: BoardState::Operational,
             noise_band_mv: 0,
             power_cycles: 0,
-            power_model: None,
         }
-    }
-
-    /// Attach (or replace) the electrical-draw model behind `READ_POUT`
-    /// and [`Board::rail_power_uw`].
-    pub fn attach_power_model(&mut self, model: Arc<dyn RailDraw>) {
-        self.power_model = Some(model);
-    }
-
-    /// Modeled draw of `rail` at its current setpoint and die temperature,
-    /// in microwatts. `None` without an attached model. Host-side
-    /// bookkeeping like [`Board::rail_mv`] — the experiment driver itself
-    /// goes through `READ_POUT`.
-    #[must_use]
-    pub fn rail_power_uw(&self, rail: Rail) -> Option<u64> {
-        self.power_model
-            .as_ref()
-            .map(|m| m.rail_uw(rail, self.regulator.vout(rail), self.temperature_c))
     }
 
     #[must_use]
@@ -103,11 +76,6 @@ impl Board {
     #[must_use]
     pub fn chip_seed(&self) -> u64 {
         self.chip_seed
-    }
-
-    #[must_use]
-    pub fn floorplan(&self) -> &Floorplan {
-        &self.floorplan
     }
 
     #[must_use]
@@ -146,8 +114,7 @@ impl Board {
         self.noise_band_mv = band;
     }
 
-    /// Current programmed voltage of a rail, bypassing PMBus (host-side
-    /// bookkeeping; the experiment driver itself uses `READ_VOUT`).
+    /// Current programmed voltage of a rail.
     #[must_use]
     pub fn rail_mv(&self, rail: Rail) -> Millivolts {
         self.regulator.vout(rail)
@@ -164,64 +131,19 @@ impl Board {
         }
     }
 
-    /// Execute a PMBus transaction.
+    /// Program a rail (Listing 1's set-voltage step), snapped down to the
+    /// 10 mV VID grid; returns the programmed voltage.
     ///
-    /// A hung board answers nothing: every command fails with
-    /// [`PmbusError::NoResponse`] until the board is power-cycled.
-    pub fn pmbus(&mut self, cmd: PmbusCommand) -> Result<PmbusResponse, PmbusError> {
-        if self.is_crashed() {
-            return Err(PmbusError::NoResponse);
-        }
-        match cmd {
-            PmbusCommand::VoutCommand { rail, v } => {
-                if rail == Rail::Vccaux {
-                    // The study never touches VCCAUX; the bring-up scripts
-                    // don't either. Model the page as absent.
-                    return Err(PmbusError::UnknownPage { rail });
-                }
-                // The regulator programs the voltage first; range errors are
-                // polite NAK-like failures that leave the board alive.
-                let snapped = match self.regulator.set_vout(rail, v) {
-                    Ok(s) => s,
-                    Err(BoardError::VoltageOutOfRange { .. }) => {
-                        return Err(PmbusError::UnsupportedCommand {
-                            command: "VOUT_COMMAND out of range",
-                        });
-                    }
-                    Err(_) => {
-                        return Err(PmbusError::UnsupportedCommand {
-                            command: "VOUT_COMMAND",
-                        });
-                    }
-                };
-                // A lethal setting is still ACKed — the supply collapses
-                // *after* the command completes. The caller only finds out
-                // when the next data access times out.
-                if self.platform.rail(rail).region(snapped) == crate::voltage::VoltageRegion::Crash
-                {
-                    self.crash(rail, snapped);
-                }
-                Ok(PmbusResponse::Ack)
-            }
-            PmbusCommand::ReadVout { rail } => Ok(PmbusResponse::Vout(self.regulator.vout(rail))),
-            PmbusCommand::ReadTemperature2 => Ok(PmbusResponse::TemperatureC(self.temperature_c)),
-            PmbusCommand::ReadPout { rail } => match self.rail_power_uw(rail) {
-                Some(uw) => Ok(PmbusResponse::PowerUw(uw)),
-                None => Err(PmbusError::UnsupportedCommand {
-                    command: "READ_POUT: no power model attached",
-                }),
-            },
-            PmbusCommand::ClearFaults => Ok(PmbusResponse::Ack),
-        }
-    }
-
-    /// Convenience wrapper over `VOUT_COMMAND` returning board-level errors.
+    /// An out-of-range request is refused and leaves the board alive. A
+    /// lethal setting is still acknowledged — the supply collapses *after*
+    /// the command completes, and the caller only finds out when its next
+    /// board access fails with [`BoardError::Crashed`].
     pub fn set_rail_mv(&mut self, rail: Rail, v: Millivolts) -> Result<Millivolts, BoardError> {
         if let Some(e) = self.crashed_error() {
             return Err(e);
         }
         let snapped = self.regulator.set_vout(rail, v)?;
-        if self.platform.rail(rail).region(snapped) == crate::voltage::VoltageRegion::Crash {
+        if self.platform.rail(rail).region(snapped) == VoltageRegion::Crash {
             self.crash(rail, snapped);
         }
         Ok(snapped)
@@ -374,17 +296,14 @@ mod tests {
     fn lethal_vout_is_acked_then_board_hangs() {
         let mut b = vc707();
         // 0.53 V is below the VC707 VCCBRAM crash boundary of 0.54 V.
-        let resp = b.pmbus(PmbusCommand::VoutCommand {
-            rail: Rail::Vccbram,
-            v: Millivolts(530),
-        });
-        assert_eq!(resp, Ok(PmbusResponse::Ack), "lethal set is still ACKed");
+        let set = b.set_rail_mv(Rail::Vccbram, Millivolts(530));
+        assert_eq!(set, Ok(Millivolts(530)), "lethal set is still acked");
         assert!(b.is_crashed());
-        // ... and now the bus is silent.
-        let read = b.pmbus(PmbusCommand::ReadVout {
-            rail: Rail::Vccbram,
-        });
-        assert_eq!(read, Err(PmbusError::NoResponse));
+        // ... and now the board answers nothing.
+        assert!(matches!(
+            b.set_rail_mv(Rail::Vccbram, Millivolts(600)),
+            Err(BoardError::Crashed { .. })
+        ));
         assert!(matches!(
             b.read_row(BramId(0), 0),
             Err(BoardError::Crashed { .. })
@@ -469,33 +388,6 @@ mod tests {
         for run in 0..100 {
             assert!(!b.apply_supply_noise(Rail::Vccbram, run, 0), "above band");
         }
-    }
-
-    #[test]
-    fn read_pout_answers_through_the_attached_model() {
-        #[derive(Debug)]
-        struct Flat;
-        impl crate::power::RailDraw for Flat {
-            fn rail_uw(&self, _rail: Rail, v: Millivolts, _t: f64) -> u64 {
-                u64::from(v.0) * 1000
-            }
-        }
-        let mut b = vc707();
-        let cmd = PmbusCommand::ReadPout {
-            rail: Rail::Vccbram,
-        };
-        assert!(
-            matches!(b.pmbus(cmd), Err(PmbusError::UnsupportedCommand { .. })),
-            "no model attached yet"
-        );
-        assert_eq!(b.rail_power_uw(Rail::Vccbram), None);
-        b.attach_power_model(std::sync::Arc::new(Flat));
-        assert_eq!(b.pmbus(cmd).unwrap().pout_uw().unwrap(), 1_000_000);
-        b.set_rail_mv(Rail::Vccbram, Millivolts(610)).unwrap();
-        assert_eq!(b.rail_power_uw(Rail::Vccbram), Some(610_000));
-        // A hung board answers nothing, READ_POUT included.
-        b.set_rail_mv(Rail::Vccbram, Millivolts(500)).ok();
-        assert_eq!(b.pmbus(cmd), Err(PmbusError::NoResponse));
     }
 
     #[test]

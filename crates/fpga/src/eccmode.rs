@@ -84,12 +84,6 @@ pub fn store_codeword(image: &mut [u16; BRAM_ROWS], cw: usize, data: u64, parity
     image[row] = (image[row] & !(0xFFu16 << shift)) | (u16::from(parity) << shift);
 }
 
-/// How many ECC-mode BRAMs a payload of `words` `u16` data words needs.
-#[must_use]
-pub fn ecc_brams_for(words: usize) -> usize {
-    words.div_ceil(ECC_WORDS_PER_BRAM)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,13 +115,5 @@ mod tests {
         // Little-endian data rows.
         assert_eq!(image[0], 0x7788);
         assert_eq!(image[3], 0x1122);
-    }
-
-    #[test]
-    fn capacity_helper_rounds_up() {
-        assert_eq!(ecc_brams_for(0), 0);
-        assert_eq!(ecc_brams_for(1), 1);
-        assert_eq!(ecc_brams_for(896), 1);
-        assert_eq!(ecc_brams_for(897), 2);
     }
 }

@@ -8,39 +8,6 @@ use crate::voltage::{Millivolts, Rail};
 use std::error::Error;
 use std::fmt;
 
-/// Errors of the PMBus command layer.
-///
-/// A crashed board does not NAK politely — the adapter simply stops seeing
-/// the device, which is why [`PmbusError::NoResponse`] exists as its own
-/// variant rather than being folded into an invalid-command error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PmbusError {
-    /// The device did not respond: the board is hung (or the page is dead).
-    NoResponse,
-    /// Command not supported by the UCD9248-like device model.
-    UnsupportedCommand { command: &'static str },
-    /// The addressed rail/page does not exist on this regulator.
-    UnknownPage { rail: Rail },
-}
-
-impl fmt::Display for PmbusError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PmbusError::NoResponse => {
-                write!(f, "PMBus device not responding (board hung?)")
-            }
-            PmbusError::UnsupportedCommand { command } => {
-                write!(f, "PMBus command {command} not supported")
-            }
-            PmbusError::UnknownPage { rail } => {
-                write!(f, "PMBus page for rail {rail} not present")
-            }
-        }
-    }
-}
-
-impl Error for PmbusError {}
-
 /// Errors of the board model proper.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoardError {
@@ -58,14 +25,6 @@ pub enum BoardError {
         min: Millivolts,
         max: Millivolts,
     },
-    /// An operation did not complete within its (simulated) deadline. This
-    /// is what a watchdog turns a hang into.
-    Timeout {
-        operation: &'static str,
-        waited_ms: u64,
-    },
-    /// A PMBus-level failure surfaced through a board operation.
-    Pmbus(PmbusError),
     /// Address outside the modeled BRAM population.
     AddressOutOfRange { bram: u32, row: u32 },
 }
@@ -88,11 +47,6 @@ impl fmt::Display for BoardError {
                 f,
                 "regulator cannot set {rail} to {requested} (range {min}..{max})"
             ),
-            BoardError::Timeout {
-                operation,
-                waited_ms,
-            } => write!(f, "{operation} timed out after {waited_ms} ms"),
-            BoardError::Pmbus(e) => write!(f, "PMBus failure: {e}"),
             BoardError::AddressOutOfRange { bram, row } => {
                 write!(f, "address out of range: BRAM {bram} row {row}")
             }
@@ -100,20 +54,7 @@ impl fmt::Display for BoardError {
     }
 }
 
-impl Error for BoardError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            BoardError::Pmbus(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<PmbusError> for BoardError {
-    fn from(e: PmbusError) -> BoardError {
-        BoardError::Pmbus(e)
-    }
-}
+impl Error for BoardError {}
 
 /// Error of the `FromStr` impls on [`PlatformKind`], [`Rail`] and
 /// [`DataPattern`]: the input matched no stable short name.
@@ -180,12 +121,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("vccbram") && s.contains("0.53 V"), "{s}");
-    }
-
-    #[test]
-    fn source_chains_pmbus() {
-        let e = BoardError::from(PmbusError::NoResponse);
-        assert!(Error::source(&e).is_some());
     }
 
     #[test]

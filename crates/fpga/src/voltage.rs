@@ -55,7 +55,7 @@ pub enum Rail {
     Vccbram,
     /// Internal logic supply — the paper's "ongoing work" rail.
     Vccint,
-    /// Auxiliary rail; modeled for PMBus completeness, never underscaled.
+    /// Auxiliary rail; modeled for completeness, never underscaled.
     Vccaux,
 }
 

@@ -33,7 +33,7 @@ pub mod tensor;
 pub mod train;
 
 pub use datasets::{Dataset, DatasetKind, DatasetSpec, SyntheticData};
-pub use mlp::{argmax, Dense, Mlp, MNIST_LAYOUT};
+pub use mlp::{Dense, Mlp, MNIST_LAYOUT};
 pub use qtensor::{decode_word, encode_word, QTensor, QMAX, SIGN_BIT};
 pub use quantized::{QLayer, QNetwork};
 pub use score::Scorer;

@@ -141,13 +141,6 @@ impl Mlp {
         self.layers[self.layers.len() - 1].out_dim()
     }
 
-    /// Total weight count (biases excluded — they stay on-chip in flip
-    /// flops in the paper's design, not in BRAM).
-    #[must_use]
-    pub fn weight_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.data().len()).sum()
-    }
-
     /// Forward pass returning the output logits.
     #[must_use]
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
@@ -178,23 +171,23 @@ impl Mlp {
     }
 }
 
-/// Index of the largest value, first occurrence wins.
-#[must_use]
-pub fn argmax(v: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &x) in v.iter().enumerate().skip(1) {
-        if x > v[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::DatasetKind;
     use crate::tensor::{reference_matvec, BATCH};
+
+    /// Index of the largest value, first occurrence wins: the scalar rule
+    /// the scorer's per-lane argmax must reproduce.
+    fn argmax(v: &[f32]) -> usize {
+        let mut best = 0;
+        for (i, &x) in v.iter().enumerate().skip(1) {
+            if x > v[best] {
+                best = i;
+            }
+        }
+        best
+    }
 
     /// The per-sample scalar forward pass the batched `error_on` replaced:
     /// one plain dot product per output, bias, ReLU. The bit-identity
@@ -341,7 +334,8 @@ mod tests {
         let net = Mlp::new(&[5, 3, 2], 1);
         let out = net.forward(&[1.0, -1.0, 0.5, 0.0, 2.0]);
         assert_eq!(out.len(), 2);
-        assert_eq!(net.weight_count(), 5 * 3 + 3 * 2);
+        let weights: usize = net.layers().iter().map(|l| l.w.data().len()).sum();
+        assert_eq!(weights, 5 * 3 + 3 * 2);
     }
 
     #[test]

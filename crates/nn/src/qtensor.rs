@@ -70,12 +70,6 @@ impl QTensor {
         self.scale
     }
 
-    /// The quantized codes, row-major.
-    #[must_use]
-    pub fn codes(&self) -> &[i16] {
-        &self.q
-    }
-
     #[must_use]
     pub fn len(&self) -> usize {
         self.q.len()
@@ -168,7 +162,7 @@ mod tests {
             assert!((a - b).abs() <= 0.5 * step + f32::EPSILON, "{a} vs {b}");
         }
         // Extremes are exact.
-        assert_eq!(q.codes().iter().copied().max(), Some(QMAX as i16));
+        assert_eq!(q.q.iter().copied().max(), Some(QMAX as i16));
     }
 
     #[test]

@@ -45,12 +45,6 @@ impl QNetwork {
         &self.layers[l]
     }
 
-    /// Total weight count across all layers.
-    #[must_use]
-    pub fn weight_count(&self) -> usize {
-        self.layers.iter().map(|l| l.weights.len()).sum()
-    }
-
     /// Zero-bit share over the whole stored image (the paper measures
     /// ~76 % for the trained MNIST net).
     #[must_use]

@@ -164,7 +164,8 @@ fn input_panel<'b>(data: &Dataset, b: usize, buf: &'b mut Vec<f32>) -> &'b [f32]
     buf
 }
 
-/// [`crate::argmax`] of lane `j` of a k-major panel.
+/// Index of the largest logit in lane `j` of a k-major panel, first
+/// occurrence wins.
 fn argmax_lane(panel: &[f32], j: usize) -> usize {
     let mut best = 0;
     for (i, &x) in panel.iter().skip(j).step_by(BATCH).enumerate().skip(1) {

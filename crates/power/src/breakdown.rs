@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn nominal_breakdown_reports_the_paper_share() {
         let m = ChipPowerModel::for_platform(PlatformKind::Vc707);
-        let b = m.breakdown_nominal();
+        let b = m.breakdown(|r| m.rail(r).landmarks.nominal, 25.0);
         assert!((b.total_w() - 10.0).abs() < 1e-12);
         let share = b.share("VCCBRAM").unwrap();
         assert!((share - 0.241).abs() < 1e-12, "share {share}");

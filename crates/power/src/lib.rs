@@ -12,8 +12,8 @@
 //! Pieces:
 //!
 //! * [`RailPowerSpec`] / [`ChipPowerModel`] — the analytic model; the
-//!   chip model implements `uvf_fpga::RailDraw`, so a [`Board`] with it
-//!   attached answers PMBus `READ_POUT` like the real UCD9248.
+//!   characterization harness samples the chip model once per sweep level
+//!   into `LevelRecord::rail_uw`.
 //! * [`PowerBreakdown`] — VTR-style hierarchical report (component /
 //!   %-total / %-dynamic), after the `stereovision0.power` exemplar.
 //! * [`pareto`] — dominance frontier + knee location for the
@@ -23,8 +23,6 @@
 //! no clock, no ambient randomness, bit-identical across reruns — the
 //! same contract as the rest of the workspace, which matters because
 //! sweep records and checkpoints now embed these values.
-//!
-//! [`Board`]: uvf_fpga::Board
 
 #![deny(deprecated)]
 

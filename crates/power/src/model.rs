@@ -26,7 +26,6 @@
 
 use crate::breakdown::PowerBreakdown;
 use uvf_fpga::platform::{Platform, PlatformKind};
-use uvf_fpga::power::RailDraw;
 use uvf_fpga::voltage::{Millivolts, Rail, RailLandmarks};
 
 /// Dynamic fraction of the BRAM rail at nominal. Retention-dominated
@@ -261,20 +260,6 @@ impl ChipPowerModel {
     ) -> PowerBreakdown {
         PowerBreakdown::of_model(self, v_of, temperature_c)
     }
-
-    /// Breakdown with every rail at its nominal voltage, 25 °C.
-    #[must_use]
-    pub fn breakdown_nominal(&self) -> PowerBreakdown {
-        self.breakdown(|r| self.rail(r).landmarks.nominal, BENCH_TEMPERATURE_C)
-    }
-}
-
-/// A [`ChipPowerModel`] is directly attachable to a `Board`: PMBus
-/// `READ_POUT` answers with the quantized model draw.
-impl RailDraw for ChipPowerModel {
-    fn rail_uw(&self, rail: Rail, v: Millivolts, temperature_c: f64) -> u64 {
-        self.sample(rail, v, temperature_c).total_uw()
-    }
 }
 
 #[cfg(test)]
@@ -358,15 +343,5 @@ mod tests {
             static_w: 0.0,
         };
         assert_eq!(z.total_uw(), 0);
-    }
-
-    #[test]
-    fn rail_draw_impl_matches_sample() {
-        let m = vc707();
-        let v = Millivolts(610);
-        assert_eq!(
-            RailDraw::rail_uw(&m, Rail::Vccbram, v, 25.0),
-            m.sample(Rail::Vccbram, v, 25.0).total_uw()
-        );
     }
 }

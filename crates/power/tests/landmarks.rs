@@ -1,7 +1,7 @@
 //! Power-model invariants and breakdown-report golden bytes.
 //!
-//! Every platform saves power monotonically down the ladder, PMBus reads
-//! the attached model, and the VTR-style report renders byte-identically.
+//! Every platform saves power monotonically down the ladder, and the
+//! VTR-style report renders byte-identically.
 //! The §V-B headline numbers (24.1 %, >10× at Vmin, 40 % further at
 //! Vcrash) are gated by `uvf_bench::registry::check_fig10`, which tier-1
 //! runs through `crates/bench/tests/registry.rs`.
@@ -61,7 +61,7 @@ fn every_platform_monotonically_saves_power_down_the_ladder() {
 #[test]
 fn breakdown_report_bytes_are_golden() {
     let m = vc707();
-    let nominal = m.breakdown_nominal().render();
+    let nominal = m.breakdown(|r| m.rail(r).landmarks.nominal, 25.0).render();
     assert_golden("breakdown_vc707_nominal.txt", &nominal);
 
     // And at Vmin on the swept rail — the report the fig11 subcommand
@@ -80,27 +80,4 @@ fn breakdown_report_bytes_are_golden() {
         )
         .render();
     assert_golden("breakdown_vc707_vmin.txt", &at_vmin);
-}
-
-#[test]
-fn board_with_model_attached_answers_read_pout() {
-    use uvf_fpga::{Board, PmbusCommand};
-    let m = vc707();
-    let expected_nominal = m
-        .sample(Rail::Vccbram, Millivolts::NOMINAL, 25.0)
-        .total_uw();
-    let mut board = Board::new(PlatformKind::Vc707.descriptor());
-    board.attach_power_model(std::sync::Arc::new(m));
-    let uw = board
-        .pmbus(PmbusCommand::ReadPout {
-            rail: Rail::Vccbram,
-        })
-        .unwrap()
-        .pout_uw()
-        .unwrap();
-    assert_eq!(uw, expected_nominal);
-    // Underscaling the rail shows up in the very next reading.
-    board.set_rail_mv(Rail::Vccbram, Millivolts(610)).unwrap();
-    let at_vmin = board.rail_power_uw(Rail::Vccbram).unwrap();
-    assert!(at_vmin * 10 < uw, "{at_vmin} µW vs {uw} µW nominal");
 }

@@ -72,19 +72,6 @@ impl Supervisor {
         self.slots.is_empty()
     }
 
-    /// Workers currently running (reaps zombies as a side effect).
-    pub fn alive(&mut self) -> usize {
-        let mut alive = 0;
-        for slot in &mut self.slots {
-            if let Some(child) = &mut slot.child {
-                if matches!(child.try_wait(), Ok(None)) {
-                    alive += 1;
-                }
-            }
-        }
-        alive
-    }
-
     /// SIGKILL slot `i` and reap it (chaos injection: the worker dies
     /// mid-whatever-it-was-doing, exactly like an OOM kill).
     pub fn kill(&mut self, i: usize) -> io::Result<()> {

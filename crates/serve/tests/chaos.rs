@@ -500,9 +500,10 @@ fn ladder_engine_and_fvm_cache_preserve_merged_manifest_bytes() {
             temp_mc: 25_000,
             v_ref_mv: p.vccbram.vcrash.0,
         };
-        let fresh = uvf_characterize::record::FvmRecord::capture(
-            &FvmCache::new(1, 1).model(p, chip_seed),
-            p.vccbram.vcrash,
+        let fresh = uvf_characterize::record::FvmRecord::from_map(
+            &FvmCache::new(1, 1)
+                .model(p, chip_seed)
+                .variation_map(p.vccbram.vcrash),
         )
         .to_json()
         .to_string();

@@ -114,7 +114,7 @@ fn crashed_record() -> (SweepRecord, u64) {
 
 fn fvm_text() -> String {
     let p = PlatformKind::Zc702.descriptor();
-    FvmRecord::capture(&FaultModel::new(p), p.vccbram.vmin).to_json_string()
+    FvmRecord::from_map(&FaultModel::new(p).variation_map(p.vccbram.vmin)).to_json_string()
 }
 
 #[test]

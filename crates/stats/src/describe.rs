@@ -9,17 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance (divides by `n`, not `n - 1`); `0.0` when fewer
-/// than two points.
-#[must_use]
-pub fn population_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Median by sorting a copy (total order via `f64::total_cmp`); the mean
 /// of the two middle elements for even lengths, `0.0` when empty.
 #[must_use]
@@ -44,10 +33,6 @@ mod tests {
     #[test]
     fn closed_form_fixtures() {
         assert_eq!(mean(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-        assert_eq!(
-            population_variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]),
-            4.0
-        );
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
     }
@@ -55,8 +40,6 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_total() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(population_variance(&[]), 0.0);
-        assert_eq!(population_variance(&[5.0]), 0.0);
         assert_eq!(median(&[]), 0.0);
         assert_eq!(median(&[7.0]), 7.0);
     }

@@ -22,7 +22,7 @@
 //!   non-uniformity),
 //! * [`regression`] — ordinary least squares over `(x, y)` pairs (Fig. 8's
 //!   inverse thermal slope),
-//! * [`describe`] — the shared scalar summaries (mean, variance, median).
+//! * [`describe`] — the shared scalar summaries (mean, median).
 
 #![deny(deprecated)]
 
@@ -33,6 +33,6 @@ pub mod regression;
 mod rng;
 
 pub use chi2::{chi2_gof, chi2_uniform, gamma_q, ln_gamma, Chi2};
-pub use describe::{mean, median, population_variance};
+pub use describe::{mean, median};
 pub use kmeans::{kmeans_1d, select_k, silhouette_1d, KMeans, KSelection};
 pub use regression::{linear_fit, LinFit};

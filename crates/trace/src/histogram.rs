@@ -154,16 +154,6 @@ impl Histogram {
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
-
-    #[must_use]
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    #[must_use]
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
 }
 
 #[cfg(test)]
@@ -185,8 +175,9 @@ mod tests {
             h.record(ns);
         }
         assert_eq!(h.count(), 7);
-        assert!(h.p50() <= h.p95() && h.p95() <= h.p99());
-        assert!(h.p99() <= h.max_ns(), "clamped to the observed max");
+        let (p95, p99) = (h.quantile(0.95), h.quantile(0.99));
+        assert!(h.p50() <= p95 && p95 <= p99);
+        assert!(p99 <= h.max_ns(), "clamped to the observed max");
         assert!(h.p50() >= h.min_ns());
         assert_eq!(h.quantile(0.0), h.min_ns());
         assert_eq!(h.quantile(1.0), h.max_ns());

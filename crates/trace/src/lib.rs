@@ -23,7 +23,7 @@
 //! * [`Tracer`] / [`Span`] — the emitting handle and its RAII scoped
 //!   timer; spans nest per-thread.
 //! * [`Histogram`] — fixed power-of-two buckets (128 ns …), exact
-//!   min/max/sum, interpolated p50/p95/p99.
+//!   min/max/sum, interpolated quantiles.
 //! * [`Sink`] implementations: [`JsonlSink`] (byte-stable event log),
 //!   [`PrometheusSink`] (text exposition snapshot; also the campaign
 //!   server's fleet-wide merge — counters summed, histograms

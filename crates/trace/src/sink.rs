@@ -613,8 +613,8 @@ mod tests {
         for (a, b) in [(&fleet, &all), (&fleet, &merged)] {
             assert_eq!(a.count(), b.count());
             assert_eq!(a.p50(), b.p50());
-            assert_eq!(a.p95(), b.p95());
-            assert_eq!(a.p99(), b.p99());
+            assert_eq!(a.quantile(0.95), b.quantile(0.95));
+            assert_eq!(a.quantile(0.99), b.quantile(0.99));
             assert_eq!(a.sum_ns(), b.sum_ns());
         }
     }
