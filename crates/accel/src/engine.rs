@@ -12,9 +12,10 @@
 
 use crate::placement::Placement;
 use uvf_faults::ecc::{self, EccStats};
-use uvf_faults::{FaultModel, ReadCondition, ResolvedCondition};
+use uvf_faults::{FaultMask, FaultModel, ReadCondition, ResolvedCondition};
 use uvf_fpga::eccmode::{self, ECC_DATA_WORDS, ECC_WORDS_PER_BRAM};
 use uvf_fpga::{Board, BoardError, Millivolts, RailLandmarks, BRAM_ROWS};
+use uvf_nn::score::Change;
 use uvf_nn::{decode_word, Dataset, Matrix, Mlp, QNetwork, Scorer};
 use uvf_trace::{Tracer, Value};
 
@@ -198,9 +199,7 @@ impl<'a> MappedNetwork<'a> {
         Ok((mlp, stats.expect("ECC read-backs tally")))
     }
 
-    /// The one read loop behind both layouts: per BRAM, corrupt the
-    /// stored image through the fault mask, then decode it raw or
-    /// through SECDED. The tallies are `Some` exactly for an ECC net.
+    /// One read-back with nothing carried over: every BRAM is read.
     fn read(
         &self,
         board: &Board,
@@ -209,60 +208,126 @@ impl<'a> MappedNetwork<'a> {
         faults: LayerFaults,
         tracer: &Tracer,
     ) -> Result<(Mlp, Option<EccStats>), BoardError> {
+        let mut back = ReadBack::new(self.qnet);
+        let (stats, _) = self.read_level(&mut back, board, model, condition, faults, tracer)?;
+        Ok((back.net, stats))
+    }
+
+    /// The one read loop behind both layouts and every level of a ladder:
+    /// per BRAM, corrupt the stored image through the fault mask, then
+    /// decode it raw or through SECDED into `back`'s net. A BRAM whose mask
+    /// flips the same cells as on `back`'s last level reads back the same
+    /// words, so it keeps its weights and tallies from then. Returns the
+    /// tallies (`Some` exactly for an ECC net) and how the net changed
+    /// (`None`: in no bit), found by comparing the re-read weights' bits.
+    fn read_level(
+        &self,
+        back: &mut ReadBack,
+        board: &Board,
+        model: &FaultModel,
+        condition: Option<&ResolvedCondition>,
+        faults: LayerFaults,
+        tracer: &Tracer,
+    ) -> Result<(Option<EccStats>, Option<Change>), BoardError> {
         let _span = tracer.span_with(
             "weights_read_back",
             mode_fields(self.qnet.layers().len(), self.ecc),
         );
         let capacity = words_per_bram(self.ecc);
+        let first = back.brams.is_empty();
+        let mut change = first.then(|| Change {
+            layer: 0,
+            rows: (0..self.qnet.layer(0).weights.rows()).collect(),
+        });
         let mut stats = EccStats::default();
-        let mut matrices = Vec::with_capacity(self.qnet.layers().len());
         let mut decoded = Vec::new();
+        let mut k = 0;
         for (l, layer) in self.qnet.layers().iter().enumerate() {
             let n = layer.weights.len();
-            let scale = layer.weights.scale();
-            let mut data = Vec::with_capacity(n);
+            let (scale, cols) = (layer.weights.scale(), layer.weights.cols());
             for (i, &bram) in self.placement.layer(l).iter().enumerate() {
+                let mask = condition
+                    .filter(|_| faults.includes(l))
+                    .map(|res| model.fault_mask(bram, res));
+                // A clean mask reads back like no mask at all.
+                let faulty = mask.as_ref().filter(|mask| !mask.is_clean());
+                let reread = back
+                    .brams
+                    .get(k)
+                    .is_none_or(|last| last.mask.as_ref() != faulty);
                 let clean = board.read_bram(bram)?;
-                let mut words = *clean;
-                if faults.includes(l) {
-                    if let Some(res) = condition {
-                        let mask = model.fault_mask(bram, res);
-                        tracer.time("mask_apply", words.len() as u64, || {
-                            mask.apply_all(&mut words);
-                        });
-                    }
+                let mut words = reread.then_some(*clean);
+                if let Some(mask) = &mask {
+                    // Timed on every faulty level, re-read or not, so the
+                    // event stream does not depend on what was carried over.
+                    tracer.time("mask_apply", BRAM_ROWS as u64, || {
+                        if let Some(words) = &mut words {
+                            mask.apply_all(words);
+                        }
+                    });
                 }
-                let take = (n - i * capacity).min(capacity);
-                let stored = if self.ecc {
-                    decoded.clear();
-                    let codewords = take.div_ceil(ECC_DATA_WORDS);
-                    stats.merge(&ecc::decode_image(&words, clean, codewords, &mut decoded));
-                    &decoded[..take]
-                } else {
-                    &words[..take]
+                let bram_stats = match words {
+                    None => back.brams[k].stats,
+                    Some(words) => {
+                        let (offset, take) = (i * capacity, (n - i * capacity).min(capacity));
+                        let (stored, bram_stats) = if self.ecc {
+                            decoded.clear();
+                            let codewords = take.div_ceil(ECC_DATA_WORDS);
+                            let tally = ecc::decode_image(&words, clean, codewords, &mut decoded);
+                            (&decoded[..take], tally)
+                        } else {
+                            (&words[..take], EccStats::default())
+                        };
+                        let weights = back.net.layers_mut()[l].w.data_mut();
+                        let decode = |v: &mut f32, &w: &u16| *v = f32::from(decode_word(w)) * scale;
+                        if first {
+                            let slots = weights[offset..offset + take].iter_mut();
+                            slots.zip(stored).for_each(|(v, w)| decode(v, w));
+                        } else {
+                            let mut fresh = [0.0f32; BRAM_ROWS];
+                            fresh.iter_mut().zip(stored).for_each(|(v, w)| decode(v, w));
+                            // Compare and copy row by row: the weight rows of
+                            // layer `l` this BRAM holds, cut at its ends.
+                            let mut at = offset;
+                            while at < offset + take {
+                                let end = ((at / cols + 1) * cols).min(offset + take);
+                                let new = &fresh[at - offset..end - offset];
+                                if !same_bits(new, &weights[at..end]) {
+                                    weights[at..end].copy_from_slice(new);
+                                    note_row(&mut change, l, at / cols);
+                                }
+                                at = end;
+                            }
+                        }
+                        let read = BramRead {
+                            mask: mask.filter(|mask| !mask.is_clean()),
+                            stats: bram_stats,
+                        };
+                        match back.brams.get_mut(k) {
+                            Some(last) => *last = read,
+                            None => back.brams.push(read),
+                        }
+                        bram_stats
+                    }
                 };
-                data.extend(stored.iter().map(|&w| f32::from(decode_word(w)) * scale));
+                stats.merge(&bram_stats);
+                k += 1;
             }
-            matrices.push(Matrix::from_vec(
-                layer.weights.rows(),
-                layer.weights.cols(),
-                data,
-            ));
         }
         let stats = self.ecc.then(|| {
             tracer.counter("ecc_corrected", stats.corrected);
             tracer.counter("ecc_escaped", stats.escaped());
             stats
         });
-        Ok((self.qnet.rebuild_with_weights(matrices), stats))
+        Ok((stats, change))
     }
 
     /// Score every level of a ladder on this network: read it back with
     /// every layer faulty (`None` is a clean nominal read) and classify
     /// `data`. Returns each level's error and, for an ECC-stored net, its
-    /// decode tallies. Every level is read back, so the tallies are always
-    /// measured, but each level is classified by one [`Scorer`], which
-    /// recomputes only what changed since the previous level's read-back.
+    /// decode tallies. One read-back is carried from level to level, so a
+    /// level re-reads only the BRAMs whose fault mask changed, and one
+    /// [`Scorer`] recomputes only the weight rows those BRAMs changed.
     pub(crate) fn score_levels(
         &self,
         board: &Board,
@@ -272,15 +337,74 @@ impl<'a> MappedNetwork<'a> {
         tracer: &Tracer,
     ) -> Result<Vec<(f64, Option<EccStats>)>, BoardError> {
         let mut scorer = Scorer::new(data);
+        let mut back = ReadBack::new(self.qnet);
         levels
             .iter()
             .map(|level| {
                 let res = level.map(|c| model.resolve(&c));
-                let (net, stats) =
-                    self.read(board, model, res.as_ref(), LayerFaults::All, tracer)?;
-                Ok((scorer.error(net), stats))
+                let (stats, change) = self.read_level(
+                    &mut back,
+                    board,
+                    model,
+                    res.as_ref(),
+                    LayerFaults::All,
+                    tracer,
+                )?;
+                Ok((scorer.rescore(&back.net, change.as_ref()), stats))
             })
             .collect()
+    }
+}
+
+/// A read-back carried from one level of a ladder to the next: the net it
+/// decoded and, per BRAM in placement order, what its last read saw.
+struct ReadBack {
+    net: Mlp,
+    brams: Vec<BramRead>,
+}
+
+impl ReadBack {
+    /// Nothing read yet: a zero net of `qnet`'s shape.
+    fn new(qnet: &QNetwork) -> ReadBack {
+        let zeros = qnet
+            .layers()
+            .iter()
+            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()));
+        ReadBack {
+            net: qnet.rebuild_with_weights(zeros.collect()),
+            brams: Vec::new(),
+        }
+    }
+}
+
+/// One BRAM's last read: its fault mask (`None` for a clean read) and its
+/// SECDED tallies.
+struct BramRead {
+    mask: Option<FaultMask>,
+    stats: EccStats,
+}
+
+/// `a` and `b` hold the same bits (`0.0` and `-0.0` differ).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    let diff = a
+        .iter()
+        .zip(b)
+        .fold(0, |d, (x, y)| d | (x.to_bits() ^ y.to_bits()));
+    diff == 0
+}
+
+/// Record that `row` of `layer` changed, if `layer` is the first changed
+/// one so far: rows arrive in ascending order, layer after layer.
+fn note_row(change: &mut Option<Change>, layer: usize, row: usize) {
+    match change {
+        None => {
+            *change = Some(Change {
+                layer,
+                rows: vec![row],
+            });
+        }
+        Some(c) if c.layer == layer && c.rows.last() != Some(&row) => c.rows.push(row),
+        Some(_) => {}
     }
 }
 
@@ -354,9 +478,11 @@ pub(crate) fn ladder(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use uvf_faults::ReadCondition;
     use uvf_fpga::{Millivolts, Platform, PlatformKind, Rail, DEFAULT_TEMPERATURE_C};
     use uvf_nn::{Mlp, QNetwork};
+    use uvf_trace::MemorySink;
 
     fn small_setup() -> (Board, QNetwork, Vec<usize>) {
         let board = Board::with_chip_seed(Platform::new(PlatformKind::Vc707), 1);
@@ -475,6 +601,121 @@ mod tests {
             .read_back_traced(&board, &model, Some(&cond), LayerFaults::All, &off)
             .unwrap();
         assert_eq!(via_generic, read);
+    }
+
+    /// Where `net` first differs from `last` in weight bits, as a
+    /// read-back reports it: the first changed layer and its rows.
+    fn weight_change(last: &Mlp, net: &Mlp) -> Option<Change> {
+        let mut layers = last.layers().iter().zip(net.layers()).enumerate();
+        layers.find_map(|(layer, (a, b))| {
+            let rows: Vec<usize> = (0..b.out_dim())
+                .filter(|&r| !same_bits(a.w.row(r), b.w.row(r)))
+                .collect();
+            (!rows.is_empty()).then_some(Change { layer, rows })
+        })
+    }
+
+    #[test]
+    fn carried_read_backs_match_fresh_ones_level_by_level() {
+        let off = Tracer::disabled();
+        for ecc in [false, true] {
+            let (mut board, qnet, weights) = small_setup();
+            let model = FaultModel::with_chip_seed(*board.platform(), board.chip_seed());
+            let placement = Placement::contiguous_with_capacity(&weights, words_per_bram(ecc));
+            let mapped = MappedNetwork::store(&mut board, &qnet, placement, ecc, &off).unwrap();
+            let vcrash = board.platform().rail(Rail::Vccbram).vcrash.0;
+            // Down, a repeat, back to a clean read, and up again.
+            let levels = [None, Some(vcrash + 20), Some(vcrash), Some(vcrash)]
+                .into_iter()
+                .chain([None, Some(vcrash - 10), Some(vcrash + 20), Some(vcrash)]);
+            let mut back = ReadBack::new(&qnet);
+            let mut last: Option<Mlp> = None;
+            let (mut repeats, mut changes, mut tallies) = (0, 0, Vec::new());
+            for v in levels {
+                let res = v.map(|v| {
+                    model.resolve(&ReadCondition {
+                        v: Millivolts(v),
+                        temperature_c: DEFAULT_TEMPERATURE_C,
+                        run_seed: 3,
+                    })
+                });
+                let (stats, change) = mapped
+                    .read_level(
+                        &mut back,
+                        &board,
+                        &model,
+                        res.as_ref(),
+                        LayerFaults::All,
+                        &off,
+                    )
+                    .unwrap();
+                let (fresh, fresh_stats) = mapped
+                    .read(&board, &model, res.as_ref(), LayerFaults::All, &off)
+                    .unwrap();
+                assert_eq!((stats, ecc), (fresh_stats, fresh_stats.is_some()), "{v:?}");
+                if !tallies.contains(&stats) {
+                    tallies.push(stats);
+                }
+                assert!(
+                    weight_change(&back.net, &fresh).is_none(),
+                    "{v:?}: stale weights"
+                );
+                if let Some(last) = &last {
+                    assert_eq!(change, weight_change(last, &fresh), "{v:?}");
+                    if change.is_some() {
+                        changes += 1;
+                    } else {
+                        repeats += 1;
+                    }
+                }
+                last = Some(fresh);
+            }
+            // Raw reads change the weights and repeat; SECDED repairs every
+            // flip here, so its tallies move instead.
+            if ecc {
+                assert!(tallies.len() >= 3, "{tallies:?}");
+            } else {
+                assert!(
+                    repeats > 0 && changes > 2,
+                    "{repeats} repeats, {changes} changes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rung_loop_times_every_mask_of_every_faulty_level() {
+        // The BRAMs a carried read-back skips still report `mask_apply`,
+        // so the event stream does not depend on what was carried over.
+        let data = uvf_nn::DatasetKind::ForestLike.generate(2).test;
+        let net = Mlp::new(&[54, 64, 7], 2);
+        let qnet = QNetwork::from_mlp(&net);
+        let weights: Vec<usize> = net.layers().iter().map(|l| l.w.data().len()).collect();
+        let mut board = Board::with_chip_seed(Platform::new(PlatformKind::Vc707), 1);
+        let model = FaultModel::with_chip_seed(*board.platform(), board.chip_seed());
+        let off = Tracer::disabled();
+        let mapped =
+            MappedNetwork::load_traced(&mut board, &qnet, Placement::contiguous(&weights), &off)
+                .unwrap();
+        let rail = board.platform().rail(Rail::Vccbram);
+        // The last rung reads at nominal voltage: every mask clean.
+        let rungs = [rail.vmin, rail.vcrash, rail.vcrash, Millivolts::NOMINAL];
+        let levels = nominal_then(&rungs, 25.0, 4);
+        let sink = Arc::new(MemorySink::new(1 << 16));
+        let tracer = Tracer::builder().sink(sink.clone()).build();
+        let scored = mapped
+            .score_levels(&board, &model, &levels, &data, &tracer)
+            .unwrap();
+        assert_eq!(
+            scored,
+            mapped
+                .score_levels(&board, &model, &levels, &data, &off)
+                .unwrap()
+        );
+        let count = |name: &str| sink.events().iter().filter(|e| e.name == name).count();
+        let brams = mapped.placement().total_brams();
+        assert_eq!(count("mask_apply"), rungs.len() * brams);
+        assert_eq!(count("weights_read_back"), 2 * levels.len());
     }
 
     #[test]

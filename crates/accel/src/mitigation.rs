@@ -379,11 +379,12 @@ pub fn mitigation_shootout(
 ///
 /// ICBP variants rank sites with a `Vcrash` fault-variation map — the
 /// characterization you would run once per chip — and pin
-/// `cfg.protected_layer` onto the cleanest window. Every rung is read back
-/// (so the ECC tallies are always measured), but each rung's
-/// classification recomputes only the weight rows that changed since the
-/// previous rung (`uvf_nn::Scorer`), and a bit-identical read-back reuses
-/// the previous error.
+/// `cfg.protected_layer` onto the cleanest window. Every rung is read
+/// back, but only the BRAMs whose fault mask changed since the previous
+/// rung are decoded again (the others keep their weights and ECC tallies),
+/// and each rung's classification recomputes only the weight rows those
+/// BRAMs changed (`uvf_nn::Scorer`); a rung that changed no weight bit
+/// reuses the previous error.
 ///
 /// # Errors
 /// Propagates any [`BoardError`] from the weight loads or bulk reads.

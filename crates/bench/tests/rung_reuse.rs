@@ -1,9 +1,10 @@
 //! Exactness of the ladders' rung reuse: `mitigation_shootout_traced` and
-//! `voltage_accuracy_power_sweep` skip classification on a rung whose
-//! read-back is bit-identical to the previous rung's. Here every rung is
-//! recomputed the slow way — a fresh `read_back` and a fresh `error_on` —
-//! and must match the reports exactly, errors and ECC tallies alike, for
-//! all four mitigation modes. Both ladders must also report the same
+//! `voltage_accuracy_power_sweep` carry one read-back from rung to rung,
+//! re-reading only the BRAMs whose fault mask changed (the others keep
+//! their weights and ECC tallies), and rescore only the weight rows that
+//! changed. Here every rung is recomputed the slow way — a fresh
+//! `read_back` and a fresh `error_on` — and must match the reports
+//! exactly, errors and ECC tallies alike, for all four mitigation modes. Both ladders must also report the same
 //! whether the shared die cache starts cold or warm. The chip is the
 //! registry's Fig. 13/14 die, read cold, so faults arrive well inside the
 //! ladder.
@@ -78,7 +79,7 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
         rail.vcrash.0 - cfg.descend_below_vcrash_mv,
         cfg.step_mv,
     );
-    let (mut repeats, mut changes) = (0, 0);
+    let (mut repeats, mut changes, mut tally_moves) = (0, 0, 0);
     for m in Mitigation::ALL {
         let curve = report.curve(m);
         assert_eq!(curve.points.len(), rungs.len(), "{m}");
@@ -107,7 +108,7 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
             }
         };
 
-        let (mut previous, _) = read(None);
+        let (mut previous, mut previous_ecc) = read(None);
         assert_eq!(
             curve.nominal_error.to_bits(),
             previous.error_on(&data.test).to_bits(),
@@ -128,7 +129,11 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
             } else {
                 changes += 1;
             }
+            if m.uses_ecc() && stats != previous_ecc {
+                tally_moves += 1;
+            }
             previous = net;
+            previous_ecc = stats;
         }
     }
     // Both branches of the reuse are exercised: rungs that repeat the
@@ -137,6 +142,9 @@ fn shootout_rungs_match_a_fresh_read_back_and_classification() {
         repeats > 0 && changes > 0,
         "{repeats} repeats, {changes} changes"
     );
+    // The ECC modes' tallies move along the ladder, so a carried tally
+    // that went stale would show.
+    assert!(tally_moves > 4, "ECC tallies moved on {tally_moves} rungs");
 }
 
 #[test]

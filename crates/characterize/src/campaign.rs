@@ -171,11 +171,6 @@ impl Campaign {
         self
     }
 
-    #[must_use]
-    pub fn jobs(&self) -> &[CampaignJob] {
-        &self.jobs
-    }
-
     /// Checkpoint every job into `dir` (created on run). A rerun after a
     /// kill resumes each unfinished board from its file.
     #[must_use]
@@ -414,7 +409,7 @@ mod tests {
         let campaign = short_campaign().with_checkpoint_dir(&dir);
         let baseline = campaign.run_sequential().unwrap();
         // Truncate one finished checkpoint to a torn prefix.
-        let victim = dir.join(campaign.jobs()[1].checkpoint_name());
+        let victim = dir.join(campaign.jobs[1].checkpoint_name());
         let bytes = std::fs::read_to_string(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 3]).unwrap();
         let rerun = campaign.run_sequential().unwrap();
@@ -428,11 +423,11 @@ mod tests {
     fn job_checkpoint_names_are_unique_and_stable() {
         let campaign = short_campaign();
         let mut names: Vec<String> = campaign
-            .jobs()
+            .jobs
             .iter()
             .map(CampaignJob::checkpoint_name)
             .collect();
-        assert_eq!(names[0], campaign.jobs()[0].checkpoint_name());
+        assert_eq!(names[0], campaign.jobs[0].checkpoint_name());
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 4);

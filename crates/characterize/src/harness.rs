@@ -26,7 +26,7 @@ use crate::scan::platform_level_counts;
 use crate::sweep::{Probe, SweepConfig};
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use uvf_faults::{run_seed, FaultModel, FvmCache, ReadCondition, ResolvedCondition};
 use uvf_fpga::seedmix::mix;
@@ -230,11 +230,6 @@ impl Harness {
         self
     }
 
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Attach a checkpoint file. If it already exists it must belong to
     /// this exact sweep configuration (fingerprint check); the harness then
     /// resumes from it. A missing file means a fresh sweep that will
@@ -296,11 +291,6 @@ impl Harness {
     #[must_use]
     pub fn clock_ms(&self) -> u64 {
         self.clock.now_ms()
-    }
-
-    #[must_use]
-    pub fn checkpoint_path(&self) -> Option<&Path> {
-        self.checkpoint_path.as_deref()
     }
 
     /// Drive the sweep to completion (through any number of crashes).
@@ -748,7 +738,10 @@ mod tests {
     #[test]
     fn config_validation_is_enforced() {
         let board = Board::new(PlatformKind::Zc702.descriptor());
-        let cfg = SweepConfig::builder(Rail::Vccbram).step_mv(0).build();
+        let cfg = SweepConfig {
+            step_mv: 0,
+            ..SweepConfig::builder(Rail::Vccbram).build()
+        };
         assert!(matches!(
             Harness::new(board, cfg, RecoveryPolicy::default()),
             Err(HarnessError::Config(_))

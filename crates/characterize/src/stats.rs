@@ -127,16 +127,6 @@ impl LocationStats {
         &self.bram_counts
     }
 
-    #[must_use]
-    pub fn grid_col_counts(&self) -> &[u64] {
-        &self.grid_col_counts
-    }
-
-    #[must_use]
-    pub fn grid_row_counts(&self) -> &[u64] {
-        &self.grid_row_counts
-    }
-
     /// χ² of the per-BRAM histogram against "every BRAM equally likely"
     /// — the Figs. 6–7 headline: this rejects on every platform.
     #[must_use]
@@ -405,8 +395,8 @@ mod tests {
             assert_eq!(count, u64::from(map.count(BramId(id as u32))));
         }
         // Grid histograms are re-binnings of the same census.
-        assert_eq!(stats.grid_col_counts().iter().sum::<u64>(), stats.total());
-        assert_eq!(stats.grid_row_counts().iter().sum::<u64>(), stats.total());
+        assert_eq!(stats.grid_col_counts.iter().sum::<u64>(), stats.total());
+        assert_eq!(stats.grid_row_counts.iter().sum::<u64>(), stats.total());
     }
 
     #[test]

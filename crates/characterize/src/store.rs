@@ -40,11 +40,6 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir })
     }
 
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The checkpoint file of `job` inside this store.
     #[must_use]
     pub fn path_for(&self, job: &CampaignJob) -> PathBuf {
@@ -130,11 +125,6 @@ impl JobQueue {
             assignments: vec![0; n],
             lease_ms,
         }
-    }
-
-    #[must_use]
-    pub fn jobs(&self) -> &[CampaignJob] {
-        &self.jobs
     }
 
     #[must_use]

@@ -175,12 +175,6 @@ impl SweepConfigBuilder {
     }
 
     #[must_use]
-    pub fn step_mv(mut self, step_mv: u32) -> SweepConfigBuilder {
-        self.cfg.step_mv = step_mv;
-        self
-    }
-
-    #[must_use]
     pub fn runs(mut self, runs_per_level: u32) -> SweepConfigBuilder {
         self.cfg.runs_per_level = runs_per_level;
         self
@@ -189,12 +183,6 @@ impl SweepConfigBuilder {
     #[must_use]
     pub fn temperature_c(mut self, temperature_c: f64) -> SweepConfigBuilder {
         self.cfg.temperature_c = temperature_c;
-        self
-    }
-
-    #[must_use]
-    pub fn noise_band_mv(mut self, noise_band_mv: u32) -> SweepConfigBuilder {
-        self.cfg.noise_band_mv = noise_band_mv;
         self
     }
 
@@ -357,7 +345,11 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected() {
         let b = || SweepConfig::builder(Rail::Vccbram);
-        assert!(b().step_mv(0).build().validate().is_err());
+        let no_step = SweepConfig {
+            step_mv: 0,
+            ..b().build()
+        };
+        assert!(no_step.validate().is_err());
         assert!(b().runs(0).build().validate().is_err());
         assert!(b().floor(Millivolts(1100)).build().validate().is_err());
         assert!(SweepConfig::builder(Rail::Vccaux)

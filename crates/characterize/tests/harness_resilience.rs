@@ -335,11 +335,13 @@ fn fault_readbacks_identical_before_and_after_recovery() {
 fn noisy_environment_sweep_completes_within_one_step() {
     let kind = PlatformKind::Zc702;
     let platform = kind.descriptor();
-    let cfg = SweepConfig::builder(Rail::Vccbram)
-        .runs(2)
-        .start(Millivolts(platform.vccbram.vmin.0 + 20))
-        .noise_band_mv(15)
-        .build();
+    let cfg = SweepConfig {
+        noise_band_mv: 15,
+        ..SweepConfig::builder(Rail::Vccbram)
+            .runs(2)
+            .start(Millivolts(platform.vccbram.vmin.0 + 20))
+            .build()
+    };
 
     let run_once = || {
         let mut h = Harness::new(Board::new(platform), cfg, RecoveryPolicy::default()).unwrap();

@@ -303,17 +303,32 @@ impl EccStats {
 /// recovered `u16` data words to `out` and tallying outcomes against
 /// the fault-free `clean` image. Detected-uncorrectable words keep
 /// their corrupted data bits — they are flagged, not repaired.
+///
+/// `clean` holds valid codewords, as every stored image does, so a
+/// codeword that reads back exactly as stored decodes `Clean` to its own
+/// data: it is counted in `words` and its data rows are copied out
+/// without running the decoder. Above `Vcrash` that is almost every
+/// codeword.
 pub fn decode_image(
     corrupt: &[u16; BRAM_ROWS],
     clean: &[u16; BRAM_ROWS],
     codewords: usize,
     out: &mut Vec<u16>,
 ) -> EccStats {
-    let mut stats = EccStats::default();
+    let mut stats = EccStats {
+        words: codewords as u64,
+        ..EccStats::default()
+    };
+    // The stored data words are the output wherever the decoder keeps
+    // them; `out` holds them in the same codeword-major order.
+    let base = out.len();
+    out.extend_from_slice(eccmode::data_words(corrupt, codewords));
     for cw in 0..codewords {
         let stored = eccmode::fetch_codeword(corrupt, cw);
         let truth = eccmode::fetch_codeword(clean, cw);
-        stats.words += 1;
+        if stored == truth {
+            continue;
+        }
         stats.raw_flips += u64::from((stored.data ^ truth.data).count_ones())
             + u64::from((stored.parity ^ truth.parity).count_ones());
         let (data, verdict) = decode(Codeword {
@@ -329,8 +344,9 @@ pub fn decode_image(
             Decode::Corrected { .. } => stats.corrected += 1,
             Decode::Clean => {}
         }
-        for k in 0..ECC_DATA_WORDS {
-            out.push((data >> (16 * k)) as u16);
+        let words = &mut out[base + cw * ECC_DATA_WORDS..][..ECC_DATA_WORDS];
+        for (k, word) in words.iter_mut().enumerate() {
+            *word = (data >> (16 * k)) as u16;
         }
     }
     stats
@@ -354,6 +370,60 @@ pub fn corrupt_and_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn image_decode_skips_only_untouched_codewords() {
+        // Every codeword decoded on its own, untouched ones included: the
+        // tallies and words `decode_image` must reproduce.
+        let mut clean = [0u16; BRAM_ROWS];
+        for cw in 0..eccmode::ECC_CODEWORDS_PER_BRAM {
+            let coded = encode((cw as u64 + 7).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            eccmode::store_codeword(&mut clean, cw, coded.data, coded.parity);
+        }
+        let mut corrupt = clean;
+        // No flip, then 1, 2 and 3 flips (data and parity rows), cycling.
+        for cw in 0..eccmode::ECC_CODEWORDS_PER_BRAM {
+            let stored = eccmode::fetch_codeword(&clean, cw);
+            let mut word = Codeword {
+                data: stored.data,
+                parity: stored.parity,
+            };
+            for f in 0..cw % 4 {
+                word = flip_bit(word, ((cw * 13 + f * 29) % 72) as u8);
+            }
+            eccmode::store_codeword(&mut corrupt, cw, word.data, word.parity);
+        }
+        for codewords in [0, 1, 5, eccmode::ECC_CODEWORDS_PER_BRAM] {
+            let mut want = EccStats::default();
+            let mut words = vec![9u16];
+            for cw in 0..codewords {
+                let (stored, truth) = (
+                    eccmode::fetch_codeword(&corrupt, cw),
+                    eccmode::fetch_codeword(&clean, cw),
+                );
+                let (data, verdict) = decode(Codeword {
+                    data: stored.data,
+                    parity: stored.parity,
+                });
+                want.words += 1;
+                want.raw_flips += u64::from((stored.data ^ truth.data).count_ones())
+                    + u64::from((stored.parity ^ truth.parity).count_ones());
+                match verdict {
+                    Decode::Detected => want.detected += 1,
+                    _ if data != truth.data => want.miscorrected += 1,
+                    Decode::Corrected { .. } => want.corrected += 1,
+                    Decode::Clean => {}
+                }
+                words.extend((0..ECC_DATA_WORDS).map(|k| (data >> (16 * k)) as u16));
+            }
+            let mut got = vec![9u16];
+            assert_eq!(decode_image(&corrupt, &clean, codewords, &mut got), want);
+            assert_eq!(got, words, "{codewords} codewords");
+        }
+        let mut all = Vec::new();
+        let stats = decode_image(&corrupt, &clean, eccmode::ECC_CODEWORDS_PER_BRAM, &mut all);
+        assert!(stats.corrected > 0 && stats.detected > 0 && stats.miscorrected > 0);
+    }
 
     #[test]
     fn masks_cover_each_data_bit_at_least_twice() {

@@ -104,11 +104,6 @@ impl<'m> LadderKernel<'m> {
         }
     }
 
-    #[must_use]
-    pub fn bram(&self) -> BramId {
-        self.bram
-    }
-
     /// Cells currently flipping (committed prefix + window overlay) —
     /// equals [`FaultMask::flip_cells`] of the same condition.
     #[must_use]
@@ -199,7 +194,6 @@ impl<'m> LadderKernel<'m> {
     #[must_use]
     pub fn to_mask(&self) -> FaultMask {
         FaultMask::from_parts(
-            self.bram,
             self.and_masks.clone(),
             self.or_masks.clone(),
             self.flip_cells(),

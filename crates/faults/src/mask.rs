@@ -234,7 +234,6 @@ impl WindowJudge<'_> {
 /// identity masks, so bulk application needs no sparsity bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultMask {
-    bram: BramId,
     and_masks: Vec<u16>,
     or_masks: Vec<u16>,
     flip_cells: u32,
@@ -266,7 +265,6 @@ impl FaultMask {
             flip_cells += 1;
         }
         FaultMask {
-            bram,
             and_masks,
             or_masks,
             flip_cells,
@@ -278,7 +276,6 @@ impl FaultMask {
     /// invariants: identity rows where no cell flips, `flip_cells`
     /// counting every failing cell.
     pub(crate) fn from_parts(
-        bram: BramId,
         and_masks: Vec<u16>,
         or_masks: Vec<u16>,
         flip_cells: u32,
@@ -286,16 +283,10 @@ impl FaultMask {
         debug_assert_eq!(and_masks.len(), BRAM_ROWS);
         debug_assert_eq!(or_masks.len(), BRAM_ROWS);
         FaultMask {
-            bram,
             and_masks,
             or_masks,
             flip_cells,
         }
-    }
-
-    #[must_use]
-    pub fn bram(&self) -> BramId {
-        self.bram
     }
 
     /// Number of cells flipping under this condition (either polarity,

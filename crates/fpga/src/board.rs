@@ -42,7 +42,6 @@ pub struct Board {
     /// caveat of Section II-B: supply droop can collapse the board while it
     /// operates *near* (but above) the boundary.
     noise_band_mv: u32,
-    power_cycles: u32,
 }
 
 impl Board {
@@ -64,7 +63,6 @@ impl Board {
             temperature_c: DEFAULT_TEMPERATURE_C,
             state: BoardState::Operational,
             noise_band_mv: 0,
-            power_cycles: 0,
         }
     }
 
@@ -88,12 +86,6 @@ impl Board {
         matches!(self.state, BoardState::Crashed { .. })
     }
 
-    /// How many times this board has been power-cycled (telemetry).
-    #[must_use]
-    pub fn power_cycles(&self) -> u32 {
-        self.power_cycles
-    }
-
     #[must_use]
     pub fn temperature_c(&self) -> f64 {
         self.temperature_c
@@ -102,11 +94,6 @@ impl Board {
     /// Heat-chamber control (Fig. 8 experiments).
     pub fn set_temperature_c(&mut self, t: f64) {
         self.temperature_c = t;
-    }
-
-    #[must_use]
-    pub fn noise_band_mv(&self) -> u32 {
-        self.noise_band_mv
     }
 
     /// Configure the noisy-environment crash band (see field docs).
@@ -279,7 +266,6 @@ impl Board {
             bram.clear();
         }
         self.state = BoardState::Operational;
-        self.power_cycles = self.power_cycles.saturating_add(1);
     }
 }
 
@@ -347,7 +333,6 @@ mod tests {
         assert_eq!(b.state(), BoardState::Operational);
         assert_eq!(b.rail_mv(Rail::Vccbram), Millivolts::NOMINAL);
         assert_eq!(b.read_row(BramId(3), 17).unwrap(), 0, "contents cleared");
-        assert_eq!(b.power_cycles(), 1);
     }
 
     #[test]

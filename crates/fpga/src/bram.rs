@@ -145,12 +145,6 @@ impl Bram {
     pub fn clear(&mut self) {
         self.words.fill(0);
     }
-
-    /// Number of stored 1-bits (used by pattern experiments).
-    #[must_use]
-    pub fn ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
 }
 
 impl Default for Bram {
@@ -165,6 +159,11 @@ mod tests {
 
     use crate::platform::BRAM_WORD_BITS;
 
+    /// Number of stored 1-bits.
+    fn ones(bram: &Bram) -> u32 {
+        bram.words.iter().map(|w| w.count_ones()).sum()
+    }
+
     #[test]
     fn patterns_have_expected_density() {
         let id = BramId(7);
@@ -172,7 +171,7 @@ mod tests {
         assert_eq!(DataPattern::AllZeros.word(id, 3), 0x0000);
         let mut bram = Bram::new();
         bram.fill_pattern(id, DataPattern::Random50);
-        let density = f64::from(bram.ones()) / (BRAM_ROWS * BRAM_WORD_BITS) as f64;
+        let density = f64::from(ones(&bram)) / (BRAM_ROWS * BRAM_WORD_BITS) as f64;
         assert!((density - 0.5).abs() < 0.02, "density {density}");
     }
 
@@ -188,7 +187,7 @@ mod tests {
         let mut bram = Bram::new();
         bram.fill_pattern(BramId(0), DataPattern::AllOnes);
         bram.clear();
-        assert_eq!(bram.ones(), 0);
+        assert_eq!(ones(&bram), 0);
     }
 
     #[test]

@@ -54,6 +54,18 @@ pub fn data_row(cw: usize, k: usize) -> usize {
     ECC_DATA_WORDS * cw + k
 }
 
+/// The data words of codewords `0..codewords` as one slice: word `k` of
+/// codeword `cw` (row [`data_row`]`(cw, k)`) at `cw * ECC_DATA_WORDS + k`.
+///
+/// # Panics
+/// If `codewords` exceeds [`ECC_CODEWORDS_PER_BRAM`].
+#[must_use]
+pub fn data_words(image: &[u16; BRAM_ROWS], codewords: usize) -> &[u16] {
+    assert!(codewords <= ECC_CODEWORDS_PER_BRAM, "codeword count");
+    // The data rows lead the image in codeword order.
+    &image[..ECC_DATA_WORDS * codewords]
+}
+
 /// `(row, shift)` of codeword `cw`'s parity byte inside its 16-bit row.
 #[must_use]
 pub fn parity_slot(cw: usize) -> (usize, u32) {
@@ -115,5 +127,19 @@ mod tests {
         // Little-endian data rows.
         assert_eq!(image[0], 0x7788);
         assert_eq!(image[3], 0x1122);
+    }
+
+    #[test]
+    fn data_words_follow_data_row() {
+        let image: [u16; BRAM_ROWS] = std::array::from_fn(|r| r as u16);
+        for codewords in [0, 1, 7, ECC_CODEWORDS_PER_BRAM] {
+            let words = data_words(&image, codewords);
+            assert_eq!(words.len(), codewords * ECC_DATA_WORDS);
+            for cw in 0..codewords {
+                for k in 0..ECC_DATA_WORDS {
+                    assert_eq!(words[cw * ECC_DATA_WORDS + k], image[data_row(cw, k)]);
+                }
+            }
+        }
     }
 }

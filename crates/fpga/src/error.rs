@@ -87,12 +87,6 @@ impl ParseNameError {
     pub fn input(&self) -> &str {
         &self.input
     }
-
-    /// The accepted stable short names.
-    #[must_use]
-    pub fn expected(&self) -> &'static [&'static str] {
-        self.expected
-    }
 }
 
 impl fmt::Display for ParseNameError {

@@ -226,10 +226,28 @@ mod tests {
         Dataset::from_parts(data.input_dim(), data.classes(), inputs, labels)
     }
 
-    /// Batched logits of every sample, lane by lane, against the oracle.
+    /// Batched logits of every sample, lane by lane, against the oracle:
+    /// the one-shot pass's (dense input panels) and a rescoring scorer's
+    /// (packed ones).
     fn assert_logits_match(net: &Mlp, data: &Dataset) {
-        let mut scorer = Scorer::new(data);
-        scorer.cold(net);
+        let mut cold = Scorer::new(data);
+        cold.cold(net);
+        let mut packed = Scorer::new(data);
+        packed.rescore(net, None);
+        for scorer in [&cold, &packed] {
+            assert_scorer_logits_match(net, data, scorer);
+        }
+        assert_eq!(
+            net.error_on(data).to_bits(),
+            reference_error_on(net, data).to_bits()
+        );
+        assert_eq!(
+            packed.rescore(net, None).to_bits(),
+            reference_error_on(net, data).to_bits()
+        );
+    }
+
+    fn assert_scorer_logits_match(net: &Mlp, data: &Dataset, scorer: &Scorer) {
         let width = net.out_dim() * BATCH;
         for start in (0..data.len()).step_by(BATCH) {
             let logits = &scorer.logits()[start / BATCH * width..][..width];
@@ -256,10 +274,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            net.error_on(data).to_bits(),
-            reference_error_on(net, data).to_bits()
-        );
     }
 
     #[test]
@@ -314,6 +328,32 @@ mod tests {
         let inputs = samples.iter().flatten().copied().collect();
         let data = Dataset::from_parts(6, 3, inputs, vec![0, 1, 2, 0, 1]);
         assert_logits_match(&net, &data);
+    }
+
+    #[test]
+    fn a_non_finite_weight_facing_a_zero_column_reads_every_column() {
+        // Column 3 is ±0 in every sample, so a packed panel leaves it out;
+        // `inf · 0` is NaN, so a net with an infinite (or NaN) weight there
+        // must still read it.
+        let full = head(&DatasetKind::ForestLike.generate(4).test, 19);
+        let inputs = (0..full.len())
+            .flat_map(|i| {
+                let mut x = full.input(i).to_vec();
+                x[3] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                x
+            })
+            .collect();
+        let labels = (0..full.len()).map(|i| full.label(i)).collect();
+        let data = Dataset::from_parts(full.input_dim(), full.classes(), inputs, labels);
+        for (layout, value) in [
+            (&[54, 7][..], f32::INFINITY),
+            (&[54, 7][..], f32::NAN),
+            (&[54, 5, 7][..], f32::NEG_INFINITY),
+        ] {
+            let mut net = Mlp::new(layout, 4);
+            net.layers_mut()[0].w.set(1, 3, value);
+            assert_logits_match(&net, &data);
+        }
     }
 
     #[test]

@@ -5,14 +5,25 @@
 //! consecutive read-backs differ only in the few weight rows whose BRAMs
 //! picked up a new flip. [`Scorer`] keeps, for every block of eight test
 //! samples, each layer's output panel from the last net it scored. On the
-//! next net it finds the first layer whose weight or bias bits differ,
+//! next net it starts at the first layer whose weight or bias bits differ,
 //! reuses every layer before it, recomputes only the changed rows of that
-//! layer and runs the layers after it in full.
+//! layer and runs the layers after it in full. The caller either names that
+//! change ([`Scorer::rescore`], what a read-back that knows which BRAMs it
+//! re-read does) or lets the scorer find it ([`Scorer::error`]).
 //!
 //! That is bit-identical to a cold pass by construction:
 //! [`Matrix::panel_into`] gives every output its own accumulator summed in
 //! ascending `k`, so an output's bits depend only on its weight row and its
 //! input panel, never on which other rows ran beside it.
+//!
+//! The first layer of a rescoring scorer reads packed input panels. The
+//! scorer sorts the samples by label before cutting them into blocks, so
+//! a block's eight inputs share most of their zero pixels, and its first
+//! rescore packs each block once over only the columns some lane has
+//! nonzero ([`Matrix::packed_panel_into`]). The one-shot pass behind
+//! [`Mlp::error_on`] reads dense panels: in a single pass packing eats
+//! most of the layer-0 work it saves and would copy the split for nothing.
+//! The error is a count, so the sample order does not move it.
 
 use crate::datasets::Dataset;
 use crate::mlp::Mlp;
@@ -22,19 +33,29 @@ use crate::tensor::{Matrix, BATCH};
 #[derive(Debug)]
 pub struct Scorer<'d> {
     data: &'d Dataset,
+    /// The samples in lane order, grouped by label: lane `j` of block `b`
+    /// is sample `order[b * BATCH + j]`.
+    order: Vec<usize>,
+    /// Every block's first-layer input panel, packed by the first
+    /// [`Scorer::rescore`]; `None` before it and for inputs too wide for
+    /// `u16` column indices.
+    panels: Option<PackedPanels>,
     /// `acts[l]`: every block's output panel of layer `l`, after ReLU for a
     /// hidden layer and raw logits for the last.
     acts: Vec<Vec<f32>>,
-    /// The net `acts` belongs to, and its error.
-    last: Option<(Mlp, f64)>,
+    /// The error of the net `acts` belong to.
+    scored: Option<f64>,
+    /// That net itself, kept by [`Scorer::error`] to find the next change.
+    last: Option<Mlp>,
 }
 
-/// Where two nets first differ: the first layer with a changed weight or
-/// bias bit, and that layer's changed output rows.
-#[derive(Debug, PartialEq, Eq)]
-struct Change {
-    layer: usize,
-    rows: Vec<usize>,
+/// Where a net differs from the one scored before it: the first layer with
+/// a changed weight or bias bit, and that layer's changed output rows in
+/// ascending order. Layers after it may differ anywhere.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Change {
+    pub layer: usize,
+    pub rows: Vec<usize>,
 }
 
 impl Change {
@@ -47,13 +68,81 @@ impl Change {
     }
 }
 
+/// Each block's input panel over only the columns some lane has nonzero:
+/// block `b` keeps columns `cols[starts[b]..starts[b + 1]]`, and lane group
+/// `i` of those is `values[(starts[b] + i) * BATCH..][..BATCH]`.
+#[derive(Debug)]
+struct PackedPanels {
+    starts: Vec<usize>,
+    cols: Vec<u16>,
+    values: Vec<f32>,
+}
+
+impl PackedPanels {
+    /// Pack `data`'s blocks in `order`; `None` when a column index does not
+    /// fit a `u16`.
+    fn pack(data: &Dataset, order: &[usize]) -> Option<PackedPanels> {
+        u16::try_from(data.input_dim().saturating_sub(1)).ok()?;
+        // Per block, the columns where some lane is not ±0: where the
+        // lanes' bits without the sign OR to nonzero.
+        let mut any = vec![0u32; data.input_dim()];
+        let mut cols = Vec::new();
+        let mut starts = vec![0];
+        for lanes in order.chunks(BATCH) {
+            any.fill(0);
+            for &i in lanes {
+                for (a, v) in any.iter_mut().zip(data.input(i)) {
+                    *a |= v.to_bits() << 1;
+                }
+            }
+            cols.extend((0..any.len()).filter(|&k| any[k] != 0).map(|k| k as u16));
+            starts.push(cols.len());
+        }
+        cols.shrink_to_fit();
+        // Lane by lane into the exact-size buffer; lanes past the end of
+        // the split stay zero.
+        let mut values = vec![0.0; cols.len() * BATCH];
+        for (b, lanes) in order.chunks(BATCH).enumerate() {
+            let (start, end) = (starts[b], starts[b + 1]);
+            let panel = &mut values[start * BATCH..end * BATCH];
+            for (j, &i) in lanes.iter().enumerate() {
+                let x = data.input(i);
+                let slots = panel[j..].iter_mut().step_by(BATCH);
+                for (v, &k) in slots.zip(&cols[start..end]) {
+                    *v = x[usize::from(k)];
+                }
+            }
+        }
+        Some(PackedPanels {
+            starts,
+            cols,
+            values,
+        })
+    }
+
+    /// Block `b`'s packed panel and its column list.
+    fn block(&self, b: usize) -> (&[f32], &[u16]) {
+        let (start, end) = (self.starts[b], self.starts[b + 1]);
+        (
+            &self.values[start * BATCH..end * BATCH],
+            &self.cols[start..end],
+        )
+    }
+}
+
 impl<'d> Scorer<'d> {
-    /// A scorer for `data` with nothing scored yet.
+    /// A scorer for `data` with nothing scored yet, its samples ordered by
+    /// label.
     #[must_use]
     pub fn new(data: &'d Dataset) -> Scorer<'d> {
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        order.sort_by_key(|&i| data.label(i));
         Scorer {
             data,
+            order,
+            panels: None,
             acts: Vec::new(),
+            scored: None,
             last: None,
         }
     }
@@ -66,21 +155,39 @@ impl<'d> Scorer<'d> {
     /// rows.
     pub fn error(&mut self, net: Mlp) -> f64 {
         let change = match &self.last {
-            Some((last, error)) => match first_change(last, &net) {
-                Some(change) => change,
-                None => return *error,
-            },
-            None => Change::cold(&net),
+            Some(last) => first_change(last, &net),
+            None => Some(Change::cold(&net)),
         };
-        let error = self.forward(&net, &change);
-        self.last = Some((net, error));
+        let error = self.rescore(&net, change.as_ref());
+        self.last = Some(net);
+        error
+    }
+
+    /// Classification error of `net`, which differs from the net this
+    /// scorer scored last exactly as `change` says (`None`: in no bit),
+    /// bit for bit [`Mlp::error_on`]. The first net a scorer sees is
+    /// scored in full whatever `change` says.
+    pub fn rescore(&mut self, net: &Mlp, change: Option<&Change>) -> f64 {
+        self.last = None;
+        // Packing pays off only over several passes, so the first rescore
+        // packs and a one-shot `cold` pass never does.
+        if self.panels.is_none() {
+            self.panels = PackedPanels::pack(self.data, &self.order);
+        }
+        let error = match (change, self.scored) {
+            (None, Some(error)) => return error,
+            (Some(change), Some(_)) => self.forward(net, change),
+            (_, None) => self.forward(net, &Change::cold(net)),
+        };
+        self.scored = Some(error);
         error
     }
 
     /// A full pass of `net` that leaves nothing to reuse: the cold path
-    /// behind [`Mlp::error_on`].
+    /// behind [`Mlp::error_on`], on dense input panels.
     pub(crate) fn cold(&mut self, net: &Mlp) -> f64 {
         self.last = None;
+        self.scored = None;
         self.forward(net, &Change::cold(net))
     }
 
@@ -101,28 +208,44 @@ impl<'d> Scorer<'d> {
                 let rows = change.rows.iter().flat_map(|&r| layer.w.row(r));
                 Matrix::from_vec(change.rows.len(), layer.in_dim(), rows.copied().collect())
             });
+            let w = gathered.as_ref().unwrap_or(&layer.w);
+            // Packed panels skip zero inputs, which only finite weights
+            // allow (`inf · 0` is NaN).
+            let packed = self
+                .panels
+                .as_ref()
+                .filter(|_| l == 0 && w.data().iter().all(|v| v.is_finite()));
             let mut fresh = vec![0.0; gathered.as_ref().map_or(0, Matrix::rows) * BATCH];
             let (width, out_width) = (layer.in_dim() * BATCH, layer.out_dim() * BATCH);
             let (done, rest) = self.acts.split_at_mut(l);
             for (b, out) in rest[0].chunks_exact_mut(out_width).enumerate() {
-                let x = match done.last() {
-                    Some(prev) => &prev[b * width..(b + 1) * width],
-                    None => input_panel(self.data, b, &mut inputs),
+                let product = if gathered.is_some() {
+                    &mut fresh[..]
+                } else {
+                    &mut out[..]
                 };
-                match &gathered {
-                    Some(g) => {
-                        g.panel_into::<BATCH>(x, &mut fresh);
-                        for (&r, lanes) in change.rows.iter().zip(fresh.chunks_exact(BATCH)) {
-                            let o = &mut out[r * BATCH..(r + 1) * BATCH];
-                            o.copy_from_slice(lanes);
-                            activate(o, layer.b[r], hidden);
-                        }
+                match (done.last(), packed) {
+                    (Some(prev), _) => {
+                        w.panel_into::<BATCH>(&prev[b * width..(b + 1) * width], product);
                     }
-                    None => {
-                        layer.w.panel_into::<BATCH>(x, out);
-                        for (o, &bias) in out.chunks_exact_mut(BATCH).zip(&layer.b) {
-                            activate(o, bias, hidden);
-                        }
+                    (None, Some(panels)) => {
+                        let (x, cols) = panels.block(b);
+                        w.packed_panel_into(x, cols, product);
+                    }
+                    (None, None) => {
+                        let x = input_panel(self.data, &self.order, b, &mut inputs);
+                        w.panel_into::<BATCH>(x, product);
+                    }
+                }
+                if gathered.is_some() {
+                    for (&r, lanes) in change.rows.iter().zip(fresh.chunks_exact(BATCH)) {
+                        let o = &mut out[r * BATCH..(r + 1) * BATCH];
+                        o.copy_from_slice(lanes);
+                        activate(o, layer.b[r], hidden);
+                    }
+                } else {
+                    for (o, &bias) in out.chunks_exact_mut(BATCH).zip(&layer.b) {
+                        activate(o, bias, hidden);
                     }
                 }
             }
@@ -132,27 +255,43 @@ impl<'d> Scorer<'d> {
         }
         let logits = self.acts.last().expect("a net has layers");
         let width = net.out_dim() * BATCH;
-        let wrong = (0..self.data.len())
-            .filter(|&i| {
-                let panel = &logits[i / BATCH * width..(i / BATCH + 1) * width];
-                argmax_lane(panel, i % BATCH) != self.data.label(i) as usize
+        let wrong = self
+            .order
+            .iter()
+            .enumerate()
+            .filter(|&(p, &i)| {
+                let panel = &logits[p / BATCH * width..(p / BATCH + 1) * width];
+                argmax_lane(panel, p % BATCH) != self.data.label(i) as usize
             })
             .count();
         wrong as f64 / self.data.len() as f64
     }
 
-    /// Every block's logit panel of the last pass, block after block.
+    /// Every block's logit panel of the last pass, block after block, with
+    /// the samples back in dataset order (lanes past the end are zero).
     #[cfg(test)]
-    pub(crate) fn logits(&self) -> &[f32] {
-        self.acts.last().map_or(&[], Vec::as_slice)
+    pub(crate) fn logits(&self) -> Vec<f32> {
+        let Some(logits) = self.acts.last() else {
+            return Vec::new();
+        };
+        let outs = logits.len() / self.data.len().div_ceil(BATCH).max(1) / BATCH;
+        let mut ordered = vec![0.0; logits.len()];
+        for (p, &i) in self.order.iter().enumerate() {
+            for r in 0..outs {
+                ordered[(i / BATCH * outs + r) * BATCH + i % BATCH] =
+                    logits[(p / BATCH * outs + r) * BATCH + p % BATCH];
+            }
+        }
+        ordered
     }
 }
 
-/// Block `b` of `data` as one k-major input panel in `buf`: feature `k` of
-/// sample `b * BATCH + j` at `k * BATCH + j`, zeros past the data's end.
-fn input_panel<'b>(data: &Dataset, b: usize, buf: &'b mut Vec<f32>) -> &'b [f32] {
-    let lanes: Vec<&[f32]> = (b * BATCH..data.len().min((b + 1) * BATCH))
-        .map(|i| data.input(i))
+/// Block `b` of the samples in `order` as one dense k-major input panel in
+/// `buf`: feature `k` of lane `j` at `k * BATCH + j`, zeros past the end.
+fn input_panel<'b>(data: &Dataset, order: &[usize], b: usize, buf: &'b mut Vec<f32>) -> &'b [f32] {
+    let lanes: Vec<&[f32]> = order[b * BATCH..order.len().min((b + 1) * BATCH)]
+        .iter()
+        .map(|&i| data.input(i))
         .collect();
     buf.clear();
     buf.resize(data.input_dim() * BATCH, 0.0);
@@ -279,6 +418,78 @@ mod tests {
         // Errors actually move along this ladder, so a stale layer shows.
         let errors: Vec<u64> = nets.iter().map(|n| n.error_on(&data).to_bits()).collect();
         assert!(errors.windows(2).any(|w| w[0] != w[1]), "{errors:?}");
+    }
+
+    #[test]
+    fn rescore_takes_the_change_the_caller_names() {
+        let data = DatasetKind::MnistLike.generate(6).test;
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let cold_logits = |net: &Mlp| {
+            let mut cold = Scorer::new(&data);
+            cold.cold(net);
+            bits(cold.logits())
+        };
+        let base = Mlp::new(&[784, 13, 10], 6);
+        let mut scorer = Scorer::new(&data);
+        // The first net is scored in full whatever the change says.
+        let first = scorer.rescore(&base, Some(&Change::cold(&base)));
+        assert_eq!(first.to_bits(), base.error_on(&data).to_bits());
+        let mut row = base.clone();
+        for c in (0..784).step_by(50) {
+            flip(&mut row, 0, 4, c, 29);
+        }
+        // Unchanged rows named beside the changed one cost time, not bits.
+        let change = Change {
+            layer: 0,
+            rows: vec![2, 4, 9],
+        };
+        let error = scorer.rescore(&row, Some(&change));
+        assert_eq!(error.to_bits(), row.error_on(&data).to_bits());
+        assert_eq!(bits(scorer.logits()), cold_logits(&row));
+        assert_ne!(cold_logits(&row), cold_logits(&base));
+        assert_eq!(scorer.rescore(&row, None).to_bits(), error.to_bits());
+        let mut out = row.clone();
+        flip(&mut out, 1, 3, 5, 30);
+        let change = Change {
+            layer: 1,
+            rows: vec![3],
+        };
+        let error = scorer.rescore(&out, Some(&change));
+        assert_eq!(error.to_bits(), out.error_on(&data).to_bits());
+        assert_eq!(bits(scorer.logits()), cold_logits(&out));
+        // `error` after `rescore` has no last net to compare with: cold.
+        assert_eq!(
+            scorer.error(base.clone()).to_bits(),
+            base.error_on(&data).to_bits()
+        );
+        assert_eq!(bits(scorer.logits()), cold_logits(&base));
+    }
+
+    #[test]
+    fn label_grouped_blocks_pack_about_half_the_columns() {
+        let data = DatasetKind::MnistLike.generate(12).test;
+        let net = Mlp::new(&[data.input_dim(), 3, data.classes()], 12);
+        let mut scorer = Scorer::new(&data);
+        // A one-shot pass does not pack; a rescoring scorer does.
+        scorer.cold(&net);
+        assert!(scorer.panels.is_none());
+        scorer.rescore(&net, None);
+        let order = &scorer.order;
+        assert!(order
+            .windows(2)
+            .all(|w| data.label(w[0]) <= data.label(w[1])));
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert!(sorted.iter().copied().eq(0..data.len()));
+        let pairs = data.len().div_ceil(BATCH) * data.input_dim();
+        let share = scorer.panels.as_ref().unwrap().cols.len() as f64 / pairs as f64;
+        // Dataset order packs far more: its blocks mix every label.
+        let mixed = PackedPanels::pack(&data, &(0..data.len()).collect::<Vec<_>>()).unwrap();
+        let mixed_share = mixed.cols.len() as f64 / pairs as f64;
+        assert!(
+            share < 0.6 && mixed_share > 0.85,
+            "{share} vs {mixed_share}"
+        );
     }
 
     #[test]

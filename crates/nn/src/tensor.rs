@@ -9,13 +9,18 @@
 /// Output rows one pass of [`Matrix::panel_into`] accumulates together.
 const ROW_TILE: usize = 4;
 
-/// `R` rows × `L` lanes of dot products over a k-major panel `x`, each
-/// output summed on its own in ascending `k` (no reassociation, no fused
-/// multiply-add).
+/// `R` rows × `L` lanes of dot products over a panel `x` whose `i`-th
+/// `L`-lane group holds weight column `cols[i]` (`0..` for a dense panel,
+/// a column list for a packed one). Each output is summed on its own in
+/// the order of `cols` (no reassociation, no fused multiply-add).
 #[inline(always)]
-fn dot_tile<const R: usize, const L: usize>(rows: [&[f32]; R], x: &[f32]) -> [[f32; L]; R] {
+fn dot_tile<const R: usize, const L: usize>(
+    rows: [&[f32]; R],
+    x: &[f32],
+    cols: impl Iterator<Item = usize>,
+) -> [[f32; L]; R] {
     let mut acc = [[0.0f32; L]; R];
-    for (k, xk) in x.chunks_exact(L).enumerate() {
+    for (k, xk) in cols.zip(x.chunks_exact(L)) {
         for (a, row) in acc.iter_mut().zip(rows) {
             let w = row[k];
             for (s, &v) in a.iter_mut().zip(xk) {
@@ -30,28 +35,33 @@ fn dot_tile<const R: usize, const L: usize>(rows: [&[f32]; R], x: &[f32]) -> [[f
 /// a layer together.
 pub(crate) const BATCH: usize = 8;
 
-/// The body of [`Matrix::panel_into`], compiled once per [`Kernel`].
+/// The body of [`Matrix::panel_into`] and [`Matrix::packed_panel_into`],
+/// compiled once per [`Kernel`] and column source.
 #[inline(always)]
-fn panel_body<const L: usize>(m: &Matrix, x: &[f32], out: &mut [f32]) {
+fn panel_body<const L: usize, C>(m: &Matrix, x: &[f32], cols: C, out: &mut [f32])
+where
+    C: Iterator<Item = usize> + Clone,
+{
     if m.cols == 0 {
         out.fill(0.0);
         return;
     }
-    let cols = m.cols;
-    let mut tiles = m.data.chunks_exact(ROW_TILE * cols);
+    let width = m.cols;
+    let mut tiles = m.data.chunks_exact(ROW_TILE * width);
     let mut out_tiles = out.chunks_exact_mut(ROW_TILE * L);
     for (tile, out_tile) in (&mut tiles).zip(&mut out_tiles) {
-        let rows = std::array::from_fn(|i| &tile[i * cols..(i + 1) * cols]);
-        for (o, lanes) in out_tile
-            .chunks_exact_mut(L)
-            .zip(dot_tile::<ROW_TILE, L>(rows, x))
+        let rows = std::array::from_fn(|i| &tile[i * width..(i + 1) * width]);
+        for (o, lanes) in
+            out_tile
+                .chunks_exact_mut(L)
+                .zip(dot_tile::<ROW_TILE, L>(rows, x, cols.clone()))
         {
             o.copy_from_slice(&lanes);
         }
     }
-    let tail_rows = tiles.remainder().chunks_exact(cols);
+    let tail_rows = tiles.remainder().chunks_exact(width);
     for (row, o) in tail_rows.zip(out_tiles.into_remainder().chunks_exact_mut(L)) {
-        o.copy_from_slice(&dot_tile::<1, L>([row], x)[0]);
+        o.copy_from_slice(&dot_tile::<1, L>([row], x, cols.clone())[0]);
     }
 }
 
@@ -64,8 +74,11 @@ fn panel_body<const L: usize>(m: &Matrix, x: &[f32], out: &mut [f32]) {
 /// have checked that the CPU supports it ([`Kernel::widest`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn panel_avx2<const L: usize>(m: &Matrix, x: &[f32], out: &mut [f32]) {
-    panel_body::<L>(m, x, out);
+fn panel_avx2<const L: usize, C>(m: &Matrix, x: &[f32], cols: C, out: &mut [f32])
+where
+    C: Iterator<Item = usize> + Clone,
+{
+    panel_body::<L, C>(m, x, cols, out);
 }
 
 /// A compiled copy of the panel kernel.
@@ -92,12 +105,15 @@ impl Kernel {
     }
 
     /// Run this copy on checked shapes.
-    fn panel<const L: usize>(self, m: &Matrix, x: &[f32], out: &mut [f32]) {
+    fn panel<const L: usize, C>(self, m: &Matrix, x: &[f32], cols: C, out: &mut [f32])
+    where
+        C: Iterator<Item = usize> + Clone,
+    {
         match self {
-            Kernel::Portable => panel_body::<L>(m, x, out),
+            Kernel::Portable => panel_body::<L, C>(m, x, cols, out),
             // SAFETY: `Avx2` is only built where the CPU reports AVX2.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { panel_avx2::<L>(m, x, out) },
+            Kernel::Avx2 => unsafe { panel_avx2::<L, C>(m, x, cols, out) },
         }
     }
 
@@ -153,6 +169,11 @@ impl Matrix {
     #[must_use]
     pub fn data(&self) -> &[f32] {
         &self.data
+    }
+
+    #[must_use]
+    pub fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 
     #[must_use]
@@ -213,10 +234,30 @@ impl Matrix {
         assert_eq!(x.len(), self.cols * L, "input length");
         assert_eq!(out.len(), self.rows * L, "output length");
         if L == BATCH {
-            Kernel::widest().panel::<L>(self, x, out);
+            Kernel::widest().panel::<L, _>(self, x, 0..self.cols, out);
         } else {
-            panel_body::<L>(self, x, out);
+            panel_body::<L, _>(self, x, 0..self.cols, out);
         }
+    }
+
+    /// [`Matrix::panel_into`] over a packed batched panel that stores only
+    /// some input columns: lane group `i` of `x` is column `cols[i]`, and
+    /// every column missing from `cols` must be `±0.0` in every lane.
+    ///
+    /// With finite weights that is bit for bit the dense product: a
+    /// skipped column would add `w · ±0 = ±0`, and adding `±0` never
+    /// changes an accumulator that starts at `+0.0` (under round to
+    /// nearest a sum is `-0.0` only when both terms are). An infinite or
+    /// NaN weight would turn the skipped zero into NaN, so callers must
+    /// check the rows are finite.
+    ///
+    /// # Panics
+    /// If the shapes do not line up or a column is out of range.
+    pub(crate) fn packed_panel_into(&self, x: &[f32], cols: &[u16], out: &mut [f32]) {
+        assert_eq!(x.len(), cols.len() * BATCH, "input length");
+        assert_eq!(out.len(), self.rows * BATCH, "output length");
+        let cols = cols.iter().map(|&c| usize::from(c));
+        Kernel::widest().panel::<BATCH, _>(self, x, cols, out);
     }
 }
 
@@ -239,10 +280,10 @@ pub(crate) fn reference_matvec(m: &Matrix, x: &[f32]) -> Vec<f32> {
 mod tests {
     use super::*;
 
-    /// Deterministic values spanning signs, signed zeros, subnormal-adjacent
-    /// and huge magnitudes, so any reordering of the sums shows in the bits.
+    /// Deterministic values spanning signs, signed zeros, subnormals and
+    /// huge magnitudes, so any reordering of the sums shows in the bits.
     fn awkward(n: usize, salt: u32) -> Vec<f32> {
-        const SPECIAL: [f32; 6] = [0.0, -0.0, 3.0e38, -3.0e38, 1.0e-38, -7.5];
+        const SPECIAL: [f32; 7] = [0.0, -0.0, 3.0e38, -3.0e38, 1.0e-38, -7.5, 2.0e-40];
         (0..n as u32)
             .map(|i| {
                 let h = (i ^ salt).wrapping_mul(0x9e37_79b9).rotate_left(7);
@@ -272,7 +313,7 @@ mod tests {
                     let m = Matrix::from_vec(rows, cols, awkward(rows * cols, 11));
                     let x = awkward(cols, 5);
                     let mut out = vec![f32::NAN; rows];
-                    kernel.panel::<1>(&m, &x, &mut out);
+                    kernel.panel::<1, _>(&m, &x, 0..cols, &mut out);
                     assert_bits_eq(&out, &reference_matvec(&m, &x));
                     m.matvec_into(&x, &mut out);
                     assert_bits_eq(&out, &reference_matvec(&m, &x));
@@ -296,13 +337,55 @@ mod tests {
                     }
                 }
                 let mut out = vec![0.0f32; rows * L];
-                kernel.panel::<L>(&m, &panel, &mut out);
+                kernel.panel::<L, _>(&m, &panel, 0..cols, &mut out);
                 for (j, lane) in lanes.iter().enumerate() {
                     let got: Vec<f32> = out.iter().skip(j).step_by(L).copied().collect();
                     assert_bits_eq(&got, &reference_matvec(&m, lane));
                 }
             }
         }
+    }
+
+    #[test]
+    fn packed_panels_match_the_dense_panel_bit_for_bit() {
+        // Every third column is ±0 in every lane and left out of the packed
+        // panel; weights and inputs overflow (±inf, then NaN) and underflow
+        // into subnormals.
+        const L: usize = BATCH;
+        let cols = 23;
+        let zero = |k: usize| k.is_multiple_of(3);
+        let mut panel = awkward(cols * L, 29);
+        for (k, lanes) in panel.chunks_exact_mut(L).enumerate() {
+            if zero(k) {
+                for (j, v) in lanes.iter_mut().enumerate() {
+                    *v = if (k + j) % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        let kept: Vec<u16> = (0..cols as u16).filter(|&k| !zero(k.into())).collect();
+        let packed: Vec<f32> = kept
+            .iter()
+            .flat_map(|&k| &panel[usize::from(k) * L..][..L])
+            .copied()
+            .collect();
+        for kernel in Kernel::supported() {
+            for rows in [0, 1, 4, 6, 11] {
+                let m = Matrix::from_vec(rows, cols, awkward(rows * cols, 17));
+                assert!(m.data().iter().all(|w| w.is_finite()));
+                let (mut dense, mut sparse) = (vec![f32::NAN; rows * L], vec![0.5; rows * L]);
+                kernel.panel::<L, _>(&m, &panel, 0..cols, &mut dense);
+                let columns = kept.iter().map(|&k| usize::from(k));
+                kernel.panel::<L, _>(&m, &packed, columns, &mut sparse);
+                assert_bits_eq(&sparse, &dense);
+                m.packed_panel_into(&packed, &kept, &mut sparse);
+                assert_bits_eq(&sparse, &dense);
+            }
+        }
+        // The overflow cases are really there.
+        let m = Matrix::from_vec(11, cols, awkward(11 * cols, 17));
+        let mut dense = vec![0.0; 11 * L];
+        m.panel_into::<L>(&panel, &mut dense);
+        assert!(dense.iter().any(|v| v.is_nan()) && dense.iter().any(|v| v.is_infinite()));
     }
 
     #[test]
@@ -316,7 +399,7 @@ mod tests {
         let x = awkward(3 * BATCH, 9);
         let (mut via_dispatch, mut portable) = (vec![0.0; 5 * BATCH], vec![0.0; 5 * BATCH]);
         m.panel_into::<BATCH>(&x, &mut via_dispatch);
-        Kernel::Portable.panel::<BATCH>(&m, &x, &mut portable);
+        Kernel::Portable.panel::<BATCH, _>(&m, &x, 0..3, &mut portable);
         assert_bits_eq(&via_dispatch, &portable);
     }
 

@@ -8,7 +8,7 @@
 //! and reassignment.
 
 use crate::protocol::{Conn, Endpoint, Message};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// One delivered run of published events.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +26,6 @@ pub struct Batch {
 /// A live tail of the server's published merged event log.
 pub struct Subscription {
     reader: Box<dyn Read + Send>,
-    writer: Box<dyn Write + Send>,
     finished: bool,
 }
 
@@ -43,7 +42,6 @@ impl Subscription {
         .write_to(&mut conn.writer)?;
         Ok(Subscription {
             reader: conn.reader,
-            writer: conn.writer,
             finished: false,
         })
     }
@@ -80,11 +78,6 @@ impl Subscription {
                 Ok(None)
             }
         }
-    }
-
-    /// Politely stop the subscription (the server drops the queue).
-    pub fn unsubscribe(mut self) -> io::Result<()> {
-        Message::Unsubscribe.write_to(&mut self.writer)
     }
 
     /// Drain the stream to completion, returning every line in order and

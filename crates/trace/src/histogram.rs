@@ -101,11 +101,6 @@ impl Histogram {
         }
     }
 
-    #[must_use]
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
     /// Cumulative count at each finite bucket boundary plus the overflow
     /// tally, in Prometheus `le` order (for exposition rendering).
     #[must_use]
@@ -149,11 +144,6 @@ impl Histogram {
         // Target lives in the overflow bucket: all we know is the max.
         self.max_ns
     }
-
-    #[must_use]
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
 }
 
 #[cfg(test)]
@@ -176,20 +166,20 @@ mod tests {
         }
         assert_eq!(h.count(), 7);
         let (p95, p99) = (h.quantile(0.95), h.quantile(0.99));
-        assert!(h.p50() <= p95 && p95 <= p99);
-        assert!(p99 <= h.max_ns(), "clamped to the observed max");
-        assert!(h.p50() >= h.min_ns());
+        assert!(h.quantile(0.5) <= p95 && p95 <= p99);
+        assert!(p99 <= h.max_ns, "clamped to the observed max");
+        assert!(h.quantile(0.5) >= h.min_ns());
         assert_eq!(h.quantile(0.0), h.min_ns());
-        assert_eq!(h.quantile(1.0), h.max_ns());
+        assert_eq!(h.quantile(1.0), h.max_ns);
     }
 
     #[test]
     fn empty_histogram_is_harmless() {
         let h = Histogram::new();
         assert!(h.is_empty());
-        assert_eq!(h.p50(), 0);
+        assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.min_ns(), 0);
-        assert_eq!(h.max_ns(), 0);
+        assert_eq!(h.max_ns, 0);
     }
 
     #[test]
