@@ -9,6 +9,9 @@
 //! Every §V ladder is built by one crate-private `ladder` and scored by
 //! one rung loop (`MappedNetwork::score_levels`): the Pareto sweep runs it
 //! on the raw contiguous placement, the mitigation shoot-out once per mode.
+//! That loop and the Fig. 13 layer study step one crate-private `Walk`,
+//! whose carried read-back is the one place that finds what changed
+//! between two reads.
 
 use crate::placement::Placement;
 use uvf_faults::ecc::{self, EccStats};
@@ -325,9 +328,7 @@ impl<'a> MappedNetwork<'a> {
     /// Score every level of a ladder on this network: read it back with
     /// every layer faulty (`None` is a clean nominal read) and classify
     /// `data`. Returns each level's error and, for an ECC-stored net, its
-    /// decode tallies. One read-back is carried from level to level, so a
-    /// level re-reads only the BRAMs whose fault mask changed, and one
-    /// [`Scorer`] recomputes only the weight rows those BRAMs changed.
+    /// decode tallies.
     pub(crate) fn score_levels(
         &self,
         board: &Board,
@@ -336,27 +337,69 @@ impl<'a> MappedNetwork<'a> {
         data: &Dataset,
         tracer: &Tracer,
     ) -> Result<Vec<(f64, Option<EccStats>)>, BoardError> {
-        let mut scorer = Scorer::new(data);
-        let mut back = ReadBack::new(self.qnet);
+        let mut walk = Walk::new(self, board, model, data, tracer);
         levels
             .iter()
-            .map(|level| {
-                let res = level.map(|c| model.resolve(&c));
-                let (stats, change) = self.read_level(
-                    &mut back,
-                    board,
-                    model,
-                    res.as_ref(),
-                    LayerFaults::All,
-                    tracer,
-                )?;
-                Ok((scorer.rescore(&back.net, change.as_ref()), stats))
-            })
+            .map(|level| walk.step(level.map(|c| model.resolve(&c)).as_ref(), LayerFaults::All))
             .collect()
     }
 }
 
-/// A read-back carried from one level of a ladder to the next: the net it
+/// A walk over reads of one network, each scored on one dataset: one
+/// read-back carried from read to read, so a read re-reads only the BRAMs
+/// whose fault mask changed, and one [`Scorer`] that recomputes only the
+/// weight rows those BRAMs changed.
+pub(crate) struct Walk<'w> {
+    mapped: &'w MappedNetwork<'w>,
+    board: &'w Board,
+    model: &'w FaultModel,
+    tracer: &'w Tracer,
+    back: ReadBack,
+    scorer: Scorer<'w>,
+}
+
+impl<'w> Walk<'w> {
+    pub(crate) fn new(
+        mapped: &'w MappedNetwork<'w>,
+        board: &'w Board,
+        model: &'w FaultModel,
+        data: &'w Dataset,
+        tracer: &'w Tracer,
+    ) -> Walk<'w> {
+        Walk {
+            mapped,
+            board,
+            model,
+            tracer,
+            back: ReadBack::new(mapped.qnet),
+            scorer: Scorer::new(data),
+        }
+    }
+
+    /// Read the network at `condition` (`None`: a clean nominal read) with
+    /// faults in the layers `faults` selects, and classify the dataset.
+    /// Returns the error and, for an ECC-stored net, the decode tallies.
+    ///
+    /// # Errors
+    /// Propagates [`BoardError`] from the bulk reads (e.g. crashed board).
+    pub(crate) fn step(
+        &mut self,
+        condition: Option<&ResolvedCondition>,
+        faults: LayerFaults,
+    ) -> Result<(f64, Option<EccStats>), BoardError> {
+        let (stats, change) = self.mapped.read_level(
+            &mut self.back,
+            self.board,
+            self.model,
+            condition,
+            faults,
+            self.tracer,
+        )?;
+        Ok((self.scorer.rescore(&self.back.net, change.as_ref()), stats))
+    }
+}
+
+/// A read-back carried from one read of a walk to the next: the net it
 /// decoded and, per BRAM in placement order, what its last read saw.
 struct ReadBack {
     net: Mlp,

@@ -5,12 +5,10 @@
 //! Kernel pairs (kernel ÷ reference per op; `--baseline` fails the run
 //! when one is more than 20 % above its committed ratio):
 //!
-//! * `ladder_mask_build` — [`LadderKernel::advance`] over a full Listing-1
-//!   stream vs a per-level `fault_mask` rebuild of every BRAM.
 //! * `sweep_level_counts` — each level's run family batched through one
 //!   `platform_level_counts` scan vs one `platform_fault_count` per run.
-//! * `nn_rescore` — a [`Scorer`] rescore after a flip in one weight row
-//!   vs a whole-split `error_on`, per image.
+//! * `nn_rescore` — a [`Scorer::rescore`] of a net named to differ in one
+//!   weight row vs a whole-split `error_on`, per image.
 //! * `ecc_decode` — SECDED corrupt-and-decode vs the raw read-back
 //!   `MappedNetwork` runs (`fault_mask` + `apply_all`), per BRAM.
 //!
@@ -40,8 +38,9 @@ use uvf_accel::{LayerFaults, MappedNetwork, Placement};
 use uvf_bench::{pair, ratio_regressions, BenchOptions, Pair, Suite};
 use uvf_characterize::prelude::{CampaignJob, Json, RecoveryPolicy, SweepConfig};
 use uvf_characterize::scan::{platform_fault_count, platform_level_counts};
-use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition};
+use uvf_faults::{run_seed, FaultModel, ReadCondition, ResolvedCondition};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
+use uvf_nn::score::Change;
 use uvf_nn::{DatasetKind, Mlp, QNetwork, Scorer};
 use uvf_trace::codec::Value;
 use uvf_trace::{MemorySink, RunTally, Tracer};
@@ -107,8 +106,7 @@ fn vcrash_condition(model: &FaultModel) -> ReadCondition {
     }
 }
 
-/// The two kernels of a Listing-1 sweep: the incremental mask build, and
-/// the level counts batched per run family.
+/// The batched level counts of a Listing-1 sweep vs one scan per run.
 fn bench_ladder(opts: &BenchOptions) -> Vec<Pair> {
     let kind = if opts.quick {
         PlatformKind::Zc702
@@ -136,64 +134,23 @@ fn bench_ladder(opts: &BenchOptions) -> Vec<Pair> {
             })
         })
         .collect();
-    let brams = platform.bram_count as u32;
-    // The kernels are path-dependent along a BRAM's stream (the mask) or
-    // a level's run family (the counts), so the mask kernel runs the whole
-    // stream of every 8th BRAM and the count kernel every family. The
-    // references price every condition independently, so a strided
-    // subsample measures their per-op cost: every 73rd condition (coprime
-    // to the run count, so it cycles through every level and run phase)
-    // and every 9th run of each family. Both sides of a sample then last
-    // about as long, so a burst of host noise lands on both alike. (Levels
-    // are not subsampled: the batched scan's cost per run differs about
-    // twofold between alternate levels of the ladder.)
-    let conds: Vec<&ResolvedCondition> = stream.iter().step_by(73).collect();
-    let kernel_brams: Vec<BramId> = (0..brams).step_by(8).map(BramId).collect();
+    // The batched kernel is path-dependent along a level's run family, so
+    // it runs every family. The reference prices every run independently,
+    // so every 9th run of each family measures its per-op cost, and both
+    // sides of a sample last about as long: a burst of host noise lands on
+    // both alike. (Levels are not subsampled: the batched scan's cost per
+    // run differs about twofold between alternate levels of the ladder.)
     let families: Vec<&[ResolvedCondition]> = stream.chunks(cfg.runs_per_level as usize).collect();
     let family_conds: Vec<&ResolvedCondition> =
         families.iter().flat_map(|f| f.iter().step_by(9)).collect();
     println!(
-        "ladder: {kind}, Listing-1 sweep ({} levels x {} runs x {brams} BRAMs; mask kernel \
-         on every 8th BRAM, references on a subsample of the conditions)",
+        "ladder: {kind}, Listing-1 sweep ({} levels x {} runs x {} BRAMs; reference on \
+         every 9th run)",
         levels.len(),
-        cfg.runs_per_level
+        cfg.runs_per_level,
+        platform.bram_count
     );
 
-    let masks = pair(
-        "ladder_mask_build",
-        opts,
-        (
-            "ladder_mask_build/per_level_rebuild",
-            conds.len() as u64 * u64::from(brams),
-        ),
-        (
-            "ladder_mask_build/ladder_kernel",
-            stream.len() as u64 * kernel_brams.len() as u64,
-        ),
-        // The seed-era path: every BRAM's mask rebuilt from scratch at
-        // each (level, run) condition, one at a time, as a read-back
-        // builds them.
-        || {
-            let mut acc = 0u64;
-            for rc in &conds {
-                for b in 0..brams {
-                    acc += u64::from(model.fault_mask(BramId(b), rc).flip_cells());
-                }
-            }
-            acc
-        },
-        || {
-            let mut acc = 0u64;
-            for &bram in &kernel_brams {
-                let mut k = LadderKernel::new(&model, bram);
-                for rc in &stream {
-                    k.advance(rc);
-                    acc += u64::from(k.flip_cells());
-                }
-            }
-            acc
-        },
-    );
     let counts = pair(
         "sweep_level_counts",
         opts,
@@ -216,13 +173,14 @@ fn bench_ladder(opts: &BenchOptions) -> Vec<Pair> {
                 .sum::<u64>()
         },
     );
-    vec![masks.gate(), counts.gate()]
+    vec![counts.gate()]
 }
 
 /// The rung a ladder scores most: a quantized MLP read back through the
 /// VC707 fault masks at `Vcrash`, then the MNIST-like test split scored
 /// after one more flip in one row of the first layer — by a [`Scorer`]
-/// that last scored the net without it, vs a cold `error_on`.
+/// that last scored the net without it and is told which row changed, as
+/// the rung loop's read-back tells it, vs a cold `error_on`.
 fn bench_rescore(opts: &BenchOptions) -> Vec<Pair> {
     // An untrained (He-seeded) net exercises the identical pipeline at a
     // fraction of the setup cost; quick mode shrinks the hidden layer.
@@ -251,21 +209,20 @@ fn bench_rescore(opts: &BenchOptions) -> Vec<Pair> {
         test.len()
     );
 
-    // The nets alternate, so every scorer call is a one-row delta; they
-    // are cloned up front, as a read-back hands the scorer a fresh net.
+    // The nets alternate, so every rescore is a one-row delta.
     let mut flipped = corrupted.clone();
     let w = &mut flipped.layers_mut()[0].w;
     w.set(0, 0, f32::from_bits(w.get(0, 0).to_bits() ^ (1 << 30)));
+    let row = Change {
+        layer: 0,
+        rows: vec![0],
+    };
     let mut scorer = Scorer::new(&test);
-    scorer.error(corrupted.clone());
-    // A rescore costs about a fifth of a cold pass, so a kernel call runs
-    // five: both sides of a sample last about as long.
-    const RESCORES: u32 = 5;
-    let calls = (opts.warmup_iters + opts.samples.max(1)) * RESCORES;
-    let mut nets = (0..calls)
-        .map(|i| if i % 2 == 0 { &flipped } else { &corrupted }.clone())
-        .collect::<Vec<Mlp>>()
-        .into_iter();
+    scorer.rescore(&corrupted, None);
+    let mut nets = [&flipped, &corrupted].into_iter().cycle();
+    // A rescore costs about a twenty-fifth of a cold pass, so a kernel
+    // call runs 25: both sides of a sample last about as long.
+    const RESCORES: u32 = 25;
     let images = test.len() as u64;
     let rescore = pair(
         "nn_rescore",
@@ -275,7 +232,7 @@ fn bench_rescore(opts: &BenchOptions) -> Vec<Pair> {
         || corrupted.error_on(&test),
         || {
             (0..RESCORES)
-                .map(|_| scorer.error(nets.next().expect("one net per rescore")))
+                .map(|_| scorer.rescore(nets.next().expect("cycles"), Some(&row)))
                 .sum::<f64>()
         },
     );

@@ -411,7 +411,7 @@ const ORACLES: &[(&str, &str)] = &[
     ),
     (
         "for_each_failing_resolved",
-        "the per-cell scan the fault masks, ladder kernel and probe counts are held against",
+        "the per-cell scan the fault masks and the batched level counts are held against",
     ),
     (
         "total_weak_cells",
@@ -426,8 +426,8 @@ const ORACLES: &[(&str, &str)] = &[
         "DESIGN §6b's supply-droop knob, which the ladder equivalence trials randomise",
     ),
     (
-        "to_mask",
-        "snapshots a ladder kernel so the tests hold it against `FaultMask::build`",
+        "flip_cells",
+        "the flip count the mask-equivalence, plan and pinned-chip tests hold a fault mask to",
     ),
     (
         "with_checkpoint_dir",

@@ -5,21 +5,23 @@
 //! changed. Here every rung is recomputed the slow way — a fresh
 //! `read_back` and a fresh `error_on` — and must match the reports
 //! exactly, errors and ECC tallies alike, for all four mitigation modes. Both ladders must also report the same
-//! whether the shared die cache starts cold or warm. The chip is the
+//! whether the shared die cache starts cold or warm. Fig. 13's
+//! `layer_vulnerability_traced` carries the same read-back from read to
+//! read and is held to fresh reads the same way. The chip is the
 //! registry's Fig. 13/14 die, read cold, so faults arrive well inside the
 //! ladder.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use uvf_accel::{
-    mitigation_shootout_traced, voltage_accuracy_power_sweep, LayerFaults, MappedNetwork,
-    Mitigation, ParetoConfig, Placement, ShootoutConfig,
+    layer_vulnerability_traced, mitigation_shootout_traced, voltage_accuracy_power_sweep,
+    LayerFaults, MappedNetwork, Mitigation, ParetoConfig, Placement, ShootoutConfig,
 };
 use uvf_bench::registry::{CHIP_SEED, EVAL_RUN_SEED, EVAL_TEMPERATURE_C, NET_SEED};
 use uvf_faults::ecc::EccStats;
 use uvf_faults::{FaultModel, FvmCache, ReadCondition};
-use uvf_fpga::{Board, Millivolts, Platform, Rail};
+use uvf_fpga::{Board, Millivolts, Platform, PlatformKind, Rail};
 use uvf_nn::{train, DatasetKind, Mlp, QNetwork, SyntheticData, TrainConfig};
-use uvf_trace::Tracer;
+use uvf_trace::{EventKind, MemorySink, Tracer};
 
 /// Every test here reads chip `CHIP_SEED` through the process-wide die
 /// cache and one clears it; serialize them so the cold run stays cold.
@@ -196,6 +198,57 @@ fn pareto_sweep_levels_match_a_fresh_read_back_and_classification() {
             point.v_mv
         );
     }
+}
+
+/// Every read of the layer study returns a fresh read-back's error, on the
+/// contiguous and the ICBP placement, and its trace keeps one
+/// `weights_read_back` span per read, one `mask_apply` per faulty BRAM and
+/// each `layer_isolated` instant right after its own read. (The clean
+/// baseline read is a read with no faulty layer.)
+#[test]
+fn layer_study_reads_match_a_fresh_read_back_and_classification() {
+    let _g = die_cache();
+    let (data, qnet, weights) = small_net();
+    let platform = Platform::new(PlatformKind::Vc707);
+    let model = FaultModel::with_chip_seed(platform, CHIP_SEED);
+    let vcrash = platform.rail(Rail::Vccbram).vcrash;
+    let cond = model.resolve(&ReadCondition {
+        v: vcrash,
+        temperature_c: EVAL_TEMPERATURE_C,
+        run_seed: EVAL_RUN_SEED,
+    });
+    let (off, last, mut moved) = (Tracer::disabled(), weights.len() - 1, false);
+    let icbp = Placement::icbp(&weights, &model.variation_map(vcrash), last);
+    for placement in [Placement::contiguous(&weights), icbp] {
+        let mut board = Board::with_chip_seed(platform, CHIP_SEED);
+        let mapped = MappedNetwork::load_traced(&mut board, &qnet, placement, &off).unwrap();
+        let sink = Arc::new(MemorySink::new(1 << 16));
+        let tracer = Tracer::builder().sink(sink.clone()).build();
+        let r = layer_vulnerability_traced(&mapped, &board, &model, &cond, &data.test, &tracer)
+            .unwrap();
+        let (mut fresh, mut names) = (Vec::new(), Vec::new());
+        let only = (0..=last).map(LayerFaults::Only);
+        let reads = [LayerFaults::None, LayerFaults::All]
+            .into_iter()
+            .chain(only);
+        for (i, faults) in reads.enumerate() {
+            let net = mapped.read_back_traced(&board, &model, Some(&cond), faults, &off);
+            fresh.push(net.unwrap().error_on(&data.test).to_bits());
+            names.push("weights_read_back");
+            for l in (0..=last).filter(|&l| faults.includes(l)) {
+                names.extend(vec!["mask_apply"; mapped.placement().layer(l).len()]);
+            }
+            names.extend((i >= 2).then_some("layer_isolated"));
+        }
+        let errors = [r.baseline, r.degraded].into_iter().chain(r.per_layer);
+        assert_eq!(errors.map(f64::to_bits).collect::<Vec<_>>(), fresh);
+        moved |= fresh.iter().any(|&e| e != fresh[0]);
+        let mut traced = sink.events();
+        traced.retain(|e| e.kind != EventKind::SpanEnd && names.contains(&&*e.name));
+        assert_eq!(traced.iter().map(|e| &*e.name).collect::<Vec<_>>(), names);
+    }
+    // The errors move along the reads, so a stale carried layer shows.
+    assert!(moved);
 }
 
 /// The Pareto sweep and the shoot-out walk the same rung loop, so the

@@ -30,7 +30,7 @@ pub mod weakcells;
 pub use cache::FvmCache;
 pub use ecc::{Codeword, Decode, EccStats};
 pub use fvm::FaultVariationMap;
-pub use ladder::{LadderKernel, LadderStep, MaskPlan};
+pub use ladder::MaskPlan;
 pub use mask::{FaultMask, ResolvedCondition, WindowJudge};
 pub use model::{run_seed, FaultModel, ReadCondition};
 pub use params::FaultParams;

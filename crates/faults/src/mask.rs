@@ -67,7 +67,7 @@ impl ResolvedCondition {
     /// Deterministic-failure boundary: every cell with `vfail_mv` at or
     /// above this fails under this condition with no jitter draw. Together
     /// with [`ResolvedCondition::cutoff_mv`] it brackets the jitter window,
-    /// which is what lets the ladder kernel binary-search both boundaries
+    /// which is what lets [`crate::MaskPlan`] binary-search both boundaries
     /// on the descending-threshold arrays instead of scanning them.
     #[must_use]
     pub fn certain_mv(&self) -> f64 {
@@ -157,8 +157,8 @@ fn env_hi_table() -> &'static [f64; ENV_LEN] {
 }
 
 /// Jitter-window oracle for one `(condition, BRAM)` pair, bit-identical to
-/// [`ResolvedCondition::cell_fails`] but priced for the ladder kernels'
-/// inner loops. Three cost tiers per cell:
+/// [`ResolvedCondition::cell_fails`] but priced for the batched level
+/// scan's inner loops. Three cost tiers per cell:
 ///
 /// 1. the hash prefix over `(run_seed, TAG_JITTER, bram)` is folded once
 ///    at construction, leaving one `mix64` per cell;
@@ -264,24 +264,6 @@ impl FaultMask {
             }
             flip_cells += 1;
         }
-        FaultMask {
-            and_masks,
-            or_masks,
-            flip_cells,
-        }
-    }
-
-    /// Assemble a mask from already-built rows (the ladder kernel's
-    /// snapshot path). Callers must uphold the [`FaultMask::build`]
-    /// invariants: identity rows where no cell flips, `flip_cells`
-    /// counting every failing cell.
-    pub(crate) fn from_parts(
-        and_masks: Vec<u16>,
-        or_masks: Vec<u16>,
-        flip_cells: u32,
-    ) -> FaultMask {
-        debug_assert_eq!(and_masks.len(), BRAM_ROWS);
-        debug_assert_eq!(or_masks.len(), BRAM_ROWS);
         FaultMask {
             and_masks,
             or_masks,

@@ -1,17 +1,11 @@
-//! Property tests: the incremental ladder kernels are bit-identical to the
-//! per-level [`FaultMask::build`] path.
+//! Property tests: the batched level counts of [`MaskPlan`] are
+//! bit-identical to one per-cell scan per run.
 //!
-//! Randomized over (platform, temperature, chip seed, run, ladder shape) —
-//! including non-uniform steps, repeated levels, upward jumps, and levels
-//! straddling the `Vcrash` boundary — because the jitter window makes the
-//! failing set *non*-monotone across levels even though the deterministic
-//! core is monotone: exactly the regime where a naive delta kernel would
-//! silently diverge.
+//! Randomized over (platform, temperature, chip seed, supply droop, level,
+//! run family, stored pattern), with levels from above `Vmin` down past
+//! `Vcrash`, where the jitter window decides the most cells.
 
-use uvf_faults::{
-    run_seed, FaultMask, FaultModel, LadderKernel, MaskPlan, ReadCondition, ResolvedCondition,
-    WeakCell,
-};
+use uvf_faults::{run_seed, FaultModel, MaskPlan, ReadCondition, ResolvedCondition, WeakCell};
 use uvf_fpga::{BramId, DataPattern, Millivolts, PlatformKind, Rail};
 
 /// Tiny deterministic PRNG (xorshift64*); no external crates.
@@ -38,65 +32,6 @@ fn resolved_at(m: &FaultModel, v: Millivolts, temp: f64, run: u32) -> ResolvedCo
         temperature_c: temp,
         run_seed: run_seed(m.chip_seed(), Rail::Vccbram, v, run),
     })
-}
-
-/// A random ladder: mostly descending with non-uniform steps, a few
-/// repeats and upward jumps, clamped around the interesting
-/// `[Vcrash - 20, Vmin + 20]` band so the Vcrash boundary is crossed.
-fn random_ladder(rng: &mut Rng, kind: PlatformKind) -> Vec<Millivolts> {
-    let lm = kind.descriptor().vccbram;
-    let top = lm.vmin.0 + 20;
-    let floor = lm.vcrash.0.saturating_sub(20);
-    let mut v = top - rng.below(15) as u32;
-    let mut ladder = Vec::new();
-    for _ in 0..14 {
-        ladder.push(Millivolts(v));
-        match rng.below(10) {
-            0 => {}                                           // repeated level
-            1 => v = (v + 5 + rng.below(20) as u32).min(top), // upward jump
-            _ => {
-                let step = 1 + rng.below(25) as u32; // non-uniform descent
-                v = v.saturating_sub(step).max(floor);
-            }
-        }
-    }
-    ladder
-}
-
-#[test]
-fn kernel_deltas_match_per_level_builds_over_random_trials() {
-    let mut rng = Rng(0x0001_adde_0001);
-    for trial in 0..12u32 {
-        let kind = PlatformKind::ALL[(trial as usize) % PlatformKind::ALL.len()];
-        let platform = kind.descriptor();
-        let model = FaultModel::with_chip_seed(platform, 0xC0FFEE ^ (u64::from(trial) * 7919));
-        let temp = rng.below(86) as f64;
-        let run = rng.below(100) as u32;
-        let ladder = random_ladder(&mut rng, kind);
-        // A handful of BRAMs per trial keeps the test fast; always include
-        // the sentinel's BRAM (the one guaranteed to carry weak cells).
-        let mut brams = vec![model.sentinel().0];
-        for _ in 0..3 {
-            brams.push(BramId(rng.below(platform.bram_count as u64) as u32));
-        }
-        for bram in brams {
-            let mut kernel = LadderKernel::new(&model, bram);
-            for &v in &ladder {
-                let rc = resolved_at(&model, v, temp, run);
-                let step = kernel.advance(&rc);
-                let expect = FaultMask::build(&model, bram, &rc);
-                assert_eq!(
-                    kernel.to_mask(),
-                    expect,
-                    "trial {trial} {kind:?} BRAM {} at {} mV T={temp}",
-                    bram.0,
-                    v.0
-                );
-                assert_eq!(kernel.flip_cells(), expect.flip_cells());
-                assert!(step.window_flips <= step.window_cells);
-            }
-        }
-    }
 }
 
 #[test]
@@ -154,23 +89,4 @@ fn plan_counts_match_per_run_scans_over_random_trials() {
         }
     }
     assert!(zero_to_one_flips > 0, "no 0→1 flip was ever counted");
-}
-
-#[test]
-fn kernel_crosses_the_vcrash_boundary_exactly() {
-    // Walk 1 mV at a time through the Vcrash boundary on every platform:
-    // the densest fault region, where off-by-one boundary handling in the
-    // binary searches would show up immediately.
-    for kind in PlatformKind::ALL {
-        let model = FaultModel::new(kind.descriptor());
-        let lm = model.platform().vccbram;
-        let bram = model.sentinel().0;
-        let mut kernel = LadderKernel::new(&model, bram);
-        for v in (lm.vcrash.0.saturating_sub(5)..=lm.vcrash.0 + 5).rev() {
-            let rc = resolved_at(&model, Millivolts(v), 25.0, 3);
-            kernel.advance(&rc);
-            let expect = FaultMask::build(&model, bram, &rc);
-            assert_eq!(kernel.to_mask(), expect, "{kind:?} at {v} mV");
-        }
-    }
 }

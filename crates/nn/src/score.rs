@@ -7,9 +7,9 @@
 //! samples, each layer's output panel from the last net it scored. On the
 //! next net it starts at the first layer whose weight or bias bits differ,
 //! reuses every layer before it, recomputes only the changed rows of that
-//! layer and runs the layers after it in full. The caller either names that
-//! change ([`Scorer::rescore`], what a read-back that knows which BRAMs it
-//! re-read does) or lets the scorer find it ([`Scorer::error`]).
+//! layer and runs the layers after it in full. The caller names that change
+//! ([`Scorer::rescore`]): a read-back knows which BRAMs it re-read and
+//! which weight rows they changed.
 //!
 //! That is bit-identical to a cold pass by construction:
 //! [`Matrix::panel_into`] gives every output its own accumulator summed in
@@ -20,7 +20,7 @@
 //! scorer sorts the samples by label before cutting them into blocks, so
 //! a block's eight inputs share most of their zero pixels, and its first
 //! rescore packs each block once over only the columns some lane has
-//! nonzero ([`Matrix::packed_panel_into`]). The one-shot pass behind
+//! nonzero (`Matrix::packed_panel_into`). The one-shot pass behind
 //! [`Mlp::error_on`] reads dense panels: in a single pass packing eats
 //! most of the layer-0 work it saves and would copy the split for nothing.
 //! The error is a count, so the sample order does not move it.
@@ -45,8 +45,6 @@ pub struct Scorer<'d> {
     acts: Vec<Vec<f32>>,
     /// The error of the net `acts` belong to.
     scored: Option<f64>,
-    /// That net itself, kept by [`Scorer::error`] to find the next change.
-    last: Option<Mlp>,
 }
 
 /// Where a net differs from the one scored before it: the first layer with
@@ -143,24 +141,7 @@ impl<'d> Scorer<'d> {
             panels: None,
             acts: Vec::new(),
             scored: None,
-            last: None,
         }
-    }
-
-    /// Classification error of `net` on the scorer's dataset, bit for bit
-    /// [`Mlp::error_on`]. A net whose weights and biases have the same bits
-    /// as the previous one's (compared with `to_bits`, so `0.0` and `-0.0`
-    /// differ) returns the previous error; otherwise only the layers from
-    /// the first changed one on run, and in that layer only the changed
-    /// rows.
-    pub fn error(&mut self, net: Mlp) -> f64 {
-        let change = match &self.last {
-            Some(last) => first_change(last, &net),
-            None => Some(Change::cold(&net)),
-        };
-        let error = self.rescore(&net, change.as_ref());
-        self.last = Some(net);
-        error
     }
 
     /// Classification error of `net`, which differs from the net this
@@ -168,7 +149,6 @@ impl<'d> Scorer<'d> {
     /// bit for bit [`Mlp::error_on`]. The first net a scorer sees is
     /// scored in full whatever `change` says.
     pub fn rescore(&mut self, net: &Mlp, change: Option<&Change>) -> f64 {
-        self.last = None;
         // Packing pays off only over several passes, so the first rescore
         // packs and a one-shot `cold` pass never does.
         if self.panels.is_none() {
@@ -186,7 +166,6 @@ impl<'d> Scorer<'d> {
     /// A full pass of `net` that leaves nothing to reuse: the cold path
     /// behind [`Mlp::error_on`], on dense input panels.
     pub(crate) fn cold(&mut self, net: &Mlp) -> f64 {
-        self.last = None;
         self.scored = None;
         self.forward(net, &Change::cold(net))
     }
@@ -325,32 +304,6 @@ fn activate(lanes: &mut [f32], bias: f32, hidden: bool) {
     }
 }
 
-/// Where `net` first differs from `last`, weights and biases compared with
-/// `to_bits`, not `PartialEq` (which would equate `0.0` with `-0.0`);
-/// `None` for the same bits. A net of another shape changes everywhere.
-fn first_change(last: &Mlp, net: &Mlp) -> Option<Change> {
-    let same_shape = last.layers().len() == net.layers().len()
-        && last
-            .layers()
-            .iter()
-            .zip(net.layers())
-            .all(|(a, b)| a.in_dim() == b.in_dim() && a.out_dim() == b.out_dim());
-    if !same_shape {
-        return Some(Change::cold(net));
-    }
-    let bits = |v: &[f32], w: &[f32]| v.iter().zip(w).all(|(x, y)| x.to_bits() == y.to_bits());
-    last.layers()
-        .iter()
-        .zip(net.layers())
-        .enumerate()
-        .find_map(|(layer, (a, b))| {
-            let rows: Vec<usize> = (0..b.out_dim())
-                .filter(|&r| a.b[r].to_bits() != b.b[r].to_bits() || !bits(a.w.row(r), b.w.row(r)))
-                .collect();
-            (!rows.is_empty()).then_some(Change { layer, rows })
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,12 +314,39 @@ mod tests {
         w.set(r, c, f32::from_bits(w.get(r, c).to_bits() ^ (1 << bit)));
     }
 
-    /// Score `nets` in order on `data`: every error must be `error_on`'s
-    /// bits and every logit a cold pass's bits.
+    /// Where `net` differs from `last` in weight or bias bits (`0.0` and
+    /// `-0.0` differ), as a read-back names it to [`Scorer::rescore`]; a
+    /// net of another shape is named a cold pass.
+    fn diff(last: &Mlp, net: &Mlp) -> Option<Change> {
+        let shape = |n: &Mlp| {
+            n.layers()
+                .iter()
+                .map(|l| (l.in_dim(), l.out_dim()))
+                .collect::<Vec<_>>()
+        };
+        if shape(last) != shape(net) {
+            return Some(Change::cold(net));
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut layers = last.layers().iter().zip(net.layers()).enumerate();
+        layers.find_map(|(layer, (a, b))| {
+            let rows: Vec<usize> = (0..b.out_dim())
+                .filter(|&r| {
+                    a.b[r].to_bits() != b.b[r].to_bits() || bits(a.w.row(r)) != bits(b.w.row(r))
+                })
+                .collect();
+            (!rows.is_empty()).then_some(Change { layer, rows })
+        })
+    }
+
+    /// Rescore `nets` in order on `data`, each named by its change from the
+    /// one before: every error must be `error_on`'s bits and every logit a
+    /// cold pass's bits.
     fn assert_matches_cold_passes(data: &Dataset, nets: &[Mlp]) {
         let mut scorer = Scorer::new(data);
         for (i, net) in nets.iter().enumerate() {
-            let error = scorer.error(net.clone());
+            let named = i.checked_sub(1).and_then(|p| diff(&nets[p], net));
+            let error = scorer.rescore(net, named.as_ref());
             assert_eq!(
                 error.to_bits(),
                 net.error_on(data).to_bits(),
@@ -457,11 +437,15 @@ mod tests {
         let error = scorer.rescore(&out, Some(&change));
         assert_eq!(error.to_bits(), out.error_on(&data).to_bits());
         assert_eq!(bits(scorer.logits()), cold_logits(&out));
-        // `error` after `rescore` has no last net to compare with: cold.
+        // Back to the first net: layer 0 changes, and every layer after it
+        // runs in full.
+        let back = diff(&out, &base);
         assert_eq!(
-            scorer.error(base.clone()).to_bits(),
-            base.error_on(&data).to_bits()
+            back.as_ref().map(|c| (c.layer, c.rows.clone())),
+            Some((0, vec![4]))
         );
+        let error = scorer.rescore(&base, back.as_ref());
+        assert_eq!(error.to_bits(), base.error_on(&data).to_bits());
         assert_eq!(bits(scorer.logits()), cold_logits(&base));
     }
 
@@ -500,40 +484,12 @@ mod tests {
         let mut flipped = net.clone();
         flip(&mut flipped, 0, 2, 2, 30);
         let mut scorer = Scorer::new(&empty);
-        assert_eq!(scorer.error(net.clone()), 0.0);
-        assert_eq!(scorer.error(flipped.clone()), 0.0);
+        assert_eq!(scorer.rescore(&net, None), 0.0);
+        assert_eq!(scorer.rescore(&flipped, diff(&net, &flipped).as_ref()), 0.0);
         assert_matches_cold_passes(&empty, &[net.clone(), flipped.clone()]);
         // A differently shaped net after this one is scored cold.
         let single = Mlp::new(&[54, 7], 3);
         assert_matches_cold_passes(&full, &[net, flipped, single.clone(), single]);
-    }
-
-    #[test]
-    fn bitwise_comparison_tells_one_flipped_weight_bit_apart() {
-        let net = Mlp::new(&[6, 5, 3], 1);
-        assert_eq!(first_change(&net, &net.clone()), None);
-        for (layer, r, c) in [(0, 0, 0), (0, 4, 5), (1, 2, 3)] {
-            for bit in [0, 15, 31] {
-                let mut flipped = net.clone();
-                flip(&mut flipped, layer, r, c, bit);
-                assert_eq!(
-                    first_change(&net, &flipped),
-                    Some(Change {
-                        layer,
-                        rows: vec![r]
-                    }),
-                    "layer {layer} ({r},{c}) bit {bit}"
-                );
-            }
-        }
-        // The sign bit of a zero weight: equal under `PartialEq`, not in
-        // storage.
-        let mut zero = net.clone();
-        zero.layers_mut()[1].w.set(0, 0, 0.0);
-        let mut neg_zero = zero.clone();
-        neg_zero.layers_mut()[1].w.set(0, 0, -0.0);
-        assert_eq!(zero, neg_zero);
-        assert!(first_change(&zero, &neg_zero).is_some());
     }
 
     #[test]
@@ -544,11 +500,11 @@ mod tests {
         let w = &mut changed.layers_mut()[1].w;
         w.set(0, 0, w.get(0, 0) * 64.0);
         let mut scorer = Scorer::new(&data);
+        let mut last = &net;
         for n in [&net, &net, &changed, &changed, &net] {
-            assert_eq!(
-                scorer.error(n.clone()).to_bits(),
-                n.error_on(&data).to_bits()
-            );
+            let error = scorer.rescore(n, diff(last, n).as_ref());
+            assert_eq!(error.to_bits(), n.error_on(&data).to_bits());
+            last = n;
         }
     }
 }

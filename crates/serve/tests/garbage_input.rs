@@ -3,7 +3,7 @@
 //! Each parser gets a valid input built from real artifacts — a crashed
 //! sweep's checkpoint, a die's FVM census, a wire stream holding every
 //! protocol message, a Prometheus exposition, a run manifest, a SECDED
-//! BRAM image — and then thousands of deterministic mutations of it,
+//! BRAM image, a worker's event line, a campaign manifest — and then thousands of deterministic mutations of it,
 //! drawn from [`SplitMix64`]: byte flips, truncations and JSON
 //! punctuation splices. A panic fails the test and names the mutation.
 
@@ -18,7 +18,7 @@ use uvf_fpga::eccmode::{self, ECC_CODEWORDS_PER_BRAM, ECC_DATA_WORDS};
 use uvf_fpga::seedmix::SplitMix64;
 use uvf_fpga::{Board, Millivolts, PlatformKind, Rail, BRAM_ROWS};
 use uvf_serve::protocol::Message;
-use uvf_trace::{parse_exposition, Manifest, PhaseTime, PrometheusSink, Tracer};
+use uvf_trace::{parse_exposition, Event, Manifest, PhaseTime, PrometheusSink, Tracer};
 
 const MUTATIONS: u64 = 1500;
 
@@ -74,9 +74,9 @@ fn mutate(rng: &mut SplitMix64, valid: &[u8]) -> (&'static str, Vec<u8>) {
     }
 }
 
-/// Feed `MUTATIONS` mutants of `valid` to `parse`; return how many it
-/// rejected. `parse` must never panic.
-fn fuzz(label: &str, seed: u64, valid: &[u8], parse: impl Fn(&[u8]) -> bool) -> u64 {
+/// Feed `MUTATIONS` mutants of `valid` to `parse`, which must never panic
+/// and must reject more than half of them.
+fn fuzz(label: &str, seed: u64, valid: &[u8], parse: impl Fn(&[u8]) -> bool) {
     assert!(parse(valid), "{label}: the unmutated input must parse");
     let mut rng = SplitMix64::new(seed);
     let mut rejected = 0;
@@ -91,7 +91,10 @@ fn fuzz(label: &str, seed: u64, valid: &[u8], parse: impl Fn(&[u8]) -> bool) -> 
             ),
         }
     }
-    rejected
+    assert!(
+        rejected > MUTATIONS / 2,
+        "{label}: only {rejected} mutants rejected"
+    );
 }
 
 /// A finished ZC702 sweep that crashed, recovered and hit the boundary.
@@ -126,18 +129,16 @@ fn checkpoint_parse_never_panics() {
         clock_ms,
     }
     .to_json_string();
-    let rejected = fuzz("checkpoint", 1, text.as_bytes(), |b| {
+    fuzz("checkpoint", 1, text.as_bytes(), |b| {
         Checkpoint::parse(&String::from_utf8_lossy(b)).is_ok()
     });
-    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
 }
 
 #[test]
 fn fvm_record_parse_never_panics() {
-    let rejected = fuzz("fvm record", 2, fvm_text().as_bytes(), |b| {
+    fuzz("fvm record", 2, fvm_text().as_bytes(), |b| {
         FvmRecord::parse(&String::from_utf8_lossy(b)).is_ok()
     });
-    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
 }
 
 #[test]
@@ -192,7 +193,7 @@ fn message_frames_never_panic() {
     }
     // Read frames the way a connection does: until a clean close or the
     // first error, which drops the connection.
-    let rejected = fuzz("frames", 3, &wire, |b| {
+    fuzz("frames", 3, &wire, |b| {
         let mut reader = Cursor::new(b);
         let mut read = 0;
         loop {
@@ -203,7 +204,6 @@ fn message_frames_never_panic() {
             }
         }
     });
-    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
 }
 
 /// Frames whose string ends inside a multibyte run, or on a lone
@@ -294,10 +294,9 @@ fn prometheus_exposition_parse_never_panics() {
     }
     tracer.flush();
     let text = prom.render();
-    let rejected = fuzz("exposition", 4, text.as_bytes(), |b| {
+    fuzz("exposition", 4, text.as_bytes(), |b| {
         parse_exposition(&String::from_utf8_lossy(b)).is_ok()
     });
-    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
 }
 
 #[test]
@@ -327,10 +326,43 @@ fn manifest_parse_never_panics() {
     };
     let text = manifest.to_json_string();
     assert_eq!(Manifest::parse(&text).expect("round trip"), manifest);
-    let rejected = fuzz("manifest", 5, text.as_bytes(), |b| {
+    fuzz("manifest", 5, text.as_bytes(), |b| {
         Manifest::parse(&String::from_utf8_lossy(b)).is_ok()
     });
-    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
+}
+
+/// The line a worker streams and the server and `repro watch` parse back:
+/// every optional key and every field type.
+#[test]
+fn event_line_parse_never_panics() {
+    let line = r#"{"seq":17,"kind":"timing","name":"mask_apply","span":3,"parent":1,"sim_ms":1234,"ns":900,"ops":1024,"fields":{"platform":"vc707","v_mv":540,"temp_mc":-1500,"error":0.0272,"crashed":true}}"#;
+    assert_eq!(
+        Event::parse_jsonl(line).map(|e| e.to_jsonl()),
+        Ok(line.into())
+    );
+    fuzz("event line", 7, line.as_bytes(), |b| {
+        Event::parse_jsonl(&String::from_utf8_lossy(b)).is_ok()
+    });
+}
+
+/// The manifest a campaign writes: a crashed sweep and one that reached
+/// its floor.
+#[test]
+fn campaign_manifest_parse_never_panics() {
+    let mut campaign = Campaign::new(RecoveryPolicy::default());
+    let vmin = PlatformKind::Zc702.descriptor().vccbram.vmin.0;
+    for floor in [0, vmin] {
+        let cfg = SweepConfig::builder(Rail::Vccbram)
+            .runs(1)
+            .start(Millivolts(vmin + 10));
+        let cfg = cfg.floor(Millivolts(floor)).build();
+        campaign.push(CampaignJob::new(PlatformKind::Zc702, cfg));
+    }
+    let entries = campaign.run_sequential().unwrap();
+    let text = CampaignManifest::from_entries(&entries).to_json_string();
+    fuzz("campaign manifest", 8, text.as_bytes(), |b| {
+        CampaignManifest::parse(&String::from_utf8_lossy(b)).is_ok()
+    });
 }
 
 #[test]
@@ -344,7 +376,7 @@ fn ecc_decode_image_never_panics() {
     let bytes: Vec<u8> = clean.iter().flat_map(|w| w.to_le_bytes()).collect();
     // A mutant is "accepted" when every codeword decodes clean to the
     // stored data; a short image reads back zero-filled, a long one cut.
-    let rejected = fuzz("ecc image", 6, &bytes, |b| {
+    fuzz("ecc image", 6, &bytes, |b| {
         let mut image = [0u16; BRAM_ROWS];
         for (w, pair) in image.iter_mut().zip(b.chunks(2)) {
             *w = u16::from_le_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]);
@@ -356,5 +388,4 @@ fn ecc_decode_image_never_panics() {
         assert!(stats.corrected + stats.detected + stats.miscorrected <= stats.words);
         stats.raw_flips == 0
     });
-    assert!(rejected > MUTATIONS / 2, "only {rejected} mutants rejected");
 }
