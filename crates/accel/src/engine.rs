@@ -19,7 +19,7 @@ use uvf_faults::{FaultMask, FaultModel, ReadCondition, ResolvedCondition};
 use uvf_fpga::eccmode::{self, ECC_DATA_WORDS, ECC_WORDS_PER_BRAM};
 use uvf_fpga::{Board, BoardError, Millivolts, RailLandmarks, BRAM_ROWS};
 use uvf_nn::score::Change;
-use uvf_nn::{decode_word, Dataset, Matrix, Mlp, QNetwork, Scorer};
+use uvf_nn::{decode_word, Mlp, QNetwork, Scorer};
 use uvf_trace::{Tracer, Value};
 
 /// Which layers see faults during read-back — the per-layer vulnerability
@@ -211,18 +211,20 @@ impl<'a> MappedNetwork<'a> {
         faults: LayerFaults,
         tracer: &Tracer,
     ) -> Result<(Mlp, Option<EccStats>), BoardError> {
-        let mut back = ReadBack::new(self.qnet);
+        let mut back = ReadBack::new(self.qnet.to_mlp());
         let (stats, _) = self.read_level(&mut back, board, model, condition, faults, tracer)?;
         Ok((back.net, stats))
     }
 
     /// The one read loop behind both layouts and every level of a ladder:
     /// per BRAM, corrupt the stored image through the fault mask, then
-    /// decode it raw or through SECDED into `back`'s net. A BRAM whose mask
-    /// flips the same cells as on `back`'s last level reads back the same
-    /// words, so it keeps its weights and tallies from then. Returns the
-    /// tallies (`Some` exactly for an ECC net) and how the net changed
-    /// (`None`: in no bit), found by comparing the re-read weights' bits.
+    /// decode it raw or through SECDED and compare it, weight row by weight
+    /// row, with `back`'s net, copying the rows that differ. A BRAM whose
+    /// mask flips the same cells as on `back`'s last level reads back the
+    /// same words, so it keeps its weights and tallies from then; on the
+    /// first level every BRAM is read and compared with the start net.
+    /// Returns the tallies (`Some` exactly for an ECC net) and how the net
+    /// changed (`None`: in no bit).
     fn read_level(
         &self,
         back: &mut ReadBack,
@@ -237,11 +239,7 @@ impl<'a> MappedNetwork<'a> {
             mode_fields(self.qnet.layers().len(), self.ecc),
         );
         let capacity = words_per_bram(self.ecc);
-        let first = back.brams.is_empty();
-        let mut change = first.then(|| Change {
-            layer: 0,
-            rows: (0..self.qnet.layer(0).weights.rows()).collect(),
-        });
+        let mut change = None;
         let mut stats = EccStats::default();
         let mut decoded = Vec::new();
         let mut k = 0;
@@ -282,25 +280,21 @@ impl<'a> MappedNetwork<'a> {
                             (&words[..take], EccStats::default())
                         };
                         let weights = back.net.layers_mut()[l].w.data_mut();
-                        let decode = |v: &mut f32, &w: &u16| *v = f32::from(decode_word(w)) * scale;
-                        if first {
-                            let slots = weights[offset..offset + take].iter_mut();
-                            slots.zip(stored).for_each(|(v, w)| decode(v, w));
-                        } else {
-                            let mut fresh = [0.0f32; BRAM_ROWS];
-                            fresh.iter_mut().zip(stored).for_each(|(v, w)| decode(v, w));
-                            // Compare and copy row by row: the weight rows of
-                            // layer `l` this BRAM holds, cut at its ends.
-                            let mut at = offset;
-                            while at < offset + take {
-                                let end = ((at / cols + 1) * cols).min(offset + take);
-                                let new = &fresh[at - offset..end - offset];
-                                if !same_bits(new, &weights[at..end]) {
-                                    weights[at..end].copy_from_slice(new);
-                                    note_row(&mut change, l, at / cols);
-                                }
-                                at = end;
+                        let mut fresh = [0.0f32; BRAM_ROWS];
+                        for (v, &w) in fresh.iter_mut().zip(stored) {
+                            *v = f32::from(decode_word(w)) * scale;
+                        }
+                        // Compare and copy row by row: the weight rows of
+                        // layer `l` this BRAM holds, cut at its ends.
+                        let mut at = offset;
+                        while at < offset + take {
+                            let end = ((at / cols + 1) * cols).min(offset + take);
+                            let new = &fresh[at - offset..end - offset];
+                            if !same_bits(new, &weights[at..end]) {
+                                weights[at..end].copy_from_slice(new);
+                                note_row(&mut change, l, at / cols);
                             }
+                            at = end;
                         }
                         let read = BramRead {
                             mask: mask.filter(|mask| !mask.is_clean()),
@@ -326,18 +320,18 @@ impl<'a> MappedNetwork<'a> {
     }
 
     /// Score every level of a ladder on this network: read it back with
-    /// every layer faulty (`None` is a clean nominal read) and classify
-    /// `data`. Returns each level's error and, for an ECC-stored net, its
-    /// decode tallies.
+    /// every layer faulty (`None` is a clean nominal read) and classify it,
+    /// walking from `start` (see [`Walk::new`]). Returns each level's error
+    /// and, for an ECC-stored net, its decode tallies.
     pub(crate) fn score_levels(
         &self,
         board: &Board,
         model: &FaultModel,
         levels: &[Option<ReadCondition>],
-        data: &Dataset,
+        start: (Mlp, Scorer<'_>),
         tracer: &Tracer,
     ) -> Result<Vec<(f64, Option<EccStats>)>, BoardError> {
-        let mut walk = Walk::new(self, board, model, data, tracer);
+        let mut walk = Walk::new(self, board, model, start, tracer);
         levels
             .iter()
             .map(|level| walk.step(level.map(|c| model.resolve(&c)).as_ref(), LayerFaults::All))
@@ -349,6 +343,12 @@ impl<'a> MappedNetwork<'a> {
 /// read-back carried from read to read, so a read re-reads only the BRAMs
 /// whose fault mask changed, and one [`Scorer`] that recomputes only the
 /// weight rows those BRAMs changed.
+///
+/// A walk starts from a net and the scorer that scored it (or a new
+/// scorer): normally `qnet.to_mlp()`, the net a clean read decodes. Its
+/// first read re-reads every BRAM and names only the rows that differ from
+/// the start net, so a walk whose scorer already scored the clean net
+/// reuses that error on its nominal read.
 pub(crate) struct Walk<'w> {
     mapped: &'w MappedNetwork<'w>,
     board: &'w Board,
@@ -359,11 +359,13 @@ pub(crate) struct Walk<'w> {
 }
 
 impl<'w> Walk<'w> {
+    /// A walk from `start`: the net the first read is compared with and
+    /// the scorer that last scored it.
     pub(crate) fn new(
         mapped: &'w MappedNetwork<'w>,
         board: &'w Board,
         model: &'w FaultModel,
-        data: &'w Dataset,
+        (net, scorer): (Mlp, Scorer<'w>),
         tracer: &'w Tracer,
     ) -> Walk<'w> {
         Walk {
@@ -371,8 +373,8 @@ impl<'w> Walk<'w> {
             board,
             model,
             tracer,
-            back: ReadBack::new(mapped.qnet),
-            scorer: Scorer::new(data),
+            back: ReadBack::new(net),
+            scorer,
         }
     }
 
@@ -407,14 +409,11 @@ struct ReadBack {
 }
 
 impl ReadBack {
-    /// Nothing read yet: a zero net of `qnet`'s shape.
-    fn new(qnet: &QNetwork) -> ReadBack {
-        let zeros = qnet
-            .layers()
-            .iter()
-            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()));
+    /// Nothing read yet: the first read re-reads every BRAM and compares
+    /// it with `net`.
+    fn new(net: Mlp) -> ReadBack {
         ReadBack {
-            net: qnet.rebuild_with_weights(zeros.collect()),
+            net,
             brams: Vec::new(),
         }
     }
@@ -671,8 +670,9 @@ mod tests {
             let levels = [None, Some(vcrash + 20), Some(vcrash), Some(vcrash)]
                 .into_iter()
                 .chain([None, Some(vcrash - 10), Some(vcrash + 20), Some(vcrash)]);
-            let mut back = ReadBack::new(&qnet);
-            let mut last: Option<Mlp> = None;
+            let mut back = ReadBack::new(qnet.to_mlp());
+            // The first read is compared with the start net too.
+            let mut last = Some(qnet.to_mlp());
             let (mut repeats, mut changes, mut tallies) = (0, 0, Vec::new());
             for v in levels {
                 let res = v.map(|v| {
@@ -726,38 +726,152 @@ mod tests {
         }
     }
 
+    /// An untrained `[54, 64, 7]` net, the Forest-like split it scores on,
+    /// VC707 die 1, and the net's contiguous placement for the raw or the
+    /// SECDED layout.
+    fn walk_setup(ecc: bool) -> (uvf_nn::Dataset, QNetwork, Board, FaultModel, Placement) {
+        let data = uvf_nn::DatasetKind::ForestLike.generate(2).test;
+        let net = Mlp::new(&[54, 64, 7], 2);
+        let weights: Vec<usize> = net.layers().iter().map(|l| l.w.data().len()).collect();
+        let board = Board::with_chip_seed(Platform::new(PlatformKind::Vc707), 1);
+        let model = FaultModel::with_chip_seed(*board.platform(), board.chip_seed());
+        let placement = Placement::contiguous_with_capacity(&weights, words_per_bram(ecc));
+        (data, QNetwork::from_mlp(&net), board, model, placement)
+    }
+
+    /// A clean read, then a ladder that goes down past `Vcrash`, back to
+    /// it, and ends on a nominal-voltage rung where every mask is clean.
+    fn walk_levels(board: &Board) -> Vec<Option<ReadCondition>> {
+        let rail = board.platform().rail(Rail::Vccbram);
+        let below = Millivolts(rail.vcrash.0 - 10);
+        let rungs = [
+            rail.vmin,
+            rail.vcrash,
+            below,
+            rail.vcrash,
+            Millivolts::NOMINAL,
+        ];
+        nominal_then(&rungs, 25.0, 4)
+    }
+
+    #[test]
+    fn a_walk_from_the_scored_clean_net_matches_a_fresh_walk() {
+        for ecc in [false, true] {
+            let (data, qnet, mut board, model, placement) = walk_setup(ecc);
+            let off = Tracer::disabled();
+            let mapped = MappedNetwork::store(&mut board, &qnet, placement, ecc, &off).unwrap();
+            let levels = walk_levels(&board);
+            let clean = qnet.to_mlp();
+            let mut scored = Scorer::new(&data);
+            scored.rescore(&clean, None);
+            // A fresh walk, then one from the scored clean net.
+            let starts = [(clean.clone(), Scorer::new(&data)), (clean, scored)];
+            let [fresh, shared] = starts.map(|start| {
+                let sink = Arc::new(MemorySink::new(1 << 16));
+                let tracer = Tracer::builder().sink(sink.clone()).build();
+                let mut walk = Walk::new(&mapped, &board, &model, start, &tracer);
+                let steps: Vec<(u64, Option<EccStats>)> = levels
+                    .iter()
+                    .map(|level| {
+                        let res = level.map(|c| model.resolve(&c));
+                        let (error, stats) = walk.step(res.as_ref(), LayerFaults::All).unwrap();
+                        (error.to_bits(), stats)
+                    })
+                    .collect();
+                let events: Vec<(u64, &str, String)> = sink
+                    .events()
+                    .iter()
+                    .map(|e| (e.seq, e.kind.label(), e.name.to_string()))
+                    .collect();
+                (steps, events)
+            });
+            assert_eq!(fresh, shared, "ecc {ecc}");
+            // Every level against a fresh read-back and a cold pass.
+            for (level, &(error, stats)) in levels.iter().zip(&fresh.0) {
+                let res = level.map(|c| model.resolve(&c));
+                let (net, want) = mapped
+                    .read(&board, &model, res.as_ref(), LayerFaults::All, &off)
+                    .unwrap();
+                assert_eq!((error, stats), (net.error_on(&data).to_bits(), want));
+            }
+            let errors: Vec<u64> = fresh.0.iter().map(|&(e, _)| e).collect();
+            let tallies: Vec<_> = fresh.0.iter().map(|&(_, t)| t).collect();
+            assert!(
+                errors.iter().any(|&e| e != errors[0]) || (ecc && tallies[2] != tallies[0]),
+                "ecc {ecc}: nothing moved along the ladder"
+            );
+            let reads = fresh.1.iter().filter(|e| e.2 == "weights_read_back");
+            assert_eq!(reads.count(), 2 * levels.len(), "ecc {ecc}");
+        }
+    }
+
+    #[test]
+    fn a_walk_compares_its_first_read_with_the_start_net() {
+        for ecc in [false, true] {
+            let (data, qnet, mut board, model, placement) = walk_setup(ecc);
+            let off = Tracer::disabled();
+            let mapped = MappedNetwork::store(&mut board, &qnet, placement, ecc, &off).unwrap();
+            // One exponent bit of one output-layer weight: a net the
+            // board does not hold, scoring differently from the clean one.
+            let clean = qnet.to_mlp();
+            let mut start = clean.clone();
+            let w = &mut start.layers_mut()[1].w;
+            w.set(3, 5, f32::from_bits(w.get(3, 5).to_bits() ^ (1 << 30)));
+            assert_ne!(start.error_on(&data), clean.error_on(&data));
+            // The nominal read restores the weight and names its row.
+            let mut back = ReadBack::new(start.clone());
+            let (_, change) = mapped
+                .read_level(&mut back, &board, &model, None, LayerFaults::All, &off)
+                .unwrap();
+            let row = Change {
+                layer: 1,
+                rows: vec![3],
+            };
+            assert_eq!(change, Some(row), "ecc {ecc}");
+            assert!(weight_change(&back.net, &clean).is_none(), "ecc {ecc}");
+            // A walk from that net and its scorer reads what fresh reads do.
+            let mut scorer = Scorer::new(&data);
+            scorer.rescore(&start, None);
+            let mut walk = Walk::new(&mapped, &board, &model, (start, scorer), &off);
+            for level in walk_levels(&board) {
+                let res = level.map(|c| model.resolve(&c));
+                let (error, stats) = walk.step(res.as_ref(), LayerFaults::All).unwrap();
+                let (net, want) = mapped
+                    .read(&board, &model, res.as_ref(), LayerFaults::All, &off)
+                    .unwrap();
+                assert_eq!(
+                    (error.to_bits(), stats),
+                    (net.error_on(&data).to_bits(), want),
+                    "ecc {ecc}, {level:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn rung_loop_times_every_mask_of_every_faulty_level() {
         // The BRAMs a carried read-back skips still report `mask_apply`,
         // so the event stream does not depend on what was carried over.
-        let data = uvf_nn::DatasetKind::ForestLike.generate(2).test;
-        let net = Mlp::new(&[54, 64, 7], 2);
-        let qnet = QNetwork::from_mlp(&net);
-        let weights: Vec<usize> = net.layers().iter().map(|l| l.w.data().len()).collect();
-        let mut board = Board::with_chip_seed(Platform::new(PlatformKind::Vc707), 1);
-        let model = FaultModel::with_chip_seed(*board.platform(), board.chip_seed());
+        let (data, qnet, mut board, model, placement) = walk_setup(false);
         let off = Tracer::disabled();
-        let mapped =
-            MappedNetwork::load_traced(&mut board, &qnet, Placement::contiguous(&weights), &off)
-                .unwrap();
-        let rail = board.platform().rail(Rail::Vccbram);
-        // The last rung reads at nominal voltage: every mask clean.
-        let rungs = [rail.vmin, rail.vcrash, rail.vcrash, Millivolts::NOMINAL];
-        let levels = nominal_then(&rungs, 25.0, 4);
+        let mapped = MappedNetwork::load_traced(&mut board, &qnet, placement, &off).unwrap();
+        let levels = walk_levels(&board);
+        let start = || (qnet.to_mlp(), Scorer::new(&data));
         let sink = Arc::new(MemorySink::new(1 << 16));
         let tracer = Tracer::builder().sink(sink.clone()).build();
         let scored = mapped
-            .score_levels(&board, &model, &levels, &data, &tracer)
+            .score_levels(&board, &model, &levels, start(), &tracer)
             .unwrap();
         assert_eq!(
             scored,
             mapped
-                .score_levels(&board, &model, &levels, &data, &off)
+                .score_levels(&board, &model, &levels, start(), &off)
                 .unwrap()
         );
         let count = |name: &str| sink.events().iter().filter(|e| e.name == name).count();
+        let faulty = levels.iter().filter(|l| l.is_some()).count();
         let brams = mapped.placement().total_brams();
-        assert_eq!(count("mask_apply"), rungs.len() * brams);
+        assert_eq!(count("mask_apply"), faulty * brams);
         assert_eq!(count("weights_read_back"), 2 * levels.len());
     }
 

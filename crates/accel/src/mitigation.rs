@@ -35,7 +35,7 @@ use uvf_faults::{FaultModel, FaultVariationMap, FvmCache, ReadCondition};
 use uvf_fpga::eccmode::{ECC_CODEWORDS_PER_BRAM, ECC_WORDS_PER_BRAM};
 use uvf_fpga::BRAM_ROWS;
 use uvf_fpga::{eccmode, Board, BoardError, BramId, Platform, PlatformKind, Rail};
-use uvf_nn::{QNetwork, SyntheticData};
+use uvf_nn::{QNetwork, Scorer, SyntheticData};
 use uvf_trace::Tracer;
 
 /// The mitigation axis threaded through the accelerator read-back.
@@ -384,7 +384,11 @@ pub fn mitigation_shootout(
 /// rung are decoded again (the others keep their weights and ECC tallies),
 /// and each rung's classification recomputes only the weight rows those
 /// BRAMs changed (`uvf_nn::Scorer`); a rung that changed no weight bit
-/// reuses the previous error.
+/// reuses the previous error. The clean net is scored once: every mode's
+/// walk starts from it and a copy of its scorer, so each mode's nominal
+/// read, which decodes that same net, names no changed row and reuses
+/// its error. The modes still run one after another, so the event
+/// stream is the same as four fresh walks'.
 ///
 /// # Errors
 /// Propagates any [`BoardError`] from the weight loads or bulk reads.
@@ -412,12 +416,16 @@ pub fn mitigation_shootout_traced(
     let rungs = ladder(rail, cfg.start_above_vmin_mv, cfg.step_mv, floor_mv);
     let levels = nominal_then(&rungs, cfg.temperature_c, cfg.run_seed);
 
+    let clean = qnet.to_mlp();
+    let mut scorer = Scorer::new(&data.test);
+    scorer.rescore(&clean, None);
     let curves = Mitigation::ALL
         .into_iter()
         .map(|m| {
             let mut board = Board::with_chip_seed(platform, cfg.chip_seed);
             let mapped = m.load(&mut board, qnet, weights, &fvm, cfg.protected_layer, tracer)?;
-            let scored = mapped.score_levels(&board, &model, &levels, &data.test, tracer)?;
+            let start = (clean.clone(), scorer.clone());
+            let scored = mapped.score_levels(&board, &model, &levels, start, tracer)?;
             Ok(MitigationCurve {
                 mitigation: m,
                 nominal_error: scored[0].0,

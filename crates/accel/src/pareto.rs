@@ -18,7 +18,7 @@ use crate::engine::{ladder, nominal_then, MappedNetwork};
 use crate::placement::Placement;
 use uvf_faults::FaultModel;
 use uvf_fpga::{Board, BoardError, Millivolts, Platform, PlatformKind, Rail};
-use uvf_nn::{QNetwork, SyntheticData};
+use uvf_nn::{QNetwork, Scorer, SyntheticData};
 use uvf_power::{knee_of_frontier, pareto_frontier, ChipPowerModel};
 use uvf_trace::Tracer;
 
@@ -114,7 +114,8 @@ pub fn voltage_accuracy_power_sweep(
     let rail = platform.rail(Rail::Vccbram);
     let rungs = ladder(rail, cfg.start_above_vmin_mv, cfg.step_mv, rail.vcrash.0);
     let levels = nominal_then(&rungs, cfg.temperature_c, cfg.run_seed);
-    let scored = mapped.score_levels(&board, &model, &levels, &data.test, &off)?;
+    let start = (qnet.to_mlp(), Scorer::new(&data.test));
+    let scored = mapped.score_levels(&board, &model, &levels, start, &off)?;
     let points: Vec<ParetoPoint> = levels
         .iter()
         .zip(scored)

@@ -220,9 +220,10 @@ fn bench_rescore(opts: &BenchOptions) -> Vec<Pair> {
     let mut scorer = Scorer::new(&test);
     scorer.rescore(&corrupted, None);
     let mut nets = [&flipped, &corrupted].into_iter().cycle();
-    // A rescore costs about a twenty-fifth of a cold pass, so a kernel
-    // call runs 25: both sides of a sample last about as long.
-    const RESCORES: u32 = 25;
+    // A rescore costs about a seventeenth of a cold pass (which reads the
+    // split's shared packed panels too), so a kernel call runs 17: both
+    // sides of a sample last about as long.
+    const RESCORES: u32 = 17;
     let images = test.len() as u64;
     let rescore = pair(
         "nn_rescore",

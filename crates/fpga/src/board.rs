@@ -28,12 +28,17 @@ pub enum BoardState {
 /// Ambient/default die temperature in °C.
 pub const DEFAULT_TEMPERATURE_C: f64 = 25.0;
 
+/// The image every BRAM holds until its first write.
+static ZERO_IMAGE: [u16; BRAM_ROWS] = [0; BRAM_ROWS];
+
 #[derive(Debug, Clone)]
 pub struct Board {
     platform: Platform,
     chip_seed: u64,
     regulator: Regulator,
-    brams: Vec<Bram>,
+    /// Each BRAM's stored image, allocated on its first write: a read of
+    /// an unwritten BRAM returns [`ZERO_IMAGE`].
+    brams: Vec<Option<Bram>>,
     temperature_c: f64,
     state: BoardState,
     /// Width of the probabilistic crash band above the crash boundary, in
@@ -59,7 +64,7 @@ impl Board {
             platform,
             chip_seed,
             regulator: Regulator::at_nominal(),
-            brams: (0..platform.bram_count).map(|_| Bram::new()).collect(),
+            brams: (0..platform.bram_count).map(|_| None).collect(),
             temperature_c: DEFAULT_TEMPERATURE_C,
             state: BoardState::Operational,
             noise_band_mv: 0,
@@ -182,6 +187,7 @@ impl Board {
             return Err(e);
         }
         for (i, bram) in self.brams.iter_mut().enumerate() {
+            let bram = bram.get_or_insert_with(Bram::new);
             bram.fill_pattern(BramId(i as u32), pattern);
         }
         Ok(())
@@ -192,13 +198,13 @@ impl Board {
         if let Some(e) = self.crashed_error() {
             return Err(e);
         }
-        let b = self
+        let slot = self
             .brams
             .get_mut(bram.0 as usize)
+            .filter(|_| (row as usize) < BRAM_ROWS)
             .ok_or(BoardError::AddressOutOfRange { bram: bram.0, row })?;
-        if !b.set_word(row as usize, value) {
-            return Err(BoardError::AddressOutOfRange { bram: bram.0, row });
-        }
+        slot.get_or_insert_with(Bram::new)
+            .set_word(row as usize, value);
         Ok(())
     }
 
@@ -213,9 +219,8 @@ impl Board {
         if let Some(e) = self.crashed_error() {
             return Err(e);
         }
-        self.brams
-            .get(bram.0 as usize)
-            .and_then(|b| b.word(row as usize))
+        self.image(bram)
+            .and_then(|words| words.get(row as usize).copied())
             .ok_or(BoardError::AddressOutOfRange { bram: bram.0, row })
     }
 
@@ -227,13 +232,17 @@ impl Board {
         if let Some(e) = self.crashed_error() {
             return Err(e);
         }
-        self.brams
-            .get(bram.0 as usize)
-            .map(Bram::words)
-            .ok_or(BoardError::AddressOutOfRange {
-                bram: bram.0,
-                row: 0,
-            })
+        self.image(bram).ok_or(BoardError::AddressOutOfRange {
+            bram: bram.0,
+            row: 0,
+        })
+    }
+
+    /// The stored image of `bram`, all zeros before its first write;
+    /// `None` for an id past the device.
+    fn image(&self, bram: BramId) -> Option<&[u16; BRAM_ROWS]> {
+        let slot = self.brams.get(bram.0 as usize)?;
+        Some(slot.as_ref().map_or(&ZERO_IMAGE, Bram::words))
     }
 
     /// Deterministic logic self-test for `VCCINT` sweeps.
@@ -258,11 +267,12 @@ impl Board {
     /// Power-cycle the board: the one recovery path from a hang.
     ///
     /// Restores every rail to nominal, clears all BRAM contents (volatile
-    /// memory loses state), returns the board to `Operational`, and leaves
-    /// the die — chip seed, temperature chamber setting — untouched.
+    /// memory loses state; written images are zeroed in place), returns
+    /// the board to `Operational`, and leaves the die — chip seed,
+    /// temperature chamber setting — untouched.
     pub fn power_cycle(&mut self) {
         self.regulator.reset_to_nominal();
-        for bram in &mut self.brams {
+        for bram in self.brams.iter_mut().flatten() {
             bram.clear();
         }
         self.state = BoardState::Operational;
@@ -333,6 +343,57 @@ mod tests {
         assert_eq!(b.state(), BoardState::Operational);
         assert_eq!(b.rail_mv(Rail::Vccbram), Millivolts::NOMINAL);
         assert_eq!(b.read_row(BramId(3), 17).unwrap(), 0, "contents cleared");
+    }
+
+    #[test]
+    fn brams_hold_an_image_only_once_written() {
+        let mut b = vc707();
+        assert!(
+            b.brams.iter().all(Option::is_none),
+            "a fresh board holds no image"
+        );
+        assert_eq!(b.read_bram(BramId(9)).unwrap(), &[0; BRAM_ROWS]);
+        assert_eq!(b.read_row(BramId(9), 1023), Ok(0));
+        b.write_row(BramId(9), 4, 0xBEEF).unwrap();
+        assert_eq!(b.brams.iter().flatten().count(), 1);
+        assert_eq!(b.read_row(BramId(9), 4), Ok(0xBEEF));
+        assert_eq!(b.read_bram(BramId(8)).unwrap(), &[0; BRAM_ROWS]);
+        fn out<T>(bram: u32, row: u32) -> Result<T, BoardError> {
+            Err(BoardError::AddressOutOfRange { bram, row })
+        }
+        // A failed write allocates nothing.
+        assert_eq!(b.write_row(BramId(3), 1024, 1), out(3, 1024));
+        assert_eq!(b.brams.iter().flatten().count(), 1);
+        // Bad ids and rows still error, written BRAM or not.
+        let last = b.platform().bram_count as u32;
+        assert_eq!(b.write_row(BramId(last), 0, 1), out(last, 0));
+        assert_eq!(b.read_row(BramId(last), 0), out(last, 0));
+        assert_eq!(b.read_row(BramId(8), 1024), out(8, 1024));
+        assert_eq!(b.read_row(BramId(9), 1024), out(9, 1024));
+        assert_eq!(b.read_bram(BramId(last)), out(last, 0));
+        // A power cycle zeroes the written image and keeps it.
+        b.power_cycle();
+        assert_eq!(b.brams.iter().flatten().count(), 1);
+        assert_eq!(b.read_bram(BramId(9)).unwrap(), &[0; BRAM_ROWS]);
+        b.write_pattern(DataPattern::AllOnes).unwrap();
+        assert!(b.brams.iter().all(Option::is_some));
+        b.power_cycle();
+        assert!(b
+            .brams
+            .iter()
+            .flatten()
+            .all(|bram| bram.words() == &[0; BRAM_ROWS]));
+        // A crashed board answers no read, written BRAM or not.
+        let mut fresh = vc707();
+        fresh.set_rail_mv(Rail::Vccbram, Millivolts(500)).ok();
+        assert!(matches!(
+            fresh.read_bram(BramId(9)),
+            Err(BoardError::Crashed { .. })
+        ));
+        assert!(matches!(
+            fresh.read_row(BramId(9), 0),
+            Err(BoardError::Crashed { .. })
+        ));
     }
 
     #[test]

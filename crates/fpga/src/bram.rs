@@ -113,13 +113,9 @@ impl Bram {
         }
     }
 
-    #[must_use]
-    pub fn word(&self, row: usize) -> Option<u16> {
-        self.words.get(row).copied()
-    }
-
-    /// The whole stored image, row-indexed — the bulk read path the NN
-    /// weight fetch (`uvf-accel`) uses instead of 1024 `word()` calls.
+    /// The whole stored image, row-indexed: `Board::read_bram` hands it
+    /// out whole (the NN weight fetch of `uvf-accel`) and
+    /// `Board::read_row` indexes it.
     #[must_use]
     pub fn words(&self) -> &[u16; BRAM_ROWS] {
         &self.words
@@ -206,7 +202,7 @@ mod tests {
         let words = bram.words();
         assert_eq!(words.len(), BRAM_ROWS);
         for (row, &w) in words.iter().enumerate() {
-            assert_eq!(Some(w), bram.word(row));
+            assert_eq!(w, DataPattern::Random50.word(BramId(3), row as u32));
         }
     }
 }

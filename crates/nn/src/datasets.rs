@@ -19,6 +19,9 @@
 //! Everything is a pure function of `(spec, seed)`: two generations are
 //! bit-identical, which the accelerator's determinism tests rely on.
 
+use crate::score::Packing;
+use std::fmt;
+use std::sync::OnceLock;
 use uvf_fpga::seedmix::{mix, unit_f64};
 
 const TAG_PROTO: u64 = 0x00da_7a01;
@@ -38,6 +41,31 @@ pub struct Dataset {
     classes: usize,
     inputs: Vec<f32>,
     labels: Vec<u8>,
+    packing: Packed,
+}
+
+/// The split's scoring layout, built by the first [`crate::Scorer`] made
+/// on it and borrowed by every later one. A cache of the samples, so it
+/// takes no part in the split's equality, clones or debug output.
+#[derive(Default)]
+struct Packed(OnceLock<Packing>);
+
+impl Clone for Packed {
+    fn clone(&self) -> Packed {
+        Packed::default()
+    }
+}
+
+impl PartialEq for Packed {
+    fn eq(&self, _: &Packed) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Packed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl Dataset {
@@ -60,6 +88,7 @@ impl Dataset {
             classes,
             inputs,
             labels,
+            packing: Packed::default(),
         }
     }
 
@@ -91,6 +120,18 @@ impl Dataset {
     #[must_use]
     pub fn label(&self, i: usize) -> u8 {
         self.labels[i]
+    }
+
+    /// The split's samples grouped by label and packed for the first
+    /// layer, built on the first call.
+    pub(crate) fn packing(&self) -> &Packing {
+        self.packing.0.get_or_init(|| Packing::new(self))
+    }
+
+    /// The packing, if a scorer has built it yet.
+    #[cfg(test)]
+    pub(crate) fn packed(&self) -> Option<&Packing> {
+        self.packing.0.get()
     }
 }
 
@@ -268,6 +309,7 @@ impl DatasetSpec {
             classes: self.classes,
             inputs,
             labels,
+            packing: Packed::default(),
         }
     }
 
@@ -319,6 +361,7 @@ impl DatasetSpec {
             classes: self.classes,
             inputs,
             labels,
+            packing: Packed::default(),
         }
     }
 

@@ -163,11 +163,12 @@ impl Mlp {
     /// Samples run through the net eight at a time as one k-major
     /// panel ([`Matrix::panel_into`]), which yields bit-for-bit the logits
     /// of [`Mlp::forward`] on each sample alone; the last block may be
-    /// partial. This is the cold pass of a [`Scorer`], which scores a
-    /// sequence of nets recomputing only what changed.
+    /// partial. This is the first pass of a new [`Scorer`], which scores
+    /// a sequence of nets recomputing only what changed; like every
+    /// scorer, it reads the split's shared packed layer-0 panels.
     #[must_use]
     pub fn error_on(&self, data: &Dataset) -> f64 {
-        Scorer::new(data).cold(self)
+        Scorer::new(data).rescore(self, None)
     }
 }
 
@@ -226,28 +227,14 @@ mod tests {
         Dataset::from_parts(data.input_dim(), data.classes(), inputs, labels)
     }
 
-    /// Batched logits of every sample, lane by lane, against the oracle:
-    /// the one-shot pass's (dense input panels) and a rescoring scorer's
-    /// (packed ones).
+    /// Batched logits of every sample, lane by lane, against the oracle,
+    /// and the error of a scorer and of `error_on`, which share the
+    /// split's packed panels.
     fn assert_logits_match(net: &Mlp, data: &Dataset) {
-        let mut cold = Scorer::new(data);
-        cold.cold(net);
-        let mut packed = Scorer::new(data);
-        packed.rescore(net, None);
-        for scorer in [&cold, &packed] {
-            assert_scorer_logits_match(net, data, scorer);
-        }
-        assert_eq!(
-            net.error_on(data).to_bits(),
-            reference_error_on(net, data).to_bits()
-        );
-        assert_eq!(
-            packed.rescore(net, None).to_bits(),
-            reference_error_on(net, data).to_bits()
-        );
-    }
-
-    fn assert_scorer_logits_match(net: &Mlp, data: &Dataset, scorer: &Scorer) {
+        let mut scorer = Scorer::new(data);
+        let want = reference_error_on(net, data).to_bits();
+        assert_eq!(scorer.rescore(net, None).to_bits(), want);
+        assert_eq!(net.error_on(data).to_bits(), want);
         let width = net.out_dim() * BATCH;
         for start in (0..data.len()).step_by(BATCH) {
             let logits = &scorer.logits()[start / BATCH * width..][..width];

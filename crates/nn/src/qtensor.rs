@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn all_zero_matrix_quantizes_exactly() {
-        let m = Matrix::zeros(3, 3);
+        let m = Matrix::from_vec(3, 3, vec![0.0; 9]);
         let q = QTensor::quantize(&m);
         assert_eq!(q.dequantize(), m);
         assert_eq!(q.zero_bit_share(), 1.0);

@@ -5,7 +5,6 @@
 
 use crate::mlp::{Dense, Mlp};
 use crate::qtensor::QTensor;
-use crate::tensor::Matrix;
 
 /// One quantized layer: codes + scale for the weights, float biases.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,37 +60,14 @@ impl QNetwork {
     }
 
     /// Rebuild a float network by dequantizing every layer — the clean
-    /// (uncorrupted) reference path.
+    /// (uncorrupted) reference path, and the net every `uvf-accel`
+    /// read-back starts from and overwrites where the BRAMs differ.
     #[must_use]
     pub fn to_mlp(&self) -> Mlp {
         let layers = self
             .layers
             .iter()
             .map(|l| Dense::from_parts(l.weights.dequantize(), l.bias.clone()))
-            .collect();
-        Mlp::from_layers(layers)
-    }
-
-    /// Rebuild a float network from externally-supplied weight matrices —
-    /// the corrupted-readback path. `uvf-accel` decodes the (possibly
-    /// faulted) BRAM words back to codes, multiplies by each layer's
-    /// scale, and hands the matrices in here; biases come from this
-    /// network (they never touched BRAM).
-    ///
-    /// # Panics
-    /// If the matrix count or any shape disagrees with this network.
-    #[must_use]
-    pub fn rebuild_with_weights(&self, weights: Vec<Matrix>) -> Mlp {
-        assert_eq!(weights.len(), self.layers.len(), "layer count");
-        let layers = self
-            .layers
-            .iter()
-            .zip(weights)
-            .map(|(l, w)| {
-                assert_eq!(w.rows(), l.weights.rows(), "row mismatch");
-                assert_eq!(w.cols(), l.weights.cols(), "col mismatch");
-                Dense::from_parts(w, l.bias.clone())
-            })
             .collect();
         Mlp::from_layers(layers)
     }
@@ -118,14 +94,6 @@ mod tests {
             (float_err - q_err).abs() < 0.005,
             "float {float_err} vs quantized {q_err}"
         );
-    }
-
-    #[test]
-    fn rebuild_with_own_weights_is_identity() {
-        let net = Mlp::new(&[8, 6, 3], 2);
-        let q = QNetwork::from_mlp(&net);
-        let ws: Vec<Matrix> = q.layers().iter().map(|l| l.weights.dequantize()).collect();
-        assert_eq!(q.rebuild_with_weights(ws), q.to_mlp());
     }
 
     #[test]

@@ -16,30 +16,27 @@
 //! ascending `k`, so an output's bits depend only on its weight row and its
 //! input panel, never on which other rows ran beside it.
 //!
-//! The first layer of a rescoring scorer reads packed input panels. The
-//! scorer sorts the samples by label before cutting them into blocks, so
-//! a block's eight inputs share most of their zero pixels, and its first
-//! rescore packs each block once over only the columns some lane has
-//! nonzero (`Matrix::packed_panel_into`). The one-shot pass behind
-//! [`Mlp::error_on`] reads dense panels: in a single pass packing eats
-//! most of the layer-0 work it saves and would copy the split for nothing.
-//! The error is a count, so the sample order does not move it.
+//! The first layer reads packed input panels. The samples are sorted by
+//! label before they are cut into blocks, so a block's eight inputs share
+//! most of their zero pixels, and each block is packed over only the
+//! columns some lane has nonzero (`Matrix::packed_panel_into`). A split is
+//! ordered and packed once, by the first scorer made on it: every later
+//! scorer, and the one-shot pass behind [`Mlp::error_on`], borrows that
+//! packing. Dense panels remain for inputs too wide for `u16` column
+//! indices and for a layer-0 weight block with a non-finite entry. The
+//! error is a count, so the sample order does not move it.
 
 use crate::datasets::Dataset;
 use crate::mlp::Mlp;
 use crate::tensor::{Matrix, BATCH};
 
 /// Classifies networks on one dataset, reusing the last net's activations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Scorer<'d> {
     data: &'d Dataset,
-    /// The samples in lane order, grouped by label: lane `j` of block `b`
-    /// is sample `order[b * BATCH + j]`.
-    order: Vec<usize>,
-    /// Every block's first-layer input panel, packed by the first
-    /// [`Scorer::rescore`]; `None` before it and for inputs too wide for
-    /// `u16` column indices.
-    panels: Option<PackedPanels>,
+    /// The split's label order and packed panels, shared by every scorer
+    /// on it.
+    packing: &'d Packing,
     /// `acts[l]`: every block's output panel of layer `l`, after ReLU for a
     /// hidden layer and raw logits for the last.
     acts: Vec<Vec<f32>>,
@@ -63,6 +60,29 @@ impl Change {
             layer: 0,
             rows: (0..net.layers()[0].out_dim()).collect(),
         }
+    }
+}
+
+/// A split's samples in lane order and its first-layer input panels over
+/// them: built once per split ([`Dataset`] holds it) and read by every
+/// scorer on it.
+#[derive(Debug)]
+pub(crate) struct Packing {
+    /// The samples grouped by label: lane `j` of block `b` is sample
+    /// `order[b * BATCH + j]`.
+    order: Vec<usize>,
+    /// Every block's packed input panel; `None` for inputs too wide for
+    /// `u16` column indices.
+    panels: Option<PackedPanels>,
+}
+
+impl Packing {
+    /// Order `data`'s samples by label and pack their blocks.
+    pub(crate) fn new(data: &Dataset) -> Packing {
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        order.sort_by_key(|&i| data.label(i));
+        let panels = PackedPanels::pack(data, &order);
+        Packing { order, panels }
     }
 }
 
@@ -129,16 +149,13 @@ impl PackedPanels {
 }
 
 impl<'d> Scorer<'d> {
-    /// A scorer for `data` with nothing scored yet, its samples ordered by
-    /// label.
+    /// A scorer for `data` with nothing scored yet; the first one made on
+    /// a split orders and packs it.
     #[must_use]
     pub fn new(data: &'d Dataset) -> Scorer<'d> {
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        order.sort_by_key(|&i| data.label(i));
         Scorer {
             data,
-            order,
-            panels: None,
+            packing: data.packing(),
             acts: Vec::new(),
             scored: None,
         }
@@ -149,11 +166,6 @@ impl<'d> Scorer<'d> {
     /// bit for bit [`Mlp::error_on`]. The first net a scorer sees is
     /// scored in full whatever `change` says.
     pub fn rescore(&mut self, net: &Mlp, change: Option<&Change>) -> f64 {
-        // Packing pays off only over several passes, so the first rescore
-        // packs and a one-shot `cold` pass never does.
-        if self.panels.is_none() {
-            self.panels = PackedPanels::pack(self.data, &self.order);
-        }
         let error = match (change, self.scored) {
             (None, Some(error)) => return error,
             (Some(change), Some(_)) => self.forward(net, change),
@@ -161,13 +173,6 @@ impl<'d> Scorer<'d> {
         };
         self.scored = Some(error);
         error
-    }
-
-    /// A full pass of `net` that leaves nothing to reuse: the cold path
-    /// behind [`Mlp::error_on`], on dense input panels.
-    pub(crate) fn cold(&mut self, net: &Mlp) -> f64 {
-        self.scored = None;
-        self.forward(net, &Change::cold(net))
     }
 
     /// Run `net` from `change` on, on top of the cached activations of the
@@ -191,6 +196,7 @@ impl<'d> Scorer<'d> {
             // Packed panels skip zero inputs, which only finite weights
             // allow (`inf · 0` is NaN).
             let packed = self
+                .packing
                 .panels
                 .as_ref()
                 .filter(|_| l == 0 && w.data().iter().all(|v| v.is_finite()));
@@ -212,7 +218,7 @@ impl<'d> Scorer<'d> {
                         w.packed_panel_into(x, cols, product);
                     }
                     (None, None) => {
-                        let x = input_panel(self.data, &self.order, b, &mut inputs);
+                        let x = input_panel(self.data, &self.packing.order, b, &mut inputs);
                         w.panel_into::<BATCH>(x, product);
                     }
                 }
@@ -235,6 +241,7 @@ impl<'d> Scorer<'d> {
         let logits = self.acts.last().expect("a net has layers");
         let width = net.out_dim() * BATCH;
         let wrong = self
+            .packing
             .order
             .iter()
             .enumerate()
@@ -255,7 +262,7 @@ impl<'d> Scorer<'d> {
         };
         let outs = logits.len() / self.data.len().div_ceil(BATCH).max(1) / BATCH;
         let mut ordered = vec![0.0; logits.len()];
-        for (p, &i) in self.order.iter().enumerate() {
+        for (p, &i) in self.packing.order.iter().enumerate() {
             for r in 0..outs {
                 ordered[(i / BATCH * outs + r) * BATCH + i % BATCH] =
                     logits[(p / BATCH * outs + r) * BATCH + p % BATCH];
@@ -353,7 +360,7 @@ mod tests {
                 "net {i}: error {error}"
             );
             let mut cold = Scorer::new(data);
-            cold.cold(net);
+            cold.rescore(net, None);
             let (got, want) = (scorer.logits(), cold.logits());
             assert_eq!(got.len(), want.len(), "net {i}");
             for (k, (g, w)) in got.iter().zip(want).enumerate() {
@@ -406,7 +413,7 @@ mod tests {
         let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let cold_logits = |net: &Mlp| {
             let mut cold = Scorer::new(&data);
-            cold.cold(net);
+            cold.rescore(net, None);
             bits(cold.logits())
         };
         let base = Mlp::new(&[784, 13, 10], 6);
@@ -453,12 +460,19 @@ mod tests {
     fn label_grouped_blocks_pack_about_half_the_columns() {
         let data = DatasetKind::MnistLike.generate(12).test;
         let net = Mlp::new(&[data.input_dim(), 3, data.classes()], 12);
-        let mut scorer = Scorer::new(&data);
-        // A one-shot pass does not pack; a rescoring scorer does.
-        scorer.cold(&net);
-        assert!(scorer.panels.is_none());
-        scorer.rescore(&net, None);
-        let order = &scorer.order;
+        // The one-shot pass packs the split; every scorer after it borrows
+        // that one packing.
+        assert!(data.packed().is_none());
+        let error = net.error_on(&data);
+        let packing = data.packed().expect("error_on packs the split");
+        let (mut a, b) = (Scorer::new(&data), Scorer::new(&data));
+        assert!(std::ptr::eq(a.packing, packing) && std::ptr::eq(b.packing, packing));
+        assert_eq!(a.rescore(&net, None).to_bits(), error.to_bits());
+        // A clone starts unpacked and still equals the packed split.
+        let clone = data.clone();
+        assert!(clone.packed().is_none());
+        assert_eq!(clone, data);
+        let order = &packing.order;
         assert!(order
             .windows(2)
             .all(|w| data.label(w[0]) <= data.label(w[1])));
@@ -466,7 +480,7 @@ mod tests {
         sorted.sort_unstable();
         assert!(sorted.iter().copied().eq(0..data.len()));
         let pairs = data.len().div_ceil(BATCH) * data.input_dim();
-        let share = scorer.panels.as_ref().unwrap().cols.len() as f64 / pairs as f64;
+        let share = packing.panels.as_ref().unwrap().cols.len() as f64 / pairs as f64;
         // Dataset order packs far more: its blocks mix every label.
         let mixed = PackedPanels::pack(&data, &(0..data.len()).collect::<Vec<_>>()).unwrap();
         let mixed_share = mixed.cols.len() as f64 / pairs as f64;

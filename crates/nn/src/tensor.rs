@@ -137,15 +137,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
     /// Wrap an existing row-major buffer (`data.len() == rows * cols`).
     ///
     /// # Panics
@@ -416,7 +407,7 @@ mod tests {
 
     #[test]
     fn zero_width_matrix_yields_zero_outputs() {
-        let m = Matrix::zeros(6, 0);
+        let m = Matrix::from_vec(6, 0, Vec::new());
         let mut out = [f32::NAN; 6];
         m.matvec_into(&[], &mut out);
         assert_eq!(out, [0.0; 6]);
