@@ -38,5 +38,5 @@ pub use mitigation::{
     MitigationCurve, MitigationPoint, MitigationShootout, ShootoutConfig,
 };
 pub use pareto::{voltage_accuracy_power_sweep, ParetoConfig, ParetoPoint, ParetoSweep};
-pub use placement::{brams_for_capacity, LayerSpan, Placement};
+pub use placement::{brams_for_capacity, Placement};
 pub use vulnerability::{layer_vulnerability_traced, VulnerabilityReport};

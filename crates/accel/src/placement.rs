@@ -12,22 +12,6 @@
 use uvf_faults::FaultVariationMap;
 use uvf_fpga::{BramId, BRAM_ROWS};
 
-/// One contiguous run of BRAM sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayerSpan {
-    /// First BRAM index of the run.
-    pub start: u32,
-    /// Number of BRAMs in the run.
-    pub count: u32,
-}
-
-impl LayerSpan {
-    /// The BRAM ids covered by this span.
-    pub fn ids(&self) -> impl Iterator<Item = BramId> {
-        (self.start..self.start + self.count).map(BramId)
-    }
-}
-
 /// BRAMs needed to hold `weights` 16-bit words when each BRAM only
 /// offers `words_per_bram` usable words — 1024 in the raw layout, 896
 /// ([`uvf_fpga::ECC_WORDS_PER_BRAM`]) in ECC mode, where the parity
@@ -60,12 +44,9 @@ impl Placement {
         let assignments = layer_weights
             .iter()
             .map(|&w| {
-                let span = LayerSpan {
-                    start: next,
-                    count: brams_for_capacity(w, words_per_bram) as u32,
-                };
-                next += span.count;
-                span.ids().collect()
+                let start = next;
+                next += brams_for_capacity(w, words_per_bram) as u32;
+                (start..next).map(BramId).collect()
             })
             .collect();
         Placement { assignments }
@@ -153,18 +134,6 @@ impl Placement {
         self.assignments.iter().map(Vec::len).sum()
     }
 
-    /// Layer `l` as a single contiguous span, if it is one.
-    #[must_use]
-    pub fn span(&self, l: usize) -> Option<LayerSpan> {
-        let ids = &self.assignments[l];
-        let first = ids.first()?;
-        let contiguous = ids.windows(2).all(|pair| pair[1].0 == pair[0].0 + 1);
-        contiguous.then_some(LayerSpan {
-            start: first.0,
-            count: ids.len() as u32,
-        })
-    }
-
     /// Total measured faults across layer `l`'s sites.
     #[must_use]
     pub fn layer_fault_count(&self, l: usize, fvm: &FaultVariationMap) -> u64 {
@@ -210,7 +179,6 @@ mod tests {
         assert_eq!(p.layer(1), &[BramId(2)]);
         assert_eq!(p.layer(2), &[BramId(3)]);
         assert_eq!(p.total_brams(), 4);
-        assert_eq!(p.span(0), Some(LayerSpan { start: 0, count: 2 }));
     }
 
     #[test]

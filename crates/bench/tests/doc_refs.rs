@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::Command;
+use uvf_trace::Json;
 
 /// Names `repro` accepts besides the registry rows.
 const MODES: [&str; 5] = ["list", "all", "work", "watch", "promcheck"];
@@ -263,8 +264,8 @@ fn pub_items(text: &str) -> Vec<(&str, &str)> {
 /// `pub struct`, `pub mod`, …) or list in a `pub use`.
 fn pub_names(dir: &Path, names: &mut BTreeSet<String>) {
     let mut files = Vec::new();
-    rust_files(dir, dir, &mut files);
-    for file in files {
+    all_files(dir, dir, &mut files);
+    for file in files.iter().filter(|file| file.ends_with(".rs")) {
         let text = std::fs::read_to_string(dir.join(file)).expect("read source");
         names.extend(
             pub_items(&text)
@@ -329,16 +330,16 @@ fn rs_paths(code: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Every `.rs` file under `dir`, as a path relative to `root`, skipping
-/// build output.
-fn rust_files(dir: &Path, root: &Path, files: &mut Vec<String>) {
+/// Every file under `dir`, as a path relative to `root`, skipping build
+/// output.
+fn all_files(dir: &Path, root: &Path, files: &mut Vec<String>) {
     for entry in std::fs::read_dir(dir).expect("read dir") {
         let path = entry.expect("dir entry").path();
         if path.is_dir() {
             if !path.ends_with("target") {
-                rust_files(&path, root, files);
+                all_files(&path, root, files);
             }
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
+        } else {
             let relative = path.strip_prefix(root).expect("under the root");
             files.push(relative.to_string_lossy().replace('\\', "/"));
         }
@@ -350,7 +351,7 @@ fn every_documented_source_file_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut files = Vec::new();
     for dir in ["crates", "perfbench"] {
-        rust_files(&root.join(dir), &root, &mut files);
+        all_files(&root.join(dir), &root, &mut files);
     }
     let mut missing = Vec::new();
     let mut checked = 0;
@@ -381,66 +382,26 @@ fn rs_paths_are_found_in_code() {
     );
 }
 
-/// `pub fn`s that only tests call, each kept for the reason given: the
-/// reference a test holds a production path against, or the handle a test
-/// needs to reach it.
-const ORACLES: &[(&str, &str)] = &[
-    (
-        "histogram",
-        "the lookup the fleet-merge and sink tests read an aggregated histogram through",
-    ),
-    (
-        "observatory",
-        "the handle the heartbeat test reads the server's fleet counters through",
-    ),
-    (
-        "quantile",
-        "the percentile estimate the histogram and fleet-merge tests compare histograms by",
-    ),
-    (
-        "sentinel",
-        "the die's weakest cell, the BRAM the ladder, mask, cache and die-sharing tests probe",
-    ),
-    (
-        "dropped",
-        "the ring-eviction count the sink and trace-event tests hold the memory sink to",
-    ),
-    (
-        "reference_decode",
-        "the textbook SECDED decoder the table-driven `decode` is held against",
-    ),
-    (
-        "for_each_failing_resolved",
-        "the per-cell scan the fault masks and the batched level counts are held against",
-    ),
-    (
-        "total_weak_cells",
-        "the die size the weak-cell digests and die-sharing tests pin",
-    ),
-    (
-        "environment_noise_mv",
-        "reads back DESIGN §6b's supply-droop knob in the die-sharing and ladder tests",
-    ),
-    (
-        "set_environment_noise_mv",
-        "DESIGN §6b's supply-droop knob, which the ladder equivalence trials randomise",
-    ),
-    (
-        "flip_cells",
-        "the flip count the mask-equivalence, plan and pinned-chip tests hold a fault mask to",
-    ),
-    (
-        "with_checkpoint_dir",
-        "the checkpointed single-process campaign and search the fleet and resume tests compare against",
-    ),
-    (
-        "probe_count",
-        "the VminSearch tests check its documented O(log levels) probe count",
-    ),
-    (
-        "probe_budget",
-        "the bound `probe_count` is checked against",
-    ),
+/// `pub fn`s that only tests call, each as `key: reason`, keyed as
+/// [`pub_fns`] keys them (`Type::name`, or a free function's bare name):
+/// the reference a test holds a production path against, or the handle a
+/// test needs to reach it.
+const ORACLES: &[&str] = &[
+    "ServerHandle::observatory: the handle the heartbeat test reads the fleet counters through",
+    "PrometheusSink::gauge: the per-owner gauge readout the FVM-cache and observatory unit tests check",
+    "MemorySink::dropped: the ring-eviction count the sink and trace-event tests hold the sink to",
+    "FaultModel::sentinel: the die's weakest cell, which the ladder, mask, cache and die-sharing tests probe",
+    "reference_decode: the textbook SECDED decoder the table-driven `decode` is held against",
+    "FaultModel::for_each_failing_resolved: the per-cell scan fault masks and level counts are held against",
+    "FaultModel::total_weak_cells: the die size the weak-cell digests and die-sharing tests pin",
+    "FaultModel::environment_noise_mv: reads DESIGN §6b's supply-droop knob back in the die-sharing tests",
+    "FaultModel::set_environment_noise_mv: DESIGN §6b's supply-droop knob, randomised by the ladder trials",
+    "FaultMask::flip_cells: the flip count the mask-equivalence, plan and pinned-chip tests hold a mask to",
+    "FvmCache::clear: the cold-cache reset the rung-reuse test starts its cold run from",
+    "FvmRecord::from_json: the decoder the FVM record's round-trip and garbage-input tests hold its bytes to",
+    "Campaign::with_checkpoint_dir: the checkpointed campaign the fleet and resume tests compare against",
+    "JobQueue::is_empty: clippy's `len_without_is_empty` asks for it beside the called `JobQueue::len`",
+    "QTensor::is_empty: clippy's `len_without_is_empty` asks for it beside the called `QTensor::len`",
 ];
 
 /// The non-test part of a source file: the text above its
@@ -454,168 +415,280 @@ fn non_test(text: &str) -> &str {
     &text[..end]
 }
 
-/// `text` without its whole-line comments and its `pub use` lists, so a
-/// name in a doc comment or a re-export is not taken for a caller.
-fn callers_only(text: &str) -> String {
-    let code: String = text
-        .lines()
-        .filter(|line| !line.trim_start().starts_with("//"))
-        .flat_map(|line| [line, "\n"])
-        .collect();
-    let mut out = String::new();
-    let mut rest = code.as_str();
-    while let Some(at) = rest.find("pub use ") {
-        out.push_str(&rest[..at]);
-        rest = &rest[at..];
-        rest = &rest[rest.find(';').map_or(rest.len(), |end| end + 1)..];
-    }
-    out.push_str(rest);
-    out
+/// The last segment of a type path, without generic arguments:
+/// `model::FaultModel<'a> {` → `FaultModel`.
+fn type_name(path: &str) -> &str {
+    let path = path.trim_start();
+    let path = &path[..path.find(['<', ' ', '{']).unwrap_or(path.len())];
+    path.rsplit("::").next().unwrap_or(path)
 }
 
-/// The function names `text` calls or names as a path: `::name` that is
-/// not a module on the way to another item (`::name::`), and `name(` or
-/// `name::<` (a method call after a `.`, or a bare call) that is not its
-/// declaration (`fn name(`). A field, a local, a module or a struct
-/// literal key of the same name is not a call.
-fn calls(text: &str) -> Vec<&str> {
-    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    let mut names = Vec::new();
-    let mut start = None;
-    for (end, c) in text.char_indices().chain([(text.len(), ' ')]) {
-        if is_ident(c) {
-            start.get_or_insert(end);
+/// The type an `impl` header extends: `impl<'a> Tr for a::Ty<'a> {` → `Ty`.
+fn impl_type(header: &str) -> Option<&str> {
+    let mut rest = header.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let close = rest.find(|c| {
+            depth += i32::from(c == '<') - i32::from(c == '>');
+            depth == 0
+        })?;
+        rest = &rest[close + 1..];
+    }
+    let ty = rest.strip_prefix(' ')?;
+    Some(type_name(ty.rsplit(" for ").next()?))
+}
+
+/// The `pub fn`s of a file's non-test source outside `macro_rules!`
+/// bodies, as the byte offset of each `pub` and its key: `Type::name` in an
+/// `impl Type` block, the bare name elsewhere. A nested item's owner is
+/// read from rustfmt's layout (CI checks it): the nearest line above that
+/// is indented less, past a multi-line header's `where` and `{`.
+fn pub_fns(source: &str) -> Vec<(usize, String)> {
+    let mut at = 0;
+    let lines: Vec<(usize, usize, &str)> = source
+        .split_inclusive('\n')
+        .map(|line| {
+            let code = line.trim_start();
+            let indent = line.len() - code.len();
+            at += line.len();
+            (at - code.len(), indent, code.trim_end())
+        })
+        .collect();
+    let mut fns = Vec::new();
+    let mut macro_body = None;
+    for (i, &(at, indent, code)) in lines.iter().enumerate() {
+        if let Some(depth) = macro_body {
+            if indent == depth && code.starts_with('}') {
+                macro_body = None;
+            }
             continue;
         }
-        let Some(at) = start.take() else {
+        if code.starts_with("macro_rules!") {
+            macro_body = Some(indent);
+        }
+        let Some(("fn", name)) = code
+            .starts_with("pub ")
+            .then(|| pub_items(code).first().copied())
+            .flatten()
+        else {
             continue;
         };
-        let (token, before, after) = (&text[at..end], &text[..at], &text[end..]);
-        if token.starts_with(|c: char| c.is_ascii_digit()) {
-            continue;
-        }
-        let called = after.starts_with('(') || after.starts_with("::<");
-        // `a::name::b` names a module or type, not a function.
-        let path = before.ends_with("::") && (called || !after.starts_with("::"));
-        let declared = before
-            .strip_suffix(' ')
-            .is_some_and(|b| b.strip_suffix("fn").is_some_and(|b| !b.ends_with(is_ident)));
-        if path || (called && !declared) {
-            names.push(token);
+        let owner = lines[..i]
+            .iter()
+            .rev()
+            .find(|&&(_, inner, line)| inner < indent && !["", "{", "where"].contains(&line))
+            .and_then(|&(_, _, line)| impl_type(line));
+        fns.push((
+            at,
+            owner.map_or(name.to_string(), |ty| format!("{ty}::{name}")),
+        ));
+    }
+    fns
+}
+
+/// The key of the `pub fn` a `use of deprecated` warning names by its
+/// path, as [`pub_fns`] keys it: `engine::MappedNetwork::<'a>::load` and
+/// `uvf_accel::MappedNetwork::<'a>::load` are both
+/// `MappedNetwork::load`, `fvm::<impl model::FaultModel>::map` is
+/// `FaultModel::map`, and `uvf_fpga::seedmix::fnv1a` is `fnv1a`. The
+/// crate is left out, since a re-export names an item by another crate.
+fn callee_key(path: &str) -> String {
+    let mut segments = Vec::new();
+    let (mut depth, mut start) = (0, 0);
+    for (at, c) in path.char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' => depth -= 1,
+            ':' if depth == 0 && path[at..].starts_with("::") => {
+                segments.push(&path[start..at]);
+                start = at + 2;
+            }
+            _ => {}
         }
     }
-    names
+    segments.push(&path[start..]);
+    let names: Vec<&str> = segments
+        .into_iter()
+        .filter_map(|seg| match seg.strip_prefix("<impl ") {
+            Some(ty) => Some(type_name(ty.strip_suffix('>').unwrap_or(ty))),
+            None => (!seg.starts_with('<') && !seg.is_empty()).then_some(seg),
+        })
+        .collect();
+    match names.as_slice() {
+        [.., ty, name] if ty.starts_with(|c: char| c.is_ascii_uppercase()) => {
+            format!("{ty}::{name}")
+        }
+        [.., name] => name.to_string(),
+        [] => String::new(),
+    }
+}
+
+/// The keys of the callees that `use of deprecated` warnings in cargo's
+/// JSON messages name.
+fn deprecated_callees(messages: &str) -> BTreeSet<String> {
+    messages
+        .lines()
+        .filter_map(|line| {
+            let message = Json::parse(line).ok()?;
+            let text = message.get("message")?.get("message")?.as_str()?;
+            let path = text.strip_prefix("use of deprecated ")?.split('`').nth(1)?;
+            Some(callee_key(path))
+        })
+        .collect()
 }
 
 #[test]
-fn calls_are_told_from_fields_and_declarations() {
-    let code = "pub fn dir(&self) -> &Path { &self.dir }\n\
-                let n = store.len(); let m = Mlp::new(&l, 1).layers()[0].w;\n\
-                xs.iter().map(Matrix::rows); go::<u8>(); x.into::<T>(); S { key: 1 };\n\
-                use crate::observatory::Observatory; a::b::<u8>();";
+fn callee_paths_resolve_to_declarations() {
+    let source = "pub fn fnv1a() {}\n\
+                  impl<'a> MappedNetwork<'a> {\n    pub fn load_traced(&self) {}\n}\n\
+                  impl FvmCache {\n    pub fn model(&self) {}\n}\n\
+                  impl FaultModel\nwhere\n    X: Y,\n{\n    pub const fn variation_map_at(&self) {}\n}\n\
+                  impl Harness {\n    /// Doc.\n    pub fn model(&self) {}\n}\n\
+                  macro_rules! m {\n    () => { pub fn hidden() {} };\n}\n";
+    let keys: Vec<String> = pub_fns(source).into_iter().map(|(_, key)| key).collect();
     assert_eq!(
-        calls(code),
+        keys,
         [
-            "len",
-            "new",
-            "layers",
-            "iter",
-            "map",
-            "rows",
-            "go",
-            "into",
-            "Observatory",
-            "b"
+            "fnv1a",
+            "MappedNetwork::load_traced",
+            "FvmCache::model",
+            "FaultModel::variation_map_at",
+            "Harness::model"
+        ]
+    );
+    let warning = |path: &str| {
+        format!(
+            r#"{{"reason":"compiler-message","message":{{"message":"use of deprecated method `{path}`","code":{{"code":"deprecated","explanation":null}},"level":"warning","spans":[]}}}}"#
+        )
+    };
+    let messages = [
+        r#"{"reason":"compiler-artifact","target":{"name":"uvf_fpga"},"fresh":true}"#.to_string(),
+        warning("engine::MappedNetwork::<'a>::load_traced"),
+        warning("uvf_accel::MappedNetwork::<'a>::load_traced"),
+        warning("fvm::<impl model::FaultModel>::variation_map_at"),
+        warning("cache::FvmCache::model"),
+        warning("uvf_fpga::seedmix::fnv1a"),
+    ]
+    .join("\n");
+    assert_eq!(
+        deprecated_callees(&messages)
+            .into_iter()
+            .collect::<Vec<_>>(),
+        [
+            "FaultModel::variation_map_at",
+            "FvmCache::model",
+            "MappedNetwork::load_traced",
+            "fnv1a"
         ]
     );
 }
 
-/// Whether `source` declares `fn name` with a `self` receiver: a method,
-/// which only a `.name(` or `Type::name` can reach.
-fn is_method(source: &str, name: &str) -> bool {
-    let declaration = format!("fn {name}");
-    source.match_indices(&declaration).any(|(at, _)| {
-        let rest = &source[at + declaration.len()..];
-        let params = match rest.chars().next() {
-            Some('(' | '<') => &rest[rest.find('(').unwrap_or(0) + 1..],
-            _ => return false,
-        };
-        let params = params.trim_start();
-        ["self", "&self", "&mut self", "mut self", "&'"]
-            .iter()
-            .any(|receiver| params.starts_with(receiver))
-    })
+/// The keys of the `pub fn`s that a deprecation warning names when the
+/// copied tree's libraries, binaries and examples (no test) are checked
+/// from `manifest`, with `target` as the target directory.
+fn called_pub_fns(manifest: &Path, target: &Path) -> BTreeSet<String> {
+    let out = Command::new(env!("CARGO"))
+        .args(["check", "--offline", "--message-format=json", "--workspace"])
+        .args(["--lib", "--bins", "--examples", "--manifest-path"])
+        .arg(manifest)
+        .arg("--target-dir")
+        .arg(target)
+        .env("RUSTFLAGS", "--cap-lints=warn")
+        .output()
+        .expect("run cargo check");
+    assert!(
+        out.status.success(),
+        "cargo check of {} failed: {}",
+        manifest.display(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    deprecated_callees(&String::from_utf8(out.stdout).expect("utf-8 messages"))
 }
 
+/// Every non-test `pub fn` must have a caller outside tests, which the
+/// compiler finds: in a copy of the tree each one is `#[deprecated]`, so
+/// checking the libraries, binaries, examples and `perfbench/` warns at
+/// every use. A `pub fn` that no warning names is called only by tests.
 #[test]
 fn every_pub_fn_has_a_caller_outside_tests() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let copy = tmp.join("callers");
     let mut files = Vec::new();
     for dir in ["crates", "perfbench"] {
-        rust_files(&root.join(dir), &root, &mut files);
-    }
-    // Per pub fn: its file, its name and whether it is a method.
-    let mut declared: Vec<(String, String, bool)> = Vec::new();
-    // How often each name appears at all, and how often as a call.
-    let mut mentions: BTreeMap<String, usize> = BTreeMap::new();
-    let mut called: BTreeSet<String> = BTreeSet::new();
-    for file in &files {
-        let parts: Vec<&str> = file.split('/').collect();
-        let text = std::fs::read_to_string(root.join(file)).expect("read source");
-        let text = match parts.as_slice() {
-            ["crates", _, "src", ..] => {
-                let source = non_test(&text);
-                declared.extend(
-                    pub_items(source)
-                        .into_iter()
-                        .filter(|(kind, _)| *kind == "fn")
-                        .map(|(_, name)| (file.clone(), name.to_string(), is_method(source, name))),
-                );
-                source
-            }
-            ["crates", _, "examples", ..] | ["perfbench", ..] => &text,
-            _ => continue,
-        };
-        let code = callers_only(text);
-        for name in idents(&code) {
-            *mentions.entry(name.to_string()).or_default() += 1;
+        if copy.join(dir).exists() {
+            std::fs::remove_dir_all(copy.join(dir)).expect("clear the copy");
         }
-        called.extend(calls(&code).into_iter().map(str::to_string));
+        all_files(&root.join(dir), &root, &mut files);
+    }
+    files.extend(["Cargo.toml", "Cargo.lock"].map(String::from));
+    let mut declared: BTreeMap<String, String> = BTreeMap::new();
+    let mut duplicates = Vec::new();
+    for file in &files {
+        let from = root.join(file);
+        let mut bytes = std::fs::read(&from).expect("read source");
+        let parts: Vec<&str> = file.split('/').collect();
+        if let ["crates", _, "src", .., name] = parts.as_slice() {
+            if name.ends_with(".rs") {
+                let mut text = String::from_utf8(bytes).expect("utf-8 source");
+                for (at, key) in pub_fns(non_test(&text)).into_iter().rev() {
+                    text.insert_str(at, "#[deprecated] ");
+                    if let Some(first) = declared.insert(key.clone(), file.clone()) {
+                        duplicates.push(format!("{key} in {first} and {file}"));
+                    }
+                }
+                bytes = text.into_bytes();
+            }
+        }
+        let to = copy.join(file);
+        std::fs::create_dir_all(to.parent().expect("a parent")).expect("mkdir");
+        std::fs::write(&to, bytes).expect("write the copy");
+        // Unchanged sources keep their time stamp, so a warm check is quick.
+        let modified = std::fs::metadata(&from).and_then(|m| m.modified());
+        std::fs::File::options()
+            .write(true)
+            .open(&to)
+            .and_then(|f| f.set_modified(modified?))
+            .expect("stamp the copy");
     }
     assert!(
         declared.len() > 100,
         "only {} pub fns found",
         declared.len()
     );
-    let mut declarations: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, name, _) in &declared {
-        *declarations.entry(name).or_default() += 1;
-    }
-    // A method needs a call; a free function may also be passed by name,
-    // so any mention beyond its declarations counts.
-    let is_uncalled = |name: &str, method: bool| {
-        if method {
-            !called.contains(name)
-        } else {
-            mentions.get(name).copied().unwrap_or(0) <= declarations[name]
-        }
-    };
+    assert!(
+        duplicates.is_empty(),
+        "two pub fns share a key, so a call to one would hide the other: {duplicates:#?}"
+    );
+    let target = tmp.join("callers-target");
+    let mut called = called_pub_fns(&copy.join("Cargo.toml"), &target);
+    called.extend(called_pub_fns(&copy.join("perfbench/Cargo.toml"), &target));
+    let unknown: Vec<&String> = called
+        .iter()
+        .filter(|key| !declared.contains_key(*key))
+        .collect();
+    assert!(
+        unknown.is_empty(),
+        "deprecation warnings name callees no declaration is keyed as: {unknown:#?}"
+    );
+    let oracles: BTreeSet<&str> = ORACLES
+        .iter()
+        .map(|entry| entry.split_once(": ").expect("key: reason").0)
+        .collect();
     let uncalled: Vec<String> = declared
         .iter()
-        .filter(|(_, name, method)| is_uncalled(name, *method))
-        .filter(|(_, name, _)| !ORACLES.iter().any(|(oracle, _)| oracle == name))
-        .map(|(file, name, _)| format!("{file}: {name}"))
+        .filter(|(key, _)| !called.contains(*key))
+        .filter(|(key, _)| !oracles.contains(key.as_str()))
+        .map(|(key, file)| format!("{file}: {key}"))
         .collect();
     assert!(
         uncalled.is_empty(),
         "pub fns with no caller outside tests (call them, delete them, or list \
          them in ORACLES with a reason): {uncalled:#?}"
     );
-    for (oracle, _) in ORACLES {
+    for oracle in oracles {
         assert!(
-            declared
-                .iter()
-                .any(|(_, name, method)| name == oracle && is_uncalled(name, *method)),
+            declared.contains_key(oracle) && !called.contains(oracle),
             "ORACLES lists {oracle}, which is not an uncalled pub fn"
         );
     }

@@ -12,7 +12,6 @@
 
 use crate::guardband::GuardbandReport;
 use crate::harness::{Harness, HarnessError, RecoveryPolicy};
-use crate::json::Json;
 use crate::record::{RecordError, SweepOutcome, SweepRecord};
 use crate::store::CheckpointStore;
 use crate::sweep::SweepConfig;
@@ -130,10 +129,6 @@ impl CampaignManifest {
                 })
                 .collect(),
         }
-    }
-
-    pub fn parse(text: &str) -> Result<CampaignManifest, RecordError> {
-        CampaignManifest::from_json(&Json::parse(text)?)
     }
 }
 
@@ -285,6 +280,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use uvf_fpga::{Millivolts, Rail};
 
     fn short_campaign() -> Campaign {
@@ -392,7 +388,7 @@ mod tests {
         let rerun = CampaignManifest::from_entries(&campaign.run_sequential().unwrap());
         assert_eq!(manifest, rerun, "manifest is deterministic");
         let text = manifest.to_json_string();
-        let back = CampaignManifest::parse(&text).unwrap();
+        let back = CampaignManifest::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, manifest);
         assert_eq!(back.to_json_string(), text, "byte-stable");
         assert_eq!(back.entries.len(), 4);

@@ -279,16 +279,6 @@ impl Harness {
     }
 
     #[must_use]
-    pub fn board(&self) -> &Board {
-        &self.board
-    }
-
-    #[must_use]
-    pub fn model(&self) -> &FaultModel {
-        &self.model
-    }
-
-    #[must_use]
     pub fn clock_ms(&self) -> u64 {
         self.clock.now_ms()
     }

@@ -15,9 +15,7 @@
 //!   order, with a shared checkpoint directory,
 //! * [`guardband`] — `Vmin`/`Vcrash` reports read out of a sweep record,
 //! * [`stats`] — the Fig. 5–8 statistical analyses (location χ², k-means
-//!   vulnerability clusters, thermal regression) over `uvf-stats`,
-//! * [`search`] — `Vmin` binary search: O(log levels) single-level
-//!   harness probes that bracket the exhaustive sweep's boundary.
+//!   vulnerability clusters, thermal regression) over `uvf-stats`.
 //!
 //! The central invariant: a sweep interrupted anywhere — board hang, run
 //! budget, process death — resumes from its checkpoint and produces a
@@ -33,7 +31,6 @@ pub mod guardband;
 pub mod harness;
 pub mod record;
 pub mod scan;
-pub mod search;
 pub mod stats;
 pub mod store;
 pub mod sweep;
@@ -53,7 +50,6 @@ pub use record::{
     SweepRecord, RECORD_VERSION,
 };
 pub use scan::platform_level_counts;
-pub use search::{VminProbe, VminSearch, VminSearchReport};
 pub use stats::{
     cluster_brams, BramClusters, LocationStats, ThermalCampaign, ThermalPoint, ThermalReport,
     LOCATION_ALPHA,
@@ -85,7 +81,6 @@ pub mod prelude {
     pub use crate::harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy};
     pub use crate::json::Json;
     pub use crate::record::{Checkpoint, FvmRecord, LevelRecord, SweepOutcome, SweepRecord};
-    pub use crate::search::{VminProbe, VminSearch, VminSearchReport};
     pub use crate::stats::{
         cluster_brams, BramClusters, LocationStats, ThermalCampaign, ThermalPoint, ThermalReport,
         LOCATION_ALPHA,

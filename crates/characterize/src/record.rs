@@ -337,11 +337,6 @@ impl FvmRecord {
         codec::lead(vec![("version", Json::UInt(RECORD_VERSION))], self)
     }
 
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
-    }
-
     pub fn from_json(v: &Json) -> Result<FvmRecord, RecordError> {
         let version: u64 = Plain::get(v, "version")?;
         if version != RECORD_VERSION {
@@ -352,20 +347,6 @@ impl FvmRecord {
             return Err(schema("counts length does not match the platform"));
         }
         Ok(record)
-    }
-
-    pub fn parse(text: &str) -> Result<FvmRecord, RecordError> {
-        FvmRecord::from_json(&Json::parse(text)?)
-    }
-
-    /// Atomic write, same discipline as [`Checkpoint::save`].
-    pub fn save(&self, path: &Path) -> Result<(), RecordError> {
-        write_atomic(path, &self.to_json_string()).map_err(|e| io_err(path, &e))
-    }
-
-    pub fn load(path: &Path) -> Result<FvmRecord, RecordError> {
-        let text = fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-        FvmRecord::parse(&text)
     }
 }
 
@@ -545,10 +526,10 @@ mod tests {
         let rec = FvmRecord::from_map(&model.variation_map(platform.vccbram.vcrash));
         assert_eq!(rec.counts.len(), platform.bram_count);
 
-        let text = rec.to_json_string();
-        let back = FvmRecord::parse(&text).unwrap();
+        let text = rec.to_json().to_string();
+        let back = FvmRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, rec);
-        assert_eq!(back.to_json_string(), text, "byte-stable");
+        assert_eq!(back.to_json().to_string(), text, "byte-stable");
 
         // The parsed record carries the live census, BRAM for BRAM.
         let live = model.variation_map(platform.vccbram.vcrash);
@@ -561,22 +542,10 @@ mod tests {
         let model = FaultModel::new(platform);
         let mut rec = FvmRecord::from_map(&model.variation_map(platform.vccbram.vcrash));
         rec.counts.pop();
-        let text = rec.to_json_string();
         assert!(matches!(
-            FvmRecord::parse(&text),
+            FvmRecord::from_json(&rec.to_json()),
             Err(RecordError::Schema(_))
         ));
-    }
-
-    #[test]
-    fn fvm_record_saves_and_loads_atomically() {
-        let platform = PlatformKind::Zc702.descriptor();
-        let model = FaultModel::new(platform);
-        let rec = FvmRecord::from_map(&model.variation_map(platform.vccbram.vcrash));
-        let path = std::env::temp_dir().join(format!("uvf-fvm-{}.json", std::process::id()));
-        rec.save(&path).unwrap();
-        assert_eq!(FvmRecord::load(&path).unwrap(), rec);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

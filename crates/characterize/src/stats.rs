@@ -38,9 +38,6 @@ pub const LOCATION_ALPHA: f64 = 0.01;
 /// shift — so it is a pure function of `(chip_seed, v_ref)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocationStats {
-    platform: PlatformKind,
-    chip_seed: u64,
-    v_ref_mv: u32,
     /// Weak cells per BRAM, indexed by `BramId`.
     bram_counts: Vec<u64>,
     /// Weak cells per die column (floorplan `x`).
@@ -68,9 +65,6 @@ impl LocationStats {
         let cols = plan.columns();
         let cutoff = f64::from(v_ref.0);
         let mut stats = LocationStats {
-            platform: platform.kind,
-            chip_seed: model.chip_seed(),
-            v_ref_mv: v_ref.0,
             bram_counts: vec![0; platform.bram_count],
             grid_col_counts: vec![0; cols],
             grid_row_counts: vec![0; Floorplan::ROWS_PER_COLUMN],
@@ -101,30 +95,10 @@ impl LocationStats {
         stats
     }
 
-    #[must_use]
-    pub fn platform(&self) -> PlatformKind {
-        self.platform
-    }
-
-    #[must_use]
-    pub fn chip_seed(&self) -> u64 {
-        self.chip_seed
-    }
-
-    #[must_use]
-    pub fn v_ref(&self) -> Millivolts {
-        Millivolts(self.v_ref_mv)
-    }
-
     /// Total weak cells in the census.
     #[must_use]
     pub fn total(&self) -> u64 {
         self.bram_counts.iter().sum()
-    }
-
-    #[must_use]
-    pub fn bram_counts(&self) -> &[u64] {
-        &self.bram_counts
     }
 
     /// χ² of the per-BRAM histogram against "every BRAM equally likely"
@@ -391,7 +365,7 @@ mod tests {
         let stats = LocationStats::census(&m, v);
         let map = m.variation_map(v);
         assert_eq!(stats.total(), map.total());
-        for (id, &count) in stats.bram_counts().iter().enumerate() {
+        for (id, &count) in stats.bram_counts.iter().enumerate() {
             assert_eq!(count, u64::from(map.count(BramId(id as u32))));
         }
         // Grid histograms are re-binnings of the same census.

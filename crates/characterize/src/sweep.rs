@@ -20,14 +20,13 @@ use uvf_trace::codec::Text;
 uvf_trace::json_record! {
     /// Parameters of one guardband sweep. Its JSON is the campaign-job
     /// wire form: the same byte-stable discipline as [`SweepRecord`],
-    /// carrying every field including the probe override.
+    /// carrying every field including the probe.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct SweepConfig: RecordError {
         pub rail: Rail as Text,
         /// How runs turn silicon state into fault counts. Defaults to the
-        /// rail's natural probe ([`Probe::for_rail`]); override through
-        /// [`SweepConfigBuilder::probe`]. Not part of the checkpoint
-        /// fingerprint — the rail default is what resume assumes.
+        /// rail's natural probe ([`Probe::for_rail`]). Not part of the
+        /// checkpoint fingerprint — the rail default is what resume assumes.
         pub probe: Probe as Text,
         /// Pattern written before every read-back run (the paper's default and
         /// worst case is all-ones, `FFFF`).
@@ -149,13 +148,6 @@ pub struct SweepConfigBuilder {
 }
 
 impl SweepConfigBuilder {
-    /// Override the rail's natural probe (e.g. force the logic self-test).
-    #[must_use]
-    pub fn probe(mut self, probe: Probe) -> SweepConfigBuilder {
-        self.cfg.probe = probe;
-        self
-    }
-
     #[must_use]
     pub fn pattern(mut self, pattern: DataPattern) -> SweepConfigBuilder {
         self.cfg.pattern = pattern;
@@ -310,11 +302,9 @@ mod tests {
         let cfg = SweepConfig::builder(Rail::Vccbram)
             .runs(7)
             .start(Millivolts(700))
-            .probe(Probe::Logic)
             .build();
         assert_eq!(cfg.runs_per_level, 7);
         assert_eq!(cfg.start, Millivolts(700));
-        assert_eq!(cfg.probe, Probe::Logic);
         // Everything else keeps the Listing-1 defaults.
         assert_eq!(cfg.pattern, DataPattern::AllOnes);
         assert_eq!(cfg.step_mv, 10);

@@ -75,16 +75,6 @@ impl<'m> MaskPlan<'m> {
         }
     }
 
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.resolved.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.resolved.is_empty()
-    }
-
     /// Observable fault counts of one BRAM for every condition of the
     /// family; `out[i]` receives condition `i`'s count. `observable`
     /// decides whether a flipping cell is visible against the stored data
@@ -192,7 +182,7 @@ mod tests {
     fn empty_plan_is_harmless() {
         let m = model();
         let plan = MaskPlan::new(&m, Vec::new());
-        assert!(plan.is_empty());
+        assert!(plan.resolved.is_empty());
         let mut out = [7u64; 2];
         plan.bram_counts(BramId(0), |_, _| true, &mut out);
         assert_eq!(out, [7, 7], "no condition may touch the output");

@@ -1,45 +1,12 @@
 //! Deterministic sampling primitives.
 //!
 //! Built on `uvf_fpga::seedmix` (the workspace's single mixing root). The
-//! build environment is offline, so `rand`/`rand_distr` are replaced by
-//! these hand-rolled, bit-stable equivalents: a SplitMix64 sequential
-//! stream and a Box–Muller normal transform. Bit-stability across
-//! platforms matters more here than statistical luxury — every draw is
-//! part of the die identity that checkpoint resume must reproduce.
+//! build environment is offline, so `rand_distr` is replaced by this
+//! hand-rolled, bit-stable Box–Muller normal transform. Bit-stability
+//! across platforms matters more here than statistical luxury — every draw
+//! is part of the die identity that checkpoint resume must reproduce.
 
-use uvf_fpga::seedmix::{self, mix64, unit_f64, unit_open_f64, GAMMA};
-
-/// Sequential SplitMix64 stream (for draws that are naturally ordered,
-/// e.g. the spatial-field harmonic coefficients).
-///
-/// Historically this crate's private copy ran the full `mix64` (which
-/// pre-adds [`GAMMA`]) on an already-incremented state, so its stream for
-/// seed `s` equals the canonical [`seedmix::SplitMix64`] stream for seed
-/// `s + GAMMA`. Every persisted die identity was drawn from that stream,
-/// so the wrapper keeps the offset forever; a regression test below pins
-/// the exact words.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    inner: seedmix::SplitMix64,
-}
-
-impl SplitMix64 {
-    #[must_use]
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 {
-            inner: seedmix::SplitMix64::new(seed.wrapping_add(GAMMA)),
-        }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        self.inner.next_f64()
-    }
-}
+use uvf_fpga::seedmix::{mix64, unit_f64, unit_open_f64, GAMMA};
 
 /// Standard normal deviate from a single 64-bit hash (Box–Muller).
 ///
@@ -55,14 +22,20 @@ pub fn standard_normal(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uvf_fpga::seedmix::mix;
+    use uvf_fpga::seedmix::{mix, SplitMix64};
 
-    /// Regression pin: die identities (spatial-field coefficients, weak
-    /// cell draws) depend on this exact stream. These words were captured
-    /// from the pre-dedup private implementation.
+    /// The stream a die's spatial field draws from for `seed`.
+    fn field_stream(seed: u64) -> SplitMix64 {
+        SplitMix64::new(seed.wrapping_add(GAMMA))
+    }
+
+    /// Regression pin: die identities (spatial-field coefficients) are
+    /// drawn from the canonical stream seeded at `seed + GAMMA`, the
+    /// stream a private generator of this crate once produced. These words
+    /// were captured from that implementation.
     #[test]
     fn stream_is_bit_identical_to_the_historical_private_impl() {
-        let mut r = SplitMix64::new(42);
+        let mut r = field_stream(42);
         assert_eq!(r.next_u64(), 0x28ef_e333_b266_f103);
         assert_eq!(r.next_u64(), 0x4752_6757_130f_9f52);
         assert_eq!(r.next_u64(), 0x581c_e1ff_0e4a_e394);
@@ -70,20 +43,30 @@ mod tests {
     }
 
     #[test]
-    fn stream_equals_canonical_stream_at_offset_seed() {
-        let mut ours = SplitMix64::new(42);
-        let mut canonical = seedmix::SplitMix64::new(42u64.wrapping_add(GAMMA));
+    fn stream_is_deterministic() {
+        let mut a = field_stream(42);
+        let mut b = field_stream(42);
         for _ in 0..100 {
-            assert_eq!(ours.next_u64(), canonical.next_u64());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
     #[test]
-    fn stream_is_deterministic() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+    fn stream_is_deterministic_and_seed_sensitive() {
+        let words = |seed| {
+            let mut r = field_stream(seed);
+            (0..4).map(|_| r.next_u64()).collect::<Vec<u64>>()
+        };
+        assert_eq!(words(7), words(7));
+        assert_ne!(words(7), words(8));
+    }
+
+    #[test]
+    fn floats_stay_in_unit_interval() {
+        let mut r = field_stream(42);
+        for _ in 0..1000 {
+            let f = r.next_f64();
+            assert!((0.0..1.0).contains(&f));
         }
     }
 

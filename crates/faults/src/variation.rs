@@ -12,8 +12,8 @@
 //!    KC705-B divergence, Fig. 7).
 
 use crate::params::FaultParams;
-use crate::rng::{standard_normal, SplitMix64};
-use uvf_fpga::seedmix::{mix, unit_f64};
+use crate::rng::standard_normal;
+use uvf_fpga::seedmix::{mix, unit_f64, SplitMix64, GAMMA};
 use uvf_fpga::{Floorplan, Site};
 
 const TAG_VULN: u64 = 0x0011_a811;
@@ -34,7 +34,8 @@ impl SpatialField {
 
     #[must_use]
     pub fn new(chip_seed: u64, params: &FaultParams) -> SpatialField {
-        let mut rng = SplitMix64::new(mix(&[chip_seed, TAG_FIELD]));
+        // Offset by `GAMMA`: the stream every persisted die was drawn from.
+        let mut rng = SplitMix64::new(mix(&[chip_seed, TAG_FIELD]).wrapping_add(GAMMA));
         let k0 = std::f64::consts::TAU / params.spatial_wavelength;
         let harmonics = (0..SpatialField::HARMONICS)
             .map(|_| {

@@ -8,24 +8,11 @@
 //! generator, so a failure reproduces exactly.
 
 use uvf_faults::{FaultMask, FaultModel, ReadCondition, ResolvedCondition};
+use uvf_fpga::seedmix::SplitMix64;
 use uvf_fpga::{BramId, Millivolts, PlatformKind, BRAM_ROWS, BRAM_WORD_BITS};
 
-/// SplitMix64 — the same tiny generator the workspace uses everywhere a
-/// test needs reproducible randomness without a dependency.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
+fn below(rng: &mut SplitMix64, n: u64) -> u64 {
+    rng.next_u64() % n.max(1)
 }
 
 /// One randomized trial condition.
@@ -37,22 +24,22 @@ struct Trial {
 }
 
 fn draw_trial(rng: &mut SplitMix64) -> Trial {
-    let kind = PlatformKind::ALL[rng.below(PlatformKind::ALL.len() as u64) as usize];
+    let kind = PlatformKind::ALL[below(rng, PlatformKind::ALL.len() as u64) as usize];
     let platform = kind.descriptor();
     let rail = platform.vccbram;
     // Anywhere from just below Vcrash up to nominal: spans the clean
     // guardband, the fault band, and the jitter-sensitive boundary.
     let span = u64::from(rail.nominal.0 - rail.vcrash.0) + 20;
-    let v = Millivolts(rail.vcrash.0 - 10 + rng.below(span) as u32);
+    let v = Millivolts(rail.vcrash.0 - 10 + below(rng, span) as u32);
     Trial {
         kind,
-        chip_seed: 1 + rng.below(64),
+        chip_seed: 1 + below(rng, 64),
         cond: ReadCondition {
             v,
-            temperature_c: -10.0 + rng.below(101) as f64,
+            temperature_c: -10.0 + below(rng, 101) as f64,
             run_seed: rng.next_u64() % 1000,
         },
-        bram: BramId(rng.below(platform.bram_count as u64) as u32),
+        bram: BramId(below(rng, platform.bram_count as u64) as u32),
     }
 }
 
@@ -104,7 +91,7 @@ fn observable_flips(mask: &FaultMask, words: &[u16]) -> u64 {
 
 #[test]
 fn mask_kernels_match_the_per_cell_reference() {
-    let mut rng = SplitMix64(0x5eed_cafe);
+    let mut rng = SplitMix64::new(0x5eed_cafe);
     for trial in 0..24 {
         let t = draw_trial(&mut rng);
         let platform = t.kind.descriptor();
@@ -147,17 +134,17 @@ fn mask_kernels_match_the_per_cell_reference() {
 
 #[test]
 fn nominal_voltage_masks_are_clean_everywhere() {
-    let mut rng = SplitMix64(7);
+    let mut rng = SplitMix64::new(7);
     for kind in PlatformKind::ALL {
         let platform = kind.descriptor();
-        let model = FaultModel::with_chip_seed(platform, 1 + rng.below(32));
+        let model = FaultModel::with_chip_seed(platform, 1 + below(&mut rng, 32));
         let resolved = model.resolve(&ReadCondition {
             v: platform.vccbram.nominal,
             temperature_c: 25.0,
             run_seed: rng.next_u64(),
         });
         for _ in 0..8 {
-            let bram = BramId(rng.below(platform.bram_count as u64) as u32);
+            let bram = BramId(below(&mut rng, platform.bram_count as u64) as u32);
             let mask = model.fault_mask(bram, &resolved);
             assert!(mask.is_clean(), "{kind}: flips at nominal in {bram:?}");
             let words = stored_words(&mut rng);
@@ -170,7 +157,7 @@ fn nominal_voltage_masks_are_clean_everywhere() {
 fn observability_partitions_the_flips_by_stored_polarity() {
     // All-ones storage exposes exactly the 1→0 cells, all-zeros exactly
     // the 0→1 cells; together they account for every failing cell.
-    let mut rng = SplitMix64(99);
+    let mut rng = SplitMix64::new(99);
     for _ in 0..8 {
         let t = draw_trial(&mut rng);
         let model = FaultModel::with_chip_seed(t.kind.descriptor(), t.chip_seed);

@@ -16,7 +16,7 @@ use crate::voltage::{Millivolts, Rail, VoltageRegion};
 
 /// Liveness of the board.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoardState {
+enum BoardState {
     Operational,
     /// Hung: only [`Board::power_cycle`] recovers it.
     Crashed {
@@ -82,18 +82,8 @@ impl Board {
     }
 
     #[must_use]
-    pub fn state(&self) -> BoardState {
-        self.state
-    }
-
-    #[must_use]
     pub fn is_crashed(&self) -> bool {
         matches!(self.state, BoardState::Crashed { .. })
-    }
-
-    #[must_use]
-    pub fn temperature_c(&self) -> f64 {
-        self.temperature_c
     }
 
     /// Heat-chamber control (Fig. 8 experiments).
@@ -340,7 +330,7 @@ mod tests {
         b.set_rail_mv(Rail::Vccbram, Millivolts(500)).ok();
         assert!(b.is_crashed());
         b.power_cycle();
-        assert_eq!(b.state(), BoardState::Operational);
+        assert_eq!(b.state, BoardState::Operational);
         assert_eq!(b.rail_mv(Rail::Vccbram), Millivolts::NOMINAL);
         assert_eq!(b.read_row(BramId(3), 17).unwrap(), 0, "contents cleared");
     }

@@ -81,12 +81,6 @@ impl ParseNameError {
             expected,
         }
     }
-
-    /// The rejected input, verbatim.
-    #[must_use]
-    pub fn input(&self) -> &str {
-        &self.input
-    }
 }
 
 impl fmt::Display for ParseNameError {
@@ -120,7 +114,7 @@ mod tests {
     #[test]
     fn parse_error_names_the_candidates() {
         let e: ParseNameError = "vc709".parse::<crate::PlatformKind>().unwrap_err();
-        assert_eq!(e.input(), "vc709");
+        assert_eq!(e.input, "vc709");
         let s = e.to_string();
         assert!(s.contains("platform") && s.contains("vc707"), "{s}");
     }

@@ -36,11 +36,6 @@ impl Floorplan {
     }
 
     #[must_use]
-    pub fn bram_count(&self) -> usize {
-        self.bram_count
-    }
-
-    #[must_use]
     pub fn columns(&self) -> usize {
         self.bram_count.div_ceil(self.rows_per_column)
     }

@@ -24,7 +24,7 @@ pub mod regulator;
 pub mod seedmix;
 pub mod voltage;
 
-pub use board::{Board, BoardState, DEFAULT_TEMPERATURE_C};
+pub use board::{Board, DEFAULT_TEMPERATURE_C};
 pub use bram::{Bram, BramId, DataPattern};
 pub use eccmode::{StoredCodeword, ECC_CODEWORDS_PER_BRAM, ECC_WORDS_PER_BRAM};
 pub use error::{BoardError, ParseNameError};

@@ -29,9 +29,10 @@ pub fn mix64(z: u64) -> u64 {
 /// `0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, …`.
 ///
 /// This is *the* sequential generator of the workspace — `uvf-stats`
-/// (k-means++ seeding) re-exports it verbatim and `uvf-faults` wraps it
-/// with a seed offset that preserves its historical stream. Both streams
-/// are pinned bit-identical by regression tests in their home crates.
+/// draws its k-means++ seeding from it, and `uvf-faults` its spatial
+/// fields with a seed offset of [`GAMMA`] that preserves their historical
+/// stream. Both streams are pinned bit-identical by regression tests in
+/// their home crates.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

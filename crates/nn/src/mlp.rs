@@ -141,28 +141,12 @@ impl Mlp {
         self.layers[self.layers.len() - 1].out_dim()
     }
 
-    /// Forward pass returning the output logits.
-    #[must_use]
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut next = vec![0.0f32; layer.out_dim()];
-            layer.forward_into(&cur, &mut next);
-            if l + 1 < self.layers.len() {
-                for v in &mut next {
-                    *v = v.max(0.0);
-                }
-            }
-            cur = next;
-        }
-        cur
-    }
-
     /// Classification error rate on a dataset, in `[0, 1]`.
     ///
     /// Samples run through the net eight at a time as one k-major
     /// panel ([`Matrix::panel_into`]), which yields bit-for-bit the logits
-    /// of [`Mlp::forward`] on each sample alone; the last block may be
+    /// of a one-sample pass ([`Dense::forward_into`] layer by layer, ReLU
+    /// between) on each sample alone; the last block may be
     /// partial. This is the first pass of a new [`Scorer`], which scores
     /// a sequence of nets recomputing only what changed; like every
     /// scorer, it reads the split's shared packed layer-0 panels.
@@ -200,6 +184,23 @@ mod tests {
             for (o, &b) in next.iter_mut().zip(&layer.b) {
                 *o += b;
             }
+            if l + 1 < net.layers().len() {
+                for v in &mut next {
+                    *v = v.max(0.0);
+                }
+            }
+            cur = next;
+        }
+        cur
+    }
+
+    /// The one-sample forward pass training runs: [`Dense::forward_into`]
+    /// layer by layer, ReLU between.
+    fn forward(net: &Mlp, x: &[f32]) -> Vec<f32> {
+        let mut cur = x.to_vec();
+        for (l, layer) in net.layers().iter().enumerate() {
+            let mut next = vec![0.0f32; layer.out_dim()];
+            layer.forward_into(&cur, &mut next);
             if l + 1 < net.layers().len() {
                 for v in &mut next {
                     *v = v.max(0.0);
@@ -251,7 +252,7 @@ mod tests {
                     );
                 }
                 assert_eq!(
-                    net.forward(data.input(start + j))
+                    forward(net, data.input(start + j))
                         .iter()
                         .map(|v| v.to_bits())
                         .collect::<Vec<_>>(),
@@ -359,7 +360,7 @@ mod tests {
     #[test]
     fn forward_shapes_chain_and_relu_clamps() {
         let net = Mlp::new(&[5, 3, 2], 1);
-        let out = net.forward(&[1.0, -1.0, 0.5, 0.0, 2.0]);
+        let out = forward(&net, &[1.0, -1.0, 0.5, 0.0, 2.0]);
         assert_eq!(out.len(), 2);
         let weights: usize = net.layers().iter().map(|l| l.w.data().len()).sum();
         assert_eq!(weights, 5 * 3 + 3 * 2);

@@ -56,11 +56,6 @@ impl QTensor {
     }
 
     #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    #[must_use]
     pub fn cols(&self) -> usize {
         self.cols
     }
@@ -98,8 +93,8 @@ impl QTensor {
     /// Share of zero bits across the encoded words (the paper reports
     /// ~76 % for the trained MNIST net — the sign-magnitude sparsity that
     /// shields small weights from `1→0` faults).
-    #[must_use]
-    pub fn zero_bit_share(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn zero_bit_share(&self) -> f64 {
         if self.q.is_empty() {
             return 1.0;
         }

@@ -39,15 +39,10 @@ impl QNetwork {
         &self.layers
     }
 
-    #[must_use]
-    pub fn layer(&self, l: usize) -> &QLayer {
-        &self.layers[l]
-    }
-
     /// Zero-bit share over the whole stored image (the paper measures
     /// ~76 % for the trained MNIST net).
-    #[must_use]
-    pub fn zero_bit_share(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn zero_bit_share(&self) -> f64 {
         let total: u64 = self.layers.iter().map(|l| l.weights.len() as u64).sum();
         if total == 0 {
             return 1.0;

@@ -86,11 +86,6 @@ impl PowerBreakdown {
         PowerBreakdown { rows }
     }
 
-    #[must_use]
-    pub fn rows(&self) -> &[BreakdownRow] {
-        &self.rows
-    }
-
     /// Chip total at the report's operating point, watts.
     #[must_use]
     pub fn total_w(&self) -> f64 {
@@ -204,14 +199,14 @@ mod tests {
         let m = ChipPowerModel::for_platform(PlatformKind::Kc705A);
         let b = m.breakdown(|_| Millivolts(1000), 25.0);
         let rail_sum: f64 = b
-            .rows()
+            .rows
             .iter()
             .filter(|r| r.depth == 1)
             .map(|r| r.power_w)
             .sum();
         assert!((rail_sum - b.total_w()).abs() < 1e-9);
         let pct_sum: f64 = b
-            .rows()
+            .rows
             .iter()
             .filter(|r| r.depth == 1)
             .map(|r| r.pct_total)

@@ -25,7 +25,7 @@
 //! measurement.
 
 use crate::breakdown::PowerBreakdown;
-use uvf_fpga::platform::{Platform, PlatformKind};
+use uvf_fpga::platform::PlatformKind;
 use uvf_fpga::voltage::{Millivolts, Rail, RailLandmarks};
 
 /// Dynamic fraction of the BRAM rail at nominal. Retention-dominated
@@ -156,7 +156,6 @@ pub fn calibrate_leak_exponent(
 /// The whole chip: one calibrated [`RailPowerSpec`] per supply rail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipPowerModel {
-    platform: Platform,
     rails: [RailPowerSpec; 3],
 }
 
@@ -210,12 +209,7 @@ impl ChipPowerModel {
                 leak_exponent: 2.0,
             },
         ];
-        ChipPowerModel { platform, rails }
-    }
-
-    #[must_use]
-    pub fn platform(&self) -> &Platform {
-        &self.platform
+        ChipPowerModel { rails }
     }
 
     #[must_use]

@@ -62,16 +62,6 @@ impl Supervisor {
         Ok(())
     }
 
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// SIGKILL slot `i` and reap it (chaos injection: the worker dies
     /// mid-whatever-it-was-doing, exactly like an OOM kill).
     pub fn kill(&mut self, i: usize) -> io::Result<()> {

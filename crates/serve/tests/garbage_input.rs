@@ -117,7 +117,9 @@ fn crashed_record() -> (SweepRecord, u64) {
 
 fn fvm_text() -> String {
     let p = PlatformKind::Zc702.descriptor();
-    FvmRecord::from_map(&FaultModel::new(p).variation_map(p.vccbram.vmin)).to_json_string()
+    FvmRecord::from_map(&FaultModel::new(p).variation_map(p.vccbram.vmin))
+        .to_json()
+        .to_string()
 }
 
 #[test]
@@ -137,7 +139,8 @@ fn checkpoint_parse_never_panics() {
 #[test]
 fn fvm_record_parse_never_panics() {
     fuzz("fvm record", 2, fvm_text().as_bytes(), |b| {
-        FvmRecord::parse(&String::from_utf8_lossy(b)).is_ok()
+        Json::parse(&String::from_utf8_lossy(b))
+            .is_ok_and(|json| FvmRecord::from_json(&json).is_ok())
     });
 }
 
@@ -361,7 +364,8 @@ fn campaign_manifest_parse_never_panics() {
     let entries = campaign.run_sequential().unwrap();
     let text = CampaignManifest::from_entries(&entries).to_json_string();
     fuzz("campaign manifest", 8, text.as_bytes(), |b| {
-        CampaignManifest::parse(&String::from_utf8_lossy(b)).is_ok()
+        Json::parse(&String::from_utf8_lossy(b))
+            .is_ok_and(|json| CampaignManifest::from_json(&json).is_ok())
     });
 }
 

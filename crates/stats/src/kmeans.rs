@@ -6,7 +6,7 @@
 //! Lloyd iterations, with every tie broken by lowest index so the result
 //! is a pure function of `(points, k, seed)`.
 
-use crate::rng::SplitMix64;
+use uvf_fpga::seedmix::SplitMix64;
 
 /// Upper bound on Lloyd iterations; 1-D runs converge in a handful.
 const MAX_ITERATIONS: usize = 100;
@@ -250,6 +250,18 @@ mod tests {
     use super::*;
 
     const TWO_GROUPS: [f64; 6] = [0.0, 0.1, 0.2, 10.0, 10.1, 10.2];
+
+    /// Regression pin: the k-means++ draws must keep the exact stream the
+    /// crate produced when it carried a private SplitMix64 copy. These
+    /// words were captured from that implementation.
+    #[test]
+    fn seeding_stream_is_bit_identical_to_the_historical_private_impl() {
+        let mut r = SplitMix64::new(7);
+        assert_eq!(r.next_u64(), 0x63cb_e1e4_5932_0dd7);
+        assert_eq!(r.next_u64(), 0x044c_3cd7_f43c_661c);
+        assert_eq!(r.next_u64(), 0xe698_4080_bab1_2a02);
+        assert_eq!(r.next_u64(), 0x953a_eb70_673e_29cb);
+    }
 
     #[test]
     fn closed_form_two_groups() {

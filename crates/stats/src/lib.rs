@@ -30,7 +30,6 @@ pub mod chi2;
 pub mod describe;
 pub mod kmeans;
 pub mod regression;
-mod rng;
 
 pub use chi2::{chi2_gof, chi2_uniform, gamma_q, ln_gamma, Chi2};
 pub use describe::{mean, median};

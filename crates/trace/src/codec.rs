@@ -3,7 +3,7 @@
 //! its byte-stable JSON.
 //!
 //! Each field maps to one key, in declaration order, so a record encodes
-//! to exactly the [`Json`] tree a hand-written `Json::obj(vec![...])`
+//! to exactly the [`Json`] tree a hand-written `Json::Obj(vec![...])`
 //! would build. A field may add `=> "key"` (its wire key, when not the
 //! field name) and `as A`, the adapter ([`Via`]) it travels by: [`Flat`]
 //! splices a record's keys into its parent's, [`Text`] carries anything

@@ -1,11 +1,11 @@
 //! Fixed-bucket latency histogram.
 //!
 //! Buckets are powers of two from 128 ns up to ~4.8 hours — fixed at
-//! compile time so two histograms are always mergeable and the Prometheus
-//! exposition never needs to negotiate boundaries. Quantiles are
-//! bucket-interpolated estimates clamped to the exact observed `[min, max]`
-//! range, which keeps tiny sample sets honest (p99 of 5 samples is the
-//! max, not an extrapolation past it).
+//! compile time so every worker's samples land in the same buckets and the
+//! Prometheus exposition never needs to negotiate boundaries. The tests
+//! compare histograms by bucket-interpolated quantile estimates clamped to
+//! the exact observed `[min, max]` range, which keeps tiny sample sets
+//! honest (p99 of 5 samples is the max, not an extrapolation past it).
 
 /// Number of finite buckets; upper bound of bucket `i` is `2^(7+i)` ns.
 pub const BUCKET_COUNT: usize = 38;
@@ -20,9 +20,9 @@ pub fn bucket_upper_ns(i: usize) -> u64 {
 /// A fixed-bucket histogram of nanosecond observations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
+    /// Observations per finite bucket; one above the last finite bucket
+    /// is counted only in `count` (`le="+Inf"`).
     counts: [u64; BUCKET_COUNT],
-    /// Observations above the last finite bucket (`le="+Inf"` only).
-    overflow: u64,
     count: u64,
     sum_ns: u64,
     min_ns: u64,
@@ -40,7 +40,6 @@ impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
             counts: [0; BUCKET_COUNT],
-            overflow: 0,
             count: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -49,14 +48,13 @@ impl Histogram {
     }
 
     pub fn record(&mut self, ns: u64) {
-        match self
+        if let Some((_, slot)) = self
             .counts
             .iter_mut()
             .enumerate()
             .find(|(i, _)| ns <= bucket_upper_ns(*i))
         {
-            Some((_, slot)) => *slot += 1,
-            None => self.overflow += 1,
+            *slot += 1;
         }
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
@@ -64,41 +62,9 @@ impl Histogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Fold `other` into `self` (bucket-wise; boundaries are fixed, so the
-    /// merge is exact).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     #[must_use]
     pub fn sum_ns(&self) -> u64 {
         self.sum_ns
-    }
-
-    #[must_use]
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min_ns
-        }
     }
 
     /// Cumulative count at each finite bucket boundary plus the overflow
@@ -113,11 +79,26 @@ impl Histogram {
         }
         (cum, self.count)
     }
+}
+
+/// Readouts the histogram and fleet-merge tests compare histograms by.
+#[cfg(test)]
+impl Histogram {
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    pub(crate) fn min_ns(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min_ns
+        }
+    }
 
     /// Bucket-interpolated quantile estimate (`q` in `[0, 1]`), clamped to
     /// the observed range. Returns 0 on an empty histogram.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -176,22 +157,10 @@ mod tests {
     #[test]
     fn empty_histogram_is_harmless() {
         let h = Histogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns, 0);
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let xs = [150u64, 90, 4_000, 77_000, 1 << 50];
-        let ys = [300u64, 300, 128];
-        let mut a = from_samples(&xs);
-        let b = from_samples(&ys);
-        a.merge(&b);
-        let all: Vec<u64> = xs.iter().chain(ys.iter()).copied().collect();
-        assert_eq!(a, from_samples(&all));
-        assert_eq!(a.count(), 8);
     }
 
     #[test]

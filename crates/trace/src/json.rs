@@ -49,16 +49,6 @@ impl Error for JsonError {}
 
 impl Json {
     #[must_use]
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -444,9 +434,18 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn obj(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     #[test]
     fn roundtrip_preserves_structure_and_u64_precision() {
-        let v = Json::obj(vec![
+        let v = obj(vec![
             ("seed", Json::UInt(u64::MAX - 3)),
             ("neg", Json::Int(-42)),
             ("rate", Json::Float(652.125)),
@@ -463,7 +462,7 @@ mod tests {
 
     #[test]
     fn serialization_is_byte_stable() {
-        let v = Json::obj(vec![("b", Json::UInt(1)), ("a", Json::UInt(2))]);
+        let v = obj(vec![("b", Json::UInt(1)), ("a", Json::UInt(2))]);
         assert_eq!(v.to_string(), v.to_string());
         assert_eq!(v.to_string(), r#"{"b":1,"a":2}"#);
     }
@@ -533,7 +532,7 @@ mod tests {
         let unit = "540 mV µ 日本語 🦀 \"q\" \\ \n";
         let s = unit.repeat((1 << 20) / unit.len() + 1);
         assert!(s.len() >= 1 << 20);
-        let v = Json::obj(vec![("line", Json::Str(s.clone())), ("n", Json::UInt(7))]);
+        let v = obj(vec![("line", Json::Str(s.clone())), ("n", Json::UInt(7))]);
         let text = v.to_string();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.get("line").and_then(Json::as_str), Some(s.as_str()));

@@ -22,8 +22,8 @@
 //!
 //! * [`Tracer`] / [`Span`] — the emitting handle and its RAII scoped
 //!   timer; spans nest per-thread.
-//! * [`Histogram`] — fixed power-of-two buckets (128 ns …), exact
-//!   min/max/sum, interpolated quantiles.
+//! * [`Histogram`] — fixed power-of-two buckets (128 ns …) and an exact
+//!   sum.
 //! * [`Sink`] implementations: [`JsonlSink`] (byte-stable event log),
 //!   [`PrometheusSink`] (text exposition snapshot; also the campaign
 //!   server's fleet-wide merge — counters summed, histograms

@@ -154,8 +154,8 @@ struct PromState {
 ///
 /// [`Sink::record`] writes unlabeled gauges. A fleet view feeds each
 /// worker's stream through [`PrometheusSink::record_from`] instead:
-/// counters still sum and histograms bucket-merge across workers (so
-/// fleet p50/p95/p99 are exact, see [`Histogram::merge`]), while gauges
+/// counters still sum and every worker's samples land in one fixed-bucket
+/// histogram (so fleet p50/p95/p99 are exact), while gauges
 /// stay per worker, so one slow die doesn't hide behind a fleet average.
 /// Server-level series go in through [`PrometheusSink::add`],
 /// [`PrometheusSink::set_gauge`], [`PrometheusSink::set_worker_gauge`]
@@ -240,8 +240,8 @@ impl PrometheusSink {
     }
 
     /// Snapshot of the named histogram, if any samples arrived.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
+    #[cfg(test)]
+    fn histogram(&self, name: &str) -> Option<Histogram> {
         self.state().histograms.get(name).cloned()
     }
 
@@ -586,29 +586,19 @@ mod tests {
         // every sample — exact because all share the fixed bucket layout.
         let agg = PrometheusSink::new();
         let mut all = Histogram::default();
-        let mut per_worker: Vec<Histogram> = Vec::new();
         for (w, base) in [(1u64, 200u64), (2, 9_000), (3, 1_500_000)] {
-            let mut own = Histogram::default();
             for i in 0..400u64 {
                 let ns = base + i * base / 7;
                 agg.record_from(w, &timing("kernel", ns));
                 all.record(ns);
-                own.record(ns);
             }
-            per_worker.push(own);
         }
         let fleet = agg.histogram("kernel").expect("histogram exists");
-        let mut merged = Histogram::default();
-        for h in &per_worker {
-            merged.merge(h);
-        }
-        for (a, b) in [(&fleet, &all), (&fleet, &merged)] {
-            assert_eq!(a.count(), b.count());
-            assert_eq!(a.quantile(0.5), b.quantile(0.5));
-            assert_eq!(a.quantile(0.95), b.quantile(0.95));
-            assert_eq!(a.quantile(0.99), b.quantile(0.99));
-            assert_eq!(a.sum_ns(), b.sum_ns());
-        }
+        assert_eq!(fleet.count(), all.count());
+        assert_eq!(fleet.quantile(0.5), all.quantile(0.5));
+        assert_eq!(fleet.quantile(0.95), all.quantile(0.95));
+        assert_eq!(fleet.quantile(0.99), all.quantile(0.99));
+        assert_eq!(fleet.sum_ns(), all.sum_ns());
     }
 
     #[test]

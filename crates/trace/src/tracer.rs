@@ -272,12 +272,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// Span id (0 on a disabled tracer).
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Attach a field to the closing `span_end` event.
     pub fn field(&mut self, name: &'static str, value: Value) {
         if self.tracer.enabled() {
@@ -329,7 +323,7 @@ mod tests {
         t.counter("c", 3);
         let mut span = t.span("s");
         span.field("k", Value::U64(1));
-        assert_eq!(span.id(), 0);
+        assert_eq!(span.id, 0);
         drop(span);
         assert_eq!(t.time("t", 1, || 41 + 1), 42);
     }
@@ -342,7 +336,7 @@ mod tests {
             let outer = t.span("outer");
             let _inner = t.span("inner");
             t.instant("point", vec![("a", Value::Bool(true))]);
-            assert!(outer.id() < u64::MAX);
+            assert!(outer.id < u64::MAX);
         }
         let events = mem.events();
         let names: Vec<&str> = events.iter().map(|e| e.name.as_ref()).collect();
