@@ -138,8 +138,9 @@ fn bench_ladder(opts: &BenchOptions) -> Vec<Pair> {
     // it runs every family. The reference prices every run independently,
     // so every 9th run of each family measures its per-op cost, and both
     // sides of a sample last about as long: a burst of host noise lands on
-    // both alike. (Levels are not subsampled: the batched scan's cost per
-    // run differs about twofold between alternate levels of the ladder.)
+    // both alike. (Levels are not subsampled: the levels at and just above
+    // `Vcrash` carry most of the batched scan's time, so a subsample of
+    // levels would price a different mix.)
     let families: Vec<&[ResolvedCondition]> = stream.chunks(cfg.runs_per_level as usize).collect();
     let family_conds: Vec<&ResolvedCondition> =
         families.iter().flat_map(|f| f.iter().step_by(9)).collect();

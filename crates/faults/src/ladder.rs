@@ -6,17 +6,17 @@
 //! threshold. [`MaskPlan`] batches every run of one level through a single
 //! [`ResolvedCondition`] family sharing one sorted-cell scan: the certain
 //! prefix common to every run is counted once per BRAM and each run then
-//! costs two binary searches, its few extra certain cells and its own
+//! costs two galloping searches, its few extra certain cells and its own
 //! jitter window. A single-condition plan is the per-run scan.
 //!
-//! Bit-identity with the per-run scan holds by construction: the
-//! binary-search predicates are the exact comparisons of
+//! Bit-identity with the per-run scan holds by construction: the search
+//! predicates are the exact comparisons of
 //! [`ResolvedCondition::cell_fails`] (`vfail >= certain_mv` always fails,
-//! `vfail < cutoff_mv` never fails), window cells are decided by
-//! `cell_fails` itself with identical draws, and per-run counts are sums of
-//! `u64`s — order-independent. `tests/ladder_equivalence.rs` pins this
-//! against [`FaultModel::for_each_failing_resolved`] over randomized
-//! trials.
+//! `vfail < cutoff_mv` never fails), window cells are decided by the
+//! [`crate::WindowJudge`] that reproduces `cell_fails` with identical
+//! draws, and per-run counts are sums of `u64`s — order-independent.
+//! `tests/ladder_equivalence.rs` pins this against
+//! [`FaultModel::for_each_failing_resolved`] over randomized trials.
 
 use crate::mask::ResolvedCondition;
 use crate::model::FaultModel;
@@ -29,7 +29,7 @@ use uvf_fpga::BramId;
 /// their common-mode spread (and with it the certain/cutoff boundaries)
 /// jitters by a few mV per run. The plan scans each BRAM once down to the
 /// *loosest* cutoff of the family, counts the certain prefix every run
-/// shares, and then prices each run at two binary searches, its own extra
+/// shares, and then prices each run at two galloping searches, its own extra
 /// certain cells and its jitter window — instead of one full descending
 /// scan per run. Window cells go through [`ResolvedCondition::window_judge`].
 #[derive(Debug, Clone)]
@@ -41,6 +41,27 @@ pub struct MaskPlan<'m> {
     /// Maximum `certain_mv` across the family: cells at or above it fail
     /// under every condition.
     shared_certain_mv: f64,
+}
+
+/// Length of the leading run of `cells` with `vfail_mv >= mv`: exactly
+/// `cells.partition_point(|c| c.vfail_mv >= mv)` on a descending-threshold
+/// array, found by galloping from the head. It probes indices 0, 1, 3, 7,
+/// … until a cell falls below `mv`, then binary-searches the last doubling.
+/// The prefixes a scan needs are short next to a BRAM's array, so the
+/// search stays in its first cache lines, and an empty prefix (most BRAMs
+/// on most rungs) costs one compare.
+pub(crate) fn prefix_len(cells: &[WeakCell], mv: f64) -> usize {
+    // `cells[..lo]` are known to be at or above `mv`.
+    let mut lo = 0;
+    let mut probe = 0;
+    let mut step = 1;
+    while probe < cells.len() && cells[probe].vfail_mv >= mv {
+        lo = probe + 1;
+        probe += step;
+        step *= 2;
+    }
+    let hi = probe.min(cells.len());
+    lo + cells[lo..hi].partition_point(|c| c.vfail_mv >= mv)
 }
 
 /// Cells of `cells` that satisfy `pred`.
@@ -92,7 +113,7 @@ impl<'m> MaskPlan<'m> {
     ) {
         assert!(out.len() >= self.resolved.len(), "output slice too short");
         let cells = self.model.weak_cells(bram);
-        let prefix = &cells[..cells.partition_point(|c| c.vfail_mv >= self.scan_cutoff_mv)];
+        let prefix = &cells[..prefix_len(cells, self.scan_cutoff_mv)];
         if prefix.is_empty() {
             // Most BRAMs on most rungs: nothing can fail, nothing to judge.
             out[..self.resolved.len()].fill(0);
@@ -101,11 +122,13 @@ impl<'m> MaskPlan<'m> {
         // Every condition's certain prefix contains the family's shortest
         // one: count that shared part once, then each condition's own few
         // extra certain cells and its jitter window.
-        let shared = prefix.partition_point(|c| c.vfail_mv >= self.shared_certain_mv);
+        let shared = prefix_len(prefix, self.shared_certain_mv);
         let shared_count = count(&prefix[..shared], |c| observable(bram, c));
         for (slot, rc) in out.iter_mut().zip(&self.resolved) {
-            let certain_idx = prefix.partition_point(|c| c.vfail_mv >= rc.certain_mv());
-            let cutoff_idx = prefix.partition_point(|c| c.vfail_mv >= rc.cutoff_mv());
+            // Nested boundaries: `shared ≤ certain_idx ≤ cutoff_idx`, so
+            // each search gallops on from the last.
+            let certain_idx = shared + prefix_len(&prefix[shared..], rc.certain_mv());
+            let cutoff_idx = certain_idx + prefix_len(&prefix[certain_idx..], rc.cutoff_mv());
             let mut n = shared_count + count(&prefix[shared..certain_idx], |c| observable(bram, c));
             if certain_idx < cutoff_idx {
                 let judge = rc.window_judge(bram);
@@ -175,6 +198,48 @@ mod tests {
         assert!(got.iter().any(|&n| n > 0), "{got:?}");
         for (n, rc) in got.iter().zip(&family) {
             assert_eq!(*n, u64::from(FaultMask::build(&m, bram, rc).flip_cells()));
+        }
+    }
+
+    #[test]
+    fn prefix_len_equals_partition_point() {
+        // Descending thresholds 1000, 999, …: a cutoff of `1000.5 - p`
+        // keeps exactly the first `p` cells.
+        let descending = |n: usize| -> Vec<WeakCell> {
+            (0..n)
+                .map(|i| WeakCell {
+                    row: i as u16,
+                    bit: 0,
+                    one_to_zero: true,
+                    vfail_mv: 1000.0 - i as f64,
+                })
+                .collect()
+        };
+        let check = |cells: &[WeakCell], mv: f64| {
+            assert_eq!(
+                prefix_len(cells, mv),
+                cells.partition_point(|c| c.vfail_mv >= mv),
+                "{} cells, cutoff {mv}",
+                cells.len()
+            );
+        };
+        check(&[], 500.0);
+        for n in [1, 2, 3, 7, 8, 9, 300] {
+            let cells = descending(n);
+            check(&cells, 0.0); // all above
+            check(&cells, 2000.0); // all below
+            check(&cells, 1000.0); // equality keeps the head
+            for p in 0..=n {
+                check(&cells, 1000.5 - p as f64);
+                check(&cells, 1000.0 - p as f64); // on a threshold
+            }
+        }
+        // Prefix lengths at and around every power of two.
+        let cells = descending(1100);
+        for e in 0..11 {
+            for p in [(1usize << e) - 1, 1 << e, (1 << e) + 1] {
+                assert_eq!(prefix_len(&cells, 1000.5 - p as f64), p);
+            }
         }
     }
 

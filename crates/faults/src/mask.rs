@@ -67,7 +67,7 @@ impl ResolvedCondition {
     /// Deterministic-failure boundary: every cell with `vfail_mv` at or
     /// above this fails under this condition with no jitter draw. Together
     /// with [`ResolvedCondition::cutoff_mv`] it brackets the jitter window,
-    /// which is what lets [`crate::MaskPlan`] binary-search both boundaries
+    /// which is what lets [`crate::MaskPlan`] search both boundaries
     /// on the descending-threshold arrays instead of scanning them.
     #[must_use]
     pub fn certain_mv(&self) -> f64 {
@@ -76,7 +76,8 @@ impl ResolvedCondition {
 
     /// Whether `cell` of `bram` flips under this condition. Pure function
     /// of the resolved condition and the cell's identity — scan order
-    /// never matters.
+    /// never matters. The per-cell oracle: production reads go through
+    /// [`ResolvedCondition::window_judge`], which is pinned against it.
     #[must_use]
     pub fn cell_fails(&self, bram: BramId, cell: &WeakCell) -> bool {
         if cell.vfail_mv >= self.certain_mv {
@@ -240,7 +241,9 @@ pub struct FaultMask {
 }
 
 impl FaultMask {
-    /// Snapshot the failing cells of `bram` under `resolved`.
+    /// Snapshot the failing cells of `bram` under `resolved`. Window cells
+    /// are decided by one [`ResolvedCondition::window_judge`] per BRAM, the
+    /// kernel [`crate::MaskPlan`] counts with.
     #[must_use]
     pub fn build(model: &FaultModel, bram: BramId, resolved: &ResolvedCondition) -> FaultMask {
         let mut and_masks = vec![0xFFFFu16; BRAM_ROWS];
@@ -248,11 +251,12 @@ impl FaultMask {
         let mut flip_cells = 0u32;
         // Descending-threshold order so the scan stops at the cutoff; the
         // masks themselves are order-independent.
+        let judge = resolved.window_judge(bram);
         for cell in model.weak_cells(bram) {
             if cell.vfail_mv < resolved.cutoff_mv() {
                 break;
             }
-            if !resolved.cell_fails(bram, cell) {
+            if !judge.fails(cell) {
                 continue;
             }
             let bit = 1u16 << cell.bit;

@@ -13,6 +13,7 @@ use crate::rng::standard_normal;
 use crate::thermal::itd_shift_mv;
 use crate::variation::die_multipliers;
 use crate::weakcells::{generate_bram, WeakCell};
+use std::cmp::Reverse;
 use std::sync::Arc;
 use uvf_fpga::seedmix::mix;
 use uvf_fpga::{BramId, Floorplan, Millivolts, Platform, Rail, BRAM_ROWS, BRAM_WORD_BITS};
@@ -56,13 +57,15 @@ pub fn run_seed(chip_seed: u64, rail: Rail, v: Millivolts, run: u32) -> u64 {
 /// stops at its condition's cutoff. `(row, bit)` is unique per BRAM and
 /// breaks ties, so the key is a total order and an unstable sort is
 /// deterministic.
+///
+/// The key is integer: every kept threshold is positive and finite (at
+/// least `Vcrash − KEEP_MARGIN_MV`; the sentinel sits above `Vmin`), and on
+/// such values `to_bits` order is `total_cmp` order.
 fn sort_by_threshold(mut cells: Vec<WeakCell>) -> Vec<WeakCell> {
-    cells.sort_unstable_by(|a, b| {
-        b.vfail_mv
-            .total_cmp(&a.vfail_mv)
-            .then(a.row.cmp(&b.row))
-            .then(a.bit.cmp(&b.bit))
-    });
+    debug_assert!(cells
+        .iter()
+        .all(|c| c.vfail_mv.is_finite() && c.vfail_mv > 0.0));
+    cells.sort_unstable_by_key(|c| (Reverse(c.vfail_mv.to_bits()), c.row, c.bit));
     cells
 }
 
@@ -370,6 +373,28 @@ mod tests {
         assert_eq!(count_at(&m, above, 0), 0);
         m.set_environment_noise_mv(15.0);
         assert!(count_at(&m, above, 0) >= 1, "droop exposes faults early");
+    }
+
+    #[test]
+    fn every_default_die_is_in_comparator_order() {
+        // The integer sort key must give the order of the float comparator
+        // it replaced: descending `total_cmp`, then `(row, bit)`.
+        for kind in PlatformKind::ALL {
+            let m = model(kind);
+            for b in 0..m.platform().bram_count as u32 {
+                let cells = m.weak_cells(BramId(b));
+                assert!(
+                    cells.is_sorted_by(|a, b| {
+                        b.vfail_mv
+                            .total_cmp(&a.vfail_mv)
+                            .then(a.row.cmp(&b.row))
+                            .then(a.bit.cmp(&b.bit))
+                            .is_lt()
+                    }),
+                    "{kind:?} BRAM {b}"
+                );
+            }
+        }
     }
 
     #[test]

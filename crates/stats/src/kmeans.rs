@@ -6,6 +6,7 @@
 //! Lloyd iterations, with every tie broken by lowest index so the result
 //! is a pure function of `(points, k, seed)`.
 
+use std::collections::HashMap;
 use uvf_fpga::seedmix::SplitMix64;
 
 /// Upper bound on Lloyd iterations; 1-D runs converge in a handful.
@@ -161,6 +162,14 @@ fn relabel(
 /// Mean silhouette coefficient of a labeled 1-D clustering, in `[-1, 1]`.
 /// Singleton-cluster points score `0` (Rousseeuw's convention), as does
 /// everything when no second non-empty cluster exists.
+///
+/// Fig. 5's points (weak cells per BRAM) take few distinct values, so each
+/// point's term is computed once per distinct `(value bits, own cluster)`
+/// and reused: O(distinct · n) instead of O(n²). The reuse is exact for
+/// finite points: two equal points see the same `|x_i − x_j|` for every
+/// `j` except each other, where both see `+0.0`, and adding `+0.0` to a
+/// non-negative sum changes no bit. The stored terms are summed in index
+/// order, as a plain per-point loop would.
 #[must_use]
 pub fn silhouette_1d(points: &[f64], assignments: &[usize], k: usize) -> f64 {
     assert_eq!(points.len(), assignments.len());
@@ -172,34 +181,44 @@ pub fn silhouette_1d(points: &[f64], assignments: &[usize], k: usize) -> f64 {
     for &a in assignments {
         sizes[a] += 1;
     }
+    let mut terms: HashMap<(u64, usize), Option<f64>> = HashMap::new();
+    let mut dist_sum = vec![0.0f64; k];
     let mut total = 0.0;
     for i in 0..n {
         let own = assignments[i];
         if sizes[own] <= 1 {
             continue; // s(i) = 0
         }
-        // Mean |x_i - x_j| per cluster, one pass over the data.
-        let mut dist_sum = vec![0.0f64; k];
-        for j in 0..n {
-            if i != j {
-                dist_sum[assignments[j]] += (points[i] - points[j]).abs();
+        let term = *terms.entry((points[i].to_bits(), own)).or_insert_with(|| {
+            // Sum of |x_i - x_j| per cluster, one pass over the data.
+            dist_sum.fill(0.0);
+            for j in 0..n {
+                if i != j {
+                    dist_sum[assignments[j]] += (points[i] - points[j]).abs();
+                }
             }
-        }
-        let a = dist_sum[own] / (sizes[own] - 1) as f64;
-        let mut b = f64::INFINITY;
-        for c in 0..k {
-            if c != own && sizes[c] > 0 {
-                b = b.min(dist_sum[c] / sizes[c] as f64);
-            }
-        }
-        if b.is_finite() {
-            let denom = a.max(b);
-            if denom > 0.0 {
-                total += (b - a) / denom;
-            }
+            silhouette_term(&dist_sum, &sizes, own)
+        });
+        if let Some(s) = term {
+            total += s;
         }
     }
     total / n as f64
+}
+
+/// `s(i) = (b − a) / max(a, b)` from a point's per-cluster distance sums;
+/// `None` where the point adds nothing (no other non-empty cluster, or
+/// `a = b = 0`).
+fn silhouette_term(dist_sum: &[f64], sizes: &[usize], own: usize) -> Option<f64> {
+    let a = dist_sum[own] / (sizes[own] - 1) as f64;
+    let mut b = f64::INFINITY;
+    for (c, (&sum, &size)) in dist_sum.iter().zip(sizes).enumerate() {
+        if c != own && size > 0 {
+            b = b.min(sum / size as f64);
+        }
+    }
+    let denom = a.max(b);
+    (b.is_finite() && denom > 0.0).then(|| (b - a) / denom)
 }
 
 /// Outcome of a silhouette scan over candidate cluster counts.
@@ -315,6 +334,90 @@ mod tests {
         let run3 = kmeans_1d(&TWO_GROUPS, 3, 3).unwrap();
         let s3 = silhouette_1d(&TWO_GROUPS, &run3.assignments, 3);
         assert!(s3 < s, "s3 {s3} >= s2 {s}");
+    }
+
+    /// The textbook O(n²) silhouette: every point re-sums its distances.
+    fn naive_silhouette(points: &[f64], assignments: &[usize], k: usize) -> f64 {
+        let n = points.len();
+        if n == 0 || k < 2 {
+            return 0.0;
+        }
+        let mut sizes = vec![0usize; k];
+        for &a in assignments {
+            sizes[a] += 1;
+        }
+        let mut total = 0.0;
+        for i in 0..n {
+            let own = assignments[i];
+            if sizes[own] <= 1 {
+                continue;
+            }
+            let mut dist_sum = vec![0.0f64; k];
+            for j in 0..n {
+                if i != j {
+                    dist_sum[assignments[j]] += (points[i] - points[j]).abs();
+                }
+            }
+            let a = dist_sum[own] / (sizes[own] - 1) as f64;
+            let mut b = f64::INFINITY;
+            for c in 0..k {
+                if c != own && sizes[c] > 0 {
+                    b = b.min(dist_sum[c] / sizes[c] as f64);
+                }
+            }
+            if b.is_finite() {
+                let denom = a.max(b);
+                if denom > 0.0 {
+                    total += (b - a) / denom;
+                }
+            }
+        }
+        total / n as f64
+    }
+
+    #[test]
+    fn silhouette_equals_the_quadratic_reference_bit_for_bit() {
+        let mut rng = SplitMix64::new(33);
+        let mut below = |n: u64| rng.next_u64() % n;
+        let mut checked = 0;
+        for trial in 0..300u64 {
+            let n = 1 + below(80) as usize;
+            let distinct = 1 + below(12);
+            let points: Vec<f64> = (0..n)
+                .map(|_| match below(distinct + 2) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    v => (v * v) as f64 * 0.37,
+                })
+                .collect();
+            for k in 1..=6 {
+                // Arbitrary labels, equal points split across clusters and
+                // singleton or empty clusters included; then the k-means
+                // labels of the same points.
+                let random: Vec<usize> = (0..n).map(|_| below(k as u64) as usize).collect();
+                let mut labelings = vec![random];
+                labelings.extend(kmeans_1d(&points, k, trial).map(|r| r.assignments));
+                for labels in &labelings {
+                    let got = silhouette_1d(&points, labels, k);
+                    let want = naive_silhouette(&points, labels, k);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "trial {trial} k {k}: {got} vs {want} on {points:?} / {labels:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 2_000, "{checked}");
+        // Singleton clusters score zero and a lone cluster scores nothing.
+        let points = [0.0, -0.0, 0.0, 5.0, 9.0];
+        for labels in [[0, 0, 0, 1, 2], [0, 1, 0, 2, 2], [3, 3, 3, 3, 3]] {
+            assert_eq!(
+                silhouette_1d(&points, &labels, 4).to_bits(),
+                naive_silhouette(&points, &labels, 4).to_bits()
+            );
+        }
     }
 
     #[test]
